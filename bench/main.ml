@@ -14,11 +14,10 @@
                     ablations|crossarch|unroll|micro|sim|serve|tune|
                     loopopt|json|all]
                    [-j N] [--smoke] [--min-runs N] [--engine NAME]
-                   [--arch NAME] [--store DIR] [--par-threshold N]
-                   [--par-min-chunk N]
+                   [--arch NAME] [--store DIR]
    (default: all). --engine selects the simulator execution engine
-   (reference|decoded|threaded, default threaded) for the experiment
-   modes; bench sim always measures all three. --arch selects the GPU
+   (reference|threaded, default threaded) for the experiment modes;
+   bench sim always measures both. --arch selects the GPU
    model from the architecture registry (default kepler) for every
    mode except crossarch (inherently multi-arch) and tune (sweeps the
    registry unless --arch restricts it).                              *)
@@ -128,14 +127,14 @@ let j_obj fields =
 let j_assoc to_v kvs = j_obj (List.map (fun (k, v) -> (k, to_v v)) kvs)
 
 (* --- sim: simulator-throughput microbenchmark ------------------------ *)
-(* Measures simulated instructions per second of all three simulator
-   engines — the closure-threaded compiler (default), the pre-decoded
-   unboxed core, and the boxed reference walker — over the evaluation
-   workload mix, for the functional interpreter and the timing model
-   separately, plus the block-parallel path at the given -j. Before
-   measuring, each workload is run once under every engine pair and at
-   every parallelism level and the results (array checksums, dynamic
-   counters, timing stats) are required to match exactly — the
+(* Measures simulated instructions per second of both simulator
+   engines — the closure-threaded compiler (default) and the boxed
+   reference walker — over the evaluation workload mix, for the
+   functional interpreter and the timing model separately, plus the
+   block-parallel threaded path at the given -j. Before measuring, each
+   workload is run once under both engines and, for the threaded one,
+   at both parallelism levels, and the results (array checksums,
+   dynamic counters, timing stats) are required to match exactly — the
    bit-identity gate; any divergence exits 1. Results go to
    BENCH_sim.json. *)
 
@@ -312,10 +311,9 @@ let sim_functional_run_par c (w : Workload.t) ~pool ~verdicts =
 let sim_check_parallel c (w : Workload.t) ~pool ~verdicts =
   (* the bit-identity gate of the block-parallel path: final memory
      (every program array) and summed counters must equal the
-     sequential walk of the same engine exactly, at any -j, for both
-     engines that can fan blocks out. The cost model is forced open
-     (threshold 0) so the gate actually exercises the parallel path
-     even on tiny launches. *)
+     sequential threaded walk exactly, at any -j. The cost model is
+     forced open (threshold 0) so the gate actually exercises the
+     parallel path even on tiny launches. *)
   let snapshot run =
     let env = Workload.prepare c w in
     let counters = Safara_sim.Interp.fresh_counters () in
@@ -331,46 +329,43 @@ let sim_check_parallel c (w : Workload.t) ~pool ~verdicts =
     in
     (sums, counters)
   in
-  List.iter
-    (fun e ->
-      sim_with_engine e (fun () ->
-          let seq =
-            snapshot (fun env counters ->
-                List.iter
-                  (fun (k, _) ->
-                    let grid =
-                      Safara_sim.Launch.grid_of
-                        ~env:env.Safara_sim.Interp.scalars k
-                    in
-                    Safara_sim.Interp.run_kernel ~counters
-                      ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k)
-                  c.Safara_core.Compiler.c_kernels)
-          in
-          let par =
-            let saved = !Safara_sim.Interp.parallel_threshold in
-            Safara_sim.Interp.parallel_threshold := 0;
-            Fun.protect
-              ~finally:(fun () ->
-                Safara_sim.Interp.parallel_threshold := saved)
-              (fun () ->
-                snapshot (fun env counters ->
-                    List.iter
-                      (fun (k, verdict) ->
-                        let grid =
-                          Safara_sim.Launch.grid_of
-                            ~env:env.Safara_sim.Interp.scalars k
-                        in
-                        Safara_sim.Interp.run_kernel ~counters ~pool ~verdict
-                          ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k)
-                      verdicts))
-          in
-          if seq <> par then (
-            Printf.eprintf
-              "bench sim: %s block-parallel interp diverges from serial on %s\n"
-              (Safara_sim.Decode.engine_name e)
-              w.Workload.id;
-            exit 1)))
-    [ Safara_sim.Decode.Decoded; Safara_sim.Decode.Threaded ]
+  sim_with_engine Safara_sim.Decode.Threaded (fun () ->
+    let seq =
+      snapshot (fun env counters ->
+          List.iter
+            (fun (k, _) ->
+              let grid =
+                Safara_sim.Launch.grid_of
+                  ~env:env.Safara_sim.Interp.scalars k
+              in
+              Safara_sim.Interp.run_kernel ~counters
+                ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k)
+            c.Safara_core.Compiler.c_kernels)
+    in
+    let par =
+      let saved = !Safara_sim.Interp.parallel_threshold in
+      Safara_sim.Interp.parallel_threshold := 0;
+      Fun.protect
+        ~finally:(fun () ->
+          Safara_sim.Interp.parallel_threshold := saved)
+        (fun () ->
+          snapshot (fun env counters ->
+              List.iter
+                (fun (k, verdict) ->
+                  let grid =
+                    Safara_sim.Launch.grid_of
+                      ~env:env.Safara_sim.Interp.scalars k
+                  in
+                  Safara_sim.Interp.run_kernel ~counters ~pool ~verdict
+                    ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k)
+                verdicts))
+    in
+    if seq <> par then (
+      Printf.eprintf
+        "bench sim: threaded block-parallel interp diverges from \
+         serial on %s\n"
+        w.Workload.id;
+      exit 1))
 
 (* one instrumented pass per workload recording how each launch
    actually executed — chosen chunk count, or the runtime fallback
@@ -393,11 +388,9 @@ let sim_kernel_modes c (w : Workload.t) ~pool ~verdicts =
 type sim_row = {
   r_id : string;
   r_fr : sim_meas;  (** interp, reference walker *)
-  r_fd : sim_meas;  (** interp, decoded core *)
   r_ft : sim_meas;  (** interp, threaded closures *)
   r_fp : sim_meas;  (** interp, block-parallel (threaded) *)
   r_tr : sim_meas;  (** timing, reference walker *)
-  r_td : sim_meas;  (** timing, decoded core *)
   r_tt : sim_meas;  (** timing, threaded closures *)
   r_verdicts : (Safara_vir.Kernel.t * Safara_sim.Blockpar.verdict) list;
   r_modes : (string * Safara_sim.Interp.mode) list;
@@ -413,14 +406,13 @@ let run_sim ~smoke ~min_runs ~pool ~arch () =
   in
   let jobs = Safara_engine.Pool.size pool in
   Printf.printf
-    "Simulator throughput: reference walker vs decoded core vs threaded \
-     closures\n\
+    "Simulator throughput: reference walker vs threaded closures\n\
      profile Full, %s; simulated warp-instructions per second; -j %d, \
      min-runs %d\n\n"
     arch.Safara_gpu.Arch.name jobs min_runs;
-  Printf.printf "%-16s %11s %11s %11s %6s %11s %6s %11s %11s %11s %6s\n"
-    "workload" "interp-ref" "interp-dec" "interp-thr" "thr-x" "interp-par"
-    "par-x" "timing-ref" "timing-dec" "timing-thr" "thr-x";
+  Printf.printf "%-16s %11s %11s %6s %11s %6s %11s %11s %6s\n" "workload"
+    "interp-ref" "interp-thr" "thr-x" "interp-par" "par-x" "timing-ref"
+    "timing-thr" "thr-x";
   let rows =
     List.map
       (fun (w : Workload.t) ->
@@ -436,32 +428,28 @@ let run_sim ~smoke ~min_runs ~pool ~arch () =
           sim_measure_group ~min_time ~min_runs
             [|
               (Safara_sim.Decode.Reference, sim_functional_run c w);
-              (Safara_sim.Decode.Decoded, sim_functional_run c w);
               (Safara_sim.Decode.Threaded, sim_functional_run c w);
               ( Safara_sim.Decode.Threaded,
                 sim_functional_run_par c w ~pool ~verdicts );
             |]
         in
-        let fr = fg.(0) and fd = fg.(1) and ft = fg.(2) and fp = fg.(3) in
+        let fr = fg.(0) and ft = fg.(1) and fp = fg.(2) in
         let tg =
           sim_measure_group ~min_time ~min_runs
             [|
               (Safara_sim.Decode.Reference, sim_timing_run c w);
-              (Safara_sim.Decode.Decoded, sim_timing_run c w);
               (Safara_sim.Decode.Threaded, sim_timing_run c w);
             |]
         in
-        let tr = tg.(0) and td = tg.(1) and tt = tg.(2) in
+        let tr = tg.(0) and tt = tg.(1) in
         Printf.printf
-          "%-16s %11.3e %11.3e %11.3e %5.2fx %11.3e %5.2fx %11.3e %11.3e \
-           %11.3e %5.2fx\n\
-           %!"
-          w.Workload.id fr.sm_ips fd.sm_ips ft.sm_ips
-          (ft.sm_best /. fd.sm_best)
+          "%-16s %11.3e %11.3e %5.2fx %11.3e %5.2fx %11.3e %11.3e %5.2fx\n%!"
+          w.Workload.id fr.sm_ips ft.sm_ips
+          (ft.sm_best /. fr.sm_best)
           fp.sm_ips
-          (fp.sm_best_wall /. fd.sm_best_wall)
-          tr.sm_ips td.sm_ips tt.sm_ips
-          (tt.sm_best /. td.sm_best);
+          (fp.sm_best_wall /. ft.sm_best_wall)
+          tr.sm_ips tt.sm_ips
+          (tt.sm_best /. tr.sm_best);
         List.iter
           (fun (kname, m) ->
             match m with
@@ -474,9 +462,8 @@ let run_sim ~smoke ~min_runs ~pool ~arch () =
                   w.Workload.id kname
                   (Safara_sim.Blockpar.reason_message r))
           modes;
-        { r_id = w.Workload.id; r_fr = fr; r_fd = fd; r_ft = ft; r_fp = fp;
-          r_tr = tr; r_td = td; r_tt = tt; r_verdicts = verdicts;
-          r_modes = modes })
+        { r_id = w.Workload.id; r_fr = fr; r_ft = ft; r_fp = fp; r_tr = tr;
+          r_tt = tt; r_verdicts = verdicts; r_modes = modes })
       workloads
   in
   (* The aggregate combines each workload's best-of-K rate,
@@ -501,21 +488,13 @@ let run_sim ~smoke ~min_runs ~pool ~arch () =
   in
   let agg = agg_on (fun m -> m.sm_best) in
   let agg_wall = agg_on (fun m -> m.sm_best_wall) in
-  let fr = agg (fun r -> r.r_fr)
-  and fd = agg (fun r -> r.r_fd)
-  and ft = agg (fun r -> r.r_ft) in
-  (* parallel ratios compare wall time to wall time *)
-  let fdw = agg_wall (fun r -> r.r_fd)
-  and ftw = agg_wall (fun r -> r.r_ft)
-  and fp = agg_wall (fun r -> r.r_fp) in
-  let tr = agg (fun r -> r.r_tr)
-  and td = agg (fun r -> r.r_td)
-  and tt = agg (fun r -> r.r_tt) in
+  let fr = agg (fun r -> r.r_fr) and ft = agg (fun r -> r.r_ft) in
+  (* the parallel ratio compares wall time to wall time *)
+  let ftw = agg_wall (fun r -> r.r_ft) and fp = agg_wall (fun r -> r.r_fp) in
+  let tr = agg (fun r -> r.r_tr) and tt = agg (fun r -> r.r_tt) in
   Printf.printf
-    "\n\
-     %-16s %11.3e %11.3e %11.3e %5.2fx %11.3e %5.2fx %11.3e %11.3e %11.3e \
-     %5.2fx\n"
-    "aggregate" fr fd ft (ft /. fd) fp (fp /. fdw) tr td tt (tt /. td);
+    "\n%-16s %11.3e %11.3e %5.2fx %11.3e %5.2fx %11.3e %11.3e %5.2fx\n"
+    "aggregate" fr ft (ft /. fr) fp (fp /. ftw) tr tt (tt /. tr);
   let meas_json (m : sim_meas) =
     j_obj
       [ ("ips", j_float m.sm_ips);
@@ -570,42 +549,29 @@ let run_sim ~smoke ~min_runs ~pool ~arch () =
                        (Safara_sim.Decode.engine_name
                           !Safara_sim.Decode.engine));
                     ("interp_reference", meas_json r.r_fr);
-                    ("interp_decoded", meas_json r.r_fd);
                     ("interp_threaded", meas_json r.r_ft);
-                    ("interp_speedup",
-                     j_float (r.r_fd.sm_best /. r.r_fr.sm_best));
                     ("interp_threaded_speedup",
-                     j_float (r.r_ft.sm_best /. r.r_fd.sm_best));
+                     j_float (r.r_ft.sm_best /. r.r_fr.sm_best));
                     ("interp_parallel", meas_json r.r_fp);
                     ("parallel_speedup",
-                     j_float (r.r_fp.sm_best_wall /. r.r_fd.sm_best_wall));
-                    ("parallel_vs_threaded",
                      j_float (r.r_fp.sm_best_wall /. r.r_ft.sm_best_wall));
                     ("kernels",
                      j_list (List.map (verdict_json r.r_modes) r.r_verdicts));
                     ("timing_reference", meas_json r.r_tr);
-                    ("timing_decoded", meas_json r.r_td);
                     ("timing_threaded", meas_json r.r_tt);
-                    ("timing_speedup",
-                     j_float (r.r_td.sm_best /. r.r_tr.sm_best));
                     ("timing_threaded_speedup",
-                     j_float (r.r_tt.sm_best /. r.r_td.sm_best)) ])
+                     j_float (r.r_tt.sm_best /. r.r_tr.sm_best)) ])
               rows));
         ("aggregate",
          j_obj
            [ ("interp_reference_ips", j_float fr);
-             ("interp_decoded_ips", j_float fd);
              ("interp_threaded_ips", j_float ft);
-             ("interp_speedup", j_float (fd /. fr));
-             ("interp_threaded_speedup", j_float (ft /. fd));
+             ("interp_threaded_speedup", j_float (ft /. fr));
              ("interp_parallel_ips", j_float fp);
-             ("parallel_speedup", j_float (fp /. fdw));
-             ("parallel_vs_threaded", j_float (fp /. ftw));
+             ("parallel_speedup", j_float (fp /. ftw));
              ("timing_reference_ips", j_float tr);
-             ("timing_decoded_ips", j_float td);
              ("timing_threaded_ips", j_float tt);
-             ("timing_speedup", j_float (td /. tr));
-             ("timing_threaded_speedup", j_float (tt /. td)) ]) ]
+             ("timing_threaded_speedup", j_float (tt /. tr)) ]) ]
   in
   let oc = open_out "BENCH_sim.json" in
   output_string oc json;
@@ -1412,8 +1378,8 @@ let usage () =
   Printf.eprintf
     "usage: main.exe \
      [fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|micro|sim|serve|tune|loopopt|json|all] \
-     [-j N] [--smoke] [--min-runs N] [--engine reference|decoded|threaded] \
-     [--arch NAME] [--store DIR] [--par-threshold N] [--par-min-chunk N]\n";
+     [-j N] [--smoke] [--min-runs N] [--engine reference|threaded] \
+     [--arch NAME] [--store DIR]\n";
   exit 2
 
 let () =
@@ -1454,18 +1420,6 @@ let () =
       | "--store" ->
           if i + 1 >= Array.length Sys.argv then usage ();
           store_dir := Some Sys.argv.(i + 1);
-          parse (i + 2)
-      | "--par-threshold" ->
-          if i + 1 >= Array.length Sys.argv then usage ();
-          (match int_of_string_opt Sys.argv.(i + 1) with
-          | Some n when n >= 1 -> Safara_sim.Interp.parallel_threshold := n
-          | _ -> usage ());
-          parse (i + 2)
-      | "--par-min-chunk" ->
-          if i + 1 >= Array.length Sys.argv then usage ();
-          (match int_of_string_opt Sys.argv.(i + 1) with
-          | Some n when n >= 1 -> Safara_sim.Interp.parallel_min_chunk_ops := n
-          | _ -> usage ());
           parse (i + 2)
       | "--engine" ->
           if i + 1 >= Array.length Sys.argv then usage ();

@@ -74,10 +74,9 @@ let engine_arg =
     & opt (some string) None
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "simulator execution engine: reference, decoded or threaded \
-           (default threaded). All three are bit-identical; the slower \
-           engines exist as differential oracles and for speedup \
-           measurement.")
+          "simulator execution engine: reference or threaded (default \
+           threaded). Both are bit-identical; the slower reference walker \
+           exists as the differential oracle and the speedup baseline.")
 
 (* checked against Decode.all_engines the same way --disable-pass is
    checked against the pass registry: an unknown name fails with the
@@ -135,43 +134,6 @@ let store_arg =
         ~doc:
           "persistent on-disk artifact store for in-process compiles (a \
            daemon manages its own store; see $(b,saraccc serve))")
-
-(* The simulator's parallel-dispatch cost model (see
-   Safara_sim.Interp) is tunable per-invocation: these flags override
-   the calibrated defaults, layered above the SAFARA_PAR_THRESHOLD /
-   SAFARA_PAR_MIN_CHUNK environment variables that seed them. *)
-let par_threshold_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "par-threshold" ] ~docv:"OPS"
-        ~doc:
-          "minimum estimated launch size (decoded ops × threads × blocks) \
-           before thread-blocks are fanned across the domain pool; smaller \
-           launches run on the sequential walker (also: \
-           $(b,SAFARA_PAR_THRESHOLD))")
-
-let par_min_chunk_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "par-min-chunk" ] ~docv:"OPS"
-        ~doc:
-          "minimum estimated ops per parallel chunk, so large pools cannot \
-           shred a moderate launch into scheduling overhead (also: \
-           $(b,SAFARA_PAR_MIN_CHUNK))")
-
-let set_par_knobs par_threshold par_min_chunk =
-  Option.iter
-    (fun n ->
-      if n < 1 then failwith "--par-threshold must be >= 1";
-      Safara_sim.Interp.parallel_threshold := n)
-    par_threshold;
-  Option.iter
-    (fun n ->
-      if n < 1 then failwith "--par-min-chunk must be >= 1";
-      Safara_sim.Interp.parallel_min_chunk_ops := n)
-    par_min_chunk
 
 let with_eval ?jobs ?store_dir f =
   let store = Option.map Safara_engine.Store.open_store store_dir in
@@ -515,10 +477,8 @@ let occupancy_cmd =
 (* --- run ------------------------------------------------------------- *)
 
 let run_cmd =
-  let run file arch_name profile_name defs jobs engine connect store_dir
-      par_threshold par_min_chunk =
+  let run file arch_name profile_name defs jobs engine connect store_dir =
     wrap (fun () ->
-        set_par_knobs par_threshold par_min_chunk;
         let req =
           Safara_serve.Protocol.Run
             {
@@ -551,16 +511,13 @@ let run_cmd =
     Term.(
       ret
         (const run $ file_arg $ arch_arg $ profile_arg $ scalars_arg $ jobs_arg
-        $ engine_arg $ connect_arg $ store_arg $ par_threshold_arg
-        $ par_min_chunk_arg))
+        $ engine_arg $ connect_arg $ store_arg))
 
 (* --- bench ------------------------------------------------------------ *)
 
 let bench_cmd =
-  let run id arch_name jobs show_stats engine connect store_dir par_threshold
-      par_min_chunk =
+  let run id arch_name jobs show_stats engine connect store_dir =
     wrap (fun () ->
-        set_par_knobs par_threshold par_min_chunk;
         let req =
           Safara_serve.Protocol.Bench
             { bn_id = id; bn_arch = arch_name; bn_engine = engine;
@@ -598,7 +555,7 @@ let bench_cmd =
     Term.(
       ret
         (const run $ id_arg $ arch_arg $ jobs_arg $ stats_arg $ engine_arg
-        $ connect_arg $ store_arg $ par_threshold_arg $ par_min_chunk_arg))
+        $ connect_arg $ store_arg))
 
 (* --- serve ------------------------------------------------------------ *)
 

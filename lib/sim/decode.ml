@@ -1,19 +1,21 @@
-(* Per-kernel pre-decoding pass: compiles the VIR instruction array into
-   a flat array of decoded ops once per launch, so the per-instruction
-   hot loop of both the functional interpreter and the timing model is
-   free of label hashing, [I.defs]/[I.uses] list allocation, parameter
-   string surgery and Value.t boxing.
+(* Per-kernel pre-decoding pass, the front end of the closure-threaded
+   engine ({!Threaded}): compiles the VIR instruction array into a flat
+   array of decoded ops once per launch, so the closure compiler and
+   the timing model's static tables never see label hashing,
+   [I.defs]/[I.uses] list allocation, parameter string surgery or
+   Value.t boxing. This module also owns the execution state and the
+   per-launch parameter cache the threaded closures run against.
 
    The decoded stream is 1:1 with [Kernel.code] (labels become [DNop]),
    so instruction indices, dynamic counters and per-op timing metadata
    line up with the reference engine exactly. Registers are split into
    unboxed [float array] / [int array] halves: VIR registers are
    statically typed ([Vreg.rty]), so each rid lives in exactly one half
-   and register-to-register traffic never allocates. All conversions
-   between halves mirror [Value.to_float]/[Value.to_int]/[Value.to_bool]
-   applied at the boxed engine's read sites, which is what makes the two
-   engines bit-identical (the differential suite in test/suite_sim.ml
-   holds them to that). *)
+   and register-to-register traffic never allocates. Cross-half reads
+   convert exactly like [Value.to_float]/[Value.to_int]/[Value.to_bool]
+   at the boxed engine's read sites, which is what keeps the threaded
+   engine bit-identical to the reference walker (the differential suite
+   in test/suite_sim.ml holds them to that). *)
 
 module I = Safara_vir.Instr
 module V = Safara_vir.Vreg
@@ -26,26 +28,22 @@ exception Error of Safara_diag.Diagnostic.t
     fault on mid-simulation (SAF021: branch to an unknown label). *)
 
 (* Engine selector: routes Interp.run_kernel and
-   Timing.simulate_resident_set through one of the three execution
+   Timing.simulate_resident_set through one of the two execution
    engines. [Reference] is the preserved boxed walker (the semantic
-   oracle), [Decoded] the pre-decoded unboxed core (the differential
-   oracle for the threaded engine and the `bench sim` speedup
-   baseline), [Threaded] the closure-threaded compiler (default). *)
-type engine = Reference | Decoded | Threaded
+   oracle), [Threaded] the closure-threaded compiler (default). *)
+type engine = Reference | Threaded
 
 let engine = ref Threaded
 
 let engine_name = function
   | Reference -> "reference"
-  | Decoded -> "decoded"
   | Threaded -> "threaded"
 
-let all_engines = [ Reference; Decoded; Threaded ]
+let all_engines = [ Reference; Threaded ]
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "reference" | "ref" -> Reference
-  | "decoded" | "dec" -> Decoded
   | "threaded" | "thr" -> Threaded
   | other ->
       failwith
@@ -169,7 +167,6 @@ type t = {
   d_mems : mem_op array;
   d_params : pkind array;  (** by slot *)
   d_nregs : int;
-  d_has_backedge : bool;  (** any branch target at or before its site *)
   d_zero : int array;  (** rids that may be read before written *)
 }
 
@@ -233,8 +230,6 @@ let decode (k : K.t) =
         incr nparams;
         s
   in
-  let has_backedge = ref false in
-  let note_target at tgt = if tgt <= at then has_backedge := true in
   let decode_one at instr =
     match instr with
     | I.Label _ -> DNop
@@ -280,14 +275,9 @@ let decode (k : K.t) =
         let a = src_of_operand a and b = src_of_operand b in
         if fa || fb then DSetpF { cmp; fdst = is_freg dst; dst = dst.V.rid; a; b }
         else DSetpI { cmp; fdst = is_freg dst; dst = dst.V.rid; a; b }
-    | I.Bra l ->
-        let tgt = target ~at l in
-        note_target at tgt;
-        DBra tgt
+    | I.Bra l -> DBra (target ~at l)
     | I.Brc { pred; if_true; target = l } ->
-        let tgt = target ~at l in
-        note_target at tgt;
-        DBrc { pred = src_of_reg pred; if_true; target = tgt }
+        DBrc { pred = src_of_reg pred; if_true; target = target ~at l }
     | I.Spec { dst; sp } ->
         DSpec { fdst = is_freg dst; dst = dst.V.rid; sp = sp_index sp }
     | I.Atom { op; addr; src; mem; _ } ->
@@ -349,7 +339,6 @@ let decode (k : K.t) =
     d_mems = Array.of_list (List.rev !mems);
     d_params = Array.of_list (List.rev !plist);
     d_nregs = nregs;
-    d_has_backedge = !has_backedge;
     d_zero = Array.of_list !zero;
   }
 
@@ -442,175 +431,3 @@ let resolve_all d ps =
     try ensure_param d ps slot with Failure _ -> ok := false
   done;
   !ok
-
-(* --- operand access --------------------------------------------------- *)
-
-(* Register-file accesses are unchecked: decode guarantees every rid in
-   the op stream is < d_nregs (num_regs folds over exactly the defs and
-   uses the decoder reads), every [mi] < |d_mems|, every [slot] <
-   |d_params|, every branch target < |d_ops|, and [sp] <= 11. *)
-
-let[@inline] getf st = function
-  | SFImm f -> f
-  | SIImm n -> float_of_int n
-  | SFReg r -> Array.unsafe_get st.xf r
-  | SIReg r -> float_of_int (Array.unsafe_get st.xi r)
-
-let[@inline] geti st = function
-  | SFImm f -> int_of_float f
-  | SIImm n -> n
-  | SFReg r -> int_of_float (Array.unsafe_get st.xf r)
-  | SIReg r -> Array.unsafe_get st.xi r
-
-let[@inline] getb st = function
-  | SFImm f -> f <> 0.
-  | SIImm n -> n <> 0
-  | SFReg r -> Array.unsafe_get st.xf r <> 0.
-  | SIReg r -> Array.unsafe_get st.xi r <> 0
-
-let value_of_src st = function
-  | SFImm f -> Value.F f
-  | SIImm n -> Value.I n
-  | SFReg r -> Value.F (Array.unsafe_get st.xf r)
-  | SIReg r -> Value.I (Array.unsafe_get st.xi r)
-
-let[@inline] setf st dst f = Array.unsafe_set st.xf dst f
-let[@inline] seti st dst n = Array.unsafe_set st.xi dst n
-
-let[@inline] setb st fdst dst b =
-  if fdst then setf st dst (if b then 1. else 0.)
-  else seti st dst (if b then 1 else 0)
-
-(* --- one decoded step ------------------------------------------------- *)
-
-(* Executes the op at [pc] and returns the next pc ([Array.length ops]
-   on Ret). Counter increments match the reference interpreter exactly,
-   including counting [DNop] (labels) as instructions; the timing model
-   passes [null_counters]. *)let run d st ps cnt ~pc ~fuel =
-  let ops = d.d_ops in
-  let mems = d.d_mems in
-  let n = Array.length ops in
-  let mem = ps.p_env.mem in
-  (* Self tail-recursive, so the whole walk runs in one stack frame:
-     no per-op call/return, and [pc]/[fuel] live in registers. *)
-  let rec step pc fuel =
-    if pc >= n || fuel = 0 then pc
-    else begin
-      cnt.c_instructions <- cnt.c_instructions + 1;
-      match Array.unsafe_get ops pc with
-      | DNop -> step (pc + 1) (fuel - 1)
-      | DLd { fdst; dst; addr; mi } ->
-          let a = geti st addr in
-          st.x_addr <- a;
-          (if (Array.unsafe_get mems mi).mo_local then begin
-             cnt.c_spill_ops <- cnt.c_spill_ops + 1;
-             match Hashtbl.find_opt st.x_local a with
-             | Some v ->
-                 if fdst then setf st dst (Value.to_float v)
-                 else seti st dst (Value.to_int v)
-             | None -> if fdst then setf st dst 0. else seti st dst 0
-           end
-           else begin
-             cnt.c_loads <- cnt.c_loads + 1;
-             if fdst then setf st dst (Memory.load_float mem ~addr:a)
-             else seti st dst (Memory.load_int mem ~addr:a)
-           end);
-          step (pc + 1) (fuel - 1)
-      | DSt { src; addr; mi } ->
-          let a = geti st addr in
-          st.x_addr <- a;
-          (if (Array.unsafe_get mems mi).mo_local then begin
-             cnt.c_spill_ops <- cnt.c_spill_ops + 1;
-             Hashtbl.replace st.x_local a (value_of_src st src)
-           end
-           else begin
-             cnt.c_stores <- cnt.c_stores + 1;
-             match src with
-             | SFImm _ | SFReg _ -> Memory.store_float mem ~addr:a (getf st src)
-             | SIImm _ | SIReg _ -> Memory.store_int mem ~addr:a (geti st src)
-           end);
-          step (pc + 1) (fuel - 1)
-      | DLdp { fdst; dst; slot } ->
-          ensure_param d ps slot;
-          if fdst then setf st dst ps.pv_f.(slot)
-          else seti st dst ps.pv_i.(slot);
-          step (pc + 1) (fuel - 1)
-      | DMov { fdst; dst; src } ->
-          if fdst then setf st dst (getf st src)
-          else seti st dst (geti st src);
-          step (pc + 1) (fuel - 1)
-      | DAddF { dst; a; b } ->
-          setf st dst (getf st a +. getf st b);
-          step (pc + 1) (fuel - 1)
-      | DSubF { dst; a; b } ->
-          setf st dst (getf st a -. getf st b);
-          step (pc + 1) (fuel - 1)
-      | DMulF { dst; a; b } ->
-          setf st dst (getf st a *. getf st b);
-          step (pc + 1) (fuel - 1)
-      | DAddI { dst; a; b } ->
-          seti st dst (geti st a + geti st b);
-          step (pc + 1) (fuel - 1)
-      | DMulI { dst; a; b } ->
-          seti st dst (geti st a * geti st b);
-          step (pc + 1) (fuel - 1)
-      | DBinF { op; dst; a; b } ->
-          setf st dst (Exec.fbin op (getf st a) (getf st b));
-          step (pc + 1) (fuel - 1)
-      | DBinI { op; dst; a; b } ->
-          seti st dst (Exec.ibin op (geti st a) (geti st b));
-          step (pc + 1) (fuel - 1)
-      | DBinB { op; dst; a; b } ->
-          seti st dst (if Exec.bbin op (getb st a) (getb st b) then 1 else 0);
-          step (pc + 1) (fuel - 1)
-      | DUnaF { op; fdst; dst; a } ->
-          let f = Exec.funa op (getf st a) in
-          if fdst then setf st dst f else seti st dst (int_of_float f);
-          step (pc + 1) (fuel - 1)
-      | DNegI { dst; a } ->
-          seti st dst (-geti st a);
-          step (pc + 1) (fuel - 1)
-      | DNot { fdst; dst; a } ->
-          setb st fdst dst (not (getb st a));
-          step (pc + 1) (fuel - 1)
-      | DCvtF { dst; src } ->
-          setf st dst (getf st src);
-          step (pc + 1) (fuel - 1)
-      | DCvtI { dst; src } ->
-          seti st dst (geti st src);
-          step (pc + 1) (fuel - 1)
-      | DCvtB { dst; src } ->
-          seti st dst (if getb st src then 1 else 0);
-          step (pc + 1) (fuel - 1)
-      | DSetpF { cmp; fdst; dst; a; b } ->
-          setb st fdst dst (Exec.fcmp cmp (getf st a) (getf st b));
-          step (pc + 1) (fuel - 1)
-      | DSetpI { cmp; fdst; dst; a; b } ->
-          setb st fdst dst (Exec.icmp cmp (geti st a) (geti st b));
-          step (pc + 1) (fuel - 1)
-      | DSpec { fdst; dst; sp } ->
-          let v = Array.unsafe_get st.x_special sp in
-          if fdst then setf st dst (float_of_int v) else seti st dst v;
-          step (pc + 1) (fuel - 1)
-      | DBra tgt -> step tgt (fuel - 1)
-      | DBrc { pred; if_true; target } ->
-          step (if getb st pred = if_true then target else pc + 1) (fuel - 1)
-      | DAtom { op; addr; src; mi = _ } ->
-          cnt.c_atomics <- cnt.c_atomics + 1;
-          let a = geti st addr in
-          st.x_addr <- a;
-          (* the evaluation domain follows the payload class, exactly
-             like the boxed rmw's match on the old value's variant *)
-          (if Memory.is_float_at mem ~addr:a then
-             Memory.store_float mem ~addr:a
-               (Exec.fbin op (Memory.load_float mem ~addr:a) (getf st src))
-           else
-             Memory.store_int mem ~addr:a
-               (Exec.ibin op (Memory.load_int mem ~addr:a) (geti st src)));
-          step (pc + 1) (fuel - 1)
-      | DRet -> n
-    end
-  in
-  step pc fuel
-
-let exec_op d st ps cnt pc = run d st ps cnt ~pc ~fuel:1

@@ -1,5 +1,6 @@
-(** Per-kernel pre-decoded execution core shared by the functional
-    interpreter ({!Interp}) and the timing model ({!Timing}).
+(** Per-kernel pre-decoded program: the front end of the
+    closure-threaded engine ({!Threaded}) and the source of the timing
+    model's ({!Timing}) per-op static tables.
 
     [decode] compiles a {!Safara_vir.Kernel.t} once per launch into a
     flat array of decoded ops: branch targets resolved to instruction
@@ -7,14 +8,15 @@
     string surgery leaves the hot loop), per-op use sets as plain rid
     arrays, and operand register classes resolved from the static
     {!Safara_vir.Vreg.rty}. Registers live in unboxed
-    [float array]/[int array] halves, so executing a decoded
+    [float array]/[int array] halves ({!state}), so executing a
     register-to-register op allocates nothing.
 
     The decoded stream is 1:1 with [Kernel.code]: labels decode to
     {!dop.DNop} and still count as instructions, exactly like the
-    reference interpreter. Both engines produce bit-identical results
-    for verifier-clean kernels; test/suite_sim.ml runs every workload
-    through both and compares checksums, counters and timing stats. *)
+    reference interpreter. The threaded engine built on it is
+    bit-identical to the reference walker for verifier-clean kernels;
+    test/suite_sim.ml runs every workload through both and compares
+    checksums, counters and timing stats. *)
 
 exception Error of Safara_diag.Diagnostic.t
 (** Decode-time fault (SAF021: branch to an unknown label) — caught by
@@ -24,17 +26,15 @@ exception Error of Safara_diag.Diagnostic.t
     {!Timing.simulate_resident_set} dispatch to. *)
 type engine =
   | Reference  (** the preserved boxed walkers: the semantic oracle *)
-  | Decoded  (** the pre-decoded unboxed core: the differential oracle
-                 and the [bench sim] speedup baseline *)
   | Threaded  (** the closure-threaded compiler ({!Threaded}) *)
 
 val engine : engine ref
 (** Current engine (default [Threaded]). Differential tests and
-    [bench sim] flip this to compare the engines; all three are
+    [bench sim] flip this to compare the engines; both are
     bit-identical on verifier-clean kernels. *)
 
 val engine_name : engine -> string
-(** ["reference"] / ["decoded"] / ["threaded"]. *)
+(** ["reference"] / ["threaded"]. *)
 
 val all_engines : engine list
 
@@ -65,7 +65,7 @@ val fresh_counters : unit -> counters
 val null_counters : counters
 (** Shared sink for runs that don't observe counters. *)
 
-(** {1 Decoded program} *)
+(** {1 Pre-decoded program} *)
 
 (** Pre-parsed [Ldp] parameter name. *)
 type pkind =
@@ -118,7 +118,6 @@ type t = {
   d_mems : mem_op array;  (** memory descriptors, indexed by [mi] *)
   d_params : pkind array;  (** pre-parsed [Ldp] names, by slot *)
   d_nregs : int;
-  d_has_backedge : bool;  (** false ⇒ the kernel is straightline code *)
   d_zero : int array;
       (** rids whose first def does not dominate every use from the
           entry straightline prefix — the only registers a thread could
@@ -169,7 +168,8 @@ val set_specials :
 
 (** Per-launch parameter cache: both register-class views of each
     resolved parameter, filled lazily on first [Ldp]. Also carries the
-    launch environment so [exec_op] stays a five-argument call. *)
+    launch environment, so a compiled closure needs only the state and
+    this record. *)
 type params = {
   pv_f : float array;
   pv_i : int array;
@@ -191,19 +191,3 @@ val resolve_all : t -> params -> bool
     slot keeps its lazy fault for threads that actually read it).
     Returns [true] iff every slot resolved — the precondition for
     sharing the record read-only across concurrent chunks. *)
-
-val getf : state -> src -> float
-val geti : state -> src -> int
-val getb : state -> src -> bool
-
-val run : t -> state -> params -> counters -> pc:int -> fuel:int -> int
-(** Execute up to [fuel] decoded ops starting at [pc] in one
-    self-tail-recursive walk; returns the pc reached ([Array.length
-    d_ops] after [DRet]). Updates counters exactly like the reference
-    interpreter (labels count as instructions); pass {!null_counters}
-    to ignore them. The functional interpreter runs whole threads with
-    [fuel = max_int] (or the fuel budget); the timing model steps one
-    op at a time via {!exec_op}. *)
-
-val exec_op : t -> state -> params -> counters -> int -> int
-(** [exec_op d st ps cnt pc] is [run d st ps cnt ~pc ~fuel:1]. *)

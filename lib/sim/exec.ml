@@ -1,7 +1,7 @@
 module I = Safara_vir.Instr
 module T = Safara_ir.Types
 
-(* Unboxed arithmetic cores. The decoded engine evaluates directly on
+(* Unboxed arithmetic cores. The threaded engine evaluates directly on
    raw floats/ints; the boxed [eval_*] wrappers below delegate here, so
    both engines share one set of formulas by construction. *)
 

@@ -5,8 +5,8 @@
 
     The unboxed cores ([fbin], [ibin], …) are the single source of
     truth for every formula; the boxed [eval_*] entry points wrap them
-    for the reference engine, and the decoded engine ({!Decode}) calls
-    them directly on raw floats/ints so register traffic never
+    for the reference engine, and the threaded engine ({!Threaded})
+    calls them directly on raw floats/ints so register traffic never
     allocates a {!Value.t}. *)
 
 (** {1 Unboxed cores} *)

@@ -23,8 +23,8 @@ let param_value env prog name =
 
 (* --- boxed reference walker ------------------------------------------ *)
 (* The original Value.t-based interpreter, kept as the semantic oracle:
-   the differential suite runs every workload through all engines and
-   [bench sim] measures the compiled cores' speedups against this one.
+   the differential suite runs every workload through both engines and
+   [bench sim] measures the threaded engine's speedup against this one.
    Selected via [Decode.engine := Decode.Reference]. *)
 
 let run_kernel_ref ~counters ~prog ~env ~grid (k : K.t) =
@@ -133,44 +133,6 @@ let run_kernel_ref ~counters ~prog ~env ~grid (k : K.t) =
     done
   done
 
-(* --- decoded engine --------------------------------------------------- *)
-
-let run_kernel_dec ~counters ~prog ~env ~grid (k : K.t) =
-  let d = Decode.decode k in
-  let n = Array.length d.Decode.d_ops in
-  let st = Decode.make_state d in
-  let ps = Decode.make_params d ~env ~prog in
-  let gx, gy, gz = grid in
-  let bx, by, bz = k.K.block in
-  Decode.set_launch st ~ntid:(bx, by, bz) ~nctaid:(gx, gy, gz);
-  (* Straightline code executes at most [n] ops per thread, so when
-     [n <= budget] the reference fuel check provably can't fire and the
-     per-step counter is dropped entirely. *)
-  let budget = !max_steps_per_thread in
-  let fuel_free = (not d.Decode.d_has_backedge) && n <= budget in
-  let run_thread () =
-    if fuel_free then ignore (Decode.run d st ps counters ~pc:0 ~fuel:max_int)
-    else if Decode.run d st ps counters ~pc:0 ~fuel:budget < n then
-      (* out of fuel with the thread still running: the reference
-         engine faults when it attempts step [budget + 1] *)
-      failwith "interp: fuel exhausted"
-  in
-  for cz = 0 to gz - 1 do
-    for cy = 0 to gy - 1 do
-      for cx = 0 to gx - 1 do
-        for tz = 0 to bz - 1 do
-          for ty = 0 to by - 1 do
-            for tx = 0 to bx - 1 do
-              Decode.reset_state st;
-              Decode.set_thread st ~tx ~ty ~tz ~cx ~cy ~cz;
-              run_thread ()
-            done
-          done
-        done
-      done
-    done
-  done
-
 (* --- threaded engine -------------------------------------------------- *)
 
 (* Per-domain pool of decode states keyed by the decoded kernel
@@ -227,28 +189,16 @@ let run_kernel_thr ~counters ~prog ~env ~grid (k : K.t) =
 type mode = Sequential of Blockpar.reason option | Parallel of { chunks : int }
 
 (* Granularity cost model for the parallel path. A launch whose total
-   estimated work (decoded ops × threads per block × blocks) is below
+   estimated work (instructions × threads per block × blocks) is below
    [parallel_threshold] runs serially — chunk setup, queue wakeups
    and cross-domain cache traffic would swamp it. Above it, chunks
    are sized to at least [parallel_min_chunk_ops] estimated ops each,
    so huge pools can't shred a moderate launch into overhead. Both
-   are calibrated on `bench sim` (see docs/BENCHMARKS.md). *)
-(* Both can be overridden per-process without recompiling: the
-   SAFARA_PAR_THRESHOLD / SAFARA_PAR_MIN_CHUNK environment variables
-   seed the refs at startup, and `saraccc`/`bench` expose
-   --par-threshold / --par-min-chunk flags that assign them directly.
-   Non-numeric or non-positive values are ignored, keeping the
-   calibrated defaults. *)
-let env_knob name default =
-  match Sys.getenv_opt name with
-  | Some s ->
-      (match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> default)
-  | None -> default
-
-let parallel_threshold = ref (env_knob "SAFARA_PAR_THRESHOLD" 500_000)
-let parallel_min_chunk_ops = ref (env_knob "SAFARA_PAR_MIN_CHUNK" 250_000)
+   are calibrated on `bench sim` (see docs/BENCHMARKS.md). They are
+   refs only so tests and the `bench sim` bit-identity gate can force
+   the parallel path open on small launches. *)
+let parallel_threshold = ref 500_000
+let parallel_min_chunk_ops = ref 250_000
 
 let estimated_ops ~grid (k : K.t) =
   let gx, gy, gz = grid in
@@ -273,19 +223,13 @@ let add_counters ~into (c : counters) =
    identical because addition is associative and commutative (they are
    still merged in chunk order for good measure). *)
 let run_kernel_par ~counters ~prog ~env ~grid ~pool (k : K.t) =
-  let engine = !Decode.engine in
-  let th =
-    if engine = Decode.Threaded then Some (Threaded.of_kernel k) else None
-  in
-  let d =
-    match th with Some th -> Threaded.decoded th | None -> Decode.decode k
-  in
+  let th = Threaded.of_kernel k in
+  let d = Threaded.decoded th in
   let n = Array.length d.Decode.d_ops in
   let gx, gy, gz = grid in
   let bx, by, bz = k.K.block in
   let nblocks = gx * gy * gz in
   let budget = !max_steps_per_thread in
-  let fuel_free = (not d.Decode.d_has_backedge) && n <= budget in
   (* resolve every parameter slot up front (the parallel_for mutex
      publishes the arrays to the workers), so chunks share one params
      record read-only instead of re-resolving per chunk; if a slot is
@@ -295,15 +239,6 @@ let run_kernel_par ~counters ~prog ~env ~grid ~pool (k : K.t) =
   let shared_params = Decode.resolve_all d ps0 in
   let min_chunk =
     max 1 (!parallel_min_chunk_ops / max 1 (n * bx * by * bz))
-  in
-  let exec_thread =
-    match th with
-    | Some th -> fun st ps cnt -> Threaded.run_thread th st ps cnt ~fuel:budget
-    | None ->
-        fun st ps cnt ->
-          if fuel_free then ignore (Decode.run d st ps cnt ~pc:0 ~fuel:max_int)
-          else if Decode.run d st ps cnt ~pc:0 ~fuel:budget < n then
-            failwith "interp: fuel exhausted"
   in
   let chunk_counters =
     Pool.parallel_for pool ~min_chunk ~n:nblocks (fun ~lo ~hi ->
@@ -325,7 +260,7 @@ let run_kernel_par ~counters ~prog ~env ~grid ~pool (k : K.t) =
               for tx = 0 to bx - 1 do
                 Decode.reset_state st;
                 Decode.set_thread st ~tx ~ty ~tz ~cx ~cy ~cz;
-                exec_thread st ps cnt
+                Threaded.run_thread th st ps cnt ~fuel:budget
               done
             done
           done
@@ -338,7 +273,6 @@ let run_kernel_par ~counters ~prog ~env ~grid ~pool (k : K.t) =
 let run_kernel_seq ~counters ~prog ~env ~grid k =
   match !Decode.engine with
   | Decode.Reference -> run_kernel_ref ~counters ~prog ~env ~grid k
-  | Decode.Decoded -> run_kernel_dec ~counters ~prog ~env ~grid k
   | Decode.Threaded -> run_kernel_thr ~counters ~prog ~env ~grid k
 
 let run_kernel_m ?(counters = null_counters) ?pool ?verdict ~prog ~env ~grid
@@ -347,7 +281,7 @@ let run_kernel_m ?(counters = null_counters) ?pool ?verdict ~prog ~env ~grid
   let nblocks = gx * gy * gz in
   match pool with
   | Some pool
-    when !Decode.engine <> Decode.Reference
+    when !Decode.engine = Decode.Threaded
          && Pool.size pool > 1 && nblocks > 1 -> (
       let v =
         match verdict with

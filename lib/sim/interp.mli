@@ -9,11 +9,11 @@
     (base, SAFARA, clauses) to prove the transformations preserve
     meaning.
 
-    Three engines share this entry point, selected by [Decode.engine]:
-    the closure-threaded compiler ({!Threaded}, the default), the
-    pre-decoded unboxed core ({!Decode}, the differential oracle and
-    [bench sim] baseline), and the original boxed walker (the semantic
-    oracle). All three are bit-identical on verifier-clean kernels. *)
+    Two engines share this entry point, selected by [Decode.engine]:
+    the closure-threaded compiler ({!Threaded}, the default, built on
+    the {!Decode} front end) and the original boxed walker (the
+    semantic oracle). Both are bit-identical on verifier-clean
+    kernels. Only the threaded engine fans blocks across a pool. *)
 
 type env = Decode.env = {
   scalars : (string * Value.t) list;
@@ -94,11 +94,17 @@ val max_steps_per_thread : int ref
     [Sequential (Some (Blockpar.Below_threshold _))]), and chunks
     never carry fewer than {!parallel_min_chunk_ops} estimated ops,
     so deep pools cannot shred moderate launches into wakeup
-    overhead. *)
+    overhead. The defaults (500k and 250k) are calibrated on
+    [bench sim] and are not user-settable. *)
 
 val parallel_threshold : int ref
+(** Default [500_000]. A ref only as a test hook: the unit tests and
+    the [bench sim] bit-identity gate lower it so small launches take
+    the parallel path. *)
 
 val parallel_min_chunk_ops : int ref
+(** Default [250_000]. A ref only as a test hook, like
+    {!parallel_threshold}. *)
 
 val estimated_ops : grid:int * int * int -> Safara_vir.Kernel.t -> int
 (** The cost model's work estimate for a launch. *)

@@ -148,51 +148,14 @@ let rmw t ~addr f =
   let v = load t ~addr in
   store t ~addr (f v)
 
-(* --- unboxed accessors (decoded engine) ----------------------------- *)
-(* The conversions mirror Value.to_float / Value.to_int applied to the
-   boxed [load]/[store] results, so the decoded engine observes exactly
-   the reference semantics without materializing a Value.t. *)
-
-(* The range check in [find_idx] already proved
-   [a_base <= addr < a_base + a_bytes], so the shifted cell index is in
-   bounds and the payload access can skip the bounds check. *)
-
-let load_float t ~addr =
-  let a = find_by_addr t addr in
-  let idx = (addr - a.a_base) lsr a.a_shift in
-  match a.a_payload with
-  | F data -> Array.unsafe_get data idx
-  | I data -> float_of_int (Array.unsafe_get data idx)
-
-let load_int t ~addr =
-  let a = find_by_addr t addr in
-  let idx = (addr - a.a_base) lsr a.a_shift in
-  match a.a_payload with
-  | F data -> int_of_float (Array.unsafe_get data idx)
-  | I data -> Array.unsafe_get data idx
-
-let store_float t ~addr f =
-  let a = find_by_addr t addr in
-  let idx = (addr - a.a_base) lsr a.a_shift in
-  match a.a_payload with
-  | F data -> Array.unsafe_set data idx f
-  | I data -> Array.unsafe_set data idx (int_of_float f)
-
-let store_int t ~addr n =
-  let a = find_by_addr t addr in
-  let idx = (addr - a.a_base) lsr a.a_shift in
-  match a.a_payload with
-  | F data -> Array.unsafe_set data idx (float_of_int n)
-  | I data -> Array.unsafe_set data idx n
-
-let is_float_at t ~addr =
-  match (find_by_addr t addr).a_payload with F _ -> true | I _ -> false
-
 (* --- per-site slot accessors (threaded engine) ----------------------- *)
 (* See the .mli: one cursor per compiled memory site instead of the
-   shared two-entry cache. [slot_contains]'s range check is the bounds
-   proof for the unsafe payload access, exactly as in the unboxed
-   accessors above. *)
+   shared two-entry cache. The conversions mirror Value.to_float /
+   Value.to_int applied to the boxed [load]/[store] results, so the
+   threaded engine observes exactly the reference semantics without
+   materializing a Value.t. [slot_contains]'s range check proved
+   [a_base <= addr < a_base + a_bytes], so the shifted cell index is in
+   bounds and the payload access can skip the bounds check. *)
 
 let find_slot t ~addr = find_idx t addr
 

@@ -37,25 +37,11 @@ val load : t -> addr:int -> Value.t
 val store : t -> addr:int -> Value.t -> unit
 val rmw : t -> addr:int -> (Value.t -> Value.t) -> unit
 
-(** {2 Unboxed cell access}
-
-    Used by the decoded simulator core: the conversions are exactly
-    [Value.to_float]/[Value.to_int] of the boxed operations, without
-    materializing a [Value.t]. Address resolution is a last-hit cache
-    backed by binary search over the base-sorted allocation array. *)
-
-val load_float : t -> addr:int -> float
-val load_int : t -> addr:int -> int
-val store_float : t -> addr:int -> float -> unit
-val store_int : t -> addr:int -> int -> unit
-
-val is_float_at : t -> addr:int -> bool
-(** Whether the allocation containing [addr] has a float payload
-    (drives the atomics' evaluation domain, like the boxed [rmw]). *)
-
 (** {2 Per-site slot access}
 
-    Used by the threaded engine: a static memory instruction nearly
+    Used by the threaded engine, unboxed: the conversions are exactly
+    [Value.to_float]/[Value.to_int] of the boxed operations, without
+    materializing a [Value.t]. A static memory instruction nearly
     always streams through a single allocation, but the shared
     last-hit cache thrashes when a kernel alternates several arrays
     (every stencil does), paying the binary search on each access. A
@@ -81,7 +67,7 @@ val store_float_slot : t -> slot:int -> addr:int -> float -> unit
 val store_int_slot : t -> slot:int -> addr:int -> int -> unit
 (** Unboxed access to a cell of a known slot. The caller must have
     proved [slot_contains t ~slot ~addr] (the range check doubles as
-    the bounds proof, as in the plain unboxed accessors). *)
+    the bounds proof). *)
 
 val float_data : t -> string -> float array
 (** Direct view of a float array's payload (shared, mutable) — used by

@@ -7,22 +7,22 @@
    straight-line run is fused into one superop closure by chaining the
    op closures in continuation-passing style — executing a block is a
    single indirect call that tail-calls through its ops and returns
-   the index of the next block. The per-instruction dispatch [match]
-   of [Decode.run], its per-op counter increments and its fuel
-   decrements all disappear from the inner loop: counters become one
-   static delta per block, fuel one subtraction per block.
+   the index of the next block. There is no per-instruction dispatch
+   [match], per-op counter increment or per-op fuel decrement in the
+   inner loop: counters become one static delta per block, fuel one
+   subtraction per block.
 
-   Semantics are inherited from {!Decode} by construction — every
-   closure body is the corresponding [Decode.run] arm with the operand
-   [match] hoisted to compile time — and the differential suite holds
-   all three engines (reference, decoded, threaded) to bit-identical
-   memory, counters and timing stats.
+   Each closure body is the semantics of one decoded op ({!Decode.dop})
+   with the operand [match] hoisted to compile time, converting across
+   register halves exactly like the boxed reference walker's
+   [Value.to_*]; the differential suite holds the two engines to
+   bit-identical memory, counters and timing stats.
 
    The timing model cannot use superops (it charges costs per
    instruction), so [steps] exposes the same compiled closures in
-   per-pc form: step closures return the next pc exactly like
-   [Decode.exec_op], letting {!Timing}'s decoded machine model run
-   unchanged on threaded execution. *)
+   per-pc form: a step closure performs one op and returns the next
+   pc, which is how {!Timing}'s machine model runs on threaded
+   execution. *)
 
 module D = Decode
 module K = Safara_vir.Kernel
@@ -55,8 +55,8 @@ let decoded t = t.t_d
 
 (* Operands collapse to "constant or register index" per register
    class; the rare cross-class register read keeps a dynamic reader
-   closure. The conversions mirror [Decode.getf]/[geti]/[getb]
-   exactly (which mirror the boxed engine's [Value.to_*]). *)
+   closure. The conversions mirror the boxed engine's [Value.to_*]
+   exactly. *)
 
 type fsrc = FC of float | FR of int | FD of (D.state -> float)
 type isrc = IC of int | IR of int | ID of (D.state -> int)
@@ -150,8 +150,7 @@ let ucode_of (op : Safara_vir.Instr.unop) =
    shapes (register×register, register×constant) get fully
    specialized closures — a block body is then pure array traffic
    plus one indirect tail call per op; everything else falls back to
-   dynamic reader closures, which is still one dispatch cheaper than
-   the decoded core. *)
+   dynamic reader closures. *)
 let build_op (d : D.t) (op : D.dop) (k : cl) : cl =
   let mems = d.D.d_mems in
   match op with

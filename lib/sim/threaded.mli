@@ -8,10 +8,10 @@
     delta per block. Executing a thread is then a tight loop over
     block closures with no per-instruction dispatch.
 
-    Semantically the engine is [Decode.run] with the operand and
-    opcode matches hoisted to compile time: the differential suite
-    holds it bit-identical to the decoded and reference engines on
-    memory checksums, dynamic counters and timing stats.
+    Semantically each closure is one decoded op ({!Decode.dop}) with
+    the operand and opcode matches hoisted to compile time: the
+    differential suite holds the engine bit-identical to the reference
+    walker on memory checksums, dynamic counters and timing stats.
 
     Compiled kernels capture no launch state — memory is read through
     the [Decode.params] argument — so one compile serves every
@@ -19,8 +19,7 @@
 
 (** A compiled run of execution. Block bodies return the next block
     index ([-1] = thread done); step closures ({!steps}) return the
-    next pc ([Array.length d_ops] = done), exactly like
-    [Decode.exec_op]. *)
+    next pc ([Array.length d_ops] = done). *)
 type cl = Decode.state -> Decode.params -> int
 
 type t
@@ -44,12 +43,12 @@ val run_thread :
     block-granular but sum to exactly the reference engine's per-op
     increments (labels count as instructions). Fuel is checked per
     block — a thread faults with [Failure "interp: fuel exhausted"]
-    before executing past its budget, like the other engines on any
-    run the differential gates cover.
+    before executing past its budget, like the reference walker on
+    any run the differential gates cover.
     @raise Failure when fuel runs out. *)
 
 val steps : t -> cl array
 (** Per-pc step closures for the timing model (built on demand and
     cached): [steps t.(pc) st ps] performs op [pc]'s effect and
-    returns the next pc — a drop-in replacement for [Decode.exec_op]
-    with the dispatch and operand resolution pre-compiled. *)
+    returns the next pc, with the dispatch and operand resolution
+    pre-compiled. *)

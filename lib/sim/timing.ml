@@ -332,16 +332,15 @@ let simulate_resident_set_ref ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
     issue_stall = !issue_stall;
   }
 
-(* --- decoded / threaded engines --------------------------------------- *)
-(* Same machine model on the pre-decoded unboxed core: semantics run
-   through an [exec] step function (Decode.exec_op for the decoded
-   engine, a pre-compiled Threaded.steps closure for the threaded
-   one), per-pc costs/latencies are precomputed from the original
-   instructions (so every charged float is identical to the
-   reference), and the scheduler picks the next warp from a binary
-   min-heap instead of scanning all warps each step. The cost
-   bookkeeping never depends on which exec ran the op, which is what
-   keeps all engines' stats bit-identical. *)
+(* --- threaded engine ---------------------------------------------------- *)
+(* Same machine model on the threaded engine: each op's semantics run
+   through its pre-compiled per-pc Threaded.steps closure, per-pc
+   costs/latencies are precomputed from the original instructions (so
+   every charged float is identical to the reference), and the
+   scheduler picks the next warp from a binary min-heap instead of
+   scanning all warps each step. The cost bookkeeping reads only the
+   decoded op and the state the closure left behind, which is what
+   keeps the two engines' stats bit-identical. *)
 
 type dwarp = {
   dw_id : int;
@@ -354,8 +353,11 @@ type dwarp = {
   mutable dw_last : float;
 }
 
-let simulate_resident_set_core ~d ~(exec : D.state -> D.params -> int -> int)
-    ~arch ~latency ~prog ~env ~grid ~blocks_per_sm (k : K.t) =
+let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
+    (k : K.t) =
+  let th = Threaded.of_kernel k in
+  let d = Threaded.decoded th in
+  let steps = Threaded.steps th in
   let ops = d.D.d_ops in
   let code = k.K.code in
   let n = Array.length ops in
@@ -497,7 +499,7 @@ let simulate_resident_set_core ~d ~(exec : D.state -> D.params -> int -> int)
         issue_stall := !issue_stall +. (issue -. want);
         issue_ports.(port) <- issue +. issue_step;
         let st = w.dw_st in
-        let next = exec st ps pc in
+        let next = (Array.unsafe_get steps pc) st ps in
         let complete = ref (issue +. 1.) in
         (match op with
         | D.DNop | D.DRet -> ()
@@ -627,15 +629,6 @@ let simulate_resident_set ~arch ~latency ~prog ~env ~grid ~blocks_per_sm k =
   | D.Reference ->
       simulate_resident_set_ref ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
         k
-  | D.Decoded ->
-      let d = D.decode k in
-      let exec st ps pc = D.exec_op d st ps D.null_counters pc in
-      simulate_resident_set_core ~d ~exec ~arch ~latency ~prog ~env ~grid
-        ~blocks_per_sm k
   | D.Threaded ->
-      let th = Threaded.of_kernel k in
-      let d = Threaded.decoded th in
-      let steps = Threaded.steps th in
-      let exec st ps pc = (Array.unsafe_get steps pc) st ps in
-      simulate_resident_set_core ~d ~exec ~arch ~latency ~prog ~env ~grid
-        ~blocks_per_sm k
+      simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
+        k

@@ -16,15 +16,13 @@
     kernel time is the resident-set drain time multiplied by the
     number of waves ({!Launch}).
 
-    Three engines implement the model, selected by [Decode.engine].
-    The decoded and threaded engines share one machine-model core —
-    per-pc precomputed costs/latencies and a binary min-heap warp
-    scheduler (O(log warps) per step instead of a full scan) —
-    differing only in how each op's semantics execute
-    ([Decode.exec_op] vs a pre-compiled {!Threaded.steps} closure);
-    the original boxed walker is preserved as [Reference]. All three
-    produce identical {!stats} — the differential suite checks every
-    workload. *)
+    Two engines implement the model, selected by [Decode.engine]. The
+    threaded engine runs each op's semantics through its pre-compiled
+    {!Threaded.steps} closure, with per-pc precomputed costs/latencies
+    and a binary min-heap warp scheduler (O(log warps) per step
+    instead of a full scan); the original boxed walker is preserved as
+    [Reference]. Both produce identical {!stats} — the differential
+    suite checks every workload. *)
 
 type stats = {
   cycles : float;  (** drain time of the resident set, in SM cycles *)

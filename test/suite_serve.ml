@@ -249,7 +249,7 @@ let compile_req ?(quiet = false) ~profile (w : Workload.t) =
       cr_disable = [];
     }
 
-let run_req (w : Workload.t) =
+let run_req ?engine (w : Workload.t) =
   Serve.Protocol.Run
     {
       rn_src = w.Workload.source;
@@ -265,7 +265,7 @@ let run_req (w : Workload.t) =
               | Safara_sim.Value.B _ ->
                   Alcotest.fail "bool scalars have no -D syntax" ))
           w.Workload.scalars;
-      rn_engine = None;
+      rn_engine = engine;
     }
 
 (* --- daemon vs in-process byte identity -------------------------------- *)
@@ -336,6 +336,31 @@ let test_daemon_bench_and_check_identity () =
             "check report identical"
             (Serve.Commands.exec local creq).Serve.Protocol.out
             (daemon_exec socket creq).Serve.Protocol.out))
+
+(* --- retired engine name ------------------------------------------------ *)
+
+let test_daemon_rejects_retired_engine () =
+  (* the removed "decoded" engine is an ordinary unknown name: the
+     request fails with the valid names listed, and the daemon keeps
+     answering on the same connection *)
+  with_daemon ~jobs:1 (fun socket ->
+      match Serve.Client.try_connect socket with
+      | None -> Alcotest.fail "daemon not reachable"
+      | Some conn ->
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close conn)
+            (fun () ->
+              let req = run_req ~engine:"decoded" (Registry.find "EP") in
+              (match Serve.Client.request conn req with
+              | Serve.Protocol.Error msg ->
+                  Alcotest.(check bool)
+                    ("error lists the engines: " ^ msg)
+                    true
+                    (Str_helpers.contains msg "reference|threaded")
+              | _ -> Alcotest.fail "engine \"decoded\" was accepted");
+              match Serve.Client.request conn Serve.Protocol.Ping with
+              | Serve.Protocol.Data _ -> ()
+              | _ -> Alcotest.fail "ping after the rejected request failed"))
 
 (* --- concurrent request dedup ------------------------------------------ *)
 
@@ -449,6 +474,8 @@ let suite =
       test_daemon_byte_identity;
     Alcotest.test_case "daemon: bench and check identical" `Quick
       test_daemon_bench_and_check_identity;
+    Alcotest.test_case "daemon: retired engine name is a clean error" `Quick
+      test_daemon_rejects_retired_engine;
     Alcotest.test_case "daemon: concurrent clients dedup to one compile"
       `Quick test_daemon_concurrent_dedup;
     Alcotest.test_case "daemon: SIGTERM shuts down cleanly" `Quick

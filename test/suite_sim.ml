@@ -343,11 +343,11 @@ double a[n];
   Alcotest.(check bool) "cached version faster" true
     ((time cached).Launch.kt_ms < (time redundant).Launch.kt_ms)
 
-(* --- differential: all three execution engines ----------------------- *)
-(* The decoded core and the closure-threaded compiler are only
-   performance changes: on every workload each must produce the same
-   array bits, the same functional counters and the same timing
-   statistics as the boxed reference walker. *)
+(* --- differential: both execution engines ----------------------------- *)
+(* The closure-threaded compiler is only a performance change: on every
+   workload it must produce the same array bits, the same functional
+   counters and the same timing statistics as the boxed reference
+   walker. *)
 
 let engine_snapshot profile (w : Safara_suites.Workload.t) eng =
   Decode.with_engine eng (fun () ->
@@ -385,27 +385,23 @@ let engine_snapshot profile (w : Safara_suites.Workload.t) eng =
 let check_engines_agree profile (w : Safara_suites.Workload.t) () =
   let w = Suite_workloads.shrink w in
   let r_sums, r_cnt, r_time = engine_snapshot profile w Decode.Reference in
-  List.iter
-    (fun eng ->
-      let e_sums, e_cnt, e_time = engine_snapshot profile w eng in
-      let name = Decode.engine_name eng in
-      List.iter2
-        (fun (arr, r) (_, e) ->
-          if r <> e then
-            Alcotest.fail
-              (Printf.sprintf "%s: array %s differs between reference and %s"
-                 w.Safara_suites.Workload.id arr name))
-        r_sums e_sums;
-      if r_cnt <> e_cnt then
+  let t_sums, t_cnt, t_time = engine_snapshot profile w Decode.Threaded in
+  List.iter2
+    (fun (arr, r) (_, t) ->
+      if r <> t then
         Alcotest.fail
-          (Printf.sprintf "%s: functional counters differ under %s"
-             w.Safara_suites.Workload.id name);
-      (* [compare] rather than [=] so identical NaNs would still agree *)
-      if compare r_time e_time <> 0 then
-        Alcotest.fail
-          (Printf.sprintf "%s: timing stats differ under %s"
-             w.Safara_suites.Workload.id name))
-    [ Decode.Decoded; Decode.Threaded ]
+          (Printf.sprintf "%s: array %s differs between reference and threaded"
+             w.Safara_suites.Workload.id arr))
+    r_sums t_sums;
+  if r_cnt <> t_cnt then
+    Alcotest.fail
+      (Printf.sprintf "%s: functional counters differ under threaded"
+         w.Safara_suites.Workload.id);
+  (* [compare] rather than [=] so identical NaNs would still agree *)
+  if compare r_time t_time <> 0 then
+    Alcotest.fail
+      (Printf.sprintf "%s: timing stats differ under threaded"
+         w.Safara_suites.Workload.id)
 
 let test_decode_unknown_label () =
   let k =
@@ -511,10 +507,10 @@ let with_pool size f =
       f pool)
 
 (* final memory + summed counters + per-kernel modes of a functional
-   run on the given engine, sequential ([jobs = 1]: no pool) or
+   run on the threaded engine, sequential ([jobs = 1]: no pool) or
    block-parallel *)
-let parallel_snapshot profile (w : Safara_suites.Workload.t) ~eng ~jobs =
-  Decode.with_engine eng @@ fun () ->
+let parallel_snapshot profile (w : Safara_suites.Workload.t) ~jobs =
+  Decode.with_engine Decode.Threaded @@ fun () ->
   let run pool =
     let c =
       Safara_core.Compiler.compile_src profile w.Safara_suites.Workload.source
@@ -546,21 +542,21 @@ let parallel_snapshot profile (w : Safara_suites.Workload.t) ~eng ~jobs =
   in
   if jobs <= 1 then run None else with_pool jobs (fun pool -> run (Some pool))
 
-let check_parallel_agrees profile eng (w : Safara_suites.Workload.t) () =
+let check_parallel_agrees profile (w : Safara_suites.Workload.t) () =
   let w = Suite_workloads.shrink w in
-  let s_sums, s_cnt, _ = parallel_snapshot profile w ~eng ~jobs:1 in
-  let p_sums, p_cnt, p_modes = parallel_snapshot profile w ~eng ~jobs:4 in
+  let s_sums, s_cnt, _ = parallel_snapshot profile w ~jobs:1 in
+  let p_sums, p_cnt, p_modes = parallel_snapshot profile w ~jobs:4 in
   List.iter2
     (fun (name, s) (_, p) ->
       if s <> p then
         Alcotest.fail
-          (Printf.sprintf "%s: array %s differs between -j 1 and -j 4 (%s)"
-             w.Safara_suites.Workload.id name (Decode.engine_name eng)))
+          (Printf.sprintf "%s: array %s differs between -j 1 and -j 4"
+             w.Safara_suites.Workload.id name))
     s_sums p_sums;
   if s_cnt <> p_cnt then
     Alcotest.fail
-      (Printf.sprintf "%s: summed counters differ at -j 4 (%s)"
-         w.Safara_suites.Workload.id (Decode.engine_name eng));
+      (Printf.sprintf "%s: summed counters differ at -j 4"
+         w.Safara_suites.Workload.id);
   (* with a parallel pool every multi-block launch must either run
      block-parallel or carry an explicit fallback reason (single-block
      grids skip the prover: there is nothing to fan out) *)
@@ -808,11 +804,12 @@ let test_costmodel_estimate_scales () =
 
 (* --- threaded engine: superop fusion boundaries ---------------------- *)
 (* Hand-built register-only kernels drive the closure compiler's fusion
-   paths directly against the decoded core, comparing final register
-   files bit-for-bit and instruction counts exactly. The shapes are
-   chosen to straddle fusion boundaries: labels inside would-be fused
-   runs, branches landing between dependent ops, and compare-and-branch
-   terminators. *)
+   paths directly against an unfused walk of the same kernel's per-pc
+   step closures, comparing final register files bit-for-bit and the
+   fused instruction count against the number of steps walked. The
+   shapes are chosen to straddle fusion boundaries: labels inside
+   would-be fused runs, branches landing between dependent ops, and
+   compare-and-branch terminators. *)
 
 let vreg rid rty = { Safara_vir.Vreg.rid; rty }
 let freg rid = vreg rid Safara_ir.Types.F64
@@ -829,34 +826,40 @@ let regonly_kernel name code =
     shared_bytes = 0;
   }
 
-(* run one thread of a parameterless kernel on each engine, returning
-   (float regs, int regs, instructions) *)
-let regonly_run k eng =
-  let d = Decode.decode k in
+(* fresh state and params for one thread of a parameterless kernel *)
+let regonly_thread th =
+  let d = Threaded.decoded th in
   let prog = Safara_ir.Program.make "t" [] in
   let env = { Decode.scalars = []; mem = Memory.create () } in
   let st = Decode.make_state d in
-  let ps = Decode.make_params d ~env ~prog in
   Decode.reset_state st;
-  let cnt = Decode.fresh_counters () in
-  (match eng with
-  | Decode.Decoded ->
-      ignore (Decode.run d st ps cnt ~pc:0 ~fuel:max_int)
-  | Decode.Threaded ->
-      Threaded.run_thread (Threaded.compile d) st ps cnt ~fuel:max_int
-  | Decode.Reference -> invalid_arg "regonly_run: decoded-family only");
-  (Array.copy st.Decode.xf, Array.copy st.Decode.xi, cnt.Decode.c_instructions)
+  (st, Decode.make_params d ~env ~prog)
 
+(* run one thread through the fused block closures and once more by
+   walking the unfused per-pc step closures (the timing model's view of
+   the same kernel); both register halves must match and the fused
+   instruction count must equal the number of steps walked. Returns
+   (float regs, int regs, instructions). *)
 let check_regonly_agree k =
-  let d_xf, d_xi, d_n = regonly_run k Decode.Decoded in
-  let t_xf, t_xi, t_n = regonly_run k Decode.Threaded in
+  let name = k.Safara_vir.Kernel.kname in
+  let th = Threaded.compile (Decode.decode k) in
+  let f_st, f_ps = regonly_thread th in
+  let cnt = Decode.fresh_counters () in
+  Threaded.run_thread th f_st f_ps cnt ~fuel:max_int;
+  let s_st, s_ps = regonly_thread th in
+  let steps = Threaded.steps th in
+  let rec walk pc taken =
+    if pc >= Array.length steps then taken
+    else walk (steps.(pc) s_st s_ps) (taken + 1)
+  in
+  let taken = walk 0 0 in
   Alcotest.(check (array (float 0.)))
-    (k.Safara_vir.Kernel.kname ^ ": float registers") d_xf t_xf;
+    (name ^ ": float registers") s_st.Decode.xf f_st.Decode.xf;
   Alcotest.(check (array int))
-    (k.Safara_vir.Kernel.kname ^ ": int registers")
-    d_xi t_xi;
-  Alcotest.(check int) (k.Safara_vir.Kernel.kname ^ ": instructions") d_n t_n;
-  (d_xf, d_xi, d_n)
+    (name ^ ": int registers") s_st.Decode.xi f_st.Decode.xi;
+  Alcotest.(check int)
+    (name ^ ": instructions") taken cnt.Decode.c_instructions;
+  (f_st.Decode.xf, f_st.Decode.xi, cnt.Decode.c_instructions)
 
 let test_fusion_loop_with_dependent_chain () =
   (* a loop whose body is a fusable dependent float pair, an int
@@ -880,7 +883,7 @@ let test_fusion_loop_with_dependent_chain () =
       |]
   in
   let xf, xi, n = check_regonly_agree k in
-  (* the engines must also match a direct OCaml evaluation bit-for-bit *)
+  (* both walks must also match a direct OCaml evaluation bit-for-bit *)
   let acc = ref 0.0 and t = ref 1.5 in
   for _ = 1 to 40 do
     t := !t *. 1.0000001;
@@ -944,7 +947,7 @@ let test_fusion_unop_chain () =
 
 let test_fusion_addressing_chain_source () =
   (* the full addressing idiom (scale, convert, base add, load, move)
-     as generated from real array code, across all three engines with
+     as generated from real array code, on both engines with
      counters: a small strided gather that the quad fuser collapses *)
   let src =
     {|
@@ -981,11 +984,8 @@ double y[n];
             counters.Interp.c_stores ) ))
   in
   let r_sum, r_cnt = snapshot Decode.Reference in
-  let d_sum, d_cnt = snapshot Decode.Decoded in
   let t_sum, t_cnt = snapshot Decode.Threaded in
-  Alcotest.(check int64) "decoded checksum" r_sum d_sum;
   Alcotest.(check int64) "threaded checksum" r_sum t_sum;
-  Alcotest.(check bool) "decoded counters" true (r_cnt = d_cnt);
   Alcotest.(check bool) "threaded counters" true (r_cnt = t_cnt)
 
 let test_memory_view_cursors () =
@@ -1076,20 +1076,16 @@ let suite =
       Safara_suites.Registry.all
   @ List.concat_map
       (fun (w : Safara_suites.Workload.t) ->
-        List.concat_map
-          (fun eng ->
-            let ename = Decode.engine_name eng in
-            [
-              Alcotest.test_case
-                (Printf.sprintf "%s parallel ≡ serial (Full, %s)"
-                   w.Safara_suites.Workload.id ename)
-                `Slow
-                (check_parallel_agrees Safara_core.Compiler.Full eng w);
-              Alcotest.test_case
-                (Printf.sprintf "%s parallel ≡ serial (Base, %s)"
-                   w.Safara_suites.Workload.id ename)
-                `Slow
-                (check_parallel_agrees Safara_core.Compiler.Base eng w);
-            ])
-          [ Decode.Decoded; Decode.Threaded ])
+        [
+          Alcotest.test_case
+            (w.Safara_suites.Workload.id
+           ^ " parallel ≡ serial (Full, threaded)")
+            `Slow
+            (check_parallel_agrees Safara_core.Compiler.Full w);
+          Alcotest.test_case
+            (w.Safara_suites.Workload.id
+           ^ " parallel ≡ serial (Base, threaded)")
+            `Slow
+            (check_parallel_agrees Safara_core.Compiler.Base w);
+        ])
       Safara_suites.Registry.all
