@@ -16,8 +16,9 @@
       as code generation have none and refuse to be skipped.
 
     {!Pipeline} assembles passes into per-profile sequences and runs
-    them with per-pass wall time, before/after statistics and — in
-    debug builds — verification between every pass. *)
+    them with per-pass wall time, before/after statistics and —
+    whenever {!assertions_enabled}, i.e. in every dune profile —
+    verification between every pass. *)
 
 type vir_state = {
   v_prog : Safara_ir.Program.t;  (** the program the kernels came from *)
@@ -112,5 +113,6 @@ val dump_annotated : 'a stage -> 'a -> string
     to the plain dump. *)
 
 val assertions_enabled : bool
-(** Whether this binary keeps [assert]s (dev profile); the default for
-    verify-between-passes. *)
+(** Whether this binary keeps [assert]s — true in both the [dev] and
+    [release] dune profiles, since neither passes [-noassert]; the
+    default for verify-between-passes. *)

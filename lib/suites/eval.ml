@@ -5,13 +5,12 @@ module Store = Safara_engine.Store
 
 let assertions_enabled = Safara_core.Pass.assertions_enabled
 
-let verify_kernels = ref assertions_enabled
-
-(* every compile-cache miss proves its kernels VIR-well-formed before
-   the artifact is published to other domains *)
+(* a disk-store hit proves its kernels VIR-well-formed before it is
+   served, so a stale or corrupt entry is recomputed; a compile-cache
+   miss needs no second pass, [Pipeline.run] verified the kernels
+   after [assemble] *)
 let verified (c : C.compiled) =
-  if !verify_kernels then
-    List.iter (fun (k, _) -> Safara_vir.Verify.verify_exn k) c.C.c_kernels;
+  List.iter (fun (k, _) -> Safara_vir.Verify.verify_exn k) c.C.c_kernels;
   c
 
 type sim_result = {
@@ -187,7 +186,7 @@ let compile_and_record t ~arch ?safara_config ~disable profile prog =
   in
   let c, trace = C.compile_with ~arch ?safara_config ~options profile prog in
   record_trace t trace;
-  verified c
+  c
 
 let compiled t j =
   through t t.cc ~kind:"compile" ~key:(ckey j) ~check:verified (fun () ->

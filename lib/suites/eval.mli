@@ -148,16 +148,12 @@ val render_stats : t -> string
 (** Multi-line human-readable form of {!stats}. *)
 
 val assertions_enabled : bool
-(** Whether this binary keeps [assert]s (dev profile). *)
-
-val verify_kernels : bool ref
-(** When on, every compile-cache miss runs the VIR verifier
-    ({!Safara_vir.Verify}) over each produced kernel before the
-    artifact is published, failing fast on compiler bugs. Defaults to
-    {!assertions_enabled}. *)
+(** Whether this binary keeps [assert]s: true unless it was built with
+    [-noassert], which no dune profile of this project passes, so
+    release builds keep them too. *)
 
 val self_check : t -> Workload.t -> unit
-(** Determinism guard: in debug builds, when the pool is parallel,
+(** Determinism guard: when {!assertions_enabled} and the pool is parallel,
     times the workload under every profile both through the pool and
     through a fresh serial engine and asserts the results are equal.
-    A no-op in release builds or at [-j 1]. *)
+    A no-op at [-j 1] or in a [-noassert] build. *)

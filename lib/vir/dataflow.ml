@@ -1,9 +1,11 @@
 (* Generic dataflow over the basic-block CFG: a worklist solver
-   functorized over a join-semilattice, plus the four analyses the
-   optimizer, verifier and checker share — liveness, reaching
-   definitions (with a synthetic "uninitialized" definition per
-   register), available copies, and an affine constant/copy value
-   lattice. Transfer functions are derived from [Instr.defs]/
+   functorized over a join-semilattice, plus its four instantiations —
+   liveness (dead-code elimination, the checker's pressure report,
+   --annotate-live dumps), reaching definitions with a synthetic
+   "uninitialized" definition per register (the verifier's
+   def-before-use check), available copies (copy propagation), and an
+   affine constant/copy value lattice (strength reduction, memory-op
+   merging). Transfer functions are derived from [Instr.defs]/
    [Instr.uses], so a new instruction kind extends every analysis at
    once. *)
 
@@ -247,10 +249,83 @@ module Reach = struct
            the register is never defined at all *)
   }
 
+  (* The screen: "may this use see an uninitialized register?" needs
+     only the projection of [state] onto "uninit is among the sites",
+     which is a plain possibly-uninitialized set of rids. It is kept as
+     a dense bitset — bit [k] is register [lo + k], 63 bits to an
+     [int] word — with every register set at entry, each block's defs
+     as its kill set, and [lor] as join. The projection commutes with
+     join and transfer, so the screen fires exactly when the site
+     analysis would report a fault; only then is the site-tracking
+     [analyze] run, to name the partial definition sites. *)
+  module Bits = struct
+    type t = int array  (* [||] is bottom: the block is unreached *)
+
+    let equal (a : t) b = a = b
+
+    let join (a : t) (b : t) =
+      if Array.length a = 0 then b
+      else if Array.length b = 0 then a
+      else Array.map2 ( lor ) a b
+
+    let mem (s : t) k = s.(k / 63) land (1 lsl (k mod 63)) <> 0
+    let add (s : t) k = s.(k / 63) <- s.(k / 63) lor (1 lsl (k mod 63))
+    let remove (s : t) k = s.(k / 63) <- s.(k / 63) land lnot (1 lsl (k mod 63))
+  end
+
+  module BSolve = Solver (Bits)
+
+  let may_see_uninit (cfg : Cfg.t) =
+    let lo = ref max_int and hi = ref min_int in
+    let note (r : V.t) =
+      if r.V.rid < !lo then lo := r.V.rid;
+      if r.V.rid > !hi then hi := r.V.rid
+    in
+    Array.iter
+      (fun ins ->
+        List.iter note (I.defs ins);
+        List.iter note (I.uses ins))
+      cfg.Cfg.code;
+    !lo <= !hi
+    &&
+    let lo = !lo in
+    let words = ((!hi - lo) / 63) + 1 in
+    let nb = Cfg.num_blocks cfg in
+    (* per-block kill (defs), precomputed as in [Live.analyze] *)
+    let kill =
+      Array.init nb (fun b ->
+          let k = Array.make words 0 in
+          Cfg.iter_instrs cfg b (fun _ ins ->
+              List.iter (fun (d : V.t) -> Bits.add k (d.V.rid - lo)) (I.defs ins));
+          k)
+    in
+    let transfer b st =
+      if Array.length st = 0 then st
+      else Array.mapi (fun w x -> x land lnot kill.(b).(w)) st
+    in
+    let r =
+      BSolve.solve ~dir:Forward ~init:[||] ~boundary:(Array.make words (-1))
+        ~transfer cfg
+    in
+    let hit = ref false and b = ref 0 in
+    while (not !hit) && !b < nb do
+      let at = r.BSolve.at_start.(!b) in
+      if Array.length at > 0 then begin
+        let st = Array.copy at in
+        Cfg.iter_instrs cfg !b (fun _ ins ->
+            List.iter
+              (fun (u : V.t) -> if Bits.mem st (u.V.rid - lo) then hit := true)
+              (I.uses ins);
+            List.iter (fun (d : V.t) -> Bits.remove st (d.V.rid - lo)) (I.defs ins))
+      end;
+      incr b
+    done;
+    !hit
+
   (* every use a synthetic uninitialized definition can reach;
      subsumes the verifier's old hand-rolled must-reach walk:
      "uninit may reach" is exactly "not defined on all paths" *)
-  let possibly_uninitialized (cfg : Cfg.t) =
+  let explain (cfg : Cfg.t) =
     let at_start, _ = analyze cfg in
     let faults = ref [] in
     for b = 0 to Cfg.num_blocks cfg - 1 do
@@ -270,6 +345,9 @@ module Reach = struct
           st := def !st i ins)
     done;
     List.rev !faults
+
+  let possibly_uninitialized cfg =
+    if may_see_uninit cfg then explain cfg else []
 end
 
 (* ------------------------------------------------------------------ *)

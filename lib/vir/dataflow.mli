@@ -91,9 +91,16 @@ module Reach : sig
             path *)
   }
 
+  val may_see_uninit : Cfg.t -> bool
+  (** The screen: whether any reachable use may see an uninitialized
+      register — exactly [possibly_uninitialized cfg <> []], decided
+      by a forward may-analysis over a dense bitset of
+      possibly-uninitialized registers instead of site sets. *)
+
   val possibly_uninitialized : Cfg.t -> fault list
   (** every use the synthetic uninitialized definition can reach, in
-      instruction order *)
+      instruction order; runs the site analysis ({!analyze}) only when
+      {!may_see_uninit} fires *)
 end
 
 (** Available copies: forward must-analysis backing global copy

@@ -1,10 +1,11 @@
 (* VIR verifier: structural and dataflow well-formedness of kernels.
 
-   Runs after codegen and again after every VIR-level transform
-   (unroll, scalar replacement, peephole) and after assembly — the
-   assembled code is still in virtual-register form, so the same
-   checks apply. Faults are SAF020 diagnostics; any fault is a
-   compiler bug, not a user error. *)
+   Runs after codegen and again after every VIR-level pass (peephole,
+   copy propagation, strength reduction, induction variables, memory
+   merging, dead-code elimination) and after assembly — the assembled
+   code is still in virtual-register form, so the same checks apply.
+   Faults are SAF020 diagnostics; any fault is a compiler bug, not a
+   user error. *)
 
 module Diag = Safara_diag.Diagnostic
 module M = Safara_gpu.Memspace

@@ -1,5 +1,8 @@
 (* Dataflow-framework tests: CFG construction, each lattice's solver
-   fixpoint (including loops and back-edges), the three catalog passes
+   fixpoint (including loops and back-edges), the bitset screen in
+   front of the def-before-use site analysis (edge cases, plus a
+   seeded differential against [Reach.analyze] over every shipped
+   kernel and its deletion mutants), the three catalog passes
    built on them (copy-prop, strength-red, dce), a wide-kernel
    performance regression guarding the linear kill indices, the
    static-pressure cross-validation against the linear-scan allocator,
@@ -237,6 +240,217 @@ let test_verify_partial_path_message () =
          Str_helpers.contains m "used before definition"
          && not (Str_helpers.contains m "on some paths"))
        msgs)
+
+(* --- the bitset screen in front of the site analysis -------------- *)
+
+let fault_triples fs =
+  List.map
+    (fun (f : D.Reach.fault) ->
+      (f.D.Reach.f_at, f.D.Reach.f_reg.V.rid, f.D.Reach.f_partial))
+    fs
+
+let triples = Alcotest.(list (triple int int ints))
+
+(* the fault list, after checking the screen's own verdict: a screen
+   that fires needlessly still yields the right faults (the site
+   analysis runs), so only this check sees an imprecise screen *)
+let screened code =
+  let cfg = Cfg.build code in
+  let fs = fault_triples (D.Reach.possibly_uninitialized cfg) in
+  Alcotest.(check bool) "screen verdict" (fs <> []) (D.Reach.may_see_uninit cfg);
+  fs
+
+let test_screen_word_boundaries () =
+  (* define every rid 0..127 but [k], then use each once: exactly the
+     use of [k] faults, so no bit leaks into a neighbour across the
+     63-bit word edges *)
+  List.iter
+    (fun k ->
+      let defs = List.filter (( <> ) k) (List.init 128 Fun.id) in
+      let code =
+        Array.of_list
+          (List.map (fun j -> movi (i32 j) j) defs
+          @ List.init 128 (fun j -> movr (i32 j) (i32 j))
+          @ [ I.Ret ])
+      in
+      Alcotest.check triples
+        (Printf.sprintf "only r%d faults" k)
+        [ (127 + k, k, []) ]
+        (screened code))
+    [ 62; 63; 64; 125; 126 ];
+  Alcotest.check triples "all defined" []
+    (screened
+       (Array.of_list
+          (List.init 128 (fun j -> movi (i32 j) j)
+          @ List.init 128 (fun j -> movr (i32 j) (i32 j))
+          @ [ I.Ret ])))
+
+let test_screen_sparse_high_rid () =
+  Alcotest.check triples "undefined r5000 beside r0"
+    [ (1, 5000, []) ]
+    (screened [| movi (i32 0) 1; add (i32 0) (I.Reg (i32 5000)) (I.Imm 1); I.Ret |]);
+  Alcotest.check triples "defined r5000 alone" []
+    (screened [| movi (i32 5000) 1; movr (i32 5000) (i32 5000); I.Ret |]);
+  Alcotest.check triples "defined r5000 beside r0" []
+    (screened
+       [| movi (i32 0) 1; movi (i32 5000) 2; add (i32 0) (I.Reg (i32 5000)) (I.Reg (i32 0)); I.Ret |])
+
+let test_screen_join_keeps_every_arm () =
+  (* the join's first predecessor defines r2, the second does not:
+     the join must keep the second arm's bit *)
+  Alcotest.check triples "undefined on the later arm"
+    [ (7, 2, [ 3 ]) ]
+    (screened
+       [|
+         movi (i32 0) 5;
+         setp (prd 1) (I.Reg (i32 0)) (I.Imm 3);
+         brc (prd 1) "then";
+         movi (i32 2) 1;
+         I.Bra "join";
+         I.Label "then";
+         I.Label "join";
+         movr (i32 3) (i32 2);
+         I.Ret;
+       |])
+
+let test_screen_unreachable_use () =
+  Alcotest.check triples "a use in dead code is not reported" []
+    (screened
+       [|
+         movi (i32 0) 1;
+         I.Bra "end";
+         add (i32 1) (I.Reg (i32 9)) (I.Imm 1);
+         I.Label "end";
+         movr (i32 2) (i32 0);
+         I.Ret;
+       |])
+
+let test_screen_loop_carried () =
+  (* r2 is read at the top of the loop and only written below it: the
+     first trip sees it uninitialized, later trips see instr 3 *)
+  Alcotest.check triples "use before the back-edge def"
+    [ (2, 2, [ 3 ]) ]
+    (screened
+       [|
+         movi (i32 0) 0;
+         I.Label "loop";
+         add (i32 1) (I.Reg (i32 2)) (I.Imm 1);
+         movi (i32 2) 5;
+         add (i32 0) (I.Reg (i32 0)) (I.Imm 1);
+         setp (prd 3) (I.Reg (i32 0)) (I.Imm 10);
+         brc (prd 3) "loop";
+         I.Ret;
+       |])
+
+let test_screen_empty_kernel () =
+  Alcotest.check triples "no blocks, no faults" [] (screened [||]);
+  let msgs =
+    List.map
+      (fun d -> d.Safara_diag.Diagnostic.message)
+      (Safara_vir.Verify.verify (kernel []))
+  in
+  Alcotest.(check (list string)) "only the control-flow fault"
+    [ "instr 0: kernel has no code" ] msgs
+
+(* the fault list as the site analysis alone derives it, straight
+   from the exported [Reach.analyze] — the pre-screen definition *)
+let reach_faults cfg =
+  let at_start, _ = D.Reach.analyze cfg in
+  let faults = ref [] in
+  for b = 0 to Cfg.num_blocks cfg - 1 do
+    let st = ref at_start.(b) in
+    Cfg.iter_instrs cfg b (fun i ins ->
+        List.iter
+          (fun (u : V.t) ->
+            match D.IM.find_opt u.V.rid !st with
+            | Some sites when D.IS.mem D.Reach.uninit sites ->
+                faults :=
+                  (i, u.V.rid, D.IS.elements (D.IS.remove D.Reach.uninit sites))
+                  :: !faults
+            | _ -> ())
+          (I.uses ins);
+        List.iter
+          (fun (d : V.t) -> st := D.IM.add d.V.rid (D.IS.singleton i) !st)
+          (I.defs ins))
+  done;
+  List.rev !faults
+
+(* run a profile's pipeline pass by pass, keeping the kernels codegen
+   emits as well as the final assembled ones *)
+let codegen_and_final ~arch p prog =
+  let desc = C.desc_of_profile p in
+  let ctx =
+    Safara_core.Pass.make_ctx
+      ~arch:(Safara_core.Pipeline.effective_arch arch desc)
+      ~latency:(Safara_gpu.Latency.for_arch arch)
+  in
+  let at_codegen = ref [] in
+  let rec go : type a b. (a, b) Safara_core.Pipeline.seq -> a -> b =
+   fun s v ->
+    match s with
+    | Safara_core.Pipeline.Done -> v
+    | Safara_core.Pipeline.Step (pass, rest) ->
+        let v' = pass.Safara_core.Pass.run ctx v in
+        (match pass.Safara_core.Pass.output with
+        | Safara_core.Pass.Vir when pass.Safara_core.Pass.name = "codegen" ->
+            at_codegen := v'.Safara_core.Pass.v_kernels
+        | _ -> ());
+        go rest v'
+  in
+  let final = go (Safara_core.Pipeline.build desc) prog in
+  !at_codegen @ List.map fst final.Safara_core.Pass.a_kernels
+
+let differential_seed = 20_161_013
+let mutants_per_kernel = 3
+
+let test_screen_differential () =
+  Printf.printf "differential seed: %d\n%!" differential_seed;
+  let rng = Random.State.make [| differential_seed |] in
+  let checked = ref 0 and faulting = ref 0 in
+  let compare_code what code =
+    let cfg = Cfg.build code in
+    let expected = reach_faults cfg in
+    let got = fault_triples (D.Reach.possibly_uninitialized cfg) in
+    let fired = D.Reach.may_see_uninit cfg in
+    incr checked;
+    if expected <> [] then incr faulting;
+    if got <> expected || fired <> (expected <> []) then
+      Alcotest.failf
+        "%s (seed %d): screened %d faults (screen %b), site analysis %d" what
+        differential_seed (List.length got) fired (List.length expected)
+  in
+  List.iter
+    (fun (w : Workload.t) ->
+      let prog = Safara_lang.Frontend.compile w.Workload.source in
+      List.iter
+        (fun arch ->
+          List.iter
+            (fun p ->
+              List.iter
+                (fun (k : K.t) ->
+                  let what =
+                    Printf.sprintf "%s/%s/%s/%s" w.Workload.id
+                      (C.profile_name p) arch.Safara_gpu.Arch.name k.K.kname
+                  in
+                  let code = k.K.code in
+                  compare_code what code;
+                  let n = Array.length code in
+                  for _ = 1 to mutants_per_kernel do
+                    if n > 0 then begin
+                      let del = Random.State.int rng n in
+                      compare_code
+                        (Printf.sprintf "%s minus instr %d" what del)
+                        (Array.append (Array.sub code 0 del)
+                           (Array.sub code (del + 1) (n - del - 1)))
+                    end
+                  done)
+                (codegen_and_final ~arch p prog))
+            C.all_profiles)
+        Safara_gpu.Arch.all)
+    Registry.all;
+  Printf.printf "%d kernel codes compared, %d with faults, 0 mismatches\n"
+    !checked !faulting;
+  Alcotest.(check bool) "mutants exercise the explainer" true (!faulting > 0)
 
 (* --- available copies --------------------------------------------- *)
 
@@ -602,6 +816,19 @@ let suite =
     Alcotest.test_case "reach: loop is clean" `Quick test_reach_loop_clean;
     Alcotest.test_case "verify: partial-path wording" `Quick
       test_verify_partial_path_message;
+    Alcotest.test_case "screen: word boundaries" `Quick
+      test_screen_word_boundaries;
+    Alcotest.test_case "screen: sparse high rid" `Quick
+      test_screen_sparse_high_rid;
+    Alcotest.test_case "screen: join keeps every arm" `Quick
+      test_screen_join_keeps_every_arm;
+    Alcotest.test_case "screen: unreachable use" `Quick
+      test_screen_unreachable_use;
+    Alcotest.test_case "screen: loop-carried use" `Quick
+      test_screen_loop_carried;
+    Alcotest.test_case "screen: empty kernel" `Quick test_screen_empty_kernel;
+    Alcotest.test_case "screen: differential vs site analysis" `Slow
+      test_screen_differential;
     Alcotest.test_case "copies: join agreement" `Quick test_copies_join_agree;
     Alcotest.test_case "copies: join disagreement" `Quick
       test_copies_join_disagree;
