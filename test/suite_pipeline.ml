@@ -250,19 +250,36 @@ let test_unrolled_programs_verify () =
         [ 2; 4 ])
     [ "303.ostencil"; "355.seismic"; "370.bt" ]
 
-(* --- golden snapshot -----------------------------------------------
+(* --- golden snapshots ----------------------------------------------
 
-   The checked-in file guards the pipeline order per profile and the
-   IR shape entering codegen. Regenerate after an intentional change
-   with:  SAFARA_BLESS_GOLDEN=1 dune runtest  (then copy the file the
-   failure message points at back into test/golden/). *)
+   The checked-in files guard the pipeline order per profile and the
+   IR shape entering codegen (pipeline.golden), and the exact
+   allocation of every registry workload (ptxas.golden). Regenerate
+   after an intentional change with:  SAFARA_BLESS_GOLDEN=1 dune
+   runtest  (then copy the files the failure messages point at back
+   into test/golden/). *)
 
 (* dune runtest runs with cwd = _build/.../test (where the dune deps
    glob copies golden/); a manual `dune exec test/test_main.exe` runs
    from the project root *)
-let golden_path =
-  if Sys.file_exists "golden" then Filename.concat "golden" "pipeline.golden"
-  else Filename.concat (Filename.concat "test" "golden") "pipeline.golden"
+let golden_path name =
+  if Sys.file_exists "golden" then Filename.concat "golden" name
+  else Filename.concat (Filename.concat "test" "golden") name
+
+let check_golden name what got =
+  let path = golden_path name in
+  if Sys.getenv_opt "SAFARA_BLESS_GOLDEN" <> None then begin
+    let oc = open_out path in
+    output_string oc got;
+    close_out oc;
+    Alcotest.fail
+      (Printf.sprintf "blessed: copy %s back into test/golden/"
+         (Filename.concat (Sys.getcwd ()) path))
+  end;
+  let ic = open_in_bin path in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) what expected got
 
 let golden_content () =
   let b = Buffer.create 1024 in
@@ -281,19 +298,47 @@ let golden_content () =
   Buffer.contents b
 
 let test_golden () =
-  let got = golden_content () in
-  if Sys.getenv_opt "SAFARA_BLESS_GOLDEN" <> None then begin
-    let oc = open_out golden_path in
-    output_string oc got;
-    close_out oc;
-    Alcotest.fail
-      (Printf.sprintf "blessed: copy %s back into test/golden/"
-         (Filename.concat (Sys.getcwd ()) golden_path))
-  end;
-  let ic = open_in_bin golden_path in
-  let expected = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Alcotest.(check string) "pipeline order and IR snapshot" expected got
+  check_golden "pipeline.golden" "pipeline order and IR snapshot"
+    (golden_content ())
+
+(* one line per registry workload x profile; per arch: kernels,
+   sum/max registers, sum predicates, sum spill bytes, sum
+   instructions — every figure the allocator feeds back to SAFARA *)
+let ptxas_golden_content () =
+  let b = Buffer.create 8192 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let prog = Safara_lang.Frontend.compile w.Workload.source in
+      List.iter
+        (fun p ->
+          Buffer.add_string b
+            (Printf.sprintf "%-12s %-23s" w.Workload.id (C.profile_name p));
+          List.iter
+            (fun (arch : Safara_gpu.Arch.t) ->
+              let reps = List.map snd (C.compile ~arch p prog).C.c_kernels in
+              let sum f = List.fold_left (fun acc r -> acc + f r) 0 reps in
+              let max_regs =
+                List.fold_left
+                  (fun acc r -> max acc r.Safara_ptxas.Assemble.regs_used)
+                  0 reps
+              in
+              Buffer.add_string b
+                (Printf.sprintf " %s=k%d,r%d/%d,p%d,s%d,i%d"
+                   arch.Safara_gpu.Arch.key (List.length reps)
+                   (sum (fun r -> r.Safara_ptxas.Assemble.regs_used))
+                   max_regs
+                   (sum (fun r -> r.Safara_ptxas.Assemble.pred_regs))
+                   (sum (fun r -> r.Safara_ptxas.Assemble.spill_bytes))
+                   (sum (fun r -> r.Safara_ptxas.Assemble.instructions))))
+            Safara_gpu.Arch.registry;
+          Buffer.add_char b '\n')
+        C.all_profiles)
+    Registry.all;
+  Buffer.contents b
+
+let test_ptxas_golden () =
+  check_golden "ptxas.golden" "registry allocation snapshot"
+    (ptxas_golden_content ())
 
 let suite =
   [
@@ -315,4 +360,5 @@ let suite =
     Alcotest.test_case "unrolled programs verify between passes" `Quick
       test_unrolled_programs_verify;
     Alcotest.test_case "golden pipeline snapshot" `Quick test_golden;
+    Alcotest.test_case "golden ptxas allocation" `Quick test_ptxas_golden;
   ]
