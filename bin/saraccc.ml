@@ -15,7 +15,7 @@
 open Cmdliner
 
 let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt_lite.reporter ());
+  Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
 
 let arch_of = Safara_gpu.Arch.of_name
@@ -332,7 +332,14 @@ let compile_cmd =
           ~doc:"re-assemble with this register cap (forces spilling, like nvcc)")
   in
   let pressure_arg =
-    Arg.(value & flag & info [ "pressure" ] ~doc:"annotate the listing with live register counts")
+    Arg.(
+      value & flag
+      & info [ "pressure" ]
+          ~doc:
+            "list each shipped kernel with the live virtual registers and \
+             32-bit register units after every instruction, from the \
+             liveness solver (the --annotate-live renderer), ending with \
+             its peak demand")
   in
   let time_passes_arg =
     Arg.(

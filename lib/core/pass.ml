@@ -82,12 +82,10 @@ let measure : type a. precise:bool -> a stage -> a -> stats =
         s_stmts = count_stmts v;
       }
   | Vir ->
-      (* the pressure fixpoint is the "what would allocation need"
-         estimate; only worth its cost under --time-passes *)
+      (* the liveness fixpoint is the "what would allocation need"
+         lower bound; only worth its cost under --time-passes *)
       let regs_of k =
-        if precise then
-          Safara_ptxas.Pressure.max_pressure (Safara_ptxas.Cfg.build k.K.code)
-        else 0
+        if precise then Safara_vir.Dataflow.Live.max_units k.K.code else 0
       in
       kernel_stats ~regs_of v.v_kernels
   | Asm ->

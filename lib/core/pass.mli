@@ -47,8 +47,10 @@ type stats = {
   s_vregs : int;  (** virtual registers across all kernels *)
   s_regs : int;
       (** estimated hardware registers: max over kernels of the
-          register-pressure lower bound (VIR, only when measured
-          [~precise:true]) or of the allocator's report (ASM) *)
+          register-pressure lower bound
+          {!Safara_vir.Dataflow.Live.max_units} (VIR, only when
+          measured [~precise:true]) or of the allocator's report
+          (ASM) *)
 }
 
 val zero_stats : stats

@@ -25,7 +25,7 @@ let assemble ?max_regs ~arch (k : Safara_vir.Kernel.t) =
   in
   let rec go code spill_bytes round =
     if round > 16 then failwith "ptxas: spilling did not converge";
-    let cfg = Cfg.build code in
+    let cfg = Safara_vir.Cfg.build code in
     let res = Linear_scan.allocate ~max_regs:cap cfg in
     match res.Linear_scan.spilled with
     | [] -> (code, res, spill_bytes)

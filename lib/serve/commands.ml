@@ -85,7 +85,7 @@ let compile eng (r : Protocol.compile_req) : Protocol.outcome =
             | Some cap -> Safara_ptxas.Assemble.assemble ~max_regs:cap ~arch k
           in
           if r.cr_pressure then
-            Format.fprintf fmt "%a@." Safara_ptxas.Pressure.pp_listing k
+            Format.fprintf fmt "%a@." Safara_vir.Dataflow.Live.pp_annotated k
           else if not r.cr_quiet then
             Format.fprintf fmt "%a@." Safara_vir.Kernel.pp k;
           Format.fprintf fmt "%a@.@." Safara_ptxas.Assemble.pp_report report)

@@ -4,10 +4,10 @@
    following a branch (bra/brc/ret). Edges come from branch targets
    and fall-through; ret and bra end a block without fall-through.
    The graph is the substrate for every dataflow analysis in
-   [Dataflow] and for the verifier's def-before-use check — one
-   construction shared by all clients (the allocator keeps its own
-   interval-oriented copy in Safara_ptxas because that library sits
-   above this one). *)
+   [Dataflow], for the verifier's def-before-use check and for the
+   register allocator's live intervals in Safara_ptxas — one
+   construction shared by all clients. A label defined twice maps to
+   its first block; the verifier rejects such code anyway. *)
 
 module I = Instr
 

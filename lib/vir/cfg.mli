@@ -1,6 +1,7 @@
 (** Basic-block control-flow graph over a kernel's instruction
     stream — the shared substrate for every dataflow analysis
-    ({!Dataflow}) and for the verifier's def-before-use check.
+    ({!Dataflow}), the verifier's def-before-use check and the
+    register allocator's live intervals ([Safara_ptxas.Linear_scan]).
 
     Leaders: instruction 0, every [Label], every instruction after a
     branch ([bra]/[brc]/[ret]). Edges: branch targets plus
@@ -22,7 +23,8 @@ type t = {
   rpo : int array;
       (** block ids in reverse postorder from entry; unreachable
           blocks follow in id order so solvers still visit them *)
-  label_block : (string, int) Hashtbl.t;  (** label name → block id *)
+  label_block : (string, int) Hashtbl.t;
+      (** label name → block id (the first, should a label repeat) *)
 }
 
 val build : Instr.t array -> t

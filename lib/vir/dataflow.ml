@@ -1,7 +1,8 @@
 (* Generic dataflow over the basic-block CFG: a worklist solver
    functorized over a join-semilattice, plus its four instantiations —
-   liveness (dead-code elimination, the checker's pressure report,
-   --annotate-live dumps), reaching definitions with a synthetic
+   liveness (dead-code elimination, the register allocator's live
+   intervals, the checker's pressure report, the --pressure and
+   --annotate-live listings), reaching definitions with a synthetic
    "uninitialized" definition per register (the verifier's
    def-before-use check), available copies (copy propagation), and an
    affine constant/copy value lattice (strength reduction, memory-op

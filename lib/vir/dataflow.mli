@@ -3,8 +3,9 @@
     instantiations — liveness, reaching definitions, available
     copies, and an affine constant/copy value lattice. The optimizer
     passes ({!Dce}, {!Copyprop}, {!Strength}), the verifier's
-    def-before-use check and the checker's pressure report are all
-    clients of this one solver. *)
+    def-before-use check, the register allocator's live intervals and
+    the checker's pressure report are all clients of this one
+    solver. *)
 
 type direction = Forward | Backward
 
@@ -55,13 +56,15 @@ module Live : sig
   (** total width in 32-bit units (predicates count 0) *)
 
   val max_units : Instr.t array -> int
-  (** peak simultaneous register demand in 32-bit units — the static
-      lower bound the linear-scan allocator's [regs_used] must meet
-      or exceed *)
+  (** peak simultaneous register demand in 32-bit units — the one
+      static pressure number (SAF036, the VIR-stage [regs] column of
+      [--time-passes]) and the lower bound the linear-scan
+      allocator's [regs_used] must meet or exceed *)
 
   val pp_annotated : Format.formatter -> Kernel.t -> unit
   (** the kernel listing with live vregs / live units after each
-      instruction ([--dump-ir] [--annotate-live]) *)
+      instruction, ending with its {!max_units} peak
+      ([compile --pressure], [--dump-ir] [--annotate-live]) *)
 end
 
 module IM : Map.S with type key = int

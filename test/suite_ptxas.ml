@@ -1,10 +1,11 @@
-(* Tests for the assembler stand-in: CFG construction, liveness,
-   linear-scan allocation (pair alignment, spilling) and the feedback
-   report. *)
+(* Tests for the assembler stand-in: the CFG and live intervals it
+   allocates over, linear-scan allocation (pair alignment, spilling)
+   and the feedback report. *)
 
 module I = Safara_vir.Instr
 module V = Safara_vir.Vreg
 module T = Safara_ir.Types
+module Cfg = Safara_vir.Cfg
 open Safara_ptxas
 
 let arch = Safara_gpu.Arch.kepler_k20xm
@@ -59,17 +60,17 @@ let loopy =
 
 let test_liveness_loop () =
   let cfg = Cfg.build loopy in
-  let ivs = Liveness.intervals cfg in
-  let iv0 = List.find (fun iv -> iv.Liveness.reg.V.rid = 0) ivs in
+  let ivs = Linear_scan.intervals cfg in
+  let iv0 = List.find (fun iv -> iv.Linear_scan.reg.V.rid = 0) ivs in
   (* r0 is live from its definition through the loop to the final use *)
-  Alcotest.(check int) "r0 starts at def" 0 iv0.Liveness.i_start;
-  Alcotest.(check bool) "r0 live until final use" true (iv0.Liveness.i_end >= 5)
+  Alcotest.(check int) "r0 starts at def" 0 iv0.Linear_scan.i_start;
+  Alcotest.(check bool) "r0 live until final use" true (iv0.Linear_scan.i_end >= 5)
 
 let test_dead_def_has_point_interval () =
   let code = [| I.Mov { dst = r32 0; src = I.Imm 1 }; I.Ret |] in
-  let ivs = Liveness.intervals (Cfg.build code) in
-  let iv = List.find (fun iv -> iv.Liveness.reg.V.rid = 0) ivs in
-  Alcotest.(check int) "point interval" iv.Liveness.i_start iv.Liveness.i_end
+  let ivs = Linear_scan.intervals (Cfg.build code) in
+  let iv = List.find (fun iv -> iv.Linear_scan.reg.V.rid = 0) ivs in
+  Alcotest.(check int) "point interval" iv.Linear_scan.i_start iv.Linear_scan.i_end
 
 let test_allocation_reuses_registers () =
   (* two values with disjoint lifetimes share one register *)
@@ -196,8 +197,21 @@ double a[n];
   let a1 = run k_full and a2 = run k_tight in
   Alcotest.(check bool) "identical results" true (a1 = a2)
 
+(* peak number of 32-bit units whose intervals overlap one index *)
+let interval_peak code =
+  let n = Array.length code in
+  let units = Array.make n 0 in
+  List.iter
+    (fun (iv : Linear_scan.interval) ->
+      for i = iv.Linear_scan.i_start to iv.Linear_scan.i_end do
+        units.(i) <- units.(i) + V.width iv.Linear_scan.reg
+      done)
+    (Linear_scan.intervals (Cfg.build code));
+  Array.fold_left max 0 units
+
 let test_pressure_lower_bound () =
-  (* peak simultaneous liveness is a lower bound for any allocation *)
+  (* peak interval overlap is a lower bound for any allocation, and
+     the intervals over-approximate the liveness solver's live sets *)
   let srcs =
     [ (Safara_suites.Registry.find "355.seismic").Safara_suites.Workload.source;
       (Safara_suites.Registry.find "SP").Safara_suites.Workload.source ]
@@ -209,12 +223,17 @@ let test_pressure_lower_bound () =
       List.iter
         (fun r ->
           let k = Safara_vir.Codegen.compile_region ~arch prog r in
-          let cfg = Cfg.build k.Safara_vir.Kernel.code in
-          let res = Linear_scan.allocate ~max_regs:255 cfg in
+          let code = k.Safara_vir.Kernel.code in
+          let res = Linear_scan.allocate ~max_regs:255 (Cfg.build code) in
+          let peak = interval_peak code in
           Alcotest.(check bool)
-            (r.Safara_ir.Region.rname ^ " allocation >= pressure bound")
+            (r.Safara_ir.Region.rname ^ " allocation >= interval peak")
             true
-            (res.Linear_scan.regs_used >= Pressure.max_pressure cfg))
+            (res.Linear_scan.regs_used >= peak);
+          Alcotest.(check bool)
+            (r.Safara_ir.Region.rname ^ " interval peak >= live units")
+            true
+            (Safara_vir.Dataflow.Live.max_units code <= peak))
         prog.Safara_ir.Program.regions)
     srcs
 

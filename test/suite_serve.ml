@@ -232,7 +232,7 @@ let daemon_exec socket req =
       | Serve.Protocol.Error e -> Alcotest.failf "daemon error: %s" e
       | Serve.Protocol.Data _ -> Alcotest.fail "unexpected data response")
 
-let compile_req ?(quiet = false) ~profile (w : Workload.t) =
+let compile_req ?(quiet = false) ?(pressure = false) ~profile (w : Workload.t) =
   Serve.Protocol.Compile
     {
       cr_name = w.Workload.id;
@@ -241,7 +241,7 @@ let compile_req ?(quiet = false) ~profile (w : Workload.t) =
       cr_profile = profile;
       cr_quiet = quiet;
       cr_maxrreg = None;
-      cr_pressure = false;
+      cr_pressure = pressure;
       cr_time_passes = false;
       cr_json = false;
       cr_dumps = [];
@@ -267,6 +267,39 @@ let run_req ?engine (w : Workload.t) =
           w.Workload.scalars;
       rn_engine = engine;
     }
+
+(* --- compile --pressure listing ------------------------------------------ *)
+
+(* --pressure renders each shipped kernel through the liveness solver's
+   annotated listing (the --annotate-live renderer), then its ptxas
+   report line; 357.csp ships three kernels *)
+let test_pressure_listing () =
+  let eng = Eval.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Eval.shutdown eng)
+    (fun () ->
+      let w = Registry.find "357.csp" in
+      let got =
+        Serve.Commands.exec eng (compile_req ~pressure:true ~profile:"full" w)
+      in
+      let c =
+        Safara_core.Compiler.compile Safara_core.Compiler.Full
+          (Safara_lang.Frontend.compile w.Workload.source)
+      in
+      Alcotest.(check bool) "several kernels" true
+        (List.length c.Safara_core.Compiler.c_kernels > 1);
+      let expected =
+        String.concat ""
+          (List.map
+             (fun (k, rep) ->
+               Format.asprintf "%a" Safara_vir.Dataflow.Live.pp_annotated k
+               ^ "\n"
+               ^ Format.asprintf "%a" Safara_ptxas.Assemble.pp_report rep
+               ^ "\n\n")
+             c.Safara_core.Compiler.c_kernels)
+      in
+      Alcotest.(check string) "listing" expected got.Serve.Protocol.out;
+      Alcotest.(check int) "exit code" 0 got.Serve.Protocol.code)
 
 (* --- daemon vs in-process byte identity -------------------------------- *)
 
@@ -470,6 +503,8 @@ let suite =
       test_eval_recovers_from_corrupt_store;
     Alcotest.test_case "store: GC keeps disk within bound" `Quick
       test_store_gc_bound;
+    Alcotest.test_case "compile --pressure listing" `Quick
+      test_pressure_listing;
     Alcotest.test_case "daemon: byte-identical to in-process" `Slow
       test_daemon_byte_identity;
     Alcotest.test_case "daemon: bench and check identical" `Quick
