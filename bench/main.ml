@@ -180,9 +180,9 @@ let sim_measure_group ~min_time ~min_runs
     Array.iteri
       (fun i (e, run) ->
         let c0 = Sys.time () in
-        let r0 = Unix.gettimeofday () in
+        let r0 = Safara_engine.Clock.now () in
         let k = sim_with_engine e run in
-        let r1 = Unix.gettimeofday () in
+        let r1 = Safara_engine.Clock.now () in
         let c1 = Sys.time () in
         if r1 > r0 then
           best_wall.(i) <-
@@ -620,9 +620,9 @@ let serve_request conn req =
   | Safara_serve.Protocol.Data _ -> failwith "bench serve: unexpected data"
 
 let serve_wall f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Safara_engine.Clock.now () in
   let r = f () in
-  ((Unix.gettimeofday () -. t0) *. 1e3, r)
+  ((Safara_engine.Clock.now () -. t0) *. 1e3, r)
 
 (* the daemon on a bench thread; returns (thread, stop) where stop
    sends the shutdown request and joins *)

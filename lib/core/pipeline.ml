@@ -236,7 +236,7 @@ let run ?(options = default_options) ~name ctx pipe input =
           | None -> Pass.measure ~precise p.Pass.input v
         in
         let disabled = List.mem p.Pass.name options.o_disable in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Safara_engine.Clock.now () in
         let v' =
           if disabled then
             match p.Pass.identity with
@@ -248,7 +248,7 @@ let run ?(options = default_options) ~name ctx pipe input =
                      p.Pass.name)
           else p.Pass.run ctx v
         in
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Safara_engine.Clock.now () -. t0 in
         if options.o_verify && not disabled then Pass.verify p.Pass.output v';
         let after = Pass.measure ~precise p.Pass.output v' in
         reports :=

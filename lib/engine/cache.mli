@@ -5,8 +5,11 @@
     computes outside the lock, later requesters block until the value
     lands and then share the {e same physical} value. The intended
     discipline is that cached values are immutable — compiled
-    artifacts, timing records — while anything mutable (simulator
-    memory, register files) stays per-job and is never stored here.
+    artifacts, timing records, key digests — and that nothing mutable
+    (simulator memory, register files) is ever stored here. Mutable
+    state stays per-job; the one exception outside any cache is the
+    evaluation engine's single pristine input image, which is shared
+    read-only and never written (every writer works on a copy).
 
     A computation that raises clears its marker so a later requester
     can retry; waiters blocked on the failed slot retry the compute

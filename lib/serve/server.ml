@@ -79,17 +79,17 @@ let respond st oc req =
       false
   | (Protocol.Compile _ | Protocol.Check _ | Protocol.Run _ | Protocol.Bench _)
     as cmd ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Safara_engine.Clock.now () in
+      let elapsed_ms () = (Safara_engine.Clock.now () -. t0) *. 1e3 in
       let r =
         match on_pool st.eng (fun () -> Commands.exec st.eng cmd) with
-        | outcome ->
-            Protocol.Result (outcome, (Unix.gettimeofday () -. t0) *. 1e3)
+        | outcome -> Protocol.Result (outcome, elapsed_ms ())
         | exception Failure msg -> Protocol.Error msg
         | exception e -> Protocol.Error (Printexc.to_string e)
       in
       if st.verbose then
         Printf.eprintf "saraccc serve: %s in %.1f ms\n%!" (label_of cmd)
-          ((Unix.gettimeofday () -. t0) *. 1e3);
+          (elapsed_ms ());
       reply r;
       true
 

@@ -7,14 +7,19 @@
     module runs those jobs through a {!Safara_engine.Pool} of domains
     and memoizes both stages in content-addressed
     {!Safara_engine.Cache}s, so each distinct (source, profile, arch,
-    config, unroll) combination compiles exactly once and simulates
-    exactly once per run, no matter how many figures reference it.
+    config, unroll) combination compiles exactly once per run, and
+    each distinct artifact — what the simulator reads of a compile,
+    on one workload input — simulates exactly once, no matter how many
+    figures or search points reference it.
 
     Sharing discipline: cached values — {!Safara_core.Compiler.compiled}
     artifacts and {!Safara_sim.Launch.program_time} records — are
-    immutable. Mutable state (simulator memory) is created fresh
-    inside each cache miss and dropped before the value is published,
-    so domains never observe each other's memory. *)
+    immutable. The one piece of mutable state the engine keeps is the
+    most recent pristine input image ({!image}), which nothing writes:
+    timing copies memory per kernel, and a functional run copies the
+    image before it starts. All other simulator memory is created
+    inside a cache miss and dropped before the value is published, so
+    domains never observe each other's writes. *)
 
 type t
 
@@ -68,11 +73,15 @@ val compiled : t -> job -> Safara_core.Compiler.compiled
     physically same artifact. *)
 
 val time_job : t -> job -> Safara_sim.Launch.program_time
-(** Memoized compile + simulate; the simulation environment is
-    per-miss and never shared. Sim-cache keys fold in {!sim_mode}, so
-    values produced under different execution strategies never alias
-    (they are bit-identical by construction, but the cache must not be
-    the thing relying on that). *)
+(** Memoized compile + simulate. The sim-cache key is the {e artifact
+    key} — a digest of the compiled arch, latency table, array table
+    and kernels with their ptxas reports, memoized per compile key —
+    plus the workload's seed and scalars: jobs whose compiles coincide
+    share one simulation, and a hit touches neither the compile cache
+    nor the kernels. The input image is the shared {!image}. Keys fold
+    in {!sim_mode}, so values produced under different execution
+    strategies never alias (they are bit-identical by construction,
+    but the cache must not be the thing relying on that). *)
 
 (** Result of a memoized functional (semantic) run. *)
 type sim_result = {
@@ -87,7 +96,10 @@ type sim_result = {
 }
 
 val simulate : t -> job -> sim_result
-(** Memoized compile + functional run. At [-j] > 1 the run fans each
+(** Memoized compile + functional run, keyed like {!time_job} plus
+    the [check_arrays]; the artifact key also covers the region bodies,
+    which label each kernel's execution mode. The run writes a private
+    copy of {!image}. At [-j] > 1 the run fans each
     provably block-disjoint kernel's thread-blocks across the engine's
     own pool (one shared [-j] budget with the job-level parallelism);
     checksums and counters are bit-identical at any [-j]. *)
@@ -98,6 +110,14 @@ val sim_mode : t -> string
     key. *)
 
 val total_ms : t -> job -> float
+
+val image :
+  t -> Safara_core.Compiler.compiled -> Workload.t -> Safara_sim.Interp.env
+(** The pristine input image of a compiled program on a workload
+    ({!Workload.prepare}), memoized in a single entry keyed by the
+    array table, scalars and seed: a search over one workload prepares
+    it once, and the engine never holds more than one. Shared — callers
+    must not write it. *)
 
 val compile_src :
   t ->

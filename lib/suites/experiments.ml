@@ -13,8 +13,9 @@ type reg_row = {
 
 (* Every experiment follows the same engine discipline: flatten the
    experiment into (workload × profile/config/arch) jobs, [Eval.warm]
-   them through the domain pool (each distinct job compiles and
-   simulates exactly once, memoized by content-addressed key), then
+   them through the domain pool (each distinct job compiles exactly
+   once and each distinct artifact simulates exactly once, memoized by
+   content-addressed key), then
    assemble and render the rows serially from cache hits — so parallel
    runs are byte-identical to serial ones. *)
 

@@ -90,8 +90,8 @@ let argmin eng ~arch w pts =
   |> Option.get
 
 (* Exhaustive: one engine pass warms the whole grid through the
-   domain pool (each point simulates exactly once), then the argmin
-   re-reads every point from the timing cache. *)
+   domain pool (each distinct artifact simulates exactly once), then
+   the argmin re-reads every point from the timing cache. *)
 let search_grid eng ~arch w =
   Eval.warm eng (List.map (job ~arch w) grid);
   (argmin eng ~arch w grid, space_size)
@@ -102,7 +102,7 @@ let search_grid eng ~arch w =
    improvement, stop when a full sweep holds still. Terminates —
    every move strictly decreases a value from a finite set.
    Neighbor batches are warmed through the pool, so each distinct
-   point still simulates exactly once. *)
+   artifact still simulates exactly once. *)
 let search_greedy eng ~arch w =
   let seen = Hashtbl.create 16 in
   let visit pts =

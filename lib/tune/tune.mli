@@ -4,8 +4,9 @@
 
     Every point of the search space is an {!Safara_suites.Eval.job}
     under the [Full] profile, so the search runs through the
-    evaluation engine: each distinct point compiles and simulates
-    exactly once per engine, revisits are cache hits, and a sweep
+    evaluation engine: each distinct point compiles exactly once per
+    engine, each distinct compiled artifact simulates exactly once,
+    revisits are cache hits, and a sweep
     over several workloads/architectures shares every coincident
     point. Architectures change timing, occupancy and allocation —
     never functional results — so tuning only ever reorders
@@ -34,7 +35,9 @@ type result = {
   tr_best_ms : float;
   tr_default_ms : float;  (** config=default, unroll=1 *)
   tr_improvement : float;  (** default ms / best ms (≥ 1 under Grid) *)
-  tr_evaluated : int;  (** distinct points simulated *)
+  tr_evaluated : int;
+      (** distinct points evaluated; the simulations run can be fewer,
+          since points whose compiles coincide share one *)
   tr_space : int;  (** full search-space size *)
   tr_kernels : (string * float) list;  (** per-kernel ms at the best point *)
 }

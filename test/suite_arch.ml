@@ -252,11 +252,20 @@ let test_tune_grid_search () =
             (r.Tune.tr_improvement >= 1.0);
           check_bool (id ^ ": per-kernel times") true
             (r.Tune.tr_kernels <> []);
-          (* each distinct point simulates exactly once; the argmin
-             re-reads are hits, so hit rate > 50% by construction *)
+          (* each distinct artifact simulates exactly once; points
+             whose compiles coincide and the argmin re-reads are hits,
+             so hit rate > 50% by construction *)
           let hits = s1.Eval.st_sim_hits - s0.Eval.st_sim_hits in
           let misses = s1.Eval.st_sim_misses - s0.Eval.st_sim_misses in
-          check_int (id ^ ": one miss per point") Tune.space_size misses;
+          let artifacts =
+            List.map
+              (fun pt -> (w, Eval.compiled eng (Tune.job ~arch:Arch.default w pt)))
+              Suite_engine.tune_points
+          in
+          check_int
+            (id ^ ": one miss per distinct artifact")
+            (Suite_engine.distinct_simulations artifacts)
+            misses;
           check_bool (id ^ ": cache hit rate > 50%") true
             (float_of_int hits /. float_of_int (hits + misses) > 0.5))
         [ "303.ostencil"; "355.seismic" ])

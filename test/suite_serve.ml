@@ -88,6 +88,39 @@ let test_store_key_sensitivity () =
         st3.Store.st_disk_misses;
       Eval.shutdown e2)
 
+(* a second engine over the same store answers every tune point from
+   disk — artifact keys and timings alike — with identical values, and
+   neither compiles nor simulates *)
+let test_store_timing_hits () =
+  with_tmpdir (fun dir ->
+      let w = Registry.find "303.ostencil" in
+      let arch = Safara_gpu.Arch.default in
+      let times eng =
+        List.map
+          (fun pt ->
+            Suite_engine.time_bits
+              (Eval.time_job eng (Safara_tune.Tune.job ~arch w pt)))
+          Suite_engine.tune_points
+      in
+      let e1 = Eval.create ~jobs:1 ~store:(Store.open_store dir) () in
+      let t1 = times e1 in
+      let s1 = Eval.stats e1 in
+      Eval.shutdown e1;
+      let e2 = Eval.create ~jobs:1 ~store:(Store.open_store dir) () in
+      let t2 = times e2 in
+      let s2 = Eval.stats e2 in
+      Eval.shutdown e2;
+      Alcotest.(check bool) "identical timings" true (t1 = t2);
+      Alcotest.(check int) "second engine compiled nothing" 0
+        s2.Eval.st_compile_misses;
+      Alcotest.(check (float 0.)) "second engine simulated nothing" 0.
+        s2.Eval.st_sim_s;
+      let disk_hits s = (Option.get s.Eval.st_store).Store.st_disk_hits in
+      (* one artifact key per point, one timing per distinct artifact *)
+      Alcotest.(check int) "answered from disk"
+        (List.length Suite_engine.tune_points + s1.Eval.st_sim_misses)
+        (disk_hits s2))
+
 (* --- corrupt entries -------------------------------------------------- *)
 
 let flip_last_byte path =
@@ -497,6 +530,8 @@ let suite =
       test_store_roundtrip;
     Alcotest.test_case "store: profile/disable changes miss" `Quick
       test_store_key_sensitivity;
+    Alcotest.test_case "store: second engine gets timing hits" `Quick
+      test_store_timing_hits;
     Alcotest.test_case "store: bit flip reads as miss" `Quick
       test_store_corrupt_entry;
     Alcotest.test_case "store: engine recompiles over corrupt entry" `Quick
