@@ -1,4 +1,5 @@
 module P = Safara_ir.Program
+module Cache = Safara_engine.Cache
 
 type profile = Base | Safara_only | Small_only | Clauses_only | Full | Pgi_like
 
@@ -49,26 +50,102 @@ let desc_of_profile : profile -> Pipeline.desc = function
 let pipeline_signature ?safara_config ?disable profile =
   Pipeline.signature ?safara_config ?disable (desc_of_profile profile)
 
+(* ------------------------------------------------------------------ *)
+(* Region memo                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type memo = {
+  m_tail : (Safara_vir.Kernel.t * Safara_ptxas.Assemble.report) Cache.t;
+  m_feedback : int Cache.t;
+}
+
+let memo () =
+  { m_tail = Cache.create ~name:"tail" ();
+    m_feedback = Cache.create ~name:"feedback" () }
+
+let digest_of v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+let tail_tag disable =
+  digest_of (Pipeline.tail_names, List.sort_uniq compare disable)
+
+(* SAFARA's feedback compiles codegen → peephole → assemble: the tail
+   with its five dataflow passes disabled *)
+let feedback_tag =
+  tail_tag [ "copy-prop"; "strength-red"; "indvar"; "memmerge"; "dce" ]
+
+(* exactly what the tail reads of one region's compile *)
+let region_key ~tag ~arch (prog : P.t) r =
+  digest_of (tag, arch, prog.P.params, prog.P.arrays, r)
+
 let compile_with ?(arch = Safara_gpu.Arch.default) ?latency ?safara_config
-    ?(options = Pipeline.default_options) profile prog =
+    ?(options = Pipeline.default_options) ?memo:m profile prog =
   let latency =
     match latency with
     | Some l -> l
     | None -> Safara_gpu.Latency.for_arch arch
   in
+  let m = match m with Some m -> m | None -> memo () in
   let desc = desc_of_profile profile in
   let arch = Pipeline.effective_arch arch desc in
-  let ctx = Pass.make_ctx ~arch ~latency in
-  let passes = Pipeline.build ?safara_config desc in
-  let final, trace =
-    Pipeline.run ~options ~name:desc.Pipeline.d_name ctx passes prog
+  let feedback p r =
+    Cache.find_or_compute m.m_feedback
+      ~key:(region_key ~tag:feedback_tag ~arch p r)
+      (fun () -> Safara_transform.Safara.regs_used ~arch p r)
   in
+  let ctx = { (Pass.make_ctx ~arch ~latency) with Pass.feedback = Some feedback } in
+  let name = desc.Pipeline.d_name in
+  let headed, trace =
+    Pipeline.run ~options ~name ctx (Pipeline.head ?safara_config desc) prog
+  in
+  let tag = tail_tag options.Pipeline.o_disable in
+  let kernels = Hashtbl.create 8 in
+  let run_tail (trace : Pipeline.trace) missed =
+    match
+      Pipeline.run ~options ~name ctx Pipeline.tail
+        { headed with P.regions = List.map snd missed }
+    with
+    | exception e ->
+        List.iter (fun (key, _) -> Cache.release m.m_tail ~key) missed;
+        raise e
+    | final, t ->
+        List.iter2
+          (fun (key, _) k ->
+            Cache.fill m.m_tail ~key k;
+            Hashtbl.replace kernels key k)
+          missed final.Pass.a_kernels;
+        { trace with
+          Pipeline.tr_reports = trace.Pipeline.tr_reports @ t.Pipeline.tr_reports;
+          tr_dumps = trace.Pipeline.tr_dumps @ t.Pipeline.tr_dumps }
+  in
+  (* Claim every region without waiting, run the tail once over the
+     ones the memo lacks and settle them, and only then wait for the
+     regions another domain is compiling: a compile never waits while
+     it owns unsettled keys. A wait that ends in ownership (the other
+     compile failed) runs the tail again on those regions. *)
+  let rec gather ~wait trace pending =
+    let missed = ref [] and busy = ref [] in
+    List.iter
+      (fun (key, r) ->
+        match Cache.claim ~wait m.m_tail ~key with
+        | Cache.Hit k -> Hashtbl.replace kernels key k
+        | Cache.Owned -> missed := (key, r) :: !missed
+        | Cache.Busy -> busy := (key, r) :: !busy)
+      pending;
+    let missed = List.rev !missed and busy = List.rev !busy in
+    let trace = if wait && missed = [] then trace else run_tail trace missed in
+    if busy = [] then trace else gather ~wait:true trace busy
+  in
+  let keyed =
+    List.map (fun r -> (region_key ~tag ~arch headed r, r)) headed.P.regions
+  in
+  let trace = gather ~wait:false trace keyed in
   ( {
       c_profile = profile;
       c_arch = arch;
       c_latency = latency;
-      c_prog = final.Pass.a_prog;
-      c_kernels = final.Pass.a_kernels;
+      c_prog = headed;
+      c_kernels = List.map (fun (key, _) -> Hashtbl.find kernels key) keyed;
       c_logs = ctx.Pass.logs;
     },
     trace )

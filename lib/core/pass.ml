@@ -28,10 +28,11 @@ let zero_stats = { s_units = 0; s_stmts = 0; s_instrs = 0; s_vregs = 0; s_regs =
 type ctx = {
   arch : Safara_gpu.Arch.t;
   latency : Safara_gpu.Latency.table;
+  feedback : (Safara_ir.Program.t -> Safara_ir.Region.t -> int) option;
   mutable logs : (string * Safara_transform.Safara.round list) list;
 }
 
-let make_ctx ~arch ~latency = { arch; latency; logs = [] }
+let make_ctx ~arch ~latency = { arch; latency; feedback = None; logs = [] }
 
 type ('a, 'b) t = {
   name : string;

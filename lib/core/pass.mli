@@ -61,10 +61,15 @@ val zero_stats : stats
 type ctx = {
   arch : Safara_gpu.Arch.t;
   latency : Safara_gpu.Latency.table;
+  feedback : (Safara_ir.Program.t -> Safara_ir.Region.t -> int) option;
+      (** SAFARA's register feedback ([None]:
+          {!Safara_transform.Safara.regs_used}); the compiler passes a
+          memoized one *)
   mutable logs : (string * Safara_transform.Safara.round list) list;
 }
 
 val make_ctx : arch:Safara_gpu.Arch.t -> latency:Safara_gpu.Latency.table -> ctx
+(** No feedback override, no logs. *)
 
 type ('a, 'b) t = private {
   name : string;

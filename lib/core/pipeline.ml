@@ -65,7 +65,8 @@ let safara ?override mode =
       let config = safara_config_of ?override ~arch:ctx.Pass.arch mode in
       let prog', logs =
         Safara_transform.Safara.optimize_program ~resolve_first:false ~config
-          ~arch:ctx.Pass.arch ~latency:ctx.Pass.latency prog
+          ?feedback:ctx.Pass.feedback ~arch:ctx.Pass.arch
+          ~latency:ctx.Pass.latency prog
       in
       ctx.Pass.logs <- logs;
       prog')
@@ -129,35 +130,40 @@ type ('a, 'b) seq =
   | Done : ('a, 'a) seq
   | Step : ('a, 'b) Pass.t * ('b, 'c) seq -> ('a, 'c) seq
 
-let build ?safara_config d =
-  let tail =
-    Step
-      ( codegen,
-        Step
-          ( peephole,
-            Step
-              ( copy_prop,
-                Step
-                  ( strength_red,
-                    Step
-                      ( indvar,
-                        Step (memmerge, Step (dce, Step (assemble, Done))) ) )
-              ) ) )
-  in
-  let tail =
+let rec append : type a b c. (a, b) seq -> (b, c) seq -> (a, c) seq =
+ fun s rest -> match s with Done -> rest | Step (p, s') -> Step (p, append s' rest)
+
+let head ?safara_config d =
+  let safara =
     match d.d_safara with
-    | None -> tail
-    | Some mode -> Step (safara ?override:safara_config mode, tail)
+    | None -> Done
+    | Some mode -> Step (safara ?override:safara_config mode, Done)
   in
   Step
     ( strip_clauses ~keep_small:d.d_keep_small ~keep_dim:d.d_keep_dim,
-      Step (resolve_schedules, tail) )
+      Step (resolve_schedules, safara) )
+
+let tail =
+  Step
+    ( codegen,
+      Step
+        ( peephole,
+          Step
+            ( copy_prop,
+              Step
+                ( strength_red,
+                  Step
+                    (indvar, Step (memmerge, Step (dce, Step (assemble, Done))))
+                ) ) ) )
+
+let build ?safara_config d = append (head ?safara_config d) tail
 
 let rec seq_names : type a b. (a, b) seq -> string list = function
   | Done -> []
   | Step (p, rest) -> p.Pass.name :: seq_names rest
 
 let pass_names ?safara_config d = seq_names (build ?safara_config d)
+let tail_names = seq_names tail
 
 (* descriptors, pass lists, SAFARA configs and disable sets are plain
    immutable data, so marshalling them is a faithful content address *)

@@ -21,36 +21,51 @@ let create ?(name = "cache") () =
 
 let name t = t.cname
 
-let find_or_compute t ~key f =
+type 'v claim = Hit of 'v | Owned | Busy
+
+let claim ?(wait = true) t ~key =
   Mutex.lock t.mutex;
   let rec get () =
     match Hashtbl.find_opt t.tbl key with
     | Some (Done v) ->
         t.hits <- t.hits + 1;
-        Mutex.unlock t.mutex;
-        v
-    | Some Pending ->
+        Hit v
+    | Some Pending when wait ->
         Condition.wait t.changed t.mutex;
         get ()
-    | None -> (
+    | Some Pending -> Busy
+    | None ->
         t.misses <- t.misses + 1;
         Hashtbl.replace t.tbl key Pending;
-        Mutex.unlock t.mutex;
-        match f () with
-        | v ->
-            Mutex.lock t.mutex;
-            Hashtbl.replace t.tbl key (Done v);
-            Condition.broadcast t.changed;
-            Mutex.unlock t.mutex;
-            v
-        | exception e ->
-            Mutex.lock t.mutex;
-            Hashtbl.remove t.tbl key;
-            Condition.broadcast t.changed;
-            Mutex.unlock t.mutex;
-            raise e)
+        Owned
   in
-  get ()
+  let c = get () in
+  Mutex.unlock t.mutex;
+  c
+
+let settle t ~key slot =
+  Mutex.lock t.mutex;
+  (match slot with
+  | Some v -> Hashtbl.replace t.tbl key (Done v)
+  | None -> Hashtbl.remove t.tbl key);
+  Condition.broadcast t.changed;
+  Mutex.unlock t.mutex
+
+let fill t ~key v = settle t ~key (Some v)
+let release t ~key = settle t ~key None
+
+let find_or_compute t ~key f =
+  match claim t ~key with
+  | Hit v -> v
+  | Busy -> assert false (* [claim ~wait:true] never reports it *)
+  | Owned -> (
+      match f () with
+      | v ->
+          fill t ~key v;
+          v
+      | exception e ->
+          release t ~key;
+          raise e)
 
 (* the mutex must be released even when [f] raises, or the first
    exception would wedge every later cache operation *)

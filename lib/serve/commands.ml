@@ -290,6 +290,15 @@ let stats_json eng =
         Obj
           [ ("hits", int s.Eval.st_sim_hits);
             ("misses", int s.Eval.st_sim_misses) ]);
+       ("region_cache",
+        Obj
+          (List.map
+             (fun (name, hits, misses) ->
+               (name, Obj [ ("hits", int hits); ("misses", int misses) ]))
+             [ ("tail", s.Eval.st_tail_hits, s.Eval.st_tail_misses);
+               ("feedback", s.Eval.st_feedback_hits, s.Eval.st_feedback_misses);
+               ("front_end", s.Eval.st_front_end_hits,
+                s.Eval.st_front_end_misses) ]));
        ("compile_s", num s.Eval.st_compile_s);
        ("sim_s", num s.Eval.st_sim_s);
        ("passes",

@@ -38,6 +38,8 @@ type t = {
   tc : Safara_sim.Launch.program_time Cache.t;  (** timing-sim cache *)
   fc : sim_result Cache.t;  (** functional-sim cache *)
   ak : string Cache.t;  (** compile key → artifact key *)
+  memo : C.memo;  (** per-region tail output and SAFARA feedback *)
+  fe : Safara_ir.Program.t Cache.t;  (** (source, unroll) → front-end IR *)
   lock : Mutex.t;
   mutable image : image option;
       (** the most recent input image, under [lock]; never written *)
@@ -57,6 +59,8 @@ let create ?jobs ?store () =
     tc = Cache.create ~name:"simulate" ();
     fc = Cache.create ~name:"functional" ();
     ak = Cache.create ~name:"artifact" ();
+    memo = C.memo ();
+    fe = Cache.create ~name:"front end" ();
     lock = Mutex.create ();
     image = None;
     compile_s = 0.;
@@ -217,21 +221,26 @@ let compile_and_record t ~arch ?safara_config ~disable profile prog =
     { Safara_core.Pipeline.default_options with
       Safara_core.Pipeline.o_disable = disable }
   in
-  let c, trace = C.compile_with ~arch ?safara_config ~options profile prog in
+  let c, trace =
+    C.compile_with ~arch ?safara_config ~options ~memo:t.memo profile prog
+  in
   record_trace t trace;
   c
+
+(* the front end reads the source and the unroll factor, nothing else *)
+let front_end t src unroll =
+  Cache.find_or_compute t.fe ~key:(digest_of (src, unroll)) (fun () ->
+      let prog = Safara_lang.Frontend.compile src in
+      match unroll with
+      | None -> prog
+      | Some factor -> Safara_transform.Unroll.unroll_program ~factor prog)
 
 let compiled_at t j ck =
   through t t.cc ~kind:"compile" ~key:ck ~check:verified (fun () ->
       timed t `Compile (fun () ->
-          let prog = Safara_lang.Frontend.compile j.jw.Workload.source in
-          let prog =
-            match j.junroll with
-            | None -> prog
-            | Some factor -> Safara_transform.Unroll.unroll_program ~factor prog
-          in
           compile_and_record t ~arch:j.jarch ?safara_config:j.jconfig
-            ~disable:j.jdisable j.jp prog))
+            ~disable:j.jdisable j.jp
+            (front_end t j.jw.Workload.source j.junroll)))
 
 let compiled t j = compiled_at t j (ckey j)
 
@@ -244,7 +253,7 @@ let compile_src t ?(arch = Safara_gpu.Arch.default) ?safara_config
   through t t.cc ~kind:"compile" ~key ~check:verified (fun () ->
       timed t `Compile (fun () ->
           compile_and_record t ~arch ?safara_config ~disable profile
-            (Safara_lang.Frontend.compile src)))
+            (front_end t src None)))
 
 (* The pristine input image of [c] on [w]. Timing reads it directly —
    [Launch.time_kernel] copies memory per kernel — so the engine keeps
@@ -354,6 +363,12 @@ type stats = {
   st_compile_misses : int;
   st_sim_hits : int;
   st_sim_misses : int;
+  st_tail_hits : int;
+  st_tail_misses : int;
+  st_feedback_hits : int;
+  st_feedback_misses : int;
+  st_front_end_hits : int;
+  st_front_end_misses : int;
   st_compile_s : float;
   st_sim_s : float;
   st_pass_s : (string * int * float) list;
@@ -376,6 +391,12 @@ let stats t =
     st_compile_misses = Cache.misses t.cc;
     st_sim_hits = Cache.hits t.tc;
     st_sim_misses = Cache.misses t.tc;
+    st_tail_hits = Cache.hits t.memo.C.m_tail;
+    st_tail_misses = Cache.misses t.memo.C.m_tail;
+    st_feedback_hits = Cache.hits t.memo.C.m_feedback;
+    st_feedback_misses = Cache.misses t.memo.C.m_feedback;
+    st_front_end_hits = Cache.hits t.fe;
+    st_front_end_misses = Cache.misses t.fe;
     st_compile_s = compile_s;
     st_sim_s = sim_s;
     st_pass_s = pass_s;
@@ -404,6 +425,12 @@ let render_stats t =
   Buffer.add_string b
     (Printf.sprintf "  sim cache:     %d hits / %d misses\n" s.st_sim_hits
        s.st_sim_misses);
+  Buffer.add_string b
+    (Printf.sprintf
+       "  region cache:  tail %d hits / %d misses, feedback %d / %d, front \
+        end %d / %d\n"
+       s.st_tail_hits s.st_tail_misses s.st_feedback_hits s.st_feedback_misses
+       s.st_front_end_hits s.st_front_end_misses);
   (match s.st_store with
   | None -> ()
   | Some st ->

@@ -12,9 +12,18 @@
     on one workload input — simulates exactly once, no matter how many
     figures or search points reference it.
 
+    Below the compile cache, a miss shares work with every other
+    compile of the engine's lifetime: the front end runs once per
+    (source, unroll), and a {!Safara_core.Compiler.memo} runs the
+    codegen → assemble tail, and SAFARA's register feedback, once per
+    region key — what those stages read of a region's compile
+    (see {!Safara_core.Compiler.memo}). These are memory-only and
+    never layered on the store.
+
     Sharing discipline: cached values — {!Safara_core.Compiler.compiled}
     artifacts and {!Safara_sim.Launch.program_time} records — are
-    immutable. The one piece of mutable state the engine keeps is the
+    immutable, and so are the region memo's kernels, which artifacts
+    share physically. The one piece of mutable state the engine keeps is the
     most recent pristine input image ({!image}), which nothing writes:
     timing copies memory per kernel, and a functional run copies the
     image before it starts. All other simulator memory is created
@@ -150,11 +159,21 @@ type stats = {
   st_compile_misses : int;
   st_sim_hits : int;
   st_sim_misses : int;
+  st_tail_hits : int;
+      (** regions whose tail output a compile-cache miss reused *)
+  st_tail_misses : int;  (** regions the tail compiled *)
+  st_feedback_hits : int;  (** SAFARA feedback measurements reused *)
+  st_feedback_misses : int;  (** SAFARA feedback measurements run *)
+  st_front_end_hits : int;
+  st_front_end_misses : int;  (** parse → lower (→ unroll) runs *)
   st_compile_s : float;  (** wall-clock spent in compile misses *)
   st_sim_s : float;  (** wall-clock spent in simulation misses *)
   st_pass_s : (string * int * float) list;
       (** per-pipeline-pass (name, runs, cumulative seconds) across
-          every compile-cache miss, sorted by name *)
+          every compile-cache miss, sorted by name. A tail pass's runs
+          count tail executions: one per compile, over only the
+          regions the region memo lacked (possibly none), so its
+          seconds cover those regions alone *)
   st_wall_s : float;  (** wall-clock since [create] *)
   st_store : Safara_engine.Store.stats option;
       (** persistent-store counters when the engine has one: disk

@@ -58,12 +58,13 @@ let select budget cands =
   in
   go budget [] 0 cands
 
-let optimize_region ?config ~arch ~latency prog region =
+let optimize_region ?config ?feedback ~arch ~latency prog region =
   let config = Option.value config ~default:(default_config ~arch) in
+  let feedback = Option.value feedback ~default:(regs_used ~arch) in
   let rec loop region rounds round_index =
     if round_index > config.max_rounds then (region, List.rev rounds)
     else
-      let used = if config.use_feedback then regs_used ~arch prog region else 0 in
+      let used = if config.use_feedback then feedback prog region else 0 in
       let available =
         if config.use_feedback then config.reg_cap - used
         else config.assumed_free_regs
@@ -93,7 +94,8 @@ let optimize_region ?config ~arch ~latency prog region =
   in
   loop region [] 1
 
-let optimize_program ?config ?(resolve_first = true) ~arch ~latency prog =
+let optimize_program ?config ?feedback ?(resolve_first = true) ~arch ~latency
+    prog =
   Scalar_replacement.reset_fresh ();
   let prog =
     if resolve_first then Safara_analysis.Schedule.resolve_program prog
@@ -103,7 +105,7 @@ let optimize_program ?config ?(resolve_first = true) ~arch ~latency prog =
   let regions =
     List.map
       (fun r ->
-        let r', rounds = optimize_region ?config ~arch ~latency prog r in
+        let r', rounds = optimize_region ?config ?feedback ~arch ~latency prog r in
         logs := (r.Safara_ir.Region.rname, rounds) :: !logs;
         r')
       prog.Safara_ir.Program.regions

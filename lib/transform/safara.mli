@@ -37,18 +37,29 @@ type round = {
   skipped : int;  (** candidates that did not fit this round *)
 }
 
+val regs_used :
+  arch:Safara_gpu.Arch.t -> Safara_ir.Program.t -> Safara_ir.Region.t -> int
+(** The feedback measurement: the registers ptxas reports for the
+    region compiled with codegen and the peephole only, then
+    assembled. *)
+
 val optimize_region :
   ?config:config ->
+  ?feedback:(Safara_ir.Program.t -> Safara_ir.Region.t -> int) ->
   arch:Safara_gpu.Arch.t ->
   latency:Safara_gpu.Latency.table ->
   Safara_ir.Program.t ->
   Safara_ir.Region.t ->
   Safara_ir.Region.t * round list
 (** The region must be schedule-resolved. Returns the transformed
-    region and the per-round log (empty when nothing was applied). *)
+    region and the per-round log (empty when nothing was applied).
+    [feedback] (default {!regs_used}[ ~arch]) measures the registers a
+    candidate region uses at the start of each round; a caller may
+    pass a memoized one, which must return what {!regs_used} would. *)
 
 val optimize_program :
   ?config:config ->
+  ?feedback:(Safara_ir.Program.t -> Safara_ir.Region.t -> int) ->
   ?resolve_first:bool ->
   arch:Safara_gpu.Arch.t ->
   latency:Safara_gpu.Latency.table ->
@@ -57,6 +68,7 @@ val optimize_program :
 (** Schedule-resolves, then optimizes every region. Pass
     [~resolve_first:false] when the program is already resolved
     (resolution is idempotent, so this is purely a saving — the staged
-    pipeline runs resolution as its own pass). *)
+    pipeline runs resolution as its own pass). [feedback] is passed
+    to every {!optimize_region}. *)
 
 val pp_round : Format.formatter -> round -> unit

@@ -211,6 +211,28 @@ let test_cache_failure_retries () =
   Alcotest.(check int) "second attempt ran" 2 !attempts;
   Alcotest.(check int) "and succeeded" 42 v
 
+(* the batch protocol find_or_compute is built from: a claimed key
+   reads busy to a non-waiting claimant until it is settled *)
+let test_cache_claim () =
+  let cache = Cache.create () in
+  let expect what want got =
+    let show = function
+      | Cache.Hit v -> "hit " ^ string_of_int v
+      | Cache.Owned -> "owned"
+      | Cache.Busy -> "busy"
+    in
+    Alcotest.(check string) what want (show got)
+  in
+  expect "first claim owns" "owned" (Cache.claim cache ~key:"k");
+  expect "in flight reads busy" "busy" (Cache.claim ~wait:false cache ~key:"k");
+  Cache.release cache ~key:"k";
+  expect "a released key is claimable" "owned"
+    (Cache.claim ~wait:false cache ~key:"k");
+  Cache.fill cache ~key:"k" 7;
+  expect "a filled key hits" "hit 7" (Cache.claim ~wait:false cache ~key:"k");
+  Alcotest.(check (pair int int)) "hits, misses" (1, 2)
+    (Cache.hits cache, Cache.misses cache)
+
 let test_compile_cache_physical_equality () =
   let eng = Eval.create ~jobs:1 () in
   let w = Registry.find "303.ostencil" in
@@ -312,6 +334,154 @@ let test_dedup_matches_fresh () =
   Alcotest.(check bool) "the shared engine deduplicated" true
     (s.Eval.st_sim_misses < 4 * List.length tune_points)
 
+(* --- region memo soundness -------------------------------------------- *)
+
+(* a compile that shares nothing: front end, optional unroll, and
+   [C.compile] with no memo passed, so every region misses *)
+let memoless ?(arch = Arch.default) ?safara_config ?unroll ?(disable = []) p
+    (w : Workload.t) =
+  let prog = Safara_lang.Frontend.compile w.Workload.source in
+  let prog =
+    match unroll with
+    | None -> prog
+    | Some factor -> Safara_transform.Unroll.unroll_program ~factor prog
+  in
+  let options =
+    { Safara_core.Pipeline.default_options with
+      Safara_core.Pipeline.o_disable = disable }
+  in
+  C.compile ~arch ?safara_config ~options p prog
+
+let same_compile (a : C.compiled) (b : C.compiled) =
+  a.C.c_prog = b.C.c_prog && a.C.c_kernels = b.C.c_kernels
+  && a.C.c_logs = b.C.c_logs
+
+(* every tune point of two workloads on two archs, compiled on one
+   engine whose region memo spans them all, equals the point compiled
+   alone *)
+let test_memo_grid_matches_memoless () =
+  let shared = Eval.create ~jobs:1 () in
+  let differ =
+    List.concat_map
+      (fun id ->
+        let w = Registry.find id in
+        List.concat_map
+          (fun arch ->
+            List.filter_map
+              (fun (pt : Tune.point) ->
+                let c = Eval.compiled shared (Tune.job ~arch w pt) in
+                let alone =
+                  memoless ~arch
+                    ?safara_config:(Tune.config_of arch pt.Tune.pt_config)
+                    ~unroll:pt.Tune.pt_unroll C.Full w
+                in
+                if same_compile c alone then None
+                else
+                  Some
+                    (Printf.sprintf "%s on %s: %s unroll %d" id arch.Arch.key
+                       pt.Tune.pt_config pt.Tune.pt_unroll))
+              tune_points)
+          [ Arch.of_name "kepler"; Arch.of_name "fermi" ])
+      [ "303.ostencil"; "304.olbm" ]
+  in
+  let s = Eval.stats shared in
+  Eval.shutdown shared;
+  Alcotest.(check (list string)) "points that differ when shared" [] differ;
+  Alcotest.(check bool) "tail outputs were reused" true (s.Eval.st_tail_hits > 0);
+  Alcotest.(check bool) "feedback was reused" true
+    (s.Eval.st_feedback_hits > 0)
+
+(* every registry workload under every profile, with and without
+   indvar, on one engine *)
+let test_memo_registry_matches_memoless () =
+  let shared = Eval.create ~jobs:1 () in
+  let arch = Arch.of_name "kepler" in
+  let differ =
+    List.concat_map
+      (fun (w : Workload.t) ->
+        List.concat_map
+          (fun disable ->
+            List.filter_map
+              (fun p ->
+                let c = Eval.compiled shared (Eval.job ~arch ~disable p w) in
+                if same_compile c (memoless ~arch ~disable p w) then None
+                else
+                  Some
+                    (Printf.sprintf "%s %s disable=[%s]" w.Workload.id
+                       (C.profile_name p) (String.concat "," disable)))
+              C.all_profiles)
+          [ []; [ "indvar" ] ])
+      Registry.all
+  in
+  Eval.shutdown shared;
+  Alcotest.(check (list string)) "compiles that differ when shared" [] differ
+
+(* the disable set is part of the region key: one engine compiling
+   with and without indvar keeps the two apart *)
+let test_memo_disable_isolation () =
+  let kernels eng disable (w : Workload.t) =
+    (Eval.compiled eng (Eval.job ~disable C.Full w)).C.c_kernels
+  in
+  let ws = List.map Registry.find [ "303.ostencil"; "304.olbm"; "352.ep" ] in
+  let shared = Eval.create ~jobs:1 () in
+  let both =
+    List.map
+      (fun w -> (kernels shared [ "indvar" ] w, kernels shared [] w))
+      ws
+  in
+  Eval.shutdown shared;
+  let apart disable =
+    let eng = Eval.create ~jobs:1 () in
+    let ks = List.map (kernels eng disable) ws in
+    Eval.shutdown eng;
+    ks
+  in
+  let off = apart [ "indvar" ] and on = apart [] in
+  Alcotest.(check bool) "indvar changes some kernel" true (off <> on);
+  Alcotest.(check bool) "without indvar: as on a fresh engine" true
+    (List.map fst both = off);
+  Alcotest.(check bool) "with indvar: as on a fresh engine" true
+    (List.map snd both = on)
+
+(* the array table and the parameters are part of the region key: two
+   programs whose regions are equal but whose declarations differ must
+   not share kernels *)
+let test_memo_declarations_in_key () =
+  let src ~param ~elem =
+    Printf.sprintf
+      {|
+param %s n;
+%s a[n];
+in %s b[n];
+
+#pragma acc kernels name(k)
+{
+  #pragma acc loop gang vector(128)
+  for (i = 1; i <= n - 2; i++) {
+    a[i] = b[i - 1] + b[i + 1];
+  }
+}
+|}
+      param elem elem
+  in
+  let srcs =
+    [ src ~param:"int" ~elem:"double"; src ~param:"int" ~elem:"float";
+      src ~param:"long" ~elem:"double" ]
+  in
+  let shared = Eval.create ~jobs:1 () in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun s ->
+          let c = Eval.compile_src shared p s in
+          let alone = C.compile p (Safara_lang.Frontend.compile s) in
+          Alcotest.(check bool)
+            (C.profile_name p ^ ": shared = alone")
+            true (same_compile c alone))
+        srcs)
+    C.all_profiles;
+  Eval.shutdown shared
+
 (* the memoized input image serves a whole search and is never
    written: afterwards it still equals a freshly prepared one *)
 let test_image_untouched () =
@@ -411,11 +581,20 @@ let suite =
       test_cache_computes_once;
     Alcotest.test_case "cache: failed compute retries" `Quick
       test_cache_failure_retries;
+    Alcotest.test_case "cache: claim, release, fill" `Quick test_cache_claim;
     Alcotest.test_case "cache: compiled artifacts physically shared" `Quick
       test_compile_cache_physical_equality;
     Alcotest.test_case "cache: simulation deduplicated" `Quick test_sim_dedup;
     Alcotest.test_case "dedup: shared engine = fresh engine per point" `Slow
       test_dedup_matches_fresh;
+    Alcotest.test_case "memo: shared engine = memo-less compile per point"
+      `Slow test_memo_grid_matches_memoless;
+    Alcotest.test_case "memo: registry x profiles x indvar = memo-less" `Slow
+      test_memo_registry_matches_memoless;
+    Alcotest.test_case "memo: disable sets kept apart" `Quick
+      test_memo_disable_isolation;
+    Alcotest.test_case "memo: declarations in the region key" `Quick
+      test_memo_declarations_in_key;
     Alcotest.test_case "dedup: input image never written" `Quick
       test_image_untouched;
     Alcotest.test_case "determinism: table1 -j1 = -j4" `Quick

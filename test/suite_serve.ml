@@ -474,7 +474,19 @@ let test_daemon_concurrent_dedup () =
               in
               (* N identical concurrent requests, one cold compute:
                  everyone else waited on the in-flight cache slot *)
-              Alcotest.(check int) "one compile miss for 8 clients" 1 misses))
+              Alcotest.(check int) "one compile miss for 8 clients" 1 misses;
+              (* below it, the one compile ran the front end once and
+                 the tail on every region, reusing nothing *)
+              let region cache field =
+                Serve.Sjson.(
+                  to_int
+                    (member field (member cache (member "region_cache" stats))))
+              in
+              Alcotest.(check (pair int int)) "front end: 0 hits, 1 miss"
+                (0, 1)
+                (region "front_end" "hits", region "front_end" "misses");
+              Alcotest.(check bool) "tail: no hits, some misses" true
+                (region "tail" "hits" = 0 && region "tail" "misses" > 0)))
 
 (* --- SIGTERM shutdown of the real binary -------------------------------- *)
 
