@@ -9,8 +9,9 @@
     front-end IR, key digests — and that nothing mutable
     (simulator memory, register files) is ever stored here. Mutable
     state stays per-job; the one exception outside any cache is the
-    evaluation engine's single pristine input image, which is shared
-    read-only and never written (every writer works on a copy).
+    evaluation engine's per-domain input images. Timing writes one in
+    place and restores it through an undo journal, and an image is
+    used by one thread at a time; a functional run works on a copy.
 
     A computation that raises clears its marker so a later requester
     can retry; waiters blocked on the failed slot retry the compute

@@ -221,8 +221,11 @@ let add_counters ~into (c : counters) =
    so per-cell store sequences — and therefore final memory — are
    identical by disjointness, and the integer counter sums are
    identical because addition is associative and commutative (they are
-   still merged in chunk order for good measure). *)
+   still merged in chunk order for good measure). An undo journal is
+   single-domain, so a fan-out under one is refused. *)
 let run_kernel_par ~counters ~prog ~env ~grid ~pool (k : K.t) =
+  if Memory.undo_active env.mem then
+    invalid_arg "Interp.run_kernel: no block-parallel launch under an undo journal";
   let th = Threaded.of_kernel k in
   let d = Threaded.decoded th in
   let n = Array.length d.Decode.d_ops in

@@ -66,6 +66,9 @@ val run_kernel :
     order); anything unprovable falls back to the sequential engine.
     [verdict] supplies a precomputed {!Blockpar.analyze} result so
     repeated launches skip the analysis.
+    @raise Invalid_argument when a launch would fan out while a
+    {!Memory.with_undo} journal is active on [env.mem]: the journal
+    is not synchronized across domains.
     @raise Failure when the step budget is exceeded (a guard against
     non-terminating generated code) or a parameter is unbound.
     @raise Decode.Error on a branch to an unknown label — detected

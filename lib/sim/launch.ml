@@ -97,10 +97,10 @@ let time_kernel ~arch ~latency ~prog ~env ~report (k : K.t) =
       (max 1 occ.Safara_gpu.Occupancy.blocks_per_sm)
       (max 1 (cdiv total_blocks arch.Safara_gpu.Arch.num_sms))
   in
-  let scratch = { env with Interp.mem = Memory.copy env.Interp.mem } in
   let stats =
-    Timing.simulate_resident_set ~arch ~latency ~prog ~env:scratch ~grid
-      ~blocks_per_sm k
+    Memory.with_undo env.Interp.mem (fun () ->
+        Timing.simulate_resident_set ~arch ~latency ~prog ~env ~grid
+          ~blocks_per_sm k)
   in
   let capacity = blocks_per_sm * arch.Safara_gpu.Arch.num_sms in
   let waves = max 1 (cdiv total_blocks capacity) in

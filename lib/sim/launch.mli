@@ -63,7 +63,13 @@ val time_kernel :
   report:Safara_ptxas.Assemble.report ->
   Safara_vir.Kernel.t ->
   kernel_time
-(** Times one kernel on a scratch copy of memory. *)
+(** Times one kernel. The resident set runs directly on [env.mem]
+    under a {!Memory.with_undo} journal, so [env] is restored bit for
+    bit before the call returns or raises. No other domain or thread
+    may touch [env.mem] during the call: it holds the kernel's
+    transient writes.
+    @raise Invalid_argument if a journal is already active on
+    [env.mem]. *)
 
 val time_program :
   arch:Safara_gpu.Arch.t ->
@@ -72,5 +78,7 @@ val time_program :
   env:Interp.env ->
   (Safara_vir.Kernel.t * Safara_ptxas.Assemble.report) list ->
   program_time
+(** Times each kernel with {!time_kernel}, each on the same
+    unchanged [env]. *)
 
 val pp_kernel_time : Format.formatter -> kernel_time -> unit

@@ -22,12 +22,27 @@ type alloc = {
    cursors are per-[t] mutable state. [t] itself is the root view;
    [view] derives further lightweight views over the same store so
    concurrent thread-blocks each stream through a private cursor pair
-   instead of racing (and cache-thrashing) on a shared one. *)
+   instead of racing (and cache-thrashing) on a shared one. The undo
+   journal lives in the store too, so writes through any view are
+   journaled. *)
 type store = {
   mutable allocs : alloc array;  (** first [n] slots used, base-ascending *)
   mutable n : int;
   index : (string, int) Hashtbl.t;  (** name → slot *)
   mutable next : int;
+  mutable undo : bool;  (** a {!with_undo} journal is recording *)
+  j : journal;
+}
+
+(* The undo journal: entry [i] is the cell at slot [j_at.(2i)], index
+   [j_at.(2i+1)], with its old value in [j_fold.(i)] or [j_iold.(i)]
+   by payload kind, in write order. The buffers are kept for the next
+   journal. *)
+and journal = {
+  mutable j_at : int array;
+  mutable j_fold : float array;
+  mutable j_iold : int array;
+  mutable j_len : int;
 }
 
 type t = {
@@ -38,9 +53,13 @@ type t = {
 
 let dummy = { a_base = 0; a_bytes = 0; a_elem = 1; a_shift = 0; a_payload = I [||] }
 
+let journal () = { j_at = [||]; j_fold = [||]; j_iold = [||]; j_len = 0 }
+
 let create () =
   {
-    s = { allocs = [||]; n = 0; index = Hashtbl.create 16; next = 0x10000 };
+    s =
+      { allocs = [||]; n = 0; index = Hashtbl.create 16; next = 0x10000;
+        undo = false; j = journal () };
     last = -1;
     last2 = -1;
   }
@@ -130,6 +149,49 @@ let find_idx t addr =
 
 let find_by_addr t addr = t.s.allocs.(find_idx t addr)
 
+(* --- undo journal ------------------------------------------------------ *)
+(* Every write path costs one branch on [s.undo]; only while a journal
+   records does it push the cell's old value, out of line. [idx] is in
+   bounds: each caller has resolved [addr] inside slot [slot]. *)
+
+let[@inline never] note s slot idx =
+  let j = s.j in
+  let n = j.j_len in
+  if n = Array.length j.j_iold then begin
+    let cap = max 64 (2 * n) in
+    let grow a len zero = Array.append a (Array.make (len - Array.length a) zero) in
+    j.j_at <- grow j.j_at (2 * cap) 0;
+    j.j_fold <- grow j.j_fold cap 0.;
+    j.j_iold <- grow j.j_iold cap 0
+  end;
+  j.j_at.(2 * n) <- slot;
+  j.j_at.((2 * n) + 1) <- idx;
+  (match s.allocs.(slot).a_payload with
+  | F data -> j.j_fold.(n) <- Array.unsafe_get data idx
+  | I data -> j.j_iold.(n) <- Array.unsafe_get data idx);
+  j.j_len <- n + 1
+
+(* newest first, so a cell written twice ends at its oldest value *)
+let rollback s =
+  let j = s.j in
+  for i = j.j_len - 1 downto 0 do
+    let idx = j.j_at.((2 * i) + 1) in
+    match s.allocs.(j.j_at.(2 * i)).a_payload with
+    | F data -> data.(idx) <- j.j_fold.(i)
+    | I data -> data.(idx) <- j.j_iold.(i)
+  done;
+  j.j_len <- 0
+
+let with_undo t f =
+  let s = t.s in
+  if s.undo then invalid_arg "Memory.with_undo: a journal is already active";
+  s.undo <- true;
+  Fun.protect f ~finally:(fun () ->
+      s.undo <- false;
+      rollback s)
+
+let undo_active t = t.s.undo
+
 let load t ~addr =
   let a = find_by_addr t addr in
   let idx = (addr - a.a_base) / a.a_elem in
@@ -138,8 +200,11 @@ let load t ~addr =
   | I data -> Value.I data.(idx)
 
 let store t ~addr v =
-  let a = find_by_addr t addr in
+  let s = t.s in
+  let slot = find_idx t addr in
+  let a = s.allocs.(slot) in
   let idx = (addr - a.a_base) / a.a_elem in
+  if s.undo then note s slot idx;
   match a.a_payload with
   | F data -> data.(idx) <- Value.to_float v
   | I data -> data.(idx) <- Value.to_int v
@@ -180,15 +245,19 @@ let[@inline] load_int_slot t ~slot ~addr =
   | I data -> Array.unsafe_get data idx
 
 let[@inline] store_float_slot t ~slot ~addr f =
-  let a = Array.unsafe_get t.s.allocs slot in
+  let s = t.s in
+  let a = Array.unsafe_get s.allocs slot in
   let idx = (addr - a.a_base) lsr a.a_shift in
+  if s.undo then note s slot idx;
   match a.a_payload with
   | F data -> Array.unsafe_set data idx f
   | I data -> Array.unsafe_set data idx (int_of_float f)
 
 let[@inline] store_int_slot t ~slot ~addr n =
-  let a = Array.unsafe_get t.s.allocs slot in
+  let s = t.s in
+  let a = Array.unsafe_get s.allocs slot in
   let idx = (addr - a.a_base) lsr a.a_shift in
+  if s.undo then note s slot idx;
   match a.a_payload with
   | F data -> Array.unsafe_set data idx (float_of_int n)
   | I data -> Array.unsafe_set data idx n
@@ -221,6 +290,8 @@ let copy t =
         n = t.s.n;
         index = Hashtbl.copy t.s.index;
         next = t.s.next;
+        undo = false;
+        j = journal ();
       };
     last = t.last;
     last2 = t.last2;

@@ -49,7 +49,8 @@ val rmw : t -> addr:int -> (Value.t -> Value.t) -> unit
     index of the allocation it last touched — revalidated with one
     range check. Slot indices are stable across {!view}s and
     {!copy}s, so a site cursor survives chunks, launches and
-    measurement repetitions. *)
+    measurement repetitions. The two stores are journaled like
+    {!store} (see {!with_undo}). *)
 
 val find_slot : t -> addr:int -> int
 (** Slot index of the allocation containing [addr].
@@ -76,7 +77,30 @@ val float_data : t -> string -> float array
 val int_data : t -> string -> int array
 
 val copy : t -> t
-(** Deep copy (timing runs mutate memory; copies isolate them). *)
+(** Deep copy, with no journal active. A functional run writes its
+    results into memory for checking, so it runs on a copy when the
+    original must stay pristine. *)
+
+(** {2 Undo journal} *)
+
+val with_undo : t -> (unit -> 'a) -> 'a
+(** [with_undo t f] runs [f ()] while journaling every cell written
+    through {!store}, {!rmw}, {!store_float_slot} or {!store_int_slot}
+    (payload, cell index and old value), then restores the journaled
+    cells newest-first, bit for bit, whether [f] returns or raises.
+    Memory is therefore unchanged after the call, unless [f] wrote
+    through the arrays {!float_data} and {!int_data} return, which
+    bypass the journal. The journal lives in
+    the shared allocation table, so writes through any {!view} of [t]
+    are journaled too. It is not synchronized: while it records, only
+    one domain may write the memory (see {!undo_active}). Each write
+    pays one branch when no journal is active. This is how a timed run
+    leaves its input image as it found it without copying it.
+    @raise Invalid_argument if a journal is already active on [t]'s
+    memory (no nesting). *)
+
+val undo_active : t -> bool
+(** Whether a {!with_undo} journal is recording on [t]'s memory. *)
 
 val checksum : t -> string -> float
 (** Order-independent digest of an array's contents, for golden

@@ -43,6 +43,76 @@ let lane0_coords ~bx ~by ~warp_size w =
   let lin = w * warp_size in
   (lin mod bx, lin / bx mod by, lin / (bx * by))
 
+(* --- cache model: recency windows over 128-byte segments --------------
+   A segment re-touched within the last [l1_segments] distinct touches
+   hits the per-SMX read-only/L1 path; within [l2_segments] (this SM's
+   share of L2) it hits L2; otherwise it goes to DRAM. This is what
+   makes re-loading a value fetched one iteration ago cheap on real
+   hardware — and therefore what limits the benefit of replacing
+   coalesced re-loads with registers (paper Fig 7). Both engines
+   share it. *)
+
+type tier = L1 | L2 | Dram
+
+let tier_index = function L1 -> 0 | L2 -> 1 | Dram -> 2
+let tier_pipe_factor = function L1 -> 0.1 | L2 -> 0.25 | Dram -> 1.0
+
+(* Segment numbers are dense small integers, so they hash to
+   themselves: consecutive segments land in consecutive buckets, with
+   no call into the runtime's generic hash. *)
+module Segs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (seg : int) = seg land max_int
+end)
+
+(* A fresh cache for one resident set, as the function
+   [touch_tier ~ro addr]: it records a touch of [addr]'s segment and
+   returns the tier that served it. *)
+let cache_model (arch : Safara_gpu.Arch.t) =
+  let seg_bytes = arch.Safara_gpu.Arch.mem_segment_bytes in
+  let l1_segments = max 16 (arch.Safara_gpu.Arch.read_only_cache_bytes / seg_bytes) in
+  let l2_segments =
+    max l1_segments
+      (arch.Safara_gpu.Arch.l2_bytes / seg_bytes / max 1 arch.Safara_gpu.Arch.num_sms)
+  in
+  let seg_last = Segs.create 4096 in
+  let seg_clock = ref 0 in
+  fun ~ro addr ->
+    let seg = addr / seg_bytes in
+    let age =
+      match Segs.find seg_last seg with
+      | t -> !seg_clock - t
+      | exception Not_found -> max_int
+    in
+    incr seg_clock;
+    Segs.replace seg_last seg !seg_clock;
+    if age < l1_segments && ro then L1
+    else if age < l2_segments then L2
+    else Dram
+
+(* transactions one warp-wide access of [mem] generates *)
+let txns (arch : Safara_gpu.Arch.t) (mem : I.mem) =
+  M.transactions ~warp_size:arch.Safara_gpu.Arch.warp_size
+    ~elem_bytes:mem.I.m_bytes
+    ~segment_bytes:arch.Safara_gpu.Arch.mem_segment_bytes mem.I.m_access
+
+let tier_latency arch (latency : Safara_gpu.Latency.table) (mem : I.mem) tier =
+  let base =
+    match (tier, mem.I.m_space) with
+    | _, M.Local -> latency.Safara_gpu.Latency.local_latency
+    | _, M.Shared -> latency.Safara_gpu.Latency.shared_latency
+    | _, (M.Constant | M.Param) ->
+        Safara_gpu.Latency.memory_latency latency mem.I.m_space mem.I.m_access
+    | L1, M.Read_only -> latency.Safara_gpu.Latency.read_only_latency
+    | L1, _ | L2, _ -> latency.Safara_gpu.Latency.l2_hit_latency
+    | Dram, _ -> latency.Safara_gpu.Latency.global_latency
+  in
+  float_of_int
+    (base
+    + (latency.Safara_gpu.Latency.extra_cycles_per_transaction * (txns arch mem - 1)))
+
 (* --- boxed reference engine ------------------------------------------ *)
 (* The original per-instruction walker with an O(warps) scheduler scan,
    kept as the oracle for the differential suite and the [bench sim]
@@ -105,55 +175,9 @@ let simulate_resident_set_ref ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
   let instructions = ref 0 in
   let transactions = ref 0 in
   let issue_stall = ref 0. in
-  let elem_bytes (mem : I.mem) = mem.I.m_bytes in
-  let txns (mem : I.mem) =
-    M.transactions ~warp_size ~elem_bytes:(elem_bytes mem)
-      ~segment_bytes:arch.Safara_gpu.Arch.mem_segment_bytes mem.I.m_access
-  in
-  (* --- cache model: recency windows over 128-byte segments ----------
-     A segment re-touched within the last [l1_segments] distinct
-     touches hits the per-SMX read-only/L1 path; within [l2_segments]
-     (this SM's share of L2) it hits L2; otherwise it goes to DRAM.
-     This is what makes re-loading a value fetched one iteration ago
-     cheap on real hardware — and therefore what limits the benefit of
-     replacing coalesced re-loads with registers (paper Fig 7). *)
-  let seg_bytes = arch.Safara_gpu.Arch.mem_segment_bytes in
-  let l1_segments = max 16 (arch.Safara_gpu.Arch.read_only_cache_bytes / seg_bytes) in
-  let l2_segments =
-    max l1_segments
-      (arch.Safara_gpu.Arch.l2_bytes / seg_bytes / max 1 arch.Safara_gpu.Arch.num_sms)
-  in
-  let seg_last : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let seg_clock = ref 0 in
-  let touch_tier ~ro addr =
-    let seg = addr / seg_bytes in
-    let age =
-      match Hashtbl.find_opt seg_last seg with
-      | None -> max_int
-      | Some t -> !seg_clock - t
-    in
-    incr seg_clock;
-    Hashtbl.replace seg_last seg !seg_clock;
-    if age < l1_segments && ro then `L1
-    else if age < l2_segments then `L2
-    else `Dram
-  in
-  let tier_latency (mem : I.mem) tier =
-    let base =
-      match (tier, mem.I.m_space) with
-      | _, M.Local -> latency.Safara_gpu.Latency.local_latency
-      | _, M.Shared -> latency.Safara_gpu.Latency.shared_latency
-      | _, (M.Constant | M.Param) ->
-          Safara_gpu.Latency.memory_latency latency mem.I.m_space mem.I.m_access
-      | `L1, M.Read_only -> latency.Safara_gpu.Latency.read_only_latency
-      | `L1, _ | `L2, _ -> latency.Safara_gpu.Latency.l2_hit_latency
-      | `Dram, _ -> latency.Safara_gpu.Latency.global_latency
-    in
-    let n = txns mem in
-    float_of_int
-      (base + (latency.Safara_gpu.Latency.extra_cycles_per_transaction * (n - 1)))
-  in
-  let tier_pipe_factor = function `L1 -> 0.1 | `L2 -> 0.25 | `Dram -> 1.0 in
+  let txns = txns arch in
+  let touch_tier = cache_model arch in
+  let tier_latency = tier_latency arch latency in
   (* one simulation step for warp [w]: execute its next instruction *)
   let step (w : warp) =
     let instr = code.(w.w_pc) in
@@ -184,7 +208,7 @@ let simulate_resident_set_ref ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
                write dst (Option.value (Hashtbl.find_opt w.w_local a) ~default:(Value.I 0))
              else write dst (Memory.load env.Interp.mem ~addr:a));
             let tier =
-              if mem.I.m_space = M.Local then `L1
+              if mem.I.m_space = M.Local then L1
               else touch_tier ~ro:(mem.I.m_space = M.Read_only) a
             in
             let n = txns mem in
@@ -203,10 +227,10 @@ let simulate_resident_set_ref ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
             (if mem.I.m_space = M.Local then Hashtbl.replace w.w_local a (operand src)
              else Memory.store env.Interp.mem ~addr:a (operand src));
             let tier =
-              if mem.I.m_space = M.Local then `L1
+              if mem.I.m_space = M.Local then L1
               else
                 (* stores allocate in L2, never in the read-only path *)
-                match touch_tier ~ro:false a with `L1 -> `L2 | t -> t
+                match touch_tier ~ro:false a with L1 -> L2 | t -> t
             in
             let n = txns mem in
             transactions := !transactions + n;
@@ -342,6 +366,26 @@ let simulate_resident_set_ref ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
    decoded op and the state the closure left behind, which is what
    keeps the two engines' stats bit-identical. *)
 
+(* [Float.max]/[Float.min] are out-of-line calls on boxed floats
+   without flambda; these inline. They agree with them on the finite,
+   nonnegative times of the model (they differ only on NaN and on the
+   sign of zero). The Reference engine keeps [Float.max], so the
+   Reference ≡ Threaded check pins the agreement bit for bit. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
+let[@inline] fmin (a : float) b = if a <= b then a else b
+
+(* heap order on (key, warp id) over parallel arrays *)
+let[@inline] before (hkey : float array) (hwid : int array) i j =
+  let ki = Array.unsafe_get hkey i and kj = Array.unsafe_get hkey j in
+  ki < kj || (ki = kj && Array.unsafe_get hwid i < Array.unsafe_get hwid j)
+
+let[@inline] swap (hkey : float array) (hwid : int array) i j =
+  let k = Array.unsafe_get hkey i and w = Array.unsafe_get hwid i in
+  Array.unsafe_set hkey i (Array.unsafe_get hkey j);
+  Array.unsafe_set hwid i (Array.unsafe_get hwid j);
+  Array.unsafe_set hkey j k;
+  Array.unsafe_set hwid j w
+
 type dwarp = {
   dw_id : int;
   dw_st : D.state;
@@ -373,26 +417,6 @@ let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
      engine's per-step calls. *)
   let icost = Array.map (issue_cost latency) code in
   let rlat = Array.map (result_latency latency) code in
-  let seg_bytes = arch.Safara_gpu.Arch.mem_segment_bytes in
-  let txns (mem : I.mem) =
-    M.transactions ~warp_size ~elem_bytes:mem.I.m_bytes ~segment_bytes:seg_bytes
-      mem.I.m_access
-  in
-  let tier_latency (mem : I.mem) tier =
-    let base =
-      match (tier, mem.I.m_space) with
-      | _, M.Local -> latency.Safara_gpu.Latency.local_latency
-      | _, M.Shared -> latency.Safara_gpu.Latency.shared_latency
-      | _, (M.Constant | M.Param) ->
-          Safara_gpu.Latency.memory_latency latency mem.I.m_space mem.I.m_access
-      | `L1, M.Read_only -> latency.Safara_gpu.Latency.read_only_latency
-      | `L1, _ | `L2, _ -> latency.Safara_gpu.Latency.l2_hit_latency
-      | `Dram, _ -> latency.Safara_gpu.Latency.global_latency
-    in
-    let nt = txns mem in
-    float_of_int
-      (base + (latency.Safara_gpu.Latency.extra_cycles_per_transaction * (nt - 1)))
-  in
   (* per-mem-op tables, indexed by the decode-time [mi] *)
   let nmems = Array.length d.D.d_mems in
   let m_txns = Array.make nmems 0 in
@@ -401,40 +425,19 @@ let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
   let mem_cpt = arch.Safara_gpu.Arch.mem_cycles_per_transaction in
   for mi = 0 to nmems - 1 do
     let mem = d.D.d_mems.(mi).D.mo_mem in
-    let nt = txns mem in
+    let nt = txns arch mem in
     m_txns.(mi) <- nt;
-    List.iteri
-      (fun ti tier ->
-        m_lat.((mi * 3) + ti) <- tier_latency mem tier;
-        m_pipe.((mi * 3) + ti) <-
-          float_of_int nt *. mem_cpt
-          *. (match tier with `L1 -> 0.1 | `L2 -> 0.25 | `Dram -> 1.0))
-      [ `L1; `L2; `Dram ]
+    List.iter
+      (fun tier ->
+        let ti = (mi * 3) + tier_index tier in
+        m_lat.(ti) <- tier_latency arch latency mem tier;
+        m_pipe.(ti) <- float_of_int nt *. mem_cpt *. tier_pipe_factor tier)
+      [ L1; L2; Dram ]
   done;
-  let tier_idx = function `L1 -> 0 | `L2 -> 1 | `Dram -> 2 in
   let ldp_ready =
     float_of_int (Safara_gpu.Latency.memory_latency latency M.Param M.Invariant)
   in
-  let l1_segments = max 16 (arch.Safara_gpu.Arch.read_only_cache_bytes / seg_bytes) in
-  let l2_segments =
-    max l1_segments
-      (arch.Safara_gpu.Arch.l2_bytes / seg_bytes / max 1 arch.Safara_gpu.Arch.num_sms)
-  in
-  let seg_last : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let seg_clock = ref 0 in
-  let touch_tier ~ro addr =
-    let seg = addr / seg_bytes in
-    let age =
-      match Hashtbl.find_opt seg_last seg with
-      | None -> max_int
-      | Some t -> !seg_clock - t
-    in
-    incr seg_clock;
-    Hashtbl.replace seg_last seg !seg_clock;
-    if age < l1_segments && ro then `L1
-    else if age < l2_segments then `L2
-    else `Dram
-  in
+  let touch_tier = cache_model arch in
   let ps = D.make_params d ~env ~prog in
   let warp_counter = ref 0 in
   let warps =
@@ -469,16 +472,28 @@ let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
   let instructions = ref 0 in
   let transactions = ref 0 in
   let issue_stall = ref 0. in
-  let issueable (w : dwarp) =
-    if w.dw_pc >= n then w.dw_free
+  (* The scheduler: a binary min-heap of live warps keyed by
+     (issueable, warp id). The lexicographic order reproduces the
+     reference engine's first-strict-minimum scan exactly, and since
+     ids are unique it is total, so which warp steps next never
+     depends on the heap's layout. *)
+  let hkey = Array.make (max 1 nwarps) infinity in
+  let hwid = Array.make (max 1 nwarps) 0 in
+  let hsize = ref 0 in
+  (* [hkey.(i) <- issueable w]: the earliest time the warp's next
+     instruction can issue (written in place; returning it would box
+     it) *)
+  let set_key i (w : dwarp) =
+    let f = w.dw_free in
+    if w.dw_pc >= n then hkey.(i) <- f
     else begin
       let uses = d.D.d_uses.(w.dw_pc) in
-      let acc = ref w.dw_free in
-      for i = 0 to Array.length uses - 1 do
-        let r = w.dw_ready.(uses.(i)) in
+      let acc = ref f in
+      for u = 0 to Array.length uses - 1 do
+        let r = w.dw_ready.(uses.(u)) in
         if r > !acc then acc := r
       done;
-      !acc
+      hkey.(i) <- !acc
     end
   in
   let step (w : dwarp) =
@@ -494,8 +509,8 @@ let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
           if r > !op_ready then op_ready := r
         done;
         let port = w.dw_sched in
-        let want = Float.max w.dw_free !op_ready in
-        let issue = Float.max want issue_ports.(port) in
+        let want = fmax w.dw_free !op_ready in
+        let issue = fmax want issue_ports.(port) in
         issue_stall := !issue_stall +. (issue -. want);
         issue_ports.(port) <- issue +. issue_step;
         let st = w.dw_st in
@@ -507,11 +522,11 @@ let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
             let a = st.D.x_addr in
             let mo = d.D.d_mems.(mi) in
             let tier =
-              if mo.D.mo_local then `L1 else touch_tier ~ro:mo.D.mo_ro a
+              if mo.D.mo_local then L1 else touch_tier ~ro:mo.D.mo_ro a
             in
-            let ti = (mi * 3) + tier_idx tier in
+            let ti = (mi * 3) + tier_index tier in
             transactions := !transactions + m_txns.(mi);
-            let start = Float.max issue !mem_busy in
+            let start = fmax issue !mem_busy in
             mem_busy := start +. m_pipe.(ti);
             let ready = start +. m_lat.(ti) in
             w.dw_ready.(dst) <- ready;
@@ -520,19 +535,19 @@ let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
             let a = st.D.x_addr in
             let mo = d.D.d_mems.(mi) in
             let tier =
-              if mo.D.mo_local then `L1
+              if mo.D.mo_local then L1
               else
                 (* stores allocate in L2, never in the read-only path *)
-                match touch_tier ~ro:false a with `L1 -> `L2 | t -> t
+                match touch_tier ~ro:false a with L1 -> L2 | t -> t
             in
-            let ti = (mi * 3) + tier_idx tier in
+            let ti = (mi * 3) + tier_index tier in
             transactions := !transactions + m_txns.(mi);
-            let start = Float.max issue !mem_busy in
+            let start = fmax issue !mem_busy in
             mem_busy := start +. m_pipe.(ti)
             (* stores retire without blocking the warp *)
         | D.DAtom { mi; _ } ->
             (* atomics serialize: charge a full round trip on the pipe *)
-            let start = Float.max issue !mem_busy in
+            let start = fmax issue !mem_busy in
             let nt = max 2 m_txns.(mi) in
             transactions := !transactions + nt;
             mem_busy := start +. (float_of_int nt *. mem_cpt)
@@ -553,71 +568,61 @@ let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
             w.dw_ready.(dst) <- issue +. rlat.(pc)
         | D.DBra _ | D.DBrc _ -> ());
         w.dw_pc <- next;
-        w.dw_free <- Float.max (issue +. 1.) (Float.min !complete (issue +. 8.));
-        w.dw_last <- Float.max w.dw_last !complete);
+        w.dw_free <- fmax (issue +. 1.) (fmin !complete (issue +. 8.));
+        w.dw_last <- fmax w.dw_last !complete);
     if w.dw_pc >= n then w.dw_done <- true
   in
-  (* Binary min-heap of live warps keyed by (issueable, warp id); the
-     lexicographic order reproduces the linear scan's first-strict-
-     minimum selection exactly. A warp's key only changes when the warp
-     itself steps (dw_free and dw_ready are per-warp), so popping the
-     minimum, stepping it and pushing it back keeps the heap honest. *)
-  let hkey = Array.make (max 1 nwarps) infinity in
-  let hwid = Array.make (max 1 nwarps) 0 in
-  let hsize = ref 0 in
-  let hless i j =
-    hkey.(i) < hkey.(j) || (hkey.(i) = hkey.(j) && hwid.(i) < hwid.(j))
-  in
-  let hswap i j =
-    let k = hkey.(i) and w = hwid.(i) in
-    hkey.(i) <- hkey.(j);
-    hwid.(i) <- hwid.(j);
-    hkey.(j) <- k;
-    hwid.(j) <- w
-  in
-  let hpush key wid =
-    let i = ref !hsize in
-    hkey.(!i) <- key;
-    hwid.(!i) <- wid;
-    incr hsize;
-    while !i > 0 && hless !i ((!i - 1) / 2) do
-      hswap !i ((!i - 1) / 2);
+  let sift_up i0 =
+    let i = ref i0 in
+    while !i > 0 && before hkey hwid !i ((!i - 1) / 2) do
+      swap hkey hwid !i ((!i - 1) / 2);
       i := (!i - 1) / 2
     done
   in
-  let hpop () =
-    let wid = hwid.(0) in
-    decr hsize;
-    hkey.(0) <- hkey.(!hsize);
-    hwid.(0) <- hwid.(!hsize);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < !hsize && hless l !s then s := l;
-      if r < !hsize && hless r !s then s := r;
-      if !s <> !i then begin
-        hswap !i !s;
-        i := !s
+  let sift_down i0 =
+    let size = !hsize and i = ref i0 and sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= size then sinking := false
+      else begin
+        let c = if l + 1 < size && before hkey hwid (l + 1) l then l + 1 else l in
+        if before hkey hwid c !i then begin
+          swap hkey hwid !i c;
+          i := c
+        end
+        else sinking := false
       end
-      else continue := false
-    done;
-    wid
+    done
   in
-  Array.iter (fun w -> hpush (issueable w) w.dw_id) warps;
+  Array.iter
+    (fun w ->
+      let i = !hsize in
+      set_key i w;
+      hwid.(i) <- w.dw_id;
+      incr hsize;
+      sift_up i)
+    warps;
+  (* The root warp steps, and its new key sifts down from the root: a
+     warp's key only changes when it steps itself (dw_free and dw_ready
+     are per-warp). While it still orders before both children, that
+     costs two comparisons and the warp steps again — where a pop and a push would have handed it
+     straight back. A finished warp leaves the heap. *)
   while !hsize > 0 do
-    let w = warps.(hpop ()) in
+    let w = warps.(hwid.(0)) in
     step w;
-    if not w.dw_done then hpush (issueable w) w.dw_id
+    if w.dw_done then begin
+      decr hsize;
+      hkey.(0) <- hkey.(!hsize);
+      hwid.(0) <- hwid.(!hsize)
+    end
+    else set_key 0 w;
+    sift_down 0
   done;
   let cycles =
-    Array.fold_left
-      (fun acc w -> Float.max acc (Float.max w.dw_last w.dw_free))
-      0. warps
+    Array.fold_left (fun acc w -> fmax acc (fmax w.dw_last w.dw_free)) 0. warps
   in
   {
-    cycles = Float.max cycles !mem_busy;
+    cycles = fmax cycles !mem_busy;
     warps = nwarps;
     instructions = !instructions;
     transactions = !transactions;

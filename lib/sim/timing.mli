@@ -41,5 +41,6 @@ val simulate_resident_set :
   blocks_per_sm:int ->
   Safara_vir.Kernel.t ->
   stats
-(** Mutates [env.mem] (pass a scratch copy when the memory must be
-    preserved). Simulates [min blocks_per_sm total_blocks] blocks. *)
+(** Mutates [env.mem] ({!Launch.time_kernel} runs it under a
+    {!Memory.with_undo} journal to preserve the memory). Simulates
+    [min blocks_per_sm total_blocks] blocks. *)

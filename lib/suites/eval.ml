@@ -41,8 +41,10 @@ type t = {
   memo : C.memo;  (** per-region tail output and SAFARA feedback *)
   fe : Safara_ir.Program.t Cache.t;  (** (source, unroll) → front-end IR *)
   lock : Mutex.t;
-  mutable image : image option;
-      (** the most recent input image, under [lock]; never written *)
+  images : (int, image) Hashtbl.t;
+      (** each domain's most recent input image, by domain id, under
+          [lock]; out of the table while its domain runs on it *)
+  mutable images_prepared : int;
   mutable compile_s : float;
   mutable sim_s : float;
   passes : (string, float * int) Hashtbl.t;
@@ -62,7 +64,8 @@ let create ?jobs ?store () =
     memo = C.memo ();
     fe = Cache.create ~name:"front end" ();
     lock = Mutex.create ();
-    image = None;
+    images = Hashtbl.create 4;
+    images_prepared = 0;
     compile_s = 0.;
     sim_s = 0.;
     passes = Hashtbl.create 16;
@@ -255,37 +258,50 @@ let compile_src t ?(arch = Safara_gpu.Arch.default) ?safara_config
           compile_and_record t ~arch ?safara_config ~disable profile
             (front_end t src None)))
 
-(* The pristine input image of [c] on [w]. Timing reads it directly —
-   [Launch.time_kernel] copies memory per kernel — so the engine keeps
-   the most recent one and a search over one workload prepares it
-   once. One entry, because the registry's images total far more than
-   a long-lived daemon should hold. The image is prepared outside the
-   lock; two domains racing on one cold image both prepare it, and
-   either copy serves. *)
-let image t (c : C.compiled) (w : Workload.t) =
+(* [f] on the calling domain's pristine input image of [c] on [w].
+   Timing runs on the image in place and restores it
+   ([Launch.time_kernel]), so the image is pristine between uses but
+   not during one. Each domain therefore keeps its own most recent
+   image, and a use takes it out of the table until [f] returns: no
+   other domain, nor another thread of this one (the daemon's
+   connection threads at -j 1), can meet the transient writes; such a
+   thread prepares an image of its own instead. A search over one
+   workload prepares its image once per domain. One entry per domain,
+   because the registry's images total far more than a long-lived
+   daemon should hold. If [f] raises, the image is dropped. *)
+let with_image t (c : C.compiled) (w : Workload.t) f =
   let arrays = c.C.c_prog.Safara_ir.Program.arrays in
   let fits im =
     im.im_seed = w.Workload.seed
     && (im.im_arrays == arrays || im.im_arrays = arrays)
     && (im.im_scalars == w.Workload.scalars || im.im_scalars = w.Workload.scalars)
   in
+  let d = (Domain.self () :> int) in
   Mutex.lock t.lock;
   let hit =
-    match t.image with Some im when fits im -> Some im.im_env | _ -> None
+    match Hashtbl.find_opt t.images d with
+    | Some im when fits im ->
+        Hashtbl.remove t.images d;
+        Some im
+    | _ ->
+        t.images_prepared <- t.images_prepared + 1;
+        None
   in
   Mutex.unlock t.lock;
-  match hit with
-  | Some env -> env
-  | None ->
-      let env = Workload.prepare c w in
-      let im =
+  let im =
+    match hit with
+    | Some im -> im
+    | None ->
         { im_arrays = arrays; im_scalars = w.Workload.scalars;
-          im_seed = w.Workload.seed; im_env = env }
-      in
-      Mutex.lock t.lock;
-      t.image <- Some im;
-      Mutex.unlock t.lock;
-      env
+          im_seed = w.Workload.seed; im_env = Workload.prepare c w }
+  in
+  let v = f im.im_env in
+  Mutex.lock t.lock;
+  Hashtbl.replace t.images d im;
+  Mutex.unlock t.lock;
+  v
+
+let image t c w = with_image t c w Fun.id
 
 (* One simulation-cache lookup under an artifact key. The artifact
    is fetched at most once per call: the key computation and the
@@ -312,7 +328,7 @@ let simulated t cache ~kind ~view ~extra j f =
 
 let time_job t j =
   simulated t t.tc ~kind:"timing" ~view:timing_view ~extra:[] j (fun c ->
-      C.time c (image t c j.jw))
+      with_image t c j.jw (C.time c))
 
 let total_ms t j = (time_job t j).Safara_sim.Launch.total_ms
 
@@ -326,10 +342,10 @@ let simulate t j =
   let check = j.jw.Workload.check_arrays in
   simulated t t.fc ~kind:"functional" ~view:functional_view ~extra:check j
     (fun c ->
-      (* the run writes memory: a private copy of the shared image *)
-      let shared = image t c j.jw in
+      (* the run's results stay in memory: a private copy of the image *)
       let env =
-        { shared with Interp.mem = Safara_sim.Memory.copy shared.Interp.mem }
+        with_image t c j.jw (fun im ->
+            { im with Interp.mem = Safara_sim.Memory.copy im.Interp.mem })
       in
       let cnt = Interp.fresh_counters () in
       let pool = if Pool.size t.epool > 1 then Some t.epool else None in
@@ -369,6 +385,7 @@ type stats = {
   st_feedback_misses : int;
   st_front_end_hits : int;
   st_front_end_misses : int;
+  st_images : int;
   st_compile_s : float;
   st_sim_s : float;
   st_pass_s : (string * int * float) list;
@@ -379,6 +396,7 @@ type stats = {
 let stats t =
   Mutex.lock t.lock;
   let compile_s = t.compile_s and sim_s = t.sim_s in
+  let images = t.images_prepared in
   let pass_s =
     List.sort compare
       (Hashtbl.fold (fun name (s, n) acc -> (name, n, s) :: acc) t.passes [])
@@ -397,6 +415,7 @@ let stats t =
     st_feedback_misses = Cache.misses t.memo.C.m_feedback;
     st_front_end_hits = Cache.hits t.fe;
     st_front_end_misses = Cache.misses t.fe;
+    st_images = images;
     st_compile_s = compile_s;
     st_sim_s = sim_s;
     st_pass_s = pass_s;
@@ -431,6 +450,8 @@ let render_stats t =
         end %d / %d\n"
        s.st_tail_hits s.st_tail_misses s.st_feedback_hits s.st_feedback_misses
        s.st_front_end_hits s.st_front_end_misses);
+  Buffer.add_string b
+    (Printf.sprintf "  input images:  %d prepared\n" s.st_images);
   (match s.st_store with
   | None -> ()
   | Some st ->

@@ -23,12 +23,14 @@
     Sharing discipline: cached values — {!Safara_core.Compiler.compiled}
     artifacts and {!Safara_sim.Launch.program_time} records — are
     immutable, and so are the region memo's kernels, which artifacts
-    share physically. The one piece of mutable state the engine keeps is the
-    most recent pristine input image ({!image}), which nothing writes:
-    timing copies memory per kernel, and a functional run copies the
-    image before it starts. All other simulator memory is created
-    inside a cache miss and dropped before the value is published, so
-    domains never observe each other's writes. *)
+    share physically. The one piece of mutable state the engine keeps is
+    each domain's most recent input image ({!image}). Timing writes it
+    in place and restores it before returning (an undo journal, see
+    {!Safara_sim.Launch.time_kernel}); a functional run copies it. An
+    image is used by one domain and one thread at a time, so no domain
+    meets another's transient writes. All other simulator memory is
+    created inside a cache miss and dropped before the value is
+    published. *)
 
 type t
 
@@ -87,7 +89,8 @@ val time_job : t -> job -> Safara_sim.Launch.program_time
     and kernels with their ptxas reports, memoized per compile key —
     plus the workload's seed and scalars: jobs whose compiles coincide
     share one simulation, and a hit touches neither the compile cache
-    nor the kernels. The input image is the shared {!image}. Keys fold
+    nor the kernels. The input image is the calling domain's {!image},
+    which timing writes transiently and restores. Keys fold
     in {!sim_mode}, so values produced under different execution
     strategies never alias (they are bit-identical by construction,
     but the cache must not be the thing relying on that). *)
@@ -108,7 +111,7 @@ val simulate : t -> job -> sim_result
 (** Memoized compile + functional run, keyed like {!time_job} plus
     the [check_arrays]; the artifact key also covers the region bodies,
     which label each kernel's execution mode. The run writes a private
-    copy of {!image}. At [-j] > 1 the run fans each
+    copy of the calling domain's {!image}. At [-j] > 1 the run fans each
     provably block-disjoint kernel's thread-blocks across the engine's
     own pool (one shared [-j] budget with the job-level parallelism);
     checksums and counters are bit-identical at any [-j]. *)
@@ -123,10 +126,12 @@ val total_ms : t -> job -> float
 val image :
   t -> Safara_core.Compiler.compiled -> Workload.t -> Safara_sim.Interp.env
 (** The pristine input image of a compiled program on a workload
-    ({!Workload.prepare}), memoized in a single entry keyed by the
-    array table, scalars and seed: a search over one workload prepares
-    it once, and the engine never holds more than one. Shared — callers
-    must not write it. *)
+    ({!Workload.prepare}), memoized per domain in one entry keyed by
+    the array table, scalars and seed: a search over one workload
+    prepares it once per domain, and the engine holds at most one per
+    domain. The calling domain's timing runs write it transiently, so
+    the caller must not write it, nor read it while the same domain
+    times a job on another thread. *)
 
 val compile_src :
   t ->
@@ -166,6 +171,9 @@ type stats = {
   st_feedback_misses : int;  (** SAFARA feedback measurements run *)
   st_front_end_hits : int;
   st_front_end_misses : int;  (** parse → lower (→ unroll) runs *)
+  st_images : int;
+      (** input images prepared ({!Workload.prepare} runs): one per
+          domain per searched workload when nothing evicts them *)
   st_compile_s : float;  (** wall-clock spent in compile misses *)
   st_sim_s : float;  (** wall-clock spent in simulation misses *)
   st_pass_s : (string * int * float) list;

@@ -25,19 +25,18 @@ let make ~id ~title ~suite ~description ~scalars ?(seed = 42) ?check_arrays sour
    away from overflow and denormals *)
 let lcg_fill seed data =
   let state = ref (seed land 0x3fffffff) in
-  Array.iteri
-    (fun i _ ->
-      state := ((!state * 1103515245) + 12345) land 0x3fffffff;
-      data.(i) <- 0.5 +. (float_of_int !state /. 1073741824.))
-    data
+  for i = 0 to Array.length data - 1 do
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    (* scaling by 2^-30 is exact, so this equals dividing by 2^30 *)
+    Array.unsafe_set data i (0.5 +. (float_of_int !state *. 0x1p-30))
+  done
 
 let lcg_fill_int seed ~bound data =
   let state = ref ((seed * 31) land 0x3fffffff) in
-  Array.iteri
-    (fun i _ ->
-      state := ((!state * 1103515245) + 12345) land 0x3fffffff;
-      data.(i) <- !state mod bound)
-    data
+  for i = 0 to Array.length data - 1 do
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    Array.unsafe_set data i (!state mod bound)
+  done
 
 let int_env t =
   List.filter_map

@@ -512,6 +512,59 @@ let test_image_untouched () =
       Alcotest.(check bool) (name ^ " contents") true same)
     c.C.c_prog.Safara_ir.Program.arrays
 
+(* Timing writes each domain's image in place and restores it, so
+   images are per domain: a search must pick the same winner, with the
+   same simulated time to the bit, at any -j. Every domain that ran a
+   job prepared its own image, and none prepared more than once. At
+   -j 1 every simulation ran on the caller's image, which must come
+   back equal to a fresh one. *)
+let test_tune_j1_equals_j4 () =
+  let bits (name, ms) = (name, Int64.bits_of_float ms) in
+  let module M = Safara_sim.Memory in
+  let contents (c : C.compiled) (env : Safara_sim.Interp.env) =
+    List.map
+      (fun (a : Safara_ir.Array_info.t) ->
+        let name = a.Safara_ir.Array_info.name in
+        if Safara_ir.Types.is_float a.Safara_ir.Array_info.elem then
+          Array.map Int64.bits_of_float (M.float_data env.Safara_sim.Interp.mem name)
+        else Array.map Int64.of_int (M.int_data env.Safara_sim.Interp.mem name))
+      c.C.c_prog.Safara_ir.Program.arrays
+  in
+  List.iter
+    (fun id ->
+      let w = Registry.find id in
+      let run jobs =
+        let eng = Eval.create ~jobs () in
+        let r = Tune.search eng ~arch:Arch.default w in
+        let s = Eval.stats eng in
+        (if jobs = 1 then
+           let c =
+             Eval.compiled eng (Tune.job ~arch:Arch.default w Tune.default_point)
+           in
+           Alcotest.(check (list (array int64))) (id ^ ": image restored")
+             (contents c (Workload.prepare c w))
+             (contents c (Eval.image eng c w)));
+        Eval.shutdown eng;
+        (r, s)
+      in
+      let r1, s1 = run 1 and r4, s4 = run 4 in
+      Alcotest.(check bool) (id ^ ": same winner") true
+        (r1.Tune.tr_best = r4.Tune.tr_best);
+      Alcotest.(check int64) (id ^ ": best_ms bits")
+        (Int64.bits_of_float r1.Tune.tr_best_ms)
+        (Int64.bits_of_float r4.Tune.tr_best_ms);
+      Alcotest.(check (list (pair string int64))) (id ^ ": per-kernel ms bits")
+        (List.map bits r1.Tune.tr_kernels)
+        (List.map bits r4.Tune.tr_kernels);
+      Alcotest.(check int) (id ^ ": -j 1 prepares one image") 1
+        s1.Eval.st_images;
+      let domains =
+        List.length (List.filter (fun n -> n > 0) s4.Eval.st_job_counts)
+      in
+      Alcotest.(check bool) (id ^ ": -j 4 at most one image per domain") true
+        (s4.Eval.st_images >= 1 && s4.Eval.st_images <= max 1 domains))
+    [ "303.ostencil"; "359.miniGhost" ]
+
 let check_parallel_matches_serial ?(inspect = fun _ -> ()) render =
   let serial = Eval.create ~jobs:1 () in
   let out1 = render serial in
@@ -597,6 +650,8 @@ let suite =
       test_memo_declarations_in_key;
     Alcotest.test_case "dedup: input image never written" `Quick
       test_image_untouched;
+    Alcotest.test_case "determinism: tune -j1 = -j4" `Slow
+      test_tune_j1_equals_j4;
     Alcotest.test_case "determinism: table1 -j1 = -j4" `Quick
       test_table1_j1_equals_j4;
     Alcotest.test_case "determinism: fig9 -j1 = -j4" `Slow

@@ -571,9 +571,8 @@ let check_parallel_agrees profile (w : Safara_suites.Workload.t) () =
                  w.Safara_suites.Workload.id kname))
     p_modes
 
-let test_blockpar_saxpy_parallel () =
-  let src =
-    {|
+let saxpy_src =
+  {|
 param int n;
 in double x[n];
 double y[n];
@@ -585,9 +584,10 @@ double y[n];
   }
 }
 |}
-  in
+
+let test_blockpar_saxpy_parallel () =
   let n = 1000 in
-  let prog, kernels = compile_pipeline src in
+  let prog, kernels = compile_pipeline saxpy_src in
   let k = fst (List.hd kernels) in
   (match Blockpar.analyze ~prog k with
   | Blockpar.Block_parallel -> ()
@@ -1010,6 +1010,170 @@ let test_memory_view_cursors () =
   Alcotest.(check (float 0.)) "view 2 stream" 50.0
     (V.to_float (Memory.load v1 ~addr:(bb + 40)))
 
+(* --- undo journal ------------------------------------------------------ *)
+
+let float_bits a = Array.map Int64.bits_of_float a
+
+(* a float array with a NaN payload and a negative zero, an int array;
+   every write path inside [with_undo], all undone bit for bit *)
+let undo_fixture () =
+  let m = Memory.create () in
+  Memory.alloc m ~name:"f" ~elem:Safara_ir.Types.F64 ~length:6;
+  Memory.alloc m ~name:"i" ~elem:Safara_ir.Types.I32 ~length:6;
+  let f = Memory.float_data m "f" and i = Memory.int_data m "i" in
+  f.(0) <- Int64.float_of_bits 0x7ff8_0000_dead_beefL;
+  f.(1) <- -0.0;
+  f.(2) <- 1.5;
+  f.(3) <- Float.infinity;
+  Array.iteri (fun k _ -> i.(k) <- (k * 7) - 3) i;
+  (m, float_bits f, Array.copy i)
+
+let check_restored m fbits ints =
+  Alcotest.(check (array int64)) "float cells bit-identical" fbits
+    (float_bits (Memory.float_data m "f"));
+  Alcotest.(check (array int)) "int cells identical" ints
+    (Memory.int_data m "i")
+
+let write_everything m =
+  let bf = Memory.base m "f" and bi = Memory.base m "i" in
+  let v = Memory.view m in
+  Memory.store m ~addr:bf (V.F 2.0);
+  Memory.store m ~addr:(bf + 8) (V.F 0.0);
+  Memory.store v ~addr:(bf + 16) (V.F (-7.25));
+  let sf = Memory.find_slot m ~addr:bf and si = Memory.find_slot m ~addr:bi in
+  (* enough writes to grow the journal's buffers several times *)
+  for k = 1 to 300 do
+    Memory.store_int_slot m ~slot:si ~addr:(bi + (4 * (4 + (k mod 2)))) k
+  done;
+  (* the same cell twice: the older value must win the rollback *)
+  Memory.store_float_slot m ~slot:sf ~addr:(bf + 24) 3.0;
+  Memory.store_float_slot v ~slot:sf ~addr:(bf + 24) 4.0;
+  Memory.store_int_slot m ~slot:sf ~addr:(bf + 32) 9;
+  Memory.store_int_slot v ~slot:si ~addr:bi 100;
+  Memory.store_float_slot m ~slot:si ~addr:(bi + 4) 6.0;
+  Memory.rmw m ~addr:(bi + 8) (fun old -> V.I (V.to_int old + 1000));
+  Memory.rmw v ~addr:(bf + 40) (fun old -> V.F (V.to_float old +. 1.0));
+  Memory.store v ~addr:(bi + 20) (V.I (-1))
+
+let test_undo_restores () =
+  let m, fbits, ints = undo_fixture () in
+  let seen =
+    Memory.with_undo m (fun () ->
+        Alcotest.(check bool) "journal active" true (Memory.undo_active m);
+        write_everything m;
+        (Array.copy (Memory.float_data m "f"), Array.copy (Memory.int_data m "i")))
+  in
+  (* the writes did land while the journal ran *)
+  let f, i = seen in
+  Alcotest.(check (float 0.)) "float written" 4.0 f.(3);
+  Alcotest.(check int) "rmw written" (ints.(2) + 1000) i.(2);
+  Alcotest.(check int) "float store into int cell" 6 i.(1);
+  Alcotest.(check bool) "journal closed" false (Memory.undo_active m);
+  check_restored m fbits ints;
+  (* the journal's buffers are reused: a second round undoes too *)
+  ignore (Memory.with_undo m (fun () -> write_everything m));
+  check_restored m fbits ints
+
+let test_undo_on_raise () =
+  let m, fbits, ints = undo_fixture () in
+  (match
+     Memory.with_undo m (fun () ->
+         write_everything m;
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "the exception was swallowed"
+  | exception Failure msg -> Alcotest.(check string) "re-raised" "boom" msg);
+  Alcotest.(check bool) "journal closed" false (Memory.undo_active m);
+  check_restored m fbits ints
+
+let test_undo_rejects_nesting () =
+  let m, fbits, ints = undo_fixture () in
+  let nested =
+    Memory.with_undo m (fun () ->
+        write_everything m;
+        match Memory.with_undo (Memory.view m) (fun () -> ()) with
+        | () -> false
+        | exception Invalid_argument _ -> true)
+  in
+  Alcotest.(check bool) "nested journal rejected" true nested;
+  check_restored m fbits ints
+
+(* a block-parallel launch under a journal would write the store from
+   several domains at once: refused, and memory is still restored *)
+let test_undo_refuses_fanout () =
+  let prog, kernels = compile_pipeline saxpy_src in
+  let k = fst (List.hd kernels) in
+  let n = 1000 in
+  let mem = Memory.create () in
+  Memory.alloc_program mem ~env:[ ("n", n) ] prog;
+  let x = Memory.float_data mem "x" in
+  Array.iteri (fun i _ -> x.(i) <- float_of_int i) x;
+  let before = float_bits (Memory.float_data mem "y") in
+  let env = { Interp.scalars = [ ("n", V.I n) ]; mem } in
+  let grid = Launch.grid_of ~env:env.Interp.scalars k in
+  let saved_t = !Interp.parallel_threshold
+  and saved_c = !Interp.parallel_min_chunk_ops in
+  Interp.parallel_threshold := 0;
+  Interp.parallel_min_chunk_ops := 1;
+  let refused =
+    Fun.protect
+      ~finally:(fun () ->
+        Interp.parallel_threshold := saved_t;
+        Interp.parallel_min_chunk_ops := saved_c)
+      (fun () ->
+        with_pool 4 (fun pool ->
+            Decode.with_engine Decode.Threaded (fun () ->
+                match
+                  Memory.with_undo mem (fun () ->
+                      Interp.run_kernel ~pool ~prog ~env ~grid k)
+                with
+                | () -> false
+                | exception Invalid_argument _ -> true)))
+  in
+  Alcotest.(check bool) "fan-out under a journal rejected" true refused;
+  Alcotest.(check (array int64)) "y untouched" before
+    (float_bits (Memory.float_data mem "y"))
+
+(* [Compiler.time] runs each kernel on the caller's env and must hand
+   it back bit-identical, under both engines; timing it again then
+   gives the same result *)
+let test_time_restores_env () =
+  List.iter
+    (fun (w : Safara_suites.Workload.t) ->
+      let w = Suite_workloads.shrink w in
+      let id = w.Safara_suites.Workload.id in
+      let c =
+        Safara_core.Compiler.compile_src Safara_core.Compiler.Full
+          w.Safara_suites.Workload.source
+      in
+      let env = Safara_suites.Workload.prepare c w in
+      let snapshot () =
+        List.map
+          (fun (a : Safara_ir.Array_info.t) ->
+            let name = a.Safara_ir.Array_info.name in
+            if Safara_ir.Types.is_float a.Safara_ir.Array_info.elem then
+              float_bits (Memory.float_data env.Interp.mem name)
+            else Array.map Int64.of_int (Memory.int_data env.Interp.mem name))
+          c.Safara_core.Compiler.c_prog.Safara_ir.Program.arrays
+      in
+      let before = snapshot () in
+      List.iter
+        (fun e ->
+          Decode.with_engine e (fun () ->
+              let t1 = Safara_core.Compiler.time c env in
+              Alcotest.(check (list (array int64)))
+                (Printf.sprintf "%s: env restored (%s)" id
+                   (Decode.engine_name e))
+                before (snapshot ());
+              let t2 = Safara_core.Compiler.time c env in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: timing repeats (%s)" id
+                   (Decode.engine_name e))
+                true
+                (compare t1 t2 = 0)))
+        [ Decode.Reference; Decode.Threaded ])
+    Safara_suites.Registry.all
+
 let suite =
   [
     Alcotest.test_case "memory roundtrip" `Quick test_memory_roundtrip;
@@ -1037,6 +1201,16 @@ let suite =
       test_memory_alternating_arrays;
     Alcotest.test_case "memory: views share store, not cursors" `Quick
       test_memory_view_cursors;
+    Alcotest.test_case "undo: every write path restored bit-exactly" `Quick
+      test_undo_restores;
+    Alcotest.test_case "undo: restored when the body raises" `Quick
+      test_undo_on_raise;
+    Alcotest.test_case "undo: nested journal rejected" `Quick
+      test_undo_rejects_nesting;
+    Alcotest.test_case "undo: parallel fan-out rejected" `Quick
+      test_undo_refuses_fanout;
+    Alcotest.test_case "undo: timing restores the caller's env" `Slow
+      test_time_restores_env;
     Alcotest.test_case "blockpar: saxpy proves and runs parallel" `Quick
       test_blockpar_saxpy_parallel;
     Alcotest.test_case "blockpar: cross-block recurrence refused" `Quick
