@@ -115,12 +115,18 @@ let parse s =
           | 't' -> Buffer.add_char b '\t'
           | 'u' ->
               if !pos + 4 >= n then fail "truncated \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
-              let code =
-                match int_of_string_opt ("0x" ^ hex) with
-                | Some c -> c
-                | None -> fail "bad \\u escape"
-              in
+              let code = ref 0 in
+              for j = !pos + 1 to !pos + 4 do
+                let d =
+                  match s.[j] with
+                  | '0' .. '9' as c -> Char.code c - Char.code '0'
+                  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                  | _ -> fail "bad \\u escape"
+                in
+                code := (!code lsl 4) lor d
+              done;
+              let code = !code in
               (* encode the code point as UTF-8; the protocol only
                  round-trips what our own printer emits (< 0x20), but
                  be a correct decoder for the BMP anyway *)
@@ -139,6 +145,7 @@ let parse s =
           | c -> fail (Printf.sprintf "bad escape \\%c" c));
           advance ();
           go ()
+      | '\000' .. '\031' -> fail "raw control character in string"
       | c ->
           Buffer.add_char b c;
           advance ();
@@ -147,18 +154,34 @@ let parse s =
     go ();
     Buffer.contents b
   in
+  (* RFC 8259 numbers only: an optional minus, then 0 or a digit run
+     without a leading zero, an optional fraction with at least one
+     digit, an optional exponent with at least one digit; and the
+     value must be finite — the printer writes inf as null *)
   let parse_number () =
     let start = !pos in
-    let number_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+    let cur () = if !pos < n then s.[!pos] else '\000' in
+    let rec digits_end i =
+      if i < n && s.[i] >= '0' && s.[i] <= '9' then digits_end (i + 1) else i
     in
-    while !pos < n && number_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
+    let digits () =
+      let j = digits_end !pos in
+      if j = !pos then fail "bad number";
+      pos := j
+    in
+    if cur () = '-' then advance ();
+    if cur () = '0' then advance () else digits ();
+    if cur () = '.' then begin
+      advance ();
+      digits ()
+    end;
+    if cur () = 'e' || cur () = 'E' then begin
+      advance ();
+      if cur () = '+' || cur () = '-' then advance ();
+      digits ()
+    end;
+    let f = float_of_string (String.sub s start (!pos - start)) in
+    if Float.is_finite f then Num f else fail "number out of range"
   in
   let rec parse_value () =
     skip_ws ();

@@ -18,7 +18,11 @@ type t =
 exception Parse_error of string
 
 val parse : string -> t
-(** @raise Parse_error on malformed input or trailing garbage. *)
+(** Accepts RFC 8259 JSON only: numbers follow the JSON grammar (no
+    leading [+], leading zeros, bare [.5] or [1.]) and must be finite,
+    strings hold no raw control characters, and [\u] takes exactly
+    four hex digits.
+    @raise Parse_error on malformed input or trailing garbage. *)
 
 val to_string : t -> string
 (** Compact (no whitespace), fully escaped; [parse] ∘ [to_string] is

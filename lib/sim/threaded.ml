@@ -12,6 +12,13 @@
    inner loop: counters become one static delta per block, fuel one
    subtraction per block.
 
+   Two superop families go further and share one closure body across
+   several ops: [fuse_addr] (the byte-addressing chain scale → convert
+   → base add → global load or store, with the loaded value's move)
+   and [fuse_generic] (any dependent int or float arithmetic pair).
+   Every other op is its own [build_op] closure, and the terminator is
+   a plain branch on its predicate register.
+
    Each closure body is the semantics of one decoded op ({!Decode.dop})
    with the operand [match] hoisted to compile time, converting across
    register halves exactly like the boxed reference walker's
@@ -651,29 +658,20 @@ let build_op (d : D.t) (op : D.dop) (k : cl) : cl =
 
 (* --- pair fusion ------------------------------------------------------ *)
 
-(* The hottest adjacent-op idioms compile into one closure body, so
-   the indirect call between them disappears: integer address
-   arithmetic feeding the memory access it computes (addr = x + y;
-   ld/st [addr]) and multiply-accumulate (t = a*b; acc = acc + t).
-   The intermediate register write is preserved — it may be live past
-   the pair — and aliasing follows sequential order exactly: the
-   second op reads the freshly computed value, which is precisely
-   what the register holds at that point. Integer adds commute, so
-   (const, reg) normalizes to (reg, const); float operands are never
-   commuted (NaN payload propagation is order-sensitive and the gate
-   demands bit identity). Every case is fully monomorphic — a shared
-   reader closure would reintroduce the very call being fused away. *)
-
-(* Beyond the named idioms, any value-dependent arithmetic pair —
-   the second op reading the register the first just wrote — fuses
-   through a compile-time decomposition: the first op is reduced to
-   "how t is computed" (operand shape), the second to "how t is
-   folded" (where t appears, what the other operand is). The operator
-   itself is a small integer code branched on inside the closure:
-   unlike a reader closure, a two-way branch on a captured immediate
-   costs no call, no allocation, and keeps every float unboxed
-   ([iapp]/[fapp] are direct applications the compiler inlines).
-   Operand positions are always preserved — nothing commutes here,
+(* A value-dependent arithmetic pair — the second op reading the
+   register the first just wrote — compiles into one closure body, so
+   the indirect call between them disappears. The pair fuses through
+   a compile-time decomposition: the first op is reduced to "how t is
+   computed" (operand shape), the second to "how t is folded" (where t
+   appears, what the other operand is). The operator itself is a small
+   integer code branched on inside the closure: unlike a reader
+   closure, a two-way branch on a captured immediate costs no call, no
+   allocation, and keeps every float unboxed ([iapp]/[fapp] are direct
+   applications the compiler inlines). The intermediate register
+   write is preserved — it may be live past the pair — and aliasing
+   follows sequential order exactly: the second op reads the freshly
+   computed value, which is precisely what the register holds at that
+   point. Operand positions are always preserved — nothing commutes,
    so float bit-identity (NaN payloads, signed zeros) is untouched. *)
 
 let[@inline always] iapp c p q =
@@ -1198,367 +1196,6 @@ let fuse_generic (op1 : D.dop) (op2 : D.dop) : (cl -> cl) option =
                       Array.unsafe_set st.D.xf d2 t;
                       k st ps)))
 
-let fuse_pair (d : D.t) (op1 : D.dop) (op2 : D.dop) : (cl -> cl) option =
-  let glob mi = not (Array.get d.D.d_mems mi).D.mo_local in
-  match (op1, op2) with
-  | ( D.DAddI { dst; a; b },
-      D.DLd { fdst; dst = d2; addr = D.SIReg ra; mi } )
-    when ra = dst && glob mi -> (
-      match (isrc a, isrc b, fdst) with
-      | IR x, IR y, true ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let a =
-                  Array.unsafe_get st.D.xi x + Array.unsafe_get st.D.xi y
-                in
-                Array.unsafe_set st.D.xi dst a;
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Array.unsafe_set st.D.xf d2
-                  (Memory.load_float_slot mem ~slot:s ~addr:a);
-                k st ps)
-      | IR x, IC c, true | IC c, IR x, true ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let a = Array.unsafe_get st.D.xi x + c in
-                Array.unsafe_set st.D.xi dst a;
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Array.unsafe_set st.D.xf d2
-                  (Memory.load_float_slot mem ~slot:s ~addr:a);
-                k st ps)
-      | IR x, IR y, false ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let a =
-                  Array.unsafe_get st.D.xi x + Array.unsafe_get st.D.xi y
-                in
-                Array.unsafe_set st.D.xi dst a;
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Array.unsafe_set st.D.xi d2
-                  (Memory.load_int_slot mem ~slot:s ~addr:a);
-                k st ps)
-      | IR x, IC c, false | IC c, IR x, false ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let a = Array.unsafe_get st.D.xi x + c in
-                Array.unsafe_set st.D.xi dst a;
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Array.unsafe_set st.D.xi d2
-                  (Memory.load_int_slot mem ~slot:s ~addr:a);
-                k st ps)
-      | _ -> None)
-  | ( D.DAddI { dst; a; b },
-      D.DSt { src = D.SFReg v; addr = D.SIReg ra; mi } )
-    when ra = dst && glob mi -> (
-      (* [v] indexes the float half, [dst] the int half — never an
-         alias even when the rids coincide *)
-      match (isrc a, isrc b) with
-      | IR x, IR y ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let a =
-                  Array.unsafe_get st.D.xi x + Array.unsafe_get st.D.xi y
-                in
-                Array.unsafe_set st.D.xi dst a;
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Memory.store_float_slot mem ~slot:s ~addr:a
-                  (Array.unsafe_get st.D.xf v);
-                k st ps)
-      | IR x, IC c | IC c, IR x ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let a = Array.unsafe_get st.D.xi x + c in
-                Array.unsafe_set st.D.xi dst a;
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Memory.store_float_slot mem ~slot:s ~addr:a
-                  (Array.unsafe_get st.D.xf v);
-                k st ps)
-      | _ -> None)
-  | D.DMulF { dst; a; b }, D.DAddF { dst = d2; a = a2; b = b2 } -> (
-      match (fsrc a, fsrc b, fsrc a2, fsrc b2) with
-      | FR x, FR y, FR p, FR q when p = dst && q <> dst ->
-          Some
-            (fun k st ps ->
-              let t =
-                Array.unsafe_get st.D.xf x *. Array.unsafe_get st.D.xf y
-              in
-              Array.unsafe_set st.D.xf dst t;
-              Array.unsafe_set st.D.xf d2 (t +. Array.unsafe_get st.D.xf q);
-              k st ps)
-      | FR x, FR y, FR p, FR q when q = dst && p <> dst ->
-          Some
-            (fun k st ps ->
-              let t =
-                Array.unsafe_get st.D.xf x *. Array.unsafe_get st.D.xf y
-              in
-              Array.unsafe_set st.D.xf dst t;
-              Array.unsafe_set st.D.xf d2 (Array.unsafe_get st.D.xf p +. t);
-              k st ps)
-      | FR x, FC c, FR p, FR q when p = dst && q <> dst ->
-          Some
-            (fun k st ps ->
-              let t = Array.unsafe_get st.D.xf x *. c in
-              Array.unsafe_set st.D.xf dst t;
-              Array.unsafe_set st.D.xf d2 (t +. Array.unsafe_get st.D.xf q);
-              k st ps)
-      | FR x, FC c, FR p, FR q when q = dst && p <> dst ->
-          Some
-            (fun k st ps ->
-              let t = Array.unsafe_get st.D.xf x *. c in
-              Array.unsafe_set st.D.xf dst t;
-              Array.unsafe_set st.D.xf d2 (Array.unsafe_get st.D.xf p +. t);
-              k st ps)
-      | FC c, FR y, FR p, FR q when p = dst && q <> dst ->
-          Some
-            (fun k st ps ->
-              let t = c *. Array.unsafe_get st.D.xf y in
-              Array.unsafe_set st.D.xf dst t;
-              Array.unsafe_set st.D.xf d2 (t +. Array.unsafe_get st.D.xf q);
-              k st ps)
-      | FC c, FR y, FR p, FR q when q = dst && p <> dst ->
-          Some
-            (fun k st ps ->
-              let t = c *. Array.unsafe_get st.D.xf y in
-              Array.unsafe_set st.D.xf dst t;
-              Array.unsafe_set st.D.xf d2 (Array.unsafe_get st.D.xf p +. t);
-              k st ps)
-      | _ -> fuse_generic op1 op2)
-  | ( D.DMov { fdst = true; dst = da; src = sa },
-      D.DMov { fdst = true; dst = db; src = sb } ) -> (
-      (* adjacent register shuffles (rotating stencil planes) need no
-         dependence: executing both reads/writes in sequential order
-         inside one closure is exact even when the second reads the
-         first's destination *)
-      match (fsrc sa, fsrc sb) with
-      | FR ra, FR rb ->
-          Some
-            (fun k st ps ->
-              Array.unsafe_set st.D.xf da (Array.unsafe_get st.D.xf ra);
-              Array.unsafe_set st.D.xf db (Array.unsafe_get st.D.xf rb);
-              k st ps)
-      | FR ra, FC cb ->
-          Some
-            (fun k st ps ->
-              Array.unsafe_set st.D.xf da (Array.unsafe_get st.D.xf ra);
-              Array.unsafe_set st.D.xf db cb;
-              k st ps)
-      | FC ca, FR rb ->
-          Some
-            (fun k st ps ->
-              Array.unsafe_set st.D.xf da ca;
-              Array.unsafe_set st.D.xf db (Array.unsafe_get st.D.xf rb);
-              k st ps)
-      | FC ca, FC cb ->
-          Some
-            (fun k st ps ->
-              Array.unsafe_set st.D.xf da ca;
-              Array.unsafe_set st.D.xf db cb;
-              k st ps)
-      | _ -> None)
-  | ( D.DMov { fdst = false; dst = da; src = sa },
-      D.DMov { fdst = false; dst = db; src = sb } ) -> (
-      match (isrc sa, isrc sb) with
-      | IR ra, IR rb ->
-          Some
-            (fun k st ps ->
-              Array.unsafe_set st.D.xi da (Array.unsafe_get st.D.xi ra);
-              Array.unsafe_set st.D.xi db (Array.unsafe_get st.D.xi rb);
-              k st ps)
-      | IR ra, IC cb ->
-          Some
-            (fun k st ps ->
-              Array.unsafe_set st.D.xi da (Array.unsafe_get st.D.xi ra);
-              Array.unsafe_set st.D.xi db cb;
-              k st ps)
-      | IC ca, IR rb ->
-          Some
-            (fun k st ps ->
-              Array.unsafe_set st.D.xi da ca;
-              Array.unsafe_set st.D.xi db (Array.unsafe_get st.D.xi rb);
-              k st ps)
-      | IC ca, IC cb ->
-          Some
-            (fun k st ps ->
-              Array.unsafe_set st.D.xi da ca;
-              Array.unsafe_set st.D.xi db cb;
-              k st ps)
-      | _ -> None)
-  | op1, D.DSt { src = D.SFReg v; addr = D.SIReg ar; mi } when glob mi -> (
-      (* a float result flowing straight into a store through an
-         already-computed address register: arithmetic, register write
-         (the value may be live past the store), and store collapse
-         into one closure. The address register lives in the int half,
-         so the float write can never clobber it. *)
-      match ffirst_of op1 with
-      | Some (dst, FF_rr (c1, x, y)) when dst = v ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let t =
-                  fapp c1
-                    (Array.unsafe_get st.D.xf x)
-                    (Array.unsafe_get st.D.xf y)
-                in
-                Array.unsafe_set st.D.xf v t;
-                let a = Array.unsafe_get st.D.xi ar in
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Memory.store_float_slot mem ~slot:s ~addr:a t;
-                k st ps)
-      | Some (dst, FF_rc (c1, x, c0)) when dst = v ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let t = fapp c1 (Array.unsafe_get st.D.xf x) c0 in
-                Array.unsafe_set st.D.xf v t;
-                let a = Array.unsafe_get st.D.xi ar in
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Memory.store_float_slot mem ~slot:s ~addr:a t;
-                k st ps)
-      | Some (dst, FF_cr (c1, c0, y)) when dst = v ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let t = fapp c1 c0 (Array.unsafe_get st.D.xf y) in
-                Array.unsafe_set st.D.xf v t;
-                let a = Array.unsafe_get st.D.xi ar in
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Memory.store_float_slot mem ~slot:s ~addr:a t;
-                k st ps)
-      | Some (dst, FF_una (u, r0)) when dst = v ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let t = uapp u (Array.unsafe_get st.D.xf r0) in
-                Array.unsafe_set st.D.xf v t;
-                let a = Array.unsafe_get st.D.xi ar in
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Memory.store_float_slot mem ~slot:s ~addr:a t;
-                k st ps)
-      | _ -> fuse_generic op1 op2)
-  | _ -> fuse_generic op1 op2
-
-(* The int-to-int convert (a register copy) that closes every
-   byte-offset computation, the base-plus-offset add it feeds, and
-   the memory access on that address collapse to one closure: the
-   dominant addressing tail [cvt; add base; ld/st] otherwise costs a
-   call between the copy and the fused add+access. Sequential
-   register writes are preserved; the int add reads both operands
-   before any write. *)
-let fuse_triple (d : D.t) (op1 : D.dop) (op2 : D.dop) (op3 : D.dop) :
-    (cl -> cl) option =
-  let glob mi = not (Array.get d.D.d_mems mi).D.mo_local in
-  match (op1, op2) with
-  | ( (D.DCvtI { dst = c2; src = D.SIReg r } | D.DMov { fdst = false; dst = c2; src = D.SIReg r }),
-      D.DAddI { dst = d3; a; b } ) -> (
-      let base =
-        match (isrc a, isrc b) with
-        | IR p, IR q when q = c2 && p <> c2 -> Some p
-        | IR p, IR q when p = c2 && q <> c2 -> Some q
-        | _ -> None
-      in
-      match (base, op3) with
-      | Some p, D.DLd { fdst; dst = dl; addr = D.SIReg ra; mi }
-        when ra = d3 && glob mi ->
-          if fdst then
-            Some
-              (fun k ->
-                let cur = ref (-1) in
-                fun st ps ->
-                  let t = Array.unsafe_get st.D.xi r in
-                  Array.unsafe_set st.D.xi c2 t;
-                  let a = Array.unsafe_get st.D.xi p + t in
-                  Array.unsafe_set st.D.xi d3 a;
-                  st.D.x_addr <- a;
-                  let mem = ps.D.p_env.D.mem in
-                  let s = locate cur mem a in
-                  Array.unsafe_set st.D.xf dl
-                    (Memory.load_float_slot mem ~slot:s ~addr:a);
-                  k st ps)
-          else
-            Some
-              (fun k ->
-                let cur = ref (-1) in
-                fun st ps ->
-                  let t = Array.unsafe_get st.D.xi r in
-                  Array.unsafe_set st.D.xi c2 t;
-                  let a = Array.unsafe_get st.D.xi p + t in
-                  Array.unsafe_set st.D.xi d3 a;
-                  st.D.x_addr <- a;
-                  let mem = ps.D.p_env.D.mem in
-                  let s = locate cur mem a in
-                  Array.unsafe_set st.D.xi dl
-                    (Memory.load_int_slot mem ~slot:s ~addr:a);
-                  k st ps)
-      | Some p, D.DSt { src = D.SFReg v; addr = D.SIReg ra; mi }
-        when ra = d3 && glob mi ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let t = Array.unsafe_get st.D.xi r in
-                Array.unsafe_set st.D.xi c2 t;
-                let a = Array.unsafe_get st.D.xi p + t in
-                Array.unsafe_set st.D.xi d3 a;
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Memory.store_float_slot mem ~slot:s ~addr:a
-                  (Array.unsafe_get st.D.xf v);
-                k st ps)
-      | Some p, D.DSt { src = D.SIReg v; addr = D.SIReg ra; mi }
-        when ra = d3 && glob mi ->
-          Some
-            (fun k ->
-              let cur = ref (-1) in
-              fun st ps ->
-                let t = Array.unsafe_get st.D.xi r in
-                Array.unsafe_set st.D.xi c2 t;
-                let a = Array.unsafe_get st.D.xi p + t in
-                Array.unsafe_set st.D.xi d3 a;
-                st.D.x_addr <- a;
-                let mem = ps.D.p_env.D.mem in
-                let s = locate cur mem a in
-                Memory.store_int_slot mem ~slot:s ~addr:a
-                  (Array.unsafe_get st.D.xi v);
-                k st ps)
-      | _ -> None)
-  | _ -> None
-
 (* The complete byte-addressing idiom
    [t = x ⊙ y; off = cvt t; a = base + off; ld f <- [a]; mov g <- f]
    — the dominant inner-loop tail in the stencil and seismic kernels
@@ -1811,97 +1448,22 @@ let compile (d : D.t) : t =
             let fb = blk_of.(hi) in
             (hi, fun (_ : D.state) (_ : D.params) -> fb)
       in
-      (* a compare whose only job is to feed the conditional branch
-         that ends the block folds into the terminator: the loop
-         back-edge then costs one closure call for test-and-branch
-         instead of two. The predicate register is still written — it
-         may be live around the loop. *)
-      let body_hi, term =
-        if body_hi > lo && body_hi = hi - 1 then
-          match (ops.(hi - 1), ops.(body_hi - 1)) with
-          | ( D.DBrc { pred = D.SIReg pr; if_true; target },
-              D.DSetpI { cmp; fdst = false; dst; a; b } )
-            when dst = pr -> (
-              let tb = blk_of.(target) and fb = blk_of.(hi) in
-              let on_true, on_false =
-                if if_true then (tb, fb) else (fb, tb)
-              in
-              match (isrc a, isrc b) with
-              | IR x, IR y ->
-                  ( body_hi - 1,
-                    fun st (_ : D.params) ->
-                      let c =
-                        Exec.icmp cmp (Array.unsafe_get st.D.xi x)
-                          (Array.unsafe_get st.D.xi y)
-                      in
-                      Array.unsafe_set st.D.xi dst (if c then 1 else 0);
-                      if c then on_true else on_false )
-              | IR x, IC cst ->
-                  ( body_hi - 1,
-                    fun st (_ : D.params) ->
-                      let c = Exec.icmp cmp (Array.unsafe_get st.D.xi x) cst in
-                      Array.unsafe_set st.D.xi dst (if c then 1 else 0);
-                      if c then on_true else on_false )
-              | IC cst, IR y ->
-                  ( body_hi - 1,
-                    fun st (_ : D.params) ->
-                      let c = Exec.icmp cmp cst (Array.unsafe_get st.D.xi y) in
-                      Array.unsafe_set st.D.xi dst (if c then 1 else 0);
-                      if c then on_true else on_false )
-              | _ -> (body_hi, term))
-          | ( D.DBrc { pred = D.SIReg pr; if_true; target },
-              D.DSetpF { cmp; fdst = false; dst; a; b } )
-            when dst = pr -> (
-              let tb = blk_of.(target) and fb = blk_of.(hi) in
-              let on_true, on_false =
-                if if_true then (tb, fb) else (fb, tb)
-              in
-              match (fsrc a, fsrc b) with
-              | FR x, FR y ->
-                  ( body_hi - 1,
-                    fun st (_ : D.params) ->
-                      let c =
-                        Exec.fcmp cmp (Array.unsafe_get st.D.xf x)
-                          (Array.unsafe_get st.D.xf y)
-                      in
-                      Array.unsafe_set st.D.xi dst (if c then 1 else 0);
-                      if c then on_true else on_false )
-              | FR x, FC cst ->
-                  ( body_hi - 1,
-                    fun st (_ : D.params) ->
-                      let c = Exec.fcmp cmp (Array.unsafe_get st.D.xf x) cst in
-                      Array.unsafe_set st.D.xi dst (if c then 1 else 0);
-                      if c then on_true else on_false )
-              | FC cst, FR y ->
-                  ( body_hi - 1,
-                    fun st (_ : D.params) ->
-                      let c = Exec.fcmp cmp cst (Array.unsafe_get st.D.xf y) in
-                      Array.unsafe_set st.D.xi dst (if c then 1 else 0);
-                      if c then on_true else on_false )
-              | _ -> (body_hi, term))
-          | _ -> (body_hi, term)
-        else (body_hi, term)
-      in
       (* fuse the straight-line body into the terminator so executing
-         the block is one call; adjacent op runs matching a fused
-         idiom (longest match first: addressing chains, then triples,
-         then pairs) share a single closure body *)
+         the block is one call; an addressing chain, else a dependent
+         arithmetic pair, shares a single closure body *)
       let rec chain i : cl =
         if i >= body_hi then term
         else
           match fuse_addr d ops i body_hi with
           | Some (consumed, mk) -> mk (chain (i + consumed))
-          | None ->
-              if i + 2 < body_hi then
-                match fuse_triple d ops.(i) ops.(i + 1) ops.(i + 2) with
-                | Some mk -> mk (chain (i + 3))
-                | None -> pair_or_one i
-              else if i + 1 < body_hi then pair_or_one i
-              else build_op d ops.(i) term
-      and pair_or_one i =
-        match fuse_pair d ops.(i) ops.(i + 1) with
-        | Some mk -> mk (chain (i + 2))
-        | None -> build_op d ops.(i) (chain (i + 1))
+          | None -> (
+              let pair =
+                if i + 1 < body_hi then fuse_generic ops.(i) ops.(i + 1)
+                else None
+              in
+              match pair with
+              | Some mk -> mk (chain (i + 2))
+              | None -> build_op d ops.(i) (chain (i + 1)))
       in
       let run = chain lo in
       (* static per-block counter deltas: every class a memory op

@@ -488,6 +488,124 @@ let test_daemon_concurrent_dedup () =
               Alcotest.(check bool) "tail: no hits, some misses" true
                 (region "tail" "hits" = 0 && region "tail" "misses" > 0)))
 
+(* --- Sjson: strict parsing and committed BENCH files ------------------- *)
+
+module Sjson = Serve.Sjson
+
+let rejects s =
+  match Sjson.parse s with
+  | _ -> false
+  | exception Sjson.Parse_error _ -> true
+
+let test_sjson_strict () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("rejects " ^ String.escaped s) true (rejects s))
+    [
+      "+1"; "01"; "-01"; ".5"; "1."; "-"; "1e"; "1e+"; "1.e5"; "0x10";
+      "1E400"; "-1e400"; "[1e999]"; "\"a\001b\""; "\"tab\there\"";
+      "\"line\nbreak\""; "\"\\u12G4\""; "\"\\u1_23\""; "\"\\u+123\"";
+    ];
+  List.iter
+    (fun (s, v) ->
+      Alcotest.(check bool) ("accepts " ^ s) true (Sjson.parse s = v))
+    [
+      ("0", Sjson.Num 0.); ("-0", Sjson.Num (-0.)); ("1.5", Sjson.Num 1.5);
+      ("-1.5e-3", Sjson.Num (-1.5e-3)); ("1E+2", Sjson.Num 100.);
+      ("1e-400", Sjson.Num 0.); ("\"\\u0041\\t\"", Sjson.Str "A\t");
+      ( "[0,10,{\"a\":null}]",
+        Sjson.(Arr [ Num 0.; Num 10.; Obj [ ("a", Null) ] ]) );
+    ]
+
+(* dune runtest runs in _build/.../test with the BENCH files copied
+   one level up; a manual run goes from the project root *)
+let test_bench_files_roundtrip () =
+  let dir =
+    if Sys.file_exists "golden" then Filename.parent_dir_name else "."
+  in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "BENCH_sim.json present" true
+    (List.mem "BENCH_sim.json" files);
+  List.iter
+    (fun f ->
+      let ic = open_in_bin (Filename.concat dir f) in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      match Sjson.parse text with
+      | exception Sjson.Parse_error m -> Alcotest.failf "%s: %s" f m
+      | v ->
+          Alcotest.(check bool) (f ^ " round-trips") true
+            (Sjson.parse (Sjson.to_string v) = v))
+    files
+
+module Q = QCheck
+
+let gen_json : Sjson.t Q.Gen.t =
+  let open Q.Gen in
+  let finite f = if Float.is_finite f then f else 0. in
+  let leaf =
+    oneof
+      [
+        return Sjson.Null;
+        map (fun b -> Sjson.Bool b) bool;
+        map (fun f -> Sjson.Num (finite f)) float;
+        map (fun i -> Sjson.Num (float_of_int i)) int;
+        map (fun s -> Sjson.Str s) (string_size (0 -- 8));
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Sjson.Arr l) (list_size (0 -- 4) (self (n / 3)))
+               );
+               ( 1,
+                 map
+                   (fun kvs -> Sjson.Obj kvs)
+                   (list_size (0 -- 4)
+                      (pair (string_size (0 -- 4)) (self (n / 3)))) );
+             ])
+
+let prop_sjson_roundtrip =
+  Q.Test.make ~name:"sjson: parse inverts to_string" ~count:300
+    (Q.make ~print:Sjson.to_string gen_json) (fun v ->
+      Sjson.parse (Sjson.to_string v) = v)
+
+(* random bytes, and printed values with a few bits flipped: the
+   parser may accept or reject, but only ever by raising Parse_error *)
+let prop_sjson_only_parse_error =
+  let flipped =
+    Q.Gen.(
+      map
+        (fun (v, flips) ->
+          let b = Bytes.of_string (Sjson.to_string v) in
+          let n = Bytes.length b in
+          List.iter
+            (fun (i, bit) ->
+              let i = i mod n in
+              Bytes.set b i
+                (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
+            flips;
+          Bytes.to_string b)
+        (pair gen_json (list_size (1 -- 4) (pair nat (0 -- 7)))))
+  in
+  Q.Test.make ~name:"sjson: malformed bytes raise only Parse_error" ~count:1000
+    (Q.make ~print:String.escaped
+       Q.Gen.(oneof [ string_size (0 -- 24); flipped ]))
+    (fun s ->
+      (try ignore (Sjson.parse s) with Sjson.Parse_error _ -> ());
+      true)
+
 (* --- SIGTERM shutdown of the real binary -------------------------------- *)
 
 let test_sigterm_shutdown () =
@@ -562,4 +680,10 @@ let suite =
       `Quick test_daemon_concurrent_dedup;
     Alcotest.test_case "daemon: SIGTERM shuts down cleanly" `Quick
       test_sigterm_shutdown;
+    Alcotest.test_case "sjson: strict numbers and strings" `Quick
+      test_sjson_strict;
+    Alcotest.test_case "sjson: committed BENCH files round-trip" `Quick
+      test_bench_files_roundtrip;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_sjson_roundtrip; prop_sjson_only_parse_error ]

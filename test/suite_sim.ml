@@ -809,7 +809,7 @@ let test_costmodel_estimate_scales () =
    fused instruction count against the number of steps walked. The
    shapes are chosen to straddle fusion boundaries: labels inside
    would-be fused runs, branches landing between dependent ops, and
-   compare-and-branch terminators. *)
+   compares feeding the conditional branch that ends a block. *)
 
 let vreg rid rty = { Safara_vir.Vreg.rid; rty }
 let freg rid = vreg rid Safara_ir.Types.F64
@@ -864,8 +864,8 @@ let check_regonly_agree k =
 let test_fusion_loop_with_dependent_chain () =
   (* a loop whose body is a fusable dependent float pair, an int
      increment, and a compare feeding the back-edge: exercises the
-     generic pair fuser, the Setp→Brc terminator fusion, and the label
-     op at the loop head *)
+     generic pair fuser, a block whose last body op writes the branch
+     predicate, and the label op at the loop head *)
   let module I = Safara_vir.Instr in
   let k =
     regonly_kernel "chainloop"
@@ -946,10 +946,14 @@ let test_fusion_unop_chain () =
   Alcotest.(check (float 0.)) "negated fraction" 0.0 xf.(6)
 
 let test_fusion_addressing_chain_source () =
-  (* the full addressing idiom (scale, convert, base add, load, move)
-     as generated from real array code, on both engines with
-     counters: a small strided gather that the quad fuser collapses *)
-  let src =
+  (* addressing arithmetic as generated from real array code, on both
+     engines with counters: a small strided gather with 64-bit offsets
+     (dependent pairs only), and the same gather under [small], whose
+     32-bit offsets give the full idiom the addressing-chain fuser
+     collapses — scale, convert, base add, then a store, or a load
+     whose value is copied into the conditionally assigned scalar
+     (the copy is the chain's fifth op) *)
+  let gather =
     {|
 param int n;
 in double b[n][n];
@@ -962,9 +966,26 @@ double y[n];
   }
 }
 |}
+  and gather_small =
+    {|
+param int n;
+in double b[n][n];
+double y[n];
+#pragma acc kernels name(gather) small(b, y)
+{
+  #pragma acc loop gang vector(32)
+  for (i = 0; i <= n - 1; i++) {
+    double t = 1.0;
+    if (i > 0) {
+      t = b[i][2];
+    }
+    y[i] = t * 2.0 + b[i][3];
+  }
+}
+|}
   in
   let n = 64 in
-  let snapshot eng =
+  let snapshot src eng =
     Decode.with_engine eng (fun () ->
         let prog, kernels = compile_pipeline src in
         let mem = Memory.create () in
@@ -983,10 +1004,13 @@ double y[n];
             counters.Interp.c_loads,
             counters.Interp.c_stores ) ))
   in
-  let r_sum, r_cnt = snapshot Decode.Reference in
-  let t_sum, t_cnt = snapshot Decode.Threaded in
-  Alcotest.(check int64) "threaded checksum" r_sum t_sum;
-  Alcotest.(check bool) "threaded counters" true (r_cnt = t_cnt)
+  List.iter
+    (fun (name, src) ->
+      let r_sum, r_cnt = snapshot src Decode.Reference in
+      let t_sum, t_cnt = snapshot src Decode.Threaded in
+      Alcotest.(check int64) (name ^ ": threaded checksum") r_sum t_sum;
+      Alcotest.(check bool) (name ^ ": threaded counters") true (r_cnt = t_cnt))
+    [ ("gather", gather); ("gather small", gather_small) ]
 
 let test_memory_view_cursors () =
   let m = Memory.create () in
