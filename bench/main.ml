@@ -102,29 +102,18 @@ let run_unroll ~eng ~arch () =
   print_string
     (Experiments.render_unroll (Experiments.unroll_study ~eng ~arch ()))
 
-(* --- JSON helpers (shared by the json and sim modes) ----------------- *)
+(* --- JSON output (the sim, serve, tune, loopopt and json modes) ------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Sjson = Safara_json.Sjson
 
-let j_str s = "\"" ^ json_escape s ^ "\""
-let j_float f = Printf.sprintf "%.12g" f
-let j_int = string_of_int
-let j_list items = "[" ^ String.concat "," items ^ "]"
-let j_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> j_str k ^ ":" ^ v) fields) ^ "}"
-let j_assoc to_v kvs = j_obj (List.map (fun (k, v) -> (k, to_v v)) kvs)
+let floats kvs = Sjson.Obj (List.map (fun (k, v) -> (k, Sjson.Num v)) kvs)
+
+let write_json file v =
+  let oc = open_out file in
+  output_string oc (Sjson.to_string v);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "\nwrote %s\n" file
 
 (* --- sim: simulator-throughput microbenchmark ------------------------ *)
 (* Measures simulated instructions per second of both simulator
@@ -495,89 +484,86 @@ let run_sim ~smoke ~min_runs ~pool ~arch () =
   Printf.printf
     "\n%-16s %11.3e %11.3e %5.2fx %11.3e %5.2fx %11.3e %11.3e %5.2fx\n"
     "aggregate" fr ft (ft /. fr) fp (fp /. ftw) tr tt (tt /. tr);
+  let open Sjson in
   let meas_json (m : sim_meas) =
-    j_obj
-      [ ("ips", j_float m.sm_ips);
-        ("best_ips", j_float m.sm_best);
-        ("best_wall_ips", j_float m.sm_best_wall);
-        ("instructions", j_int m.sm_instr);
-        ("seconds", j_float m.sm_s);
-        ("runs", j_int m.sm_runs) ]
+    Obj
+      [ ("ips", Num m.sm_ips);
+        ("best_ips", Num m.sm_best);
+        ("best_wall_ips", Num m.sm_best_wall);
+        ("instructions", int m.sm_instr);
+        ("seconds", Num m.sm_s);
+        ("runs", int m.sm_runs) ]
   in
   let verdict_json modes (k, v) =
     let kname = k.Safara_vir.Kernel.kname in
     let mode_fields =
       match List.assoc_opt kname modes with
       | Some (Safara_sim.Interp.Parallel { chunks }) ->
-          [ ("mode", j_str "parallel"); ("chunks", j_int chunks) ]
+          [ ("mode", Str "parallel"); ("chunks", int chunks) ]
       | Some (Safara_sim.Interp.Sequential None) ->
-          [ ("mode", j_str "sequential") ]
+          [ ("mode", Str "sequential") ]
       | Some (Safara_sim.Interp.Sequential (Some r)) ->
-          [ ("mode", j_str "sequential");
-            ("mode_reason", j_str (Safara_sim.Blockpar.reason_message r)) ]
+          [ ("mode", Str "sequential");
+            ("mode_reason", Str (Safara_sim.Blockpar.reason_message r)) ]
       | None -> []
     in
-    j_obj
-      (("name", j_str kname)
+    Obj
+      (("name", Str kname)
       ::
       (match v with
-      | Safara_sim.Blockpar.Block_parallel -> [ ("block_parallel", "true") ]
+      | Safara_sim.Blockpar.Block_parallel -> [ ("block_parallel", Bool true) ]
       | Safara_sim.Blockpar.Serial r ->
-          [ ("block_parallel", "false");
-            ("fallback_reason", j_str (Safara_sim.Blockpar.reason_message r))
+          [ ("block_parallel", Bool false);
+            ("fallback_reason", Str (Safara_sim.Blockpar.reason_message r))
           ])
       @ mode_fields)
   in
   let json =
-    j_obj
-      [ ("arch", j_str arch.Safara_gpu.Arch.name);
-        ("arch_key", j_str arch.Safara_gpu.Arch.key);
-        ("profile", j_str "full");
-        ("mode", j_str (if smoke then "smoke" else "full"));
-        ("jobs", j_int jobs);
-        ("min_runs", j_int min_runs);
+    Obj
+      [ ("arch", Str arch.Safara_gpu.Arch.name);
+        ("arch_key", Str arch.Safara_gpu.Arch.key);
+        ("profile", Str "full");
+        ("mode", Str (if smoke then "smoke" else "full"));
+        ("jobs", int jobs);
+        ("min_runs", int min_runs);
         ("default_engine",
-         j_str (Safara_sim.Decode.engine_name !Safara_sim.Decode.engine));
+         Str (Safara_sim.Decode.engine_name !Safara_sim.Decode.engine));
         ("workloads",
-         j_list
+         Arr
            (List.map
               (fun r ->
-                j_obj
-                  [ ("id", j_str r.r_id);
+                Obj
+                  [ ("id", Str r.r_id);
                     ("engine",
-                     j_str
+                     Str
                        (Safara_sim.Decode.engine_name
                           !Safara_sim.Decode.engine));
                     ("interp_reference", meas_json r.r_fr);
                     ("interp_threaded", meas_json r.r_ft);
                     ("interp_threaded_speedup",
-                     j_float (r.r_ft.sm_best /. r.r_fr.sm_best));
+                     Num (r.r_ft.sm_best /. r.r_fr.sm_best));
                     ("interp_parallel", meas_json r.r_fp);
                     ("parallel_speedup",
-                     j_float (r.r_fp.sm_best_wall /. r.r_ft.sm_best_wall));
+                     Num (r.r_fp.sm_best_wall /. r.r_ft.sm_best_wall));
                     ("kernels",
-                     j_list (List.map (verdict_json r.r_modes) r.r_verdicts));
+                     Arr (List.map (verdict_json r.r_modes) r.r_verdicts));
                     ("timing_reference", meas_json r.r_tr);
                     ("timing_threaded", meas_json r.r_tt);
                     ("timing_threaded_speedup",
-                     j_float (r.r_tt.sm_best /. r.r_tr.sm_best)) ])
+                     Num (r.r_tt.sm_best /. r.r_tr.sm_best)) ])
               rows));
         ("aggregate",
-         j_obj
-           [ ("interp_reference_ips", j_float fr);
-             ("interp_threaded_ips", j_float ft);
-             ("interp_threaded_speedup", j_float (ft /. fr));
-             ("interp_parallel_ips", j_float fp);
-             ("parallel_speedup", j_float (fp /. ftw));
-             ("timing_reference_ips", j_float tr);
-             ("timing_threaded_ips", j_float tt);
-             ("timing_threaded_speedup", j_float (tt /. tr)) ]) ]
+         Obj
+           [ ("interp_reference_ips", Num fr);
+             ("interp_threaded_ips", Num ft);
+             ("interp_threaded_speedup", Num (ft /. fr));
+             ("interp_parallel_ips", Num fp);
+             ("parallel_speedup", Num (fp /. ftw));
+             ("timing_reference_ips", Num tr);
+             ("timing_threaded_ips", Num tt);
+             ("timing_threaded_speedup", Num (tt /. tr)) ]) ]
   in
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_sim.json\n"
+  write_json "BENCH_sim.json" json
 
 (* --- serve: compile-service latency and throughput ------------------- *)
 (* Measures what the daemon actually buys: per-request compile latency
@@ -665,11 +651,11 @@ let serve_start ~socket ~store ~jobs =
 
 let serve_stats socket =
   match Safara_serve.Client.try_connect socket with
-  | None -> Safara_serve.Sjson.Null
+  | None -> Sjson.Null
   | Some conn ->
       let r = Safara_serve.Client.request conn Safara_serve.Protocol.Stats in
       Safara_serve.Client.close conn;
-      (match r with Safara_serve.Protocol.Data d -> d | _ -> Safara_serve.Sjson.Null)
+      (match r with Safara_serve.Protocol.Data d -> d | _ -> Sjson.Null)
 
 let rec serve_rm_rf path =
   match Unix.lstat path with
@@ -824,41 +810,38 @@ let run_serve ~smoke ~jobs () =
         (if n = 1 then " " else "s") total s rps)
     throughput;
   let json =
-    j_obj
-      [ ("mode", j_str (if smoke then "smoke" else "full"));
+    let open Sjson in
+    Obj
+      [ ("mode", Str (if smoke then "smoke" else "full"));
         ("jobs",
-         match jobs with Some n -> j_int n | None -> j_str "auto");
+         match jobs with Some n -> int n | None -> Str "auto");
         ("workloads",
-         j_list
+         Arr
            (List.mapi
               (fun i (w, cold) ->
-                j_obj
-                  [ ("id", j_str w.Workload.id);
-                    ("cold_inprocess_ms", j_float cold);
-                    ("cold_daemon_ms", j_float (List.nth cold_daemon i));
-                    ("warm_daemon_ms", j_float (List.nth warm_daemon i));
+                Obj
+                  [ ("id", Str w.Workload.id);
+                    ("cold_inprocess_ms", Num cold);
+                    ("cold_daemon_ms", Num (List.nth cold_daemon i));
+                    ("warm_daemon_ms", Num (List.nth warm_daemon i));
                     ("diskwarm_daemon_ms",
-                     j_float (List.nth diskwarm_daemon i)) ])
+                     Num (List.nth diskwarm_daemon i)) ])
               cold_inproc));
-        ("warm_speedup", j_float speedup);
+        ("warm_speedup", Num speedup);
         ("throughput",
-         j_list
+         Arr
            (List.map
               (fun (n, total, s, rps) ->
-                j_obj
-                  [ ("clients", j_int n);
-                    ("requests", j_int total);
-                    ("seconds", j_float s);
-                    ("rps", j_float rps) ])
+                Obj
+                  [ ("clients", int n);
+                    ("requests", int total);
+                    ("seconds", Num s);
+                    ("rps", Num rps) ])
               throughput));
-        ("engine", Safara_serve.Sjson.to_string stats_a);
-        ("engine_diskwarm", Safara_serve.Sjson.to_string stats_b) ]
+        ("engine", stats_a);
+        ("engine_diskwarm", stats_b) ]
   in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_serve.json\n";
+  write_json "BENCH_serve.json" json;
   serve_rm_rf tmp;
   if smoke && speedup < 10. then begin
     Printf.eprintf
@@ -957,90 +940,54 @@ let all ~eng ~arch () =
 (* --- json output mode ------------------------------------------------ *)
 
 let speedup_rows_json rows =
-  j_list
+  let open Sjson in
+  Arr
     (List.map
        (fun (r : Experiments.speedup_row) ->
-         j_obj
-           [ ("id", j_str r.Experiments.sr_id);
-             ("values", j_assoc j_float r.Experiments.sr_values) ])
+         Obj
+           [ ("id", Str r.Experiments.sr_id);
+             ("values", floats r.Experiments.sr_values) ])
        rows)
 
 let norm_rows_json rows =
-  j_list
+  let open Sjson in
+  Arr
     (List.map
        (fun (r : Experiments.norm_row) ->
-         j_obj
-           [ ("id", j_str r.Experiments.nr_id);
-             ("values", j_assoc j_float r.Experiments.nr_values) ])
+         Obj
+           [ ("id", Str r.Experiments.nr_id);
+             ("values", floats r.Experiments.nr_values) ])
        rows)
 
 let reg_rows_json rows =
-  j_list
+  let open Sjson in
+  Arr
     (List.map
        (fun (r : Experiments.reg_row) ->
-         j_obj
-           [ ("kernel", j_str r.Experiments.rr_kernel);
-             ("base", j_int r.Experiments.rr_base);
-             ("small", j_int r.Experiments.rr_small);
+         Obj
+           [ ("kernel", Str r.Experiments.rr_kernel);
+             ("base", int r.Experiments.rr_base);
+             ("small", int r.Experiments.rr_small);
              ("dim",
               match r.Experiments.rr_dim with
-              | Some d -> j_int d
-              | None -> "null");
-             ("saved", j_int r.Experiments.rr_saved) ])
+              | Some d -> int d
+              | None -> Null);
+             ("saved", int r.Experiments.rr_saved) ])
        rows)
 
-let engine_json eng =
-  let s = Eval.stats eng in
-  let store_fields =
-    match s.Eval.st_store with
-    | None -> []
-    | Some st ->
-        [ ("store",
-           j_obj
-             [ ("disk_hits", j_int st.Safara_engine.Store.st_disk_hits);
-               ("disk_misses", j_int st.Safara_engine.Store.st_disk_misses);
-               ("bytes_read", j_int st.Safara_engine.Store.st_bytes_read);
-               ("bytes_written", j_int st.Safara_engine.Store.st_bytes_written);
-               ("evictions", j_int st.Safara_engine.Store.st_evictions);
-               ("corrupt", j_int st.Safara_engine.Store.st_corrupt);
-               ("entries", j_int st.Safara_engine.Store.st_entries);
-               ("total_bytes", j_int st.Safara_engine.Store.st_total_bytes) ])
-        ]
-  in
-  j_obj
-    ([ ("pool_jobs", j_int s.Eval.st_jobs);
-      ("job_counts", j_list (List.map j_int s.Eval.st_job_counts));
-      ("compile_cache",
-       j_obj
-         [ ("hits", j_int s.Eval.st_compile_hits);
-           ("misses", j_int s.Eval.st_compile_misses) ]);
-      ("sim_cache",
-       j_obj
-         [ ("hits", j_int s.Eval.st_sim_hits);
-           ("misses", j_int s.Eval.st_sim_misses) ]);
-      ("compile_s", j_float s.Eval.st_compile_s);
-      ("sim_s", j_float s.Eval.st_sim_s);
-      ("passes",
-       j_obj
-         (List.map
-            (fun (name, runs, secs) ->
-              (name, j_obj [ ("runs", j_int runs); ("seconds", j_float secs) ]))
-            s.Eval.st_pass_s));
-       ("wall_s", j_float s.Eval.st_wall_s) ]
-    @ store_fields)
-
 let run_json ~eng ~arch () =
+  let open Sjson in
   let table1 = reg_rows_json (Experiments.table1 ~eng ~arch ()) in
   let table2 = reg_rows_json (Experiments.table2 ~eng ~arch ()) in
   let offsets =
-    j_list
+    Arr
       (List.map
          (fun (r : Experiments.offsets_demo) ->
-           j_obj
-             [ ("config", j_str r.Experiments.od_config);
-               ("dope_loads", j_int r.Experiments.od_dope_loads);
-               ("instructions", j_int r.Experiments.od_offset_instrs);
-               ("regs", j_int r.Experiments.od_regs) ])
+           Obj
+             [ ("config", Str r.Experiments.od_config);
+               ("dope_loads", int r.Experiments.od_dope_loads);
+               ("instructions", int r.Experiments.od_offset_instrs);
+               ("regs", int r.Experiments.od_regs) ])
          (Experiments.offsets ~eng ~arch ()))
   in
   let fig7 = speedup_rows_json (Experiments.fig7 ~eng ~arch ()) in
@@ -1049,61 +996,61 @@ let run_json ~eng ~arch () =
   let fig11 = norm_rows_json (Experiments.fig11 ~eng ~arch ()) in
   let fig12 = norm_rows_json (Experiments.fig12 ~eng ~arch ()) in
   let ablations =
-    j_list
+    Arr
       (List.map
          (fun (r : Experiments.ablation_row) ->
-           j_obj
-             [ ("name", j_str r.Experiments.ab_name);
-               ("description", j_str r.Experiments.ab_description);
-               ("slowdowns", j_assoc j_float r.Experiments.ab_speedups) ])
+           Obj
+             [ ("name", Str r.Experiments.ab_name);
+               ("description", Str r.Experiments.ab_description);
+               ("slowdowns", floats r.Experiments.ab_speedups) ])
          (Experiments.ablations ~eng ~arch ()))
   in
   let crossarch =
     (* the one figure that is inherently multi-arch: each row carries
        per-arch speedups keyed by registry name *)
-    j_list
+    Arr
       (List.map
          (fun (r : Experiments.crossarch_row) ->
-           j_obj
-             [ ("id", j_str r.Experiments.ca_id);
-               ("speedups", j_assoc j_float r.Experiments.ca_values) ])
+           Obj
+             [ ("id", Str r.Experiments.ca_id);
+               ("speedups", floats r.Experiments.ca_values) ])
          (Experiments.crossarch ~eng ()))
   in
   let unroll =
-    j_list
+    Arr
       (List.map
          (fun (r : Experiments.unroll_row) ->
-           j_obj
-             [ ("id", j_str r.Experiments.ur_id);
+           Obj
+             [ ("id", Str r.Experiments.ur_id);
                ("speedups",
-                j_list
+                Arr
                   (List.map
-                     (fun (f, s) -> j_list [ j_int f; j_float s ])
+                     (fun (f, s) -> Arr [ int f; Num s ])
                      r.Experiments.ur_speedups));
                ("regs",
-                j_list
+                Arr
                   (List.map
-                     (fun (f, n) -> j_list [ j_int f; j_int n ])
+                     (fun (f, n) -> Arr [ int f; int n ])
                      r.Experiments.ur_regs)) ])
          (Experiments.unroll_study ~eng ~arch ()))
   in
-  print_string
-    (j_obj
-       [ ("arch", j_str arch.Safara_gpu.Arch.name);
-         ("arch_key", j_str arch.Safara_gpu.Arch.key);
-         ("table1", table1);
-         ("table2", table2);
-         ("offsets", offsets);
-         ("fig7", fig7);
-         ("fig9", fig9);
-         ("fig10", fig10);
-         ("fig11", fig11);
-         ("fig12", fig12);
-         ("ablations", ablations);
-         ("crossarch", crossarch);
-         ("unroll", unroll);
-         ("engine", engine_json eng) ]);
-  print_newline ()
+  print_endline
+    (to_string
+       (Obj
+          [ ("arch", Str arch.Safara_gpu.Arch.name);
+            ("arch_key", Str arch.Safara_gpu.Arch.key);
+            ("table1", table1);
+            ("table2", table2);
+            ("offsets", offsets);
+            ("fig7", fig7);
+            ("fig9", fig9);
+            ("fig10", fig10);
+            ("fig11", fig11);
+            ("fig12", fig12);
+            ("ablations", ablations);
+            ("crossarch", crossarch);
+            ("unroll", unroll);
+            ("engine", Eval.stats_json (Eval.stats eng)) ]))
 
 (* --- tune: autotuning search over (config x unroll x arch) ----------- *)
 (* Runs Safara_tune's grid search for every (workload, architecture)
@@ -1147,53 +1094,28 @@ let run_tune ~smoke ~eng ~archs () =
     "\nsearch sim-cache: %d hits / %d misses (%.1f%% hit rate)\n" hits misses
     (100. *. hit_rate);
   let json =
-    j_obj
-      [ ("mode", j_str (if smoke then "smoke" else "full"));
-        ("jobs", j_int jobs);
-        ("strategy", j_str "grid");
-        ("space", j_int Safara_tune.Tune.space_size);
-        ("config_labels", j_list (List.map j_str Safara_tune.Tune.config_labels));
-        ("unroll_factors", j_list (List.map j_int Safara_tune.Tune.unroll_factors));
+    let open Sjson in
+    Obj
+      [ ("mode", Str (if smoke then "smoke" else "full"));
+        ("jobs", int jobs);
+        ("strategy", Str "grid");
+        ("space", int Safara_tune.Tune.space_size);
+        ("config_labels", Arr (List.map str Safara_tune.Tune.config_labels));
+        ("unroll_factors", Arr (List.map int Safara_tune.Tune.unroll_factors));
         ("archs",
-         j_list
+         Arr
            (List.map
-              (fun (a : Safara_gpu.Arch.t) -> j_str a.Safara_gpu.Arch.key)
+              (fun (a : Safara_gpu.Arch.t) -> Str a.Safara_gpu.Arch.key)
               archs));
-        ("results",
-         j_list
-           (List.map
-              (fun (r : Safara_tune.Tune.result) ->
-                j_obj
-                  [ ("id", j_str r.Safara_tune.Tune.tr_id);
-                    ("arch", j_str r.Safara_tune.Tune.tr_arch);
-                    ("best",
-                     j_obj
-                       [ ("config",
-                          j_str r.Safara_tune.Tune.tr_best
-                            .Safara_tune.Tune.pt_config);
-                         ("unroll",
-                          j_int r.Safara_tune.Tune.tr_best
-                            .Safara_tune.Tune.pt_unroll) ]);
-                    ("best_ms", j_float r.Safara_tune.Tune.tr_best_ms);
-                    ("default_ms", j_float r.Safara_tune.Tune.tr_default_ms);
-                    ("improvement", j_float r.Safara_tune.Tune.tr_improvement);
-                    ("evaluated", j_int r.Safara_tune.Tune.tr_evaluated);
-                    ("space", j_int r.Safara_tune.Tune.tr_space);
-                    ("kernels",
-                     j_assoc j_float r.Safara_tune.Tune.tr_kernels) ])
-              results));
+        ("results", Arr (List.map Safara_tune.Tune.to_json results));
         ("sim_cache",
-         j_obj
-           [ ("hits", j_int hits);
-             ("misses", j_int misses);
-             ("hit_rate", j_float hit_rate) ]);
-        ("engine", engine_json eng) ]
+         Obj
+           [ ("hits", int hits);
+             ("misses", int misses);
+             ("hit_rate", Num hit_rate) ]);
+        ("engine", Eval.stats_json (Eval.stats eng)) ]
   in
-  let oc = open_out "BENCH_tune.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_tune.json\n";
+  write_json "BENCH_tune.json" json;
   if smoke then begin
     if hit_rate <= 0.5 then begin
       Printf.eprintf
@@ -1296,48 +1218,45 @@ let run_loopopt ~smoke ~eng ~archs () =
         kernels)
     rows;
   let json =
-    j_obj
-      [ ("schema", j_str "loopopt-v1");
-        ("passes", j_list (List.map j_str loopopt_passes));
+    let open Sjson in
+    Obj
+      [ ("schema", Str "loopopt-v1");
+        ("passes", Arr (List.map str loopopt_passes));
         ("arch_addr_cost",
-         j_obj
+         Obj
            (List.map
               (fun (arch : Safara_gpu.Arch.t) ->
                 let t = Safara_gpu.Addrcost.for_arch arch in
                 ( arch.Safara_gpu.Arch.key,
-                  j_obj
-                    [ ("mul_add", j_int t.Safara_gpu.Addrcost.mul_add);
+                  Obj
+                    [ ("mul_add", int t.Safara_gpu.Addrcost.mul_add);
                       ("scale_and_base",
-                       j_int t.Safara_gpu.Addrcost.scale_and_base);
-                      ("dope_load", j_int t.Safara_gpu.Addrcost.dope_load);
-                      ("ro_issue", j_int t.Safara_gpu.Addrcost.ro_issue) ] ))
+                       int t.Safara_gpu.Addrcost.scale_and_base);
+                      ("dope_load", int t.Safara_gpu.Addrcost.dope_load);
+                      ("ro_issue", int t.Safara_gpu.Addrcost.ro_issue) ] ))
               archs));
         ("rows",
-         j_list
+         Arr
            (List.map
               (fun (id, (arch : Safara_gpu.Arch.t), kernels, ms_on, ms_off) ->
-                j_obj
-                  [ ("id", j_str id);
-                    ("arch", j_str arch.Safara_gpu.Arch.key);
-                    ("ms_with_passes", j_float ms_on);
-                    ("ms_without", j_float ms_off);
-                    ("speedup", j_float (ms_off /. ms_on));
+                Obj
+                  [ ("id", Str id);
+                    ("arch", Str arch.Safara_gpu.Arch.key);
+                    ("ms_with_passes", Num ms_on);
+                    ("ms_without", Num ms_off);
+                    ("speedup", Num (ms_off /. ms_on));
                     ("kernels",
-                     j_list
+                     Arr
                        (List.map
                           (fun (kn, on_ops, off_ops) ->
-                            j_obj
-                              [ ("kernel", j_str kn);
-                                ("hot_loop_ops_with", j_int on_ops);
-                                ("hot_loop_ops_without", j_int off_ops) ])
+                            Obj
+                              [ ("kernel", Str kn);
+                                ("hot_loop_ops_with", int on_ops);
+                                ("hot_loop_ops_without", int off_ops) ])
                           kernels)) ])
               rows)) ]
   in
-  let oc = open_out "BENCH_loopopt.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_loopopt.json\n";
+  write_json "BENCH_loopopt.json" json;
   if smoke then begin
     List.iter
       (fun (want_id, want_kernel) ->

@@ -13,6 +13,7 @@
      time     cycle-level timing estimate per kernel *)
 
 open Cmdliner
+module Sjson = Safara_json.Sjson
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -701,18 +702,19 @@ let tune_cmd =
               s1.Safara_suites.Eval.st_sim_misses
               - s0.Safara_suites.Eval.st_sim_misses
             in
-            if json then
-              Printf.printf
-                "{\"id\":%S,\"arch\":%S,\"strategy\":%S,\"best\":{\"config\":%S,\"unroll\":%d},\"best_ms\":%.12g,\"default_ms\":%.12g,\"improvement\":%.12g,\"evaluated\":%d,\"space\":%d,\"sim_hits\":%d,\"sim_misses\":%d}\n"
-                r.Safara_tune.Tune.tr_id r.Safara_tune.Tune.tr_arch
-                r.Safara_tune.Tune.tr_strategy
-                r.Safara_tune.Tune.tr_best.Safara_tune.Tune.pt_config
-                r.Safara_tune.Tune.tr_best.Safara_tune.Tune.pt_unroll
-                r.Safara_tune.Tune.tr_best_ms
-                r.Safara_tune.Tune.tr_default_ms
-                r.Safara_tune.Tune.tr_improvement
-                r.Safara_tune.Tune.tr_evaluated r.Safara_tune.Tune.tr_space
-                hits misses
+            if json then begin
+              let fields =
+                match Safara_tune.Tune.to_json r with
+                | Sjson.Obj fields -> fields
+                | _ -> []
+              in
+              print_endline
+                (Sjson.to_string
+                   (Sjson.Obj
+                      (fields
+                      @ [ ("sim_hits", Sjson.int hits);
+                          ("sim_misses", Sjson.int misses) ])))
+            end
             else begin
               print_string (Safara_tune.Tune.render r);
               Printf.printf "search sim-cache: %d hits / %d misses\n" hits

@@ -1,6 +1,7 @@
 module P = Safara_ir.Program
 module R = Safara_ir.Region
 module K = Safara_vir.Kernel
+module Sjson = Safara_json.Sjson
 
 type safara_mode = Feedback | Exhaustive
 
@@ -306,55 +307,33 @@ let pp_trace ppf t =
     t.tr_reports;
   Format.fprintf ppf "  %-18s %-5s %12.6f@." "total" "" total
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let j_str s = "\"" ^ json_escape s ^ "\""
-
-let j_obj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> j_str k ^ ":" ^ v) fields)
-  ^ "}"
-
-let stats_json (s : Pass.stats) =
-  j_obj
-    [
-      ("units", string_of_int s.Pass.s_units);
-      ("stmts", string_of_int s.Pass.s_stmts);
-      ("instrs", string_of_int s.Pass.s_instrs);
-      ("vregs", string_of_int s.Pass.s_vregs);
-      ("regs", string_of_int s.Pass.s_regs);
-    ]
-
 let trace_to_json t =
-  j_obj
+  let open Sjson in
+  let stats (s : Pass.stats) =
+    Obj
+      [
+        ("units", int s.Pass.s_units);
+        ("stmts", int s.Pass.s_stmts);
+        ("instrs", int s.Pass.s_instrs);
+        ("vregs", int s.Pass.s_vregs);
+        ("regs", int s.Pass.s_regs);
+      ]
+  in
+  Obj
     [
-      ("pipeline", j_str t.tr_pipeline);
+      ("pipeline", Str t.tr_pipeline);
       ( "passes",
-        "["
-        ^ String.concat ","
-            (List.map
-               (fun r ->
-                 j_obj
-                   [
-                     ("name", j_str r.pr_pass);
-                     ("stage", j_str r.pr_stage);
-                     ("seconds", Printf.sprintf "%.9f" r.pr_s);
-                     ("disabled", if r.pr_disabled then "true" else "false");
-                     ("before", stats_json r.pr_before);
-                     ("after", stats_json r.pr_after);
-                   ])
-               t.tr_reports)
-        ^ "]" );
+        Arr
+          (List.map
+             (fun r ->
+               Obj
+                 [
+                   ("name", Str r.pr_pass);
+                   ("stage", Str r.pr_stage);
+                   ("seconds", Num r.pr_s);
+                   ("disabled", Bool r.pr_disabled);
+                   ("before", stats r.pr_before);
+                   ("after", stats r.pr_after);
+                 ])
+             t.tr_reports) );
     ]

@@ -141,6 +141,6 @@ val run :
 val pp_trace : Format.formatter -> trace -> unit
 (** The [--time-passes] table. *)
 
-val trace_to_json : trace -> string
+val trace_to_json : trace -> Safara_json.Sjson.t
 (** The [--time-passes --json] object: pipeline name plus one record
     per pass (name, stage, seconds, disabled, before/after stats). *)

@@ -137,49 +137,15 @@ let render_all ?src ts =
 
 (* --- JSON ----------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json d =
-  let fields =
-    [
-      ("code", Printf.sprintf "%S" d.code);
-      ("severity", Printf.sprintf "%S" (severity_to_string d.severity));
-    ]
+  let open Safara_json.Sjson in
+  Obj
+    ([ ("code", Str d.code); ("severity", Str (severity_to_string d.severity)) ]
     @ (match d.span with
       | Some s ->
-          [
-            ("file", "\"" ^ json_escape s.file ^ "\"");
-            ("line", string_of_int s.line);
-            ("col", string_of_int s.col);
-          ]
+          [ ("file", Str s.file); ("line", int s.line); ("col", int s.col) ]
       | None -> [])
-    @ [
-        ("where", "\"" ^ json_escape d.where ^ "\"");
-        ("message", "\"" ^ json_escape d.message ^ "\"");
-      ]
-    @
-    match d.hint with
-    | Some h -> [ ("hint", "\"" ^ json_escape h ^ "\"") ]
-    | None -> []
-  in
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields)
-  ^ "}"
+    @ [ ("where", Str d.where); ("message", Str d.message) ]
+    @ match d.hint with Some h -> [ ("hint", Str h) ] | None -> [])
 
-let list_to_json ts =
-  "[" ^ String.concat ",\n " (List.map to_json (sort ts)) ^ "]"
+let list_to_json ts = Safara_json.Sjson.Arr (List.map to_json (sort ts))

@@ -91,7 +91,8 @@ val render_all : ?src:string -> t list -> string
 (** All diagnostics, sorted, caret-rendered, followed by a summary
     line ("2 errors, 1 warning"). Empty string for []. *)
 
-val to_json : t -> string
-val list_to_json : t list -> string
+val list_to_json : t list -> Safara_json.Sjson.t
 (** A JSON array of objects with fields [code], [severity], [file],
-    [line], [col], [where], [message], [hint] — for CI consumption. *)
+    [line], [col], [where], [message], [hint] — for CI consumption.
+    [file]/[line]/[col] are present only with a span, [hint] only
+    when set. *)

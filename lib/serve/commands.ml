@@ -67,7 +67,8 @@ let compile eng (r : Protocol.compile_req) : Protocol.outcome =
   in
   (match trace with
   | Some trace when r.cr_time_passes && r.cr_json ->
-      Buffer.add_string b (Safara_core.Pipeline.trace_to_json trace);
+      Buffer.add_string b
+        (Sjson.to_string (Safara_core.Pipeline.trace_to_json trace));
       Buffer.add_char b '\n'
   | _ ->
       (match trace with
@@ -133,7 +134,8 @@ let check (r : Protocol.check_req) : Protocol.outcome =
           Buffer.add_string b (Safara_diag.Diagnostic.render_all ~src diags))
     inputs;
   if r.ck_json then begin
-    Buffer.add_string b (Safara_diag.Diagnostic.list_to_json !all);
+    Buffer.add_string b
+      (Sjson.to_string (Safara_diag.Diagnostic.list_to_json !all));
     Buffer.add_char b '\n'
   end;
   {
@@ -255,57 +257,3 @@ let exec eng = function
   | Protocol.Bench r -> bench eng r
   | Protocol.Ping | Protocol.Stats | Protocol.Shutdown ->
       invalid_arg "Commands.exec: control request"
-
-(* ------------------------------------------------------------------ *)
-(* stats                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let stats_json eng =
-  let s = Eval.stats eng in
-  let open Sjson in
-  let store_fields =
-    match s.Eval.st_store with
-    | None -> []
-    | Some st ->
-        [ ("store",
-           Obj
-             [ ("disk_hits", int st.Safara_engine.Store.st_disk_hits);
-               ("disk_misses", int st.Safara_engine.Store.st_disk_misses);
-               ("bytes_read", int st.Safara_engine.Store.st_bytes_read);
-               ("bytes_written", int st.Safara_engine.Store.st_bytes_written);
-               ("evictions", int st.Safara_engine.Store.st_evictions);
-               ("corrupt", int st.Safara_engine.Store.st_corrupt);
-               ("entries", int st.Safara_engine.Store.st_entries);
-               ("total_bytes", int st.Safara_engine.Store.st_total_bytes) ])
-        ]
-  in
-  Obj
-    ([ ("pool_jobs", int s.Eval.st_jobs);
-       ("job_counts", Arr (List.map int s.Eval.st_job_counts));
-       ("compile_cache",
-        Obj
-          [ ("hits", int s.Eval.st_compile_hits);
-            ("misses", int s.Eval.st_compile_misses) ]);
-       ("sim_cache",
-        Obj
-          [ ("hits", int s.Eval.st_sim_hits);
-            ("misses", int s.Eval.st_sim_misses) ]);
-       ("region_cache",
-        Obj
-          (List.map
-             (fun (name, hits, misses) ->
-               (name, Obj [ ("hits", int hits); ("misses", int misses) ]))
-             [ ("tail", s.Eval.st_tail_hits, s.Eval.st_tail_misses);
-               ("feedback", s.Eval.st_feedback_hits, s.Eval.st_feedback_misses);
-               ("front_end", s.Eval.st_front_end_hits,
-                s.Eval.st_front_end_misses) ]));
-       ("compile_s", num s.Eval.st_compile_s);
-       ("sim_s", num s.Eval.st_sim_s);
-       ("passes",
-        Obj
-          (List.map
-             (fun (name, runs, secs) ->
-               (name, Obj [ ("runs", int runs); ("seconds", num secs) ]))
-             s.Eval.st_pass_s));
-       ("wall_s", num s.Eval.st_wall_s) ]
-    @ store_fields)

@@ -42,9 +42,3 @@ val bench : Safara_suites.Eval.t -> Protocol.bench_req -> Protocol.outcome
 val exec : Safara_suites.Eval.t -> Protocol.request -> Protocol.outcome
 (** Dispatch a command request ([Compile]/[Check]/[Run]/[Bench]).
     @raise Invalid_argument for control requests. *)
-
-val stats_json : Safara_suites.Eval.t -> Sjson.t
-(** Engine statistics — pool, cache hit/miss counters, phase times,
-    per-pass compile times, and the persistent-store block when a
-    store is attached — as one JSON object (the [stats] control
-    response, also reused by [bench serve]). *)

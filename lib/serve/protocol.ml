@@ -9,13 +9,18 @@ let write_frame oc payload =
   output_string oc payload;
   flush oc
 
+(* exactly what [write_frame] emits: 8 lowercase hex digits and '\n' *)
 let read_frame ic =
   let header = really_input_string ic 9 in
   if header.[8] <> '\n' then failwith "protocol: bad frame header";
   let len =
-    match int_of_string_opt ("0x" ^ String.sub header 0 8) with
-    | Some n when n >= 0 -> n
-    | _ -> failwith "protocol: bad frame length"
+    String.fold_left
+      (fun acc c ->
+        match c with
+        | '0' .. '9' -> (acc lsl 4) + Char.code c - Char.code '0'
+        | 'a' .. 'f' -> (acc lsl 4) + Char.code c - Char.code 'a' + 10
+        | _ -> failwith "protocol: bad frame length")
+      0 (String.sub header 0 8)
   in
   if len > max_frame_bytes then failwith "protocol: oversized frame";
   really_input_string ic len

@@ -29,7 +29,9 @@ val max_frame_bytes : int
 val write_frame : out_channel -> string -> unit
 
 val read_frame : in_channel -> string
-(** @raise End_of_file on a cleanly closed peer.
+(** Reads one frame; the header must be exactly 8 lowercase hex
+    digits and a newline, as {!write_frame} writes it.
+    @raise End_of_file on a cleanly closed peer or a truncated frame.
     @raise Failure on a malformed or oversized header. *)
 
 (** {1 Command payloads} — mirrors of the [saraccc] CLI inputs. *)

@@ -70,7 +70,7 @@ let respond st oc req =
       reply (Protocol.Data (Sjson.Obj [ ("pong", Sjson.Bool true) ]));
       true
   | Protocol.Stats ->
-      reply (Protocol.Data (Commands.stats_json st.eng));
+      reply (Protocol.Data (Eval.stats_json (Eval.stats st.eng)));
       true
   | Protocol.Shutdown ->
       reply (Protocol.Data (Sjson.Obj [ ("stopping", Sjson.Bool true) ]));

@@ -483,6 +483,49 @@ let render_stats t =
   end;
   Buffer.contents b
 
+let stats_json s =
+  let open Safara_json.Sjson in
+  let hits_misses (name, hits, misses) =
+    (name, Obj [ ("hits", int hits); ("misses", int misses) ])
+  in
+  let store_fields =
+    match s.st_store with
+    | None -> []
+    | Some st ->
+        [ ("store",
+           Obj
+             [ ("disk_hits", int st.Store.st_disk_hits);
+               ("disk_misses", int st.Store.st_disk_misses);
+               ("bytes_read", int st.Store.st_bytes_read);
+               ("bytes_written", int st.Store.st_bytes_written);
+               ("evictions", int st.Store.st_evictions);
+               ("corrupt", int st.Store.st_corrupt);
+               ("entries", int st.Store.st_entries);
+               ("total_bytes", int st.Store.st_total_bytes) ]) ]
+  in
+  Obj
+    ([ ("pool_jobs", int s.st_jobs);
+       ("job_counts", Arr (List.map int s.st_job_counts));
+       hits_misses ("compile_cache", s.st_compile_hits, s.st_compile_misses);
+       hits_misses ("sim_cache", s.st_sim_hits, s.st_sim_misses);
+       ("region_cache",
+        Obj
+          (List.map hits_misses
+             [ ("tail", s.st_tail_hits, s.st_tail_misses);
+               ("feedback", s.st_feedback_hits, s.st_feedback_misses);
+               ("front_end", s.st_front_end_hits, s.st_front_end_misses) ]));
+       ("images", int s.st_images);
+       ("compile_s", num s.st_compile_s);
+       ("sim_s", num s.st_sim_s);
+       ("passes",
+        Obj
+          (List.map
+             (fun (name, runs, secs) ->
+               (name, Obj [ ("runs", int runs); ("seconds", num secs) ]))
+             s.st_pass_s));
+       ("wall_s", num s.st_wall_s) ]
+    @ store_fields)
+
 let self_check t w =
   if jobs t > 1 && assertions_enabled then begin
     let js = List.map (fun p -> job p w) C.all_profiles in

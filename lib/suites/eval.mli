@@ -194,6 +194,12 @@ val stats : t -> stats
 val render_stats : t -> string
 (** Multi-line human-readable form of {!stats}. *)
 
+val stats_json : stats -> Safara_json.Sjson.t
+(** The one JSON form of {!stats}, carrying every counter
+    {!render_stats} prints: the daemon's [stats] reply and the
+    [engine] block of the bench JSON files. The [store] member is
+    present only when the engine has a store. *)
+
 val assertions_enabled : bool
 (** Whether this binary keeps [assert]s: true unless it was built with
     [-noassert], which no dune profile of this project passes, so

@@ -168,3 +168,20 @@ let render r =
     (fun (k, ms) -> Printf.bprintf b "    %-24s %9.4f ms\n" k ms)
     r.tr_kernels;
   Buffer.contents b
+
+let to_json r =
+  let open Safara_json.Sjson in
+  Obj
+    [ ("id", Str r.tr_id);
+      ("arch", Str r.tr_arch);
+      ("strategy", Str r.tr_strategy);
+      ("best",
+       Obj
+         [ ("config", Str r.tr_best.pt_config);
+           ("unroll", int r.tr_best.pt_unroll) ]);
+      ("best_ms", Num r.tr_best_ms);
+      ("default_ms", Num r.tr_default_ms);
+      ("improvement", Num r.tr_improvement);
+      ("evaluated", int r.tr_evaluated);
+      ("space", int r.tr_space);
+      ("kernels", Obj (List.map (fun (k, ms) -> (k, Num ms)) r.tr_kernels)) ]

@@ -547,11 +547,23 @@ let test_json_shape () =
       ~hint:"try \"this\"" ~code:"SAF010" ~where:"region k" Diag.Error
       "a \"quoted\" message"
   in
-  let j = Diag.list_to_json [ d ] in
-  Alcotest.(check bool) "code field" true (Str_helpers.contains j {|"SAF010"|});
-  Alcotest.(check bool)
-    "escaped quotes" true
-    (Str_helpers.contains j {|\"quoted\"|})
+  let module J = Safara_json.Sjson in
+  match J.parse (J.to_string (Diag.list_to_json [ d ])) with
+  | J.Arr [ o ] ->
+      Alcotest.(check (list (pair string string)))
+        "string fields round-trip"
+        [
+          ("code", "SAF010"); ("severity", "error"); ("file", "t.macc");
+          ("where", "region k"); ("message", "a \"quoted\" message");
+          ("hint", "try \"this\"");
+        ]
+        (List.map
+           (fun k -> (k, J.to_str (J.member k o)))
+           [ "code"; "severity"; "file"; "where"; "message"; "hint" ]);
+      Alcotest.(check (pair int int))
+        "position" (3, 7)
+        (J.to_int (J.member "line" o), J.to_int (J.member "col" o))
+  | _ -> Alcotest.fail "expected a one-element JSON array"
 
 let test_check_deterministic () =
   let src = Safara_suites.Spec_sp.workload.Safara_suites.Workload.source in

@@ -517,12 +517,16 @@ let test_sjson_strict () =
         Sjson.(Arr [ Num 0.; Num 10.; Obj [ ("a", Null) ] ]) );
     ]
 
-(* dune runtest runs in _build/.../test with the BENCH files copied
-   one level up; a manual run goes from the project root *)
+(* dune runtest runs in _build/.../test, whose parent mirrors the
+   project root (the BENCH files, examples/, test/golden/); a manual run
+   goes from the project root *)
+let project_root () =
+  if Sys.file_exists "golden" then Filename.parent_dir_name else "."
+
+let read_bin path = In_channel.with_open_bin path In_channel.input_all
+
 let test_bench_files_roundtrip () =
-  let dir =
-    if Sys.file_exists "golden" then Filename.parent_dir_name else "."
-  in
+  let dir = project_root () in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f ->
@@ -534,10 +538,7 @@ let test_bench_files_roundtrip () =
     (List.mem "BENCH_sim.json" files);
   List.iter
     (fun f ->
-      let ic = open_in_bin (Filename.concat dir f) in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Sjson.parse text with
+      match Sjson.parse (read_bin (Filename.concat dir f)) with
       | exception Sjson.Parse_error m -> Alcotest.failf "%s: %s" f m
       | v ->
           Alcotest.(check bool) (f ^ " round-trips") true
@@ -583,21 +584,27 @@ let prop_sjson_roundtrip =
 
 (* random bytes, and printed values with a few bits flipped: the
    parser may accept or reject, but only ever by raising Parse_error *)
+(* [flips] is a list of (byte index mod length, bit) pairs; the empty
+   string stays empty *)
+let flip_bits s flips =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b in
+  if n > 0 then
+    List.iter
+      (fun (i, bit) ->
+        let i = i mod n in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
+      flips;
+  Bytes.to_string b
+
+let gen_flips = Q.Gen.(list_size (1 -- 4) (pair nat (0 -- 7)))
+
 let prop_sjson_only_parse_error =
   let flipped =
     Q.Gen.(
       map
-        (fun (v, flips) ->
-          let b = Bytes.of_string (Sjson.to_string v) in
-          let n = Bytes.length b in
-          List.iter
-            (fun (i, bit) ->
-              let i = i mod n in
-              Bytes.set b i
-                (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
-            flips;
-          Bytes.to_string b)
-        (pair gen_json (list_size (1 -- 4) (pair nat (0 -- 7)))))
+        (fun (v, flips) -> flip_bits (Sjson.to_string v) flips)
+        (pair gen_json gen_flips))
   in
   Q.Test.make ~name:"sjson: malformed bytes raise only Parse_error" ~count:1000
     (Q.make ~print:String.escaped
@@ -605,6 +612,212 @@ let prop_sjson_only_parse_error =
     (fun s ->
       (try ignore (Sjson.parse s) with Sjson.Parse_error _ -> ());
       true)
+
+(* --- frame decoder ------------------------------------------------------ *)
+
+let write_bin path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* [read_frame] over a channel holding exactly [bytes] *)
+let read_frame_of bytes =
+  let path = Filename.temp_file "safara-frame" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_bin path bytes;
+      In_channel.with_open_bin path Serve.Protocol.read_frame)
+
+let test_frame_header_strict () =
+  Alcotest.(check string)
+    "canonical header" "0123456789"
+    (read_frame_of "0000000a\n0123456789");
+  List.iter
+    (fun bytes ->
+      match read_frame_of bytes with
+      | _ -> Alcotest.failf "accepted %S" bytes
+      | exception Failure _ -> ())
+    [ "0000_001\nx"; "0000000A\n0123456789" ]
+
+(* random bytes, and frames [write_frame] wrote with a few bits
+   flipped: the decoder returns exactly the payload the bytes hold
+   behind a canonical header, or raises only Failure/End_of_file *)
+let prop_frame_decoder =
+  let framed payload =
+    let path = Filename.temp_file "safara-frame" "" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            Serve.Protocol.write_frame oc payload);
+        read_bin path)
+  in
+  let gen =
+    Q.Gen.(
+      oneof
+        [
+          string_size (0 -- 24);
+          map
+            (fun (p, flips) -> flip_bits (framed p) flips)
+            (pair (string_size (0 -- 24)) gen_flips);
+        ])
+  in
+  Q.Test.make ~name:"frame: decoder returns the payload or fails cleanly"
+    ~count:500 (Q.make ~print:String.escaped gen) (fun bytes ->
+      match read_frame_of bytes with
+      | p ->
+          let len = String.length p in
+          String.sub bytes 0 9 = Printf.sprintf "%08x\n" len
+          && String.sub bytes 9 len = p
+      | exception (Failure _ | End_of_file) -> true)
+
+(* --- store entries ------------------------------------------------------- *)
+
+(* random bytes, and a valid entry with a few bits flipped, at an
+   entry's path: [find] reads a miss without raising and counts the
+   entry as corrupt *)
+let prop_store_entries =
+  let gen =
+    Q.Gen.(
+      pair (string_size (0 -- 32))
+        (oneof
+           [
+             map (fun r -> `Random r) (string_size (0 -- 64));
+             map (fun f -> `Flip f) gen_flips;
+           ]))
+  in
+  let print (payload, bad) =
+    Printf.sprintf "payload %S, %s" payload
+      (match bad with
+      | `Random r -> Printf.sprintf "random %S" r
+      | `Flip f ->
+          "flips "
+          ^ String.concat " "
+              (List.map (fun (i, b) -> Printf.sprintf "%d:%d" i b) f))
+  in
+  Q.Test.make ~name:"store: corrupt entries read as counted misses"
+    ~count:200 (Q.make ~print gen) (fun (payload, bad) ->
+      with_tmpdir (fun dir ->
+          let s = Store.open_store dir in
+          Store.add s ~key:"k" payload;
+          let path = Store.entry_path s ~key:"k" in
+          let valid = read_bin path in
+          let bytes =
+            match bad with `Random r -> r | `Flip f -> flip_bits valid f
+          in
+          Q.assume (bytes <> valid);
+          write_bin path bytes;
+          Store.find s ~key:"k" = None
+          && (Store.stats s).Store.st_corrupt = 1))
+
+(* --- engine stats JSON ---------------------------------------------------- *)
+
+(* every counter of [Eval.stats] gets a distinct value; each must
+   appear in the JSON exactly once, so a counter added to the record
+   (which breaks this literal) cannot be left out of the encoder *)
+let test_stats_json_complete () =
+  let st =
+    {
+      Store.st_disk_hits = 101; st_disk_misses = 102; st_bytes_read = 103;
+      st_bytes_written = 104; st_evictions = 105; st_corrupt = 106;
+      st_entries = 107; st_total_bytes = 108;
+    }
+  in
+  let s =
+    {
+      Eval.st_jobs = 1; st_job_counts = [ 2; 3 ]; st_compile_hits = 4;
+      st_compile_misses = 5; st_sim_hits = 6; st_sim_misses = 7;
+      st_tail_hits = 8; st_tail_misses = 9; st_feedback_hits = 10;
+      st_feedback_misses = 11; st_front_end_hits = 12;
+      st_front_end_misses = 13; st_images = 14; st_compile_s = 15.5;
+      st_sim_s = 16.5; st_pass_s = [ ("dce", 17, 18.5) ]; st_wall_s = 19.5;
+      st_store = Some st;
+    }
+  in
+  let rec nums = function
+    | Sjson.Num f -> [ f ]
+    | Sjson.Arr l -> List.concat_map nums l
+    | Sjson.Obj kvs -> List.concat_map (fun (_, v) -> nums v) kvs
+    | _ -> []
+  in
+  let j = Eval.stats_json s in
+  Alcotest.(check (list (float 0.)))
+    "every counter exactly once"
+    (List.init 14 (fun i -> float_of_int (i + 1))
+    @ [ 15.5; 16.5; 17.; 18.5; 19.5 ]
+    @ List.init 8 (fun i -> float_of_int (101 + i)))
+    (List.sort compare (nums j));
+  Alcotest.(check int) "images" 14 (Sjson.to_int (Sjson.member "images" j))
+
+(* --- the CLI's JSON through the real binary ------------------------------ *)
+
+let saraccc_json bin args =
+  let ic = Unix.open_process_args_in bin (Array.of_list (bin :: args)) in
+  let out = In_channel.input_all ic in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "saraccc %s failed" (String.concat " " args));
+  match Sjson.parse out with
+  | v -> v
+  | exception Sjson.Parse_error m ->
+      Alcotest.failf "saraccc %s: %s" (String.concat " " args) m
+
+let has_keys what keys v =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (what ^ " has " ^ k) true
+        (Sjson.member k v <> Sjson.Null))
+    keys
+
+let test_cli_json () =
+  match Sys.getenv_opt "SARACCC_BIN" with
+  | None | Some "" -> ()
+  | Some bin ->
+      let root = project_root () in
+      let fig8 =
+        List.fold_left Filename.concat root
+          [ "examples"; "programs"; "fig8.macc" ]
+      in
+      (match saraccc_json bin [ "check"; "--pressure"; "--json"; fig8 ] with
+      | Sjson.Arr (d :: _) ->
+          has_keys "diagnostic"
+            [ "code"; "severity"; "file"; "line"; "col"; "where"; "message" ] d
+      | _ -> Alcotest.fail "check --json: expected a non-empty array");
+      let trace =
+        saraccc_json bin
+          [ "compile"; fig8; "-p"; "full"; "--time-passes"; "--json" ]
+      in
+      has_keys "trace" [ "pipeline"; "passes" ] trace;
+      (* the full profile's line: "pipeline OpenUH(SAFARA+clauses) a -> b" *)
+      let golden =
+        In_channel.with_open_text
+          (List.fold_left Filename.concat root
+             [ "test"; "golden"; "pipeline.golden" ])
+          In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.find
+             (String.starts_with ~prefix:"pipeline OpenUH(SAFARA+clauses) ")
+      in
+      let want =
+        String.trim
+          (String.concat " "
+             (List.tl (List.tl (String.split_on_char ' ' golden))))
+      in
+      Alcotest.(check string) "passes in pipeline.golden order" want
+        (String.concat " -> "
+           (List.map
+              (fun p -> Sjson.to_str (Sjson.member "name" p))
+              (Sjson.to_list (Sjson.member "passes" trace))));
+      let tune =
+        saraccc_json bin
+          [ "tune"; "303.ostencil"; "--arch"; "kepler"; "--json" ]
+      in
+      has_keys "tune"
+        [ "id"; "arch"; "strategy"; "best"; "best_ms"; "default_ms";
+          "improvement"; "evaluated"; "space"; "kernels"; "sim_hits";
+          "sim_misses" ]
+        tune;
+      has_keys "tune best" [ "config"; "unroll" ] (Sjson.member "best" tune)
 
 (* --- SIGTERM shutdown of the real binary -------------------------------- *)
 
@@ -684,6 +897,15 @@ let suite =
       test_sjson_strict;
     Alcotest.test_case "sjson: committed BENCH files round-trip" `Quick
       test_bench_files_roundtrip;
+    Alcotest.test_case "frame: header is 8 lowercase hex digits" `Quick
+      test_frame_header_strict;
+    Alcotest.test_case "stats json: every counter" `Quick
+      test_stats_json_complete;
+    Alcotest.test_case "cli: JSON outputs parse with their keys" `Quick
+      test_cli_json;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_sjson_roundtrip; prop_sjson_only_parse_error ]
+      [
+        prop_sjson_roundtrip; prop_sjson_only_parse_error; prop_frame_decoder;
+        prop_store_entries;
+      ]
