@@ -24,84 +24,6 @@
 
 open Safara_suites
 
-(* every experiment title carries the architecture it was measured on
-   when it is not the paper's default, so mixed-arch logs stay
-   readable *)
-let arch_suffix (arch : Safara_gpu.Arch.t) =
-  if arch.Safara_gpu.Arch.key = Safara_gpu.Arch.default.Safara_gpu.Arch.key
-  then ""
-  else Printf.sprintf " [arch %s]" arch.Safara_gpu.Arch.key
-
-let run_fig7 ~eng ~arch () =
-  print_string
-    (Experiments.render_speedups
-       ~title:
-         ("Figure 7: SPEC ACCEL speedup with SAFARA alone (vs OpenUH base)"
-         ^ arch_suffix arch)
-       (Experiments.fig7 ~eng ~arch ()))
-
-let run_fig9 ~eng ~arch () =
-  print_string
-    (Experiments.render_speedups
-       ~title:
-         ("Figure 9: SPEC ACCEL speedup, cumulative small / small+dim / small+dim+SAFARA"
-         ^ arch_suffix arch)
-       (Experiments.fig9 ~eng ~arch ()))
-
-let run_fig10 ~eng ~arch () =
-  print_string
-    (Experiments.render_speedups
-       ~title:
-         ("Figure 10: NAS speedup, cumulative small / small+dim / small+dim+SAFARA"
-         ^ arch_suffix arch)
-       (Experiments.fig10 ~eng ~arch ()))
-
-let run_fig11 ~eng ~arch () =
-  print_string
-    (Experiments.render_norms
-       ~title:
-         ("Figure 11: SPEC normalized execution time, OpenUH vs PGI-like (lower is better)"
-         ^ arch_suffix arch)
-       (Experiments.fig11 ~eng ~arch ()))
-
-let run_fig12 ~eng ~arch () =
-  print_string
-    (Experiments.render_norms
-       ~title:
-         ("Figure 12: NAS normalized execution time, OpenUH vs PGI-like (lower is better)"
-         ^ arch_suffix arch)
-       (Experiments.fig12 ~eng ~arch ()))
-
-let run_table1 ~eng ~arch () =
-  print_string
-    (Experiments.render_regs
-       ~title:
-         ("Table I: 355.seismic register usage via small and dim clauses"
-         ^ arch_suffix arch)
-       (Experiments.table1 ~eng ~arch ()))
-
-let run_table2 ~eng ~arch () =
-  print_string
-    (Experiments.render_regs
-       ~title:
-         ("Table II: 356.sp register usage via small and dim clauses"
-         ^ arch_suffix arch)
-       (Experiments.table2 ~eng ~arch ()))
-
-let run_offsets ~eng ~arch () =
-  print_string (Experiments.render_offsets (Experiments.offsets ~eng ~arch ()))
-
-let run_ablations ~eng ~arch () =
-  print_string
-    (Experiments.render_ablations (Experiments.ablations ~eng ~arch ()))
-
-let run_crossarch ~eng () =
-  print_string (Experiments.render_crossarch (Experiments.crossarch ~eng ()))
-
-let run_unroll ~eng ~arch () =
-  print_string
-    (Experiments.render_unroll (Experiments.unroll_study ~eng ~arch ()))
-
 (* --- JSON output (the sim, serve, tune, loopopt and json modes) ------- *)
 
 module Sjson = Safara_json.Sjson
@@ -908,33 +830,7 @@ let run_micro ~arch () =
     (micro_tests ~arch ())
 
 let all ~eng ~arch () =
-  Printf.printf
-    "SAFARA reproduction evaluation — %s, latency table '%s'\n\
-     profiles: base / SAFARA / small / small+dim / full(small+dim+SAFARA) / PGI-like\n\
-     deterministic: fixed workload seeds, no simulator randomness\n\n"
-    arch.Safara_gpu.Arch.name arch.Safara_gpu.Arch.key;
-  run_table1 ~eng ~arch ();
-  print_newline ();
-  run_table2 ~eng ~arch ();
-  print_newline ();
-  run_offsets ~eng ~arch ();
-  print_newline ();
-  run_fig7 ~eng ~arch ();
-  print_newline ();
-  run_fig9 ~eng ~arch ();
-  print_newline ();
-  run_fig10 ~eng ~arch ();
-  print_newline ();
-  run_fig11 ~eng ~arch ();
-  print_newline ();
-  run_fig12 ~eng ~arch ();
-  print_newline ();
-  run_ablations ~eng ~arch ();
-  print_newline ();
-  run_crossarch ~eng ();
-  print_newline ();
-  run_unroll ~eng ~arch ();
-  print_newline ();
+  print_string (Experiments.report ~eng ~arch);
   run_micro ~arch ()
 
 (* --- json output mode ------------------------------------------------ *)
@@ -1367,17 +1263,6 @@ let () =
      results exactly (debug builds only) *)
   if Eval.jobs eng > 1 then Eval.self_check eng (Registry.find "303.ostencil");
   (match cmd with
-  | "fig7" -> run_fig7 ~eng ~arch ()
-  | "fig9" -> run_fig9 ~eng ~arch ()
-  | "fig10" -> run_fig10 ~eng ~arch ()
-  | "fig11" -> run_fig11 ~eng ~arch ()
-  | "fig12" -> run_fig12 ~eng ~arch ()
-  | "table1" -> run_table1 ~eng ~arch ()
-  | "table2" -> run_table2 ~eng ~arch ()
-  | "offsets" -> run_offsets ~eng ~arch ()
-  | "ablations" -> run_ablations ~eng ~arch ()
-  | "crossarch" -> run_crossarch ~eng ()
-  | "unroll" -> run_unroll ~eng ~arch ()
   | "micro" -> run_micro ~arch ()
   | "sim" ->
       run_sim ~smoke:!smoke ~min_runs:!min_runs ~pool:(Eval.pool eng) ~arch ()
@@ -1400,12 +1285,15 @@ let () =
       run_loopopt ~smoke:!smoke ~eng ~archs ()
   | "json" -> run_json ~eng ~arch ()
   | "all" -> all ~eng ~arch ()
-  | other ->
-      Printf.eprintf
-        "unknown experiment %S; expected \
-         fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|micro|sim|serve|tune|loopopt|json|all\n"
-        other;
-      exit 2);
+  | other -> (
+      match Experiments.section other with
+      | Some render -> print_string (render ~eng ~arch)
+      | None ->
+          Printf.eprintf
+            "unknown experiment %S; expected \
+             fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|micro|sim|serve|tune|loopopt|json|all\n"
+            other;
+          exit 2));
   if cmd <> "micro" && cmd <> "sim" && cmd <> "serve" then
     prerr_string (Eval.render_stats eng);
   Eval.shutdown eng

@@ -118,3 +118,16 @@ val render_norms : title:string -> norm_row list -> string
 val render_regs : title:string -> reg_row list -> string
 val render_offsets : offsets_demo list -> string
 val render_ablations : ablation_row list -> string
+
+val section :
+  string -> (eng:Eval.t -> arch:Safara_gpu.Arch.t -> string) option
+(** The rendered table of one [bench] table/figure mode ([table1],
+    [table2], [offsets], [fig7], [fig9], [fig10], [fig11], [fig12],
+    [ablations], [crossarch], [unroll]); [None] for any other name.
+    A title names the architecture when it is not the default. *)
+
+val report : eng:Eval.t -> arch:Safara_gpu.Arch.t -> string
+(** The whole evaluation that [bench all] prints before its
+    compiler-pass microbenchmarks: a header, then every {!section} in
+    the order listed there, each followed by a blank line.
+    Deterministic: byte-identical at any [-j]. *)

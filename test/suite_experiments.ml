@@ -1,8 +1,7 @@
 (* Regression tests for the experiment harness itself: the table
    generators must keep producing the paper's structure (row counts,
    NA positions, orderings). These use the compile-only experiments;
-   the timed figures are exercised by `bench/main.exe` and captured in
-   bench_output.txt. *)
+   the timed figures are pinned by experiments.golden. *)
 
 open Safara_suites
 
@@ -81,10 +80,23 @@ let test_average_is_geomean () =
   Alcotest.(check (float 1e-9)) "geomean(1,4) = 2" 2.0
     (List.assoc "x" avg.Experiments.sr_values)
 
+(* every table [bench all] prints, byte for byte (the bechamel
+   microbenchmarks it prints after them are real timings and stay
+   out); regenerate like the other goldens in suite_pipeline.ml *)
+let test_experiments_golden () =
+  let eng = Eval.create ~jobs:2 () in
+  let got =
+    Fun.protect
+      ~finally:(fun () -> Eval.shutdown eng)
+      (fun () -> Experiments.report ~eng ~arch:Safara_gpu.Arch.default)
+  in
+  Suite_pipeline.check_golden "experiments.golden" "evaluation tables" got
+
 let suite =
   [
     Alcotest.test_case "table I structure" `Quick test_table1_structure;
     Alcotest.test_case "table II structure" `Quick test_table2_structure;
     Alcotest.test_case "offsets structure" `Quick test_offsets_structure;
     Alcotest.test_case "average is geometric" `Quick test_average_is_geomean;
+    Alcotest.test_case "golden evaluation tables" `Slow test_experiments_golden;
   ]

@@ -371,6 +371,70 @@ let test_ptxas_golden () =
   check_golden "ptxas.golden" "registry allocation snapshot"
     (ptxas_golden_content ())
 
+(* one line per registry kernel under base and full on kepler, where
+   nothing spills, re-assembled under 16- and 32-register caps: the
+   first allocation's register count, spilled registers in spill order
+   and a digest of its assignment, then the spill-converged report and
+   the digest of its final allocation. Every allocation verifies. *)
+let spill_golden_content () =
+  let module LS = Safara_ptxas.Linear_scan in
+  let module A = Safara_ptxas.Assemble in
+  let arch = Safara_gpu.Arch.kepler_k20xm in
+  let allocate cap code what =
+    let cfg = Safara_vir.Cfg.build code in
+    let res = LS.allocate ~max_regs:cap cfg in
+    (match LS.verify cfg res with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (what ^ ": " ^ e));
+    let digest =
+      Digest.to_hex
+        (Digest.string
+           (String.concat ","
+              (List.map
+                 (fun (r, u) -> Printf.sprintf "%s=%d" (Safara_vir.Vreg.to_string r) u)
+                 res.LS.assignment)))
+    in
+    (res, String.sub digest 0 8)
+  in
+  let b = Buffer.create 16384 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let prog = Safara_lang.Frontend.compile w.Workload.source in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun ((k : Safara_vir.Kernel.t), (rep : A.report)) ->
+              let what = w.Workload.id ^ " " ^ k.Safara_vir.Kernel.kname in
+              Alcotest.(check int) (what ^ " ships unspilled") 0 rep.A.spill_bytes;
+              Buffer.add_string b
+                (Printf.sprintf "%-12s %-23s %s" w.Workload.id (C.profile_name p)
+                   k.Safara_vir.Kernel.kname);
+              List.iter
+                (fun cap ->
+                  let first, first_digest = allocate cap k.Safara_vir.Kernel.code what in
+                  let k', rep' = A.assemble ~max_regs:cap ~arch k in
+                  let final, final_digest = allocate cap k'.Safara_vir.Kernel.code what in
+                  Alcotest.(check (list string)) (what ^ " spill converged") []
+                    (List.map Safara_vir.Vreg.to_string final.LS.spilled);
+                  Buffer.add_string b
+                    (Printf.sprintf
+                       " | cap%d r%d a=%s spill=[%s] -> r%d s%d i%d a=%s" cap
+                       first.LS.regs_used first_digest
+                       (String.concat " "
+                          (List.map Safara_vir.Vreg.to_string first.LS.spilled))
+                       rep'.A.regs_used rep'.A.spill_bytes rep'.A.instructions
+                       final_digest))
+                [ 16; 32 ];
+              Buffer.add_char b '\n')
+            (C.compile ~arch p prog).C.c_kernels)
+        [ C.Base; C.Full ])
+    Registry.all;
+  Buffer.contents b
+
+let test_spill_golden () =
+  check_golden "spill.golden" "capped allocation and spill snapshot"
+    (spill_golden_content ())
+
 (* one line per tuned workload x arch: the grid-search winner, its
    and the default point's simulated ms (hex floats, so any bit of
    drift shows) and the points evaluated. The workloads are the ones
@@ -430,5 +494,7 @@ let suite =
       test_unrolled_programs_verify;
     Alcotest.test_case "golden pipeline snapshot" `Quick test_golden;
     Alcotest.test_case "golden ptxas allocation" `Quick test_ptxas_golden;
+    Alcotest.test_case "golden capped allocation and spills" `Quick
+      test_spill_golden;
     Alcotest.test_case "golden tune winners" `Slow test_tune_golden;
   ]
