@@ -6,16 +6,26 @@ type interval = { reg : V.t; i_start : int; i_end : int }
 
 (* one interval per register, from the optimizer's liveness fixpoint:
    anything live-in is live at its block's first instruction, anything
-   live-out at its last, and every use or def touches its index *)
+   live-out at its last, and every use or def touches its index. The
+   first and last touch are kept in arrays indexed by rid, grown on
+   demand. *)
 let intervals (cfg : Cfg.t) =
   let live = Safara_vir.Dataflow.Live.analyze cfg in
-  let tbl : (int, interval) Hashtbl.t = Hashtbl.create 64 in
+  let regs = ref [||] and starts = ref [||] and ends = ref [||] in
   let touch i (r : V.t) =
-    match Hashtbl.find_opt tbl r.V.rid with
-    | None -> Hashtbl.replace tbl r.V.rid { reg = r; i_start = i; i_end = i }
-    | Some iv ->
-        Hashtbl.replace tbl r.V.rid
-          { reg = r; i_start = min iv.i_start i; i_end = max iv.i_end i }
+    let id = r.V.rid in
+    if id >= Array.length !starts then begin
+      let n = max (id + 1) (2 * Array.length !starts) in
+      let grow a fill =
+        Array.append a (Array.make (n - Array.length a) fill)
+      in
+      regs := grow !regs r;
+      starts := grow !starts max_int;
+      ends := grow !ends min_int
+    end;
+    !regs.(id) <- r;
+    if i < !starts.(id) then !starts.(id) <- i;
+    if i > !ends.(id) then !ends.(id) <- i
   in
   Array.iteri
     (fun k (b : Cfg.block) ->
@@ -25,11 +35,13 @@ let intervals (cfg : Cfg.t) =
           List.iter (touch i) (I.uses instr);
           List.iter (touch i) (I.defs instr)))
     cfg.Cfg.blocks;
-  Hashtbl.fold (fun _ iv acc -> iv :: acc) tbl []
-  |> List.sort (fun a b ->
-         match Int.compare a.i_start b.i_start with
-         | 0 -> Int.compare a.reg.V.rid b.reg.V.rid
-         | c -> c)
+  let ivs = ref [] in
+  for id = Array.length !starts - 1 downto 0 do
+    if !starts.(id) <> max_int then
+      ivs := { reg = !regs.(id); i_start = !starts.(id); i_end = !ends.(id) } :: !ivs
+  done;
+  (* the list is in rid order, so a stable sort breaks ties by rid *)
+  List.stable_sort (fun a b -> Int.compare a.i_start b.i_start) !ivs
 
 type result = {
   assignment : (V.t * int) list;
@@ -38,38 +50,49 @@ type result = {
   pred_used : int;
 }
 
-type active = { iv : interval; base : int }
+(* an interval holding units [base, base + width); [seq] is its
+   placement order *)
+type active = { iv : interval; base : int; seq : int; mutable evicted : bool }
+
+(* the active set, by end point, then placement order: expiry pops the
+   front, the spill victim is the back *)
+module Active = Set.Make (struct
+  type t = active
+
+  let compare a b =
+    match Int.compare a.iv.i_end b.iv.i_end with
+    | 0 -> Int.compare a.seq b.seq
+    | c -> c
+end)
 
 let allocate ~max_regs (cfg : Cfg.t) =
   let ivs = intervals cfg in
   let free = Array.make (max max_regs 2) true in
-  let assignment = ref [] in
+  let placed = ref [] and placements = ref 0 in
   let spilled = ref [] in
   let regs_used = ref 0 in
   let pred_used = ref 0 in
   let preds_seen = Hashtbl.create 8 in
-  let active : active list ref = ref [] in
-  let release base width =
+  let active = ref Active.empty in
+  let set_free base width v =
     for u = base to base + width - 1 do
-      free.(u) <- true
+      free.(u) <- v
     done
   in
-  let claim base width =
-    for u = base to base + width - 1 do
-      free.(u) <- false
-    done;
-    regs_used := max !regs_used (base + width)
-  in
-  let expire now =
-    let keep, gone = List.partition (fun a -> a.iv.i_end >= now) !active in
-    List.iter (fun a -> release a.base (V.width a.iv.reg)) gone;
-    active := keep
+  let rec expire now =
+    match Active.min_elt_opt !active with
+    | Some a when a.iv.i_end < now ->
+        active := Active.remove a !active;
+        set_free a.base (V.width a.iv.reg) true;
+        expire now
+    | _ -> ()
   in
   let find_slot width =
     let step = if width = 2 then 2 else 1 in
+    let rec fits u k = k = width || (free.(u + k) && fits u (k + 1)) in
     let rec go u =
       if u + width > max_regs then None
-      else if Array.for_all Fun.id (Array.sub free u width) then Some u
+      else if fits u 0 then Some u
       else go (u + step)
     in
     go 0
@@ -78,27 +101,21 @@ let allocate ~max_regs (cfg : Cfg.t) =
     let width = V.width iv.reg in
     match find_slot width with
     | Some base ->
-        claim base width;
-        assignment := (iv.reg, base) :: !assignment;
-        active := { iv; base } :: !active
+        set_free base width false;
+        regs_used := max !regs_used (base + width);
+        let a = { iv; base; seq = !placements; evicted = false } in
+        incr placements;
+        placed := a :: !placed;
+        active := Active.add a !active
     | None -> (
-        (* spill the active interval ending furthest away (or this one) *)
-        let victim =
-          List.fold_left
-            (fun best a ->
-              match best with
-              | None -> Some a
-              | Some b ->
-                  if a.iv.i_end > b.iv.i_end then Some a else best)
-            None !active
-        in
-        match victim with
+        (* spill the active interval ending furthest away (the most
+           recently placed of those), or this one *)
+        match Active.max_elt_opt !active with
         | Some v when v.iv.i_end > iv.i_end ->
             spilled := v.iv.reg :: !spilled;
-            assignment :=
-              List.filter (fun (r, _) -> not (V.equal r v.iv.reg)) !assignment;
-            active := List.filter (fun a -> a != v) !active;
-            release v.base (V.width v.iv.reg);
+            v.evicted <- true;
+            active := Active.remove v !active;
+            set_free v.base (V.width v.iv.reg) true;
             place iv
         | _ -> spilled := iv.reg :: !spilled)
   in
@@ -115,7 +132,10 @@ let allocate ~max_regs (cfg : Cfg.t) =
           place iv)
     ivs;
   {
-    assignment = List.rev !assignment;
+    assignment =
+      List.fold_left
+        (fun acc a -> if a.evicted then acc else (a.iv.reg, a.base) :: acc)
+        [] !placed;
     regs_used = !regs_used;
     spilled = List.rev !spilled;
     pred_used = !pred_used;

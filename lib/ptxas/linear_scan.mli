@@ -7,7 +7,10 @@
     32-bit offsets halve the address-arithmetic register cost (§IV.B).
     Predicates are allocated from a separate file and do not count.
     When demand exceeds [max_regs], the active interval with the
-    furthest end is spilled.
+    furthest end (the most recently placed of those) is spilled, or
+    the new interval if it ends furthest. The active set is kept
+    ordered by end point, so an allocation costs O(n log n) in the
+    number of intervals.
 
     Intervals come from the optimizer's CFG ({!Safara_vir.Cfg}) and
     liveness solver ({!Safara_vir.Dataflow.Live}): the register count
