@@ -60,8 +60,7 @@ let innermost_seq nest =
 
 (* the translate of ref b relative to ref a along index [k]: Some delta
    when b = a shifted by delta iterations of k *)
-let shift_along ~indices ~k (a : Affine.t option list) (b : Affine.t option list) =
-  ignore indices;
+let shift_along ~k (a : Affine.t option list) (b : Affine.t option list) =
   let rec go delta fa fb =
     match (fa, fb) with
     | [], [] -> Some delta
@@ -268,7 +267,7 @@ let candidates ?(policy = default_policy) ~arch ~latency
                   let members, others =
                     List.partition
                       (fun (_, fb) ->
-                        match shift_along ~indices ~k fseed fb with
+                        match shift_along ~k fseed fb with
                         | Some d -> abs d <= policy.max_span
                         | None -> false)
                       rest
@@ -298,7 +297,7 @@ let candidates ?(policy = default_policy) ~arch ~latency
                       let members, others, k = try_inter k in
                       let shifts =
                         List.filter_map
-                          (fun (_, fb) -> shift_along ~indices ~k fseed fb)
+                          (fun (_, fb) -> shift_along ~k fseed fb)
                           members
                       in
                       let has_write =
@@ -344,7 +343,7 @@ let candidates ?(policy = default_policy) ~arch ~latency
                         let tagged =
                           List.filter_map
                             (fun (m, fb) ->
-                              Option.map (fun d -> (m, d)) (shift_along ~indices ~k fseed fb))
+                              Option.map (fun d -> (m, d)) (shift_along ~k fseed fb))
                             members
                         in
                         let max_shift =

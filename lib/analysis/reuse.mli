@@ -69,5 +69,12 @@ val candidates :
 (** Candidates of a schedule-resolved region, sorted by decreasing
     cost (ties broken by program order of the first reference). *)
 
+val shift_along :
+  k:string -> Affine.t option list -> Affine.t option list -> int option
+(** [shift_along ~k a b]: [Some d] when subscript tuple [b] is tuple
+    [a] shifted by [d] iterations of index [k] ([Some 0] for equal
+    tuples that do not depend on [k]); [None] otherwise. This is how
+    an inter-iteration candidate's members were matched. *)
+
 val kind_to_string : kind -> string
 val pp_candidate : Format.formatter -> candidate -> unit

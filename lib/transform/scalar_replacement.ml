@@ -6,9 +6,13 @@ module Dep = Safara_analysis.Dependence
 
 let scalar_prefix = "__sr"
 
+(* An intra or promote job rewrites exactly its candidate's members:
+   a reference in any member's spelling (unrolling spells one cell
+   several ways) reads or updates the scalar. The first member's
+   spelling initializes it. *)
 type intra_job = {
   i_array : string;
-  i_tuple : E.t list;
+  i_tuples : E.t list list;  (** every member's tuple, first member first *)
   i_var : E.var;
   i_scope : string list * int list;  (** nest index names, guard *)
 }
@@ -28,7 +32,7 @@ type inter_job = {
 
 type promote_job = {
   p_array : string;
-  p_tuple : E.t list;
+  p_tuples : E.t list list;  (** every member's tuple, first member first *)
   p_var : E.var;
   p_carrier : string;
   p_has_write : bool;
@@ -51,6 +55,7 @@ let fresh_var elem =
 
 let job_of_candidate (c : Reuse.candidate) =
   let rep_ref = List.hd c.Reuse.c_refs in
+  let member_tuples = List.map (fun (r : Dep.aref) -> r.Dep.subs) c.Reuse.c_refs in
   let nest = List.map fst rep_ref.Dep.nest in
   let guard = rep_ref.Dep.guard in
   match c.Reuse.c_kind with
@@ -58,7 +63,7 @@ let job_of_candidate (c : Reuse.candidate) =
       `Intra
         {
           i_array = c.Reuse.c_array;
-          i_tuple = rep_ref.Dep.subs;
+          i_tuples = member_tuples;
           i_var = fresh_var c.Reuse.c_elem;
           i_scope = (nest, guard);
         }
@@ -66,47 +71,23 @@ let job_of_candidate (c : Reuse.candidate) =
       `Promote
         {
           p_array = c.Reuse.c_array;
-          p_tuple = rep_ref.Dep.subs;
+          p_tuples = member_tuples;
           p_var = fresh_var c.Reuse.c_elem;
           p_carrier = carrier;
           p_has_write = has_write;
           p_scope = (nest, guard);
         }
   | Reuse.Inter { carrier; span } ->
-      (* recompute each member's shift relative to the minimum *)
-      let indices = nest in
+      (* each member's shift relative to the minimum, as Reuse
+         matched it *)
       let forms r =
-        List.map (Safara_analysis.Affine.analyze ~indices) r.Dep.subs
+        List.map (Safara_analysis.Affine.analyze ~indices:nest) r.Dep.subs
       in
       let seed = forms rep_ref in
       let shifts =
         List.filter_map
           (fun (r : Dep.aref) ->
-            let fb = forms r in
-            let rec go delta fa fb =
-              match (fa, fb) with
-              | [], [] -> Some delta
-              | Some a :: ra, Some b :: rb ->
-                  if not (Safara_analysis.Affine.comparable a b) then None
-                  else
-                    let ck = Safara_analysis.Affine.coeff a carrier in
-                    let diff =
-                      b.Safara_analysis.Affine.const - a.Safara_analysis.Affine.const
-                    in
-                    if ck = 0 then if diff = 0 then go delta ra rb else None
-                    else if diff mod ck <> 0 then None
-                    else
-                      let d = diff / ck in
-                      (match delta with
-                      | None -> go (Some d) ra rb
-                      | Some d' when d = d' -> go delta ra rb
-                      | Some _ -> None)
-              | _ -> None
-            in
-            match go None seed fb with
-            | Some (Some d) -> Some (r, d)
-            | Some None -> Some (r, 0)
-            | None -> None)
+            Option.map (fun d -> (r, d)) (Reuse.shift_along ~k:carrier seed (forms r)))
           c.Reuse.c_refs
       in
       let min_shift =
@@ -156,6 +137,8 @@ let rec replace_load ~array ~lookup (e : E.t) : E.t =
 
 let tuple_equal a b = List.length a = List.length b && List.for_all2 E.equal a b
 
+let covers tuples subs = List.exists (tuple_equal subs) tuples
+
 (* --- intra-iteration rewriting --------------------------------------- *)
 
 (* Rewrite a statement list that is the scope of the given intra jobs.
@@ -169,7 +152,7 @@ let apply_intra_jobs jobs stmts =
         if !defined then
           replace_load ~array:j.i_array
             ~lookup:(fun subs ->
-              if tuple_equal subs j.i_tuple then Some j.i_var else None)
+              if covers j.i_tuples subs then Some j.i_var else None)
             e
         else e)
       e states
@@ -187,7 +170,7 @@ let apply_intra_jobs jobs stmts =
             match x with
             | E.Load (a, subs) ->
                 List.iter scan subs;
-                if String.equal a j.i_array && tuple_equal subs j.i_tuple then
+                if String.equal a j.i_array && covers j.i_tuples subs then
                   reads_tuple := true
             | E.Binop (_, a, b) ->
                 scan a;
@@ -198,7 +181,7 @@ let apply_intra_jobs jobs stmts =
           in
           scan e;
           if !reads_tuple then begin
-            emit (S.Local (j.i_var, Some (E.Load (j.i_array, j.i_tuple))));
+            emit (S.Local (j.i_var, Some (E.Load (j.i_array, List.hd j.i_tuples))));
             defined := true
           end)
       states
@@ -215,7 +198,7 @@ let apply_intra_jobs jobs stmts =
           match
             List.find_opt
               (fun ((j : intra_job), _) ->
-                String.equal j.i_array a && tuple_equal j.i_tuple subs)
+                String.equal j.i_array a && covers j.i_tuples subs)
               states
           with
           | Some (j, defined) ->
@@ -300,13 +283,13 @@ let inter_pieces (j : inter_job) (l : S.loop) =
 (* statement-level rewrite for a promoted cell: loads become the
    scalar, stores to the cell become scalar assignments *)
 let rec rewrite_promote (j : promote_job) stmts =
-  let lookup subs = if tuple_equal subs j.p_tuple then Some j.p_var else None in
+  let lookup subs = if covers j.p_tuples subs then Some j.p_var else None in
   let rw e = replace_load ~array:j.p_array ~lookup e in
   List.map
     (fun s ->
       match s with
       | S.Assign (S.Larray (a, subs), rhs)
-        when String.equal a j.p_array && tuple_equal subs j.p_tuple ->
+        when String.equal a j.p_array && covers j.p_tuples subs ->
           S.Assign (S.Lvar j.p_var, rw rhs)
       | S.Assign (S.Larray (a, subs), rhs) ->
           S.Assign (S.Larray (a, List.map rw subs), rw rhs)
@@ -358,14 +341,14 @@ let apply_loop_jobs ~inter ~promote (l : S.loop) =
   let inits = List.concat_map (fun (_, _, _, ins) -> ins) pieces in
   let preloads =
     List.map
-      (fun j -> S.Local (j.p_var, Some (E.Load (j.p_array, j.p_tuple))))
+      (fun j -> S.Local (j.p_var, Some (E.Load (j.p_array, List.hd j.p_tuples))))
       promote
   in
   let store_backs =
     List.filter_map
       (fun j ->
         if j.p_has_write then
-          Some (S.Assign (S.Larray (j.p_array, j.p_tuple), E.Var j.p_var))
+          Some (S.Assign (S.Larray (j.p_array, List.hd j.p_tuples), E.Var j.p_var))
         else None)
       promote
   in

@@ -15,6 +15,11 @@
       zero-trip guard so the hoisted initial loads cannot read out of
       bounds when the loop would not execute.
 
+    A job rewrites exactly its candidate's members: a reference
+    spelled like any member (unrolling spells one cell several ways,
+    e.g. [a[j+1]] and [a[1+j]]) reads or updates the scalar, so a
+    round leaves none of them behind for the next round to find.
+
     Candidates must come from {!Safara_analysis.Reuse.candidates} on
     the {e same} region value (matching is positional/syntactic). *)
 

@@ -417,6 +417,104 @@ let test_unroll_identity_factor () =
   let prog' = Unroll.unroll_program ~factor:1 prog in
   Alcotest.(check bool) "factor 1 is identity" true (prog = prog')
 
+(* --- the corpus kernels a reuse group spells two ways ------------- *)
+
+let corpus_source name =
+  let path =
+    if Sys.file_exists "corpus" then Filename.concat "corpus" name
+    else Filename.concat (Filename.concat "test" "corpus") name
+  in
+  let ic = open_in_bin path in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  src
+
+let corpus_checksums profile src =
+  let c = Safara_core.Compiler.compile_src profile src in
+  let env =
+    Safara_core.Compiler.make_env c ~scalars:[ ("n", Safara_sim.Value.I 64) ]
+  in
+  Safara_core.Compiler.run_functional c env;
+  List.map
+    (fun a -> (a, Safara_sim.Memory.checksum env.Safara_sim.Interp.mem a))
+    [ "a"; "b"; "c" ]
+
+(* a[1+j] is written between two reads of a[j+1]: the scalar caching
+   the cell must take the written value *)
+let test_sr_write_in_other_spelling () =
+  let src = corpus_source "stale.macc" in
+  let base = corpus_checksums Safara_core.Compiler.Base src in
+  List.iter
+    (fun p ->
+      Alcotest.(check (list (pair string (float 0.))))
+        (Safara_core.Compiler.profile_name p ^ " matches base") base
+        (corpus_checksums p src))
+    Safara_core.Compiler.[ Safara_only; Full; Pgi_like ]
+
+(* both spellings of the cell become the scalar in the first round, so
+   the second finds nothing left to replace *)
+let test_sr_rewrites_every_spelling () =
+  let c =
+    Safara_core.Compiler.compile_src Safara_core.Compiler.Safara_only
+      (corpus_source "spell.macc")
+  in
+  Alcotest.(check int) "one SAFARA round" 1
+    (List.length (List.assoc "spell" c.Safara_core.Compiler.c_logs));
+  let emitted = Safara_lang.Emit.program c.Safara_core.Compiler.c_prog in
+  Alcotest.(check bool) "no a[(1 + j)] load left" false
+    (Str_helpers.contains emitted "a[(1 + j)]")
+
+(* every round SAFARA logs changed the kernel it measures next: no
+   region's log repeats a round's candidates (the same references of
+   the same kind) at the same register count, over every tune grid
+   point of the tune workloads on kepler *)
+let test_safara_rounds_make_progress () =
+  let module Tune = Safara_tune.Tune in
+  let module Eval = Safara_suites.Eval in
+  let module Reuse = Safara_analysis.Reuse in
+  let signature (r : Safara.round) =
+    ( r.Safara.regs_before,
+      List.map
+        (fun (c : Reuse.candidate) ->
+          ( Reuse.kind_to_string c.Reuse.c_kind,
+            List.map
+              (fun (m : Safara_analysis.Dependence.aref) ->
+                Safara_ir.Expr.to_string
+                  (E.Load (m.Safara_analysis.Dependence.array, m.Safara_analysis.Dependence.subs)))
+              c.Reuse.c_refs ))
+        r.Safara.applied )
+  in
+  List.iter
+    (fun id ->
+      let w = Safara_suites.Registry.find id in
+      let eng = Eval.create ~jobs:1 () in
+      Fun.protect
+        ~finally:(fun () -> Eval.shutdown eng)
+        (fun () ->
+          List.iter
+            (fun pt_config ->
+              List.iter
+                (fun pt_unroll ->
+                  let c =
+                    Eval.compiled eng
+                      (Tune.job ~arch w { Tune.pt_config; pt_unroll })
+                  in
+                  List.iter
+                    (fun (region, log) ->
+                      let rec go = function
+                        | a :: (b :: _ as rest) ->
+                            if signature a = signature b then
+                              Alcotest.failf "%s %s/u%d region %s repeats round %d"
+                                id pt_config pt_unroll region b.Safara.round_index;
+                            go rest
+                        | _ -> ()
+                      in
+                      go log)
+                    c.Safara_core.Compiler.c_logs)
+                Tune.unroll_factors)
+            Tune.config_labels))
+    Suite_pipeline.tune_golden_ids
+
 let suite =
   [
     Alcotest.test_case "fig5 semantics across profiles" `Quick test_fig5_semantics_preserved;
@@ -424,6 +522,12 @@ let suite =
     Alcotest.test_case "SR never sequentializes" `Quick test_sr_never_sequentializes;
     Alcotest.test_case "SR intra write update" `Quick test_sr_intra_write_update;
     Alcotest.test_case "SR zero-trip guard" `Quick test_sr_zero_trip_guard;
+    Alcotest.test_case "SR write in another spelling" `Quick
+      test_sr_write_in_other_spelling;
+    Alcotest.test_case "SR rewrites every spelling" `Quick
+      test_sr_rewrites_every_spelling;
+    Alcotest.test_case "SAFARA rounds make progress" `Quick
+      test_safara_rounds_make_progress;
     Alcotest.test_case "SAFARA rounds terminate" `Quick test_safara_rounds_terminate;
     Alcotest.test_case "SAFARA respects budget" `Quick test_safara_respects_budget;
     Alcotest.test_case "SAFARA uses feedback" `Quick test_safara_uses_feedback;
