@@ -285,7 +285,8 @@ let test_unrolled_programs_verify () =
 
    The checked-in files guard the pipeline order per profile and the
    IR shape entering codegen (pipeline.golden), and the exact
-   allocation of every registry workload (ptxas.golden). Regenerate
+   allocation of every registry workload (ptxas.golden) with a digest
+   of the assembled code it ships (kernels.golden). Regenerate
    after an intentional change with:  SAFARA_BLESS_GOLDEN=1 dune
    runtest  (then copy the files the failure messages point at back
    into test/golden/). *)
@@ -332,44 +333,83 @@ let test_golden () =
   check_golden "pipeline.golden" "pipeline order and IR snapshot"
     (golden_content ())
 
-(* one line per registry workload x profile; per arch: kernels,
-   sum/max registers, sum predicates, sum spill bytes, sum
-   instructions — every figure the allocator feeds back to SAFARA *)
-let ptxas_golden_content () =
+(* every registry workload x profile x arch compile, shared by the
+   allocation and assembled-kernel goldens so the second adds no
+   compile time *)
+let registry_compiles =
+  lazy
+    (List.map
+       (fun (w : Workload.t) ->
+         let prog = Safara_lang.Frontend.compile w.Workload.source in
+         ( w.Workload.id,
+           List.map
+             (fun p ->
+               ( p,
+                 List.map
+                   (fun (arch : Safara_gpu.Arch.t) ->
+                     (arch, (C.compile ~arch p prog).C.c_kernels))
+                   Safara_gpu.Arch.registry ))
+             C.all_profiles ))
+       Registry.all)
+
+(* one line per registry workload x profile, [cell arch kernels] per
+   arch after the padded row label *)
+let registry_golden cell =
   let b = Buffer.create 8192 in
   List.iter
-    (fun (w : Workload.t) ->
-      let prog = Safara_lang.Frontend.compile w.Workload.source in
+    (fun (id, per_profile) ->
       List.iter
-        (fun p ->
-          Buffer.add_string b
-            (Printf.sprintf "%-12s %-23s" w.Workload.id (C.profile_name p));
+        (fun (p, per_arch) ->
+          Buffer.add_string b (Printf.sprintf "%-12s %-23s" id (C.profile_name p));
           List.iter
-            (fun (arch : Safara_gpu.Arch.t) ->
-              let reps = List.map snd (C.compile ~arch p prog).C.c_kernels in
-              let sum f = List.fold_left (fun acc r -> acc + f r) 0 reps in
-              let max_regs =
-                List.fold_left
-                  (fun acc r -> max acc r.Safara_ptxas.Assemble.regs_used)
-                  0 reps
-              in
+            (fun ((arch : Safara_gpu.Arch.t), ks) ->
               Buffer.add_string b
-                (Printf.sprintf " %s=k%d,r%d/%d,p%d,s%d,i%d"
-                   arch.Safara_gpu.Arch.key (List.length reps)
-                   (sum (fun r -> r.Safara_ptxas.Assemble.regs_used))
-                   max_regs
-                   (sum (fun r -> r.Safara_ptxas.Assemble.pred_regs))
-                   (sum (fun r -> r.Safara_ptxas.Assemble.spill_bytes))
-                   (sum (fun r -> r.Safara_ptxas.Assemble.instructions))))
-            Safara_gpu.Arch.registry;
+                (Printf.sprintf " %s=%s" arch.Safara_gpu.Arch.key (cell ks)))
+            per_arch;
           Buffer.add_char b '\n')
-        C.all_profiles)
-    Registry.all;
+        per_profile)
+    (Lazy.force registry_compiles);
   Buffer.contents b
+
+(* per arch: kernels, sum/max registers, sum predicates, sum spill
+   bytes, sum instructions — every figure the allocator feeds back to
+   SAFARA *)
+let ptxas_golden_content () =
+  registry_golden (fun ks ->
+      let reps = List.map snd ks in
+      let sum f = List.fold_left (fun acc r -> acc + f r) 0 reps in
+      let max_regs =
+        List.fold_left
+          (fun acc r -> max acc r.Safara_ptxas.Assemble.regs_used)
+          0 reps
+      in
+      Printf.sprintf "k%d,r%d/%d,p%d,s%d,i%d" (List.length reps)
+        (sum (fun r -> r.Safara_ptxas.Assemble.regs_used))
+        max_regs
+        (sum (fun r -> r.Safara_ptxas.Assemble.pred_regs))
+        (sum (fun r -> r.Safara_ptxas.Assemble.spill_bytes))
+        (sum (fun r -> r.Safara_ptxas.Assemble.instructions)))
 
 let test_ptxas_golden () =
   check_golden "ptxas.golden" "registry allocation snapshot"
     (ptxas_golden_content ())
+
+(* per arch: the MD5 of every assembled kernel's listing followed by
+   its ptxas report, so any change to the shipped code shows *)
+let kernels_golden_content () =
+  registry_golden (fun ks ->
+      Digest.to_hex
+        (Digest.string
+           (String.concat ""
+              (List.map
+                 (fun (k, r) ->
+                   Format.asprintf "%a@.%a@." Safara_vir.Kernel.pp k
+                     Safara_ptxas.Assemble.pp_report r)
+                 ks))))
+
+let test_kernels_golden () =
+  check_golden "kernels.golden" "registry assembled-kernel snapshot"
+    (kernels_golden_content ())
 
 (* one line per registry kernel under base and full on kepler, where
    nothing spills, re-assembled under 16- and 32-register caps: the
@@ -494,6 +534,7 @@ let suite =
       test_unrolled_programs_verify;
     Alcotest.test_case "golden pipeline snapshot" `Quick test_golden;
     Alcotest.test_case "golden ptxas allocation" `Quick test_ptxas_golden;
+    Alcotest.test_case "golden assembled kernels" `Quick test_kernels_golden;
     Alcotest.test_case "golden capped allocation and spills" `Quick
       test_spill_golden;
     Alcotest.test_case "golden tune winners" `Slow test_tune_golden;
