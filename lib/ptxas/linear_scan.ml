@@ -1,44 +1,36 @@
 module V = Safara_vir.Vreg
 module I = Safara_vir.Instr
 module Cfg = Safara_vir.Cfg
+module B = Safara_vir.Dataflow.Bits
 
 type interval = { reg : V.t; i_start : int; i_end : int }
 
 (* one interval per register, from the optimizer's liveness fixpoint:
    anything live-in is live at its block's first instruction, anything
    live-out at its last, and every use or def touches its index. The
-   first and last touch are kept in arrays indexed by rid, grown on
-   demand. *)
+   first and last touch are kept in arrays indexed by rid. *)
 let intervals (cfg : Cfg.t) =
   let live = Safara_vir.Dataflow.Live.analyze cfg in
-  let regs = ref [||] and starts = ref [||] and ends = ref [||] in
-  let touch i (r : V.t) =
-    let id = r.V.rid in
-    if id >= Array.length !starts then begin
-      let n = max (id + 1) (2 * Array.length !starts) in
-      let grow a fill =
-        Array.append a (Array.make (n - Array.length a) fill)
-      in
-      regs := grow !regs r;
-      starts := grow !starts max_int;
-      ends := grow !ends min_int
-    end;
-    !regs.(id) <- r;
-    if i < !starts.(id) then !starts.(id) <- i;
-    if i > !ends.(id) then !ends.(id) <- i
+  let regs = live.Safara_vir.Dataflow.Live.regs in
+  let starts = Array.make (Array.length regs) max_int in
+  let ends = Array.make (Array.length regs) min_int in
+  let touch i id =
+    if i < starts.(id) then starts.(id) <- i;
+    if i > ends.(id) then ends.(id) <- i
   in
+  let touch_reg i (r : V.t) = touch i r.V.rid in
   Array.iteri
     (fun k (b : Cfg.block) ->
-      V.Set.iter (touch b.Cfg.first) live.Safara_vir.Dataflow.Live.live_in.(k);
-      V.Set.iter (touch b.Cfg.last) live.Safara_vir.Dataflow.Live.live_out.(k);
+      B.iter (touch b.Cfg.first) live.Safara_vir.Dataflow.Live.live_in.(k);
+      B.iter (touch b.Cfg.last) live.Safara_vir.Dataflow.Live.live_out.(k);
       Cfg.iter_instrs cfg k (fun i instr ->
-          List.iter (touch i) (I.uses instr);
-          List.iter (touch i) (I.defs instr)))
+          I.iter_uses (touch_reg i) instr;
+          I.iter_defs (touch_reg i) instr))
     cfg.Cfg.blocks;
   let ivs = ref [] in
-  for id = Array.length !starts - 1 downto 0 do
-    if !starts.(id) <> max_int then
-      ivs := { reg = !regs.(id); i_start = !starts.(id); i_end = !ends.(id) } :: !ivs
+  for id = Array.length starts - 1 downto 0 do
+    if starts.(id) <> max_int then
+      ivs := { reg = regs.(id); i_start = starts.(id); i_end = ends.(id) } :: !ivs
   done;
   (* the list is in rid order, so a stable sort breaks ties by rid *)
   List.stable_sort (fun a b -> Int.compare a.i_start b.i_start) !ivs

@@ -51,6 +51,42 @@ let uses = function
   | Atom { addr; src; _ } -> [ addr ] @ op_regs src
   | Label _ | Ldp _ | Bra _ | Spec _ | Ret -> []
 
+(* [defs]/[uses] without the lists, for the hot per-register walks *)
+let iter_defs f = function
+  | Ld { dst; _ } | Ldp { dst; _ } | Mov { dst; _ } | Bin { dst; _ }
+  | Una { dst; _ } | Cvt { dst; _ } | Setp { dst; _ } | Spec { dst; _ } ->
+      f dst
+  | Label _ | St _ | Bra _ | Brc _ | Atom _ | Ret -> ()
+
+let iter_op f = function Reg r -> f r | Imm _ | FImm _ -> ()
+
+let iter_uses f = function
+  | Ld { addr; _ } -> f addr
+  | St { src; addr; _ } ->
+      iter_op f src;
+      f addr
+  | Mov { src; _ } -> iter_op f src
+  | Bin { a; b; _ } | Setp { a; b; _ } ->
+      iter_op f a;
+      iter_op f b
+  | Una { a; _ } -> iter_op f a
+  | Cvt { src; _ } -> f src
+  | Brc { pred; _ } -> f pred
+  | Atom { addr; src; _ } ->
+      f addr;
+      iter_op f src
+  | Label _ | Ldp _ | Bra _ | Spec _ | Ret -> ()
+
+let rid_bound code =
+  let hi = ref (-1) in
+  let note (r : Vreg.t) = if r.Vreg.rid > !hi then hi := r.Vreg.rid in
+  Array.iter
+    (fun ins ->
+      iter_defs note ins;
+      iter_uses note ins)
+    code;
+  !hi + 1
+
 let is_branch = function Bra _ | Brc _ | Ret -> true | _ -> false
 
 let branch_targets = function

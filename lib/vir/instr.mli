@@ -48,6 +48,16 @@ type t =
 
 val defs : t -> Vreg.t list
 val uses : t -> Vreg.t list
+
+val iter_defs : (Vreg.t -> unit) -> t -> unit
+val iter_uses : (Vreg.t -> unit) -> t -> unit
+(** Visit exactly the registers of {!defs} / {!uses}, in the same
+    order, without building the list. *)
+
+val rid_bound : t array -> int
+(** 1 + the highest register id in the code (0 if it has none): the
+    size of a table indexed by register id. *)
+
 val is_branch : t -> bool
 val branch_targets : t -> string list
 

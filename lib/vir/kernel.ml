@@ -36,13 +36,7 @@ let label_map t =
     t.code;
   tbl
 
-let max_rid t =
-  let fold_regs acc regs =
-    List.fold_left (fun acc (r : Vreg.t) -> max acc r.Vreg.rid) acc regs
-  in
-  Array.fold_left
-    (fun acc i -> fold_regs (fold_regs acc (Instr.defs i)) (Instr.uses i))
-    0 t.code
+let max_rid t = max 0 (Instr.rid_bound t.code - 1)
 
 let num_regs t = max_rid t + 1
 
