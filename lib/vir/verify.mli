@@ -15,13 +15,16 @@
       and compares non-predicates, branch conditions are predicates,
       arithmetic never writes predicates, [cvt] never involves
       predicates, load width matches the destination register class,
-      [ld.param] names a kernel parameter;
+      [ld.param] names a kernel parameter, and every register id
+      appears at one type (the rid-indexed tables of liveness and the
+      allocator rely on it);
     - memory-space legality: stores and atomics only to writable
       spaces (global/shared/local), no [ld] from param space. *)
 
 val verify : Kernel.t -> Safara_diag.Diagnostic.t list
 (** Empty list = well-formed. Deterministic order (per-check, then
-    instruction index). *)
+    instruction index). Control flow, types and memory spaces are
+    checked in one walk over the code. *)
 
 val verify_exn : Kernel.t -> unit
 (** @raise Invalid_argument with the full fault report. *)

@@ -258,6 +258,56 @@ let test_verify_width_mismatch () =
   in
   Alcotest.(check bool) "SAF020" true (has "SAF020" (Verify.verify k))
 
+let test_verify_two_types () =
+  (* rid 0 is written as a 32-bit register and read as a 64-bit one:
+     one fault, at the first use at the second type *)
+  let k =
+    kernel
+      [
+        I.Mov { dst = r 0 T.I32; src = I.Imm 1 };
+        I.Mov { dst = r 1 T.I64; src = I.Reg (r 0 T.I64) };
+        I.Bin { op = I.Add; dst = r 2 T.I32; a = I.Reg (r 0 T.I32); b = I.Imm 1 };
+        I.Ret;
+      ]
+  in
+  Alcotest.(check (list string))
+    "one fault" [ "instr 1: register id 0 used at two types (%r0, %rd0)" ]
+    (List.map (fun d -> d.Diag.message) (Verify.verify k))
+
+let test_verify_fault_order () =
+  (* control flow, then def-before-use, then types, then memory
+     spaces; each in instruction order *)
+  let k =
+    kernel
+      [
+        I.Label "a";
+        I.St
+          {
+            src = I.Reg (r 0 T.F64);
+            addr = r 1 T.I64;
+            mem = { gmem with I.m_space = M.Read_only };
+            note = "a";
+          };
+        I.Ldp { dst = r 2 T.I64; param = "nope" };
+        I.Mov { dst = r 1 T.I32; src = I.Imm 0 };
+        I.Label "a";
+        I.Bra "nowhere";
+      ]
+  in
+  Alcotest.(check (list string))
+    "order"
+    [
+      "instr 4: duplicate label a";
+      "instr 5: branch to undefined label nowhere";
+      "instr 5: kernel has no ret";
+      "instr 1: register %fd0 used before definition";
+      "instr 1: register %rd1 used before definition";
+      "instr 2: ld.param of nope, not a kernel parameter";
+      "instr 3: register id 1 used at two types (%rd1, %r1)";
+      "instr 1: store to read-only read-only memory";
+    ]
+    (List.map (fun d -> d.Diag.message) (Verify.verify k))
+
 let test_verify_all_compiled_kernels () =
   (* every kernel the compiler produces for every workload must verify *)
   let arch = Safara_gpu.Arch.kepler_k20xm in
@@ -610,6 +660,9 @@ let suite =
     Alcotest.test_case "verify: unknown param" `Quick test_verify_unknown_param;
     Alcotest.test_case "verify: load width mismatch" `Quick
       test_verify_width_mismatch;
+    Alcotest.test_case "verify: register id at two types" `Quick
+      test_verify_two_types;
+    Alcotest.test_case "verify: fault order" `Quick test_verify_fault_order;
     Alcotest.test_case "verify: all compiled kernels" `Quick
       test_verify_all_compiled_kernels;
     Alcotest.test_case "lint: dead scalar" `Quick test_lint_dead_scalar;
