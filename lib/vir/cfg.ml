@@ -223,13 +223,6 @@ let iter_instrs t b f =
     f i t.code.(i)
   done
 
-let fold_instrs_rev t b f acc =
-  let acc = ref acc in
-  for i = t.blocks.(b).last downto t.blocks.(b).first do
-    acc := f i t.code.(i) !acc
-  done;
-  !acc
-
 let pp ppf t =
   Array.iter
     (fun b ->

@@ -60,8 +60,4 @@ val iter_instrs : t -> int -> (int -> Instr.t -> unit) -> unit
 (** [iter_instrs t b f] applies [f i instr] over block [b]'s
     instructions in order. *)
 
-val fold_instrs_rev : t -> int -> (int -> Instr.t -> 'a -> 'a) -> 'a -> 'a
-(** Fold block [b]'s instructions last-to-first (for backward
-    transfer functions). *)
-
 val pp : Format.formatter -> t -> unit
