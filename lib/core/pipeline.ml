@@ -84,14 +84,20 @@ let codegen =
       })
 
 (* VIR → VIR code transforms share a shape: map a code optimizer over
-   every kernel; all are disableable *)
+   every kernel; all are disableable. An optimizer that rewrites
+   nothing returns its input array, and the kernel record is then
+   handed on as it is, so {!run} does not verify it again. *)
 let vir_pass name f =
   Pass.make ~name ~input:Pass.Vir ~output:Pass.Vir ~identity:Fun.id
     (fun _ s ->
       {
         s with
         Pass.v_kernels =
-          List.map (fun k -> { k with K.code = f k.K.code }) s.Pass.v_kernels;
+          List.map
+            (fun k ->
+              let code = f k.K.code in
+              if code == k.K.code then k else { k with K.code })
+            s.Pass.v_kernels;
       })
 
 let peephole = vir_pass "peephole" Safara_vir.Peephole.optimize
@@ -195,6 +201,9 @@ let default_options =
     o_verify = Pass.assertions_enabled;
   }
 
+(* the paper's 2016 OpenUH had no loop-aware VIR optimizer *)
+let paper_options = { default_options with o_disable = [ "indvar"; "memmerge" ] }
+
 type report = {
   pr_pass : string;
   pr_stage : string;
@@ -232,8 +241,12 @@ let run ?(options = default_options) ~name ctx pipe input =
   in
   let precise = options.o_precise_stats in
   let reports = ref [] and dumps = ref [] in
-  let rec go : type x y. (x, y) seq -> x -> Pass.stats option -> y =
-   fun s v before ->
+  (* [checked]: the kernels of [v] already verified in this run; a
+     step's output is verified except for the kernel values it handed
+     on unchanged, so each kernel value is verified once *)
+  let rec go :
+      type x y. (x, y) seq -> x -> Pass.stats option -> K.t list -> y =
+   fun s v before checked ->
     match s with
     | Done -> v
     | Step (p, rest) ->
@@ -256,7 +269,17 @@ let run ?(options = default_options) ~name ctx pipe input =
           else p.Pass.run ctx v
         in
         let dt = Safara_engine.Clock.now () -. t0 in
-        if options.o_verify && not disabled then Pass.verify p.Pass.output v';
+        let checked =
+          if disabled then
+            List.filter
+              (fun k -> List.memq k checked)
+              (Pass.kernels p.Pass.output v')
+          else if options.o_verify then begin
+            Pass.verify ~checked p.Pass.output v';
+            Pass.kernels p.Pass.output v'
+          end
+          else []
+        in
         let after = Pass.measure ~precise p.Pass.output v' in
         reports :=
           {
@@ -276,9 +299,9 @@ let run ?(options = default_options) ~name ctx pipe input =
           in
           dumps := (p.Pass.name, render p.Pass.output v') :: !dumps
         end;
-        go rest v' (Some after)
+        go rest v' (Some after) checked
   in
-  let result = go pipe input None in
+  let result = go pipe input None [] in
   ( result,
     {
       tr_pipeline = name;

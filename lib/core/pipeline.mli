@@ -113,6 +113,13 @@ val default_options : options
 (** No disables, no dumps, imprecise stats,
     [o_verify = Pass.assertions_enabled]. *)
 
+val paper_options : options
+(** {!default_options} with [indvar] and [memmerge] disabled: the
+    paper's pass configuration. Its 2016 OpenUH compiler had no
+    loop-aware VIR optimizer, and those two passes move register
+    counts on their own, so the paper-configuration tests (result
+    shapes, clause properties) compile under it. *)
+
 type report = {
   pr_pass : string;
   pr_stage : string;  (** output stage: "ir", "vir" or "asm" *)

@@ -2,17 +2,24 @@ exception Error of Token.pos * string
 
 type state = { src : string; mutable i : int; mutable line : int; mutable bol : int }
 
-let peek st = if st.i < String.length st.src then Some st.src.[st.i] else None
+(* Peeking returns a plain [char], so lexing allocates nothing per
+   character: past the end it reads as ['\000'], which no token
+   starts with or continues. Where end of input must be told from a
+   NUL in the source, [at_end] does it. *)
+let at_end st = st.i >= String.length st.src
+
+let peek st =
+  if st.i < String.length st.src then String.unsafe_get st.src st.i else '\000'
 
 let peek2 st =
-  if st.i + 1 < String.length st.src then Some st.src.[st.i + 1] else None
+  if st.i + 1 < String.length st.src then String.unsafe_get st.src (st.i + 1)
+  else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.bol <- st.i + 1
-  | _ -> ());
+  if peek st = '\n' then begin
+    st.line <- st.line + 1;
+    st.bol <- st.i + 1
+  end;
   st.i <- st.i + 1
 
 let pos st = { Token.line = st.line; col = st.i - st.bol + 1 }
@@ -36,35 +43,34 @@ let keyword = function
 
 let lex_number st p =
   let start = st.i in
-  while (match peek st with Some c -> is_digit c | None -> false) do
+  while is_digit (peek st) do
     advance st
   done;
   let is_float = ref false in
-  (match (peek st, peek2 st) with
-  | Some '.', Some c when is_digit c ->
-      is_float := true;
-      advance st;
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done
-  | Some '.', (Some _ | None) when peek2 st <> Some '.' ->
-      is_float := true;
+  if peek st = '.' && is_digit (peek2 st) then begin
+    is_float := true;
+    advance st;
+    while is_digit (peek st) do
       advance st
-  | _ -> ());
+    done
+  end
+  else if peek st = '.' && peek2 st <> '.' then begin
+    is_float := true;
+    advance st
+  end;
   (match peek st with
-  | Some ('e' | 'E') ->
+  | 'e' | 'E' ->
       is_float := true;
       advance st;
-      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      if not (match peek st with Some c -> is_digit c | None -> false) then
-        raise (Error (p, "malformed exponent"));
-      while (match peek st with Some c -> is_digit c | None -> false) do
+      (match peek st with '+' | '-' -> advance st | _ -> ());
+      if not (is_digit (peek st)) then raise (Error (p, "malformed exponent"));
+      while is_digit (peek st) do
         advance st
       done
   | _ -> ());
   let text = String.sub st.src start (st.i - start) in
   match peek st with
-  | Some ('f' | 'F') when !is_float ->
+  | ('f' | 'F') when !is_float ->
       advance st;
       Token.Float32_lit (float_of_string text)
   | _ ->
@@ -75,11 +81,11 @@ let lex_pragma st p =
   (* we are just past "#"; expect "pragma" then "acc"; collect the rest
      of the (possibly continued) line *)
   let read_word () =
-    while peek st = Some ' ' || peek st = Some '\t' do
+    while peek st = ' ' || peek st = '\t' do
       advance st
     done;
     let start = st.i in
-    while (match peek st with Some c -> is_alnum c | None -> false) do
+    while is_alnum (peek st) do
       advance st
     done;
     String.sub st.src start (st.i - start)
@@ -90,17 +96,18 @@ let lex_pragma st p =
   if w2 <> "acc" then raise (Error (p, "expected #pragma acc"));
   let buf = Buffer.create 64 in
   let rec collect () =
-    match peek st with
-    | None | Some '\n' -> ()
-    | Some '\\' when peek2 st = Some '\n' ->
-        advance st;
-        advance st;
-        Buffer.add_char buf ' ';
-        collect ()
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        collect ()
+    if at_end st || peek st = '\n' then ()
+    else if peek st = '\\' && peek2 st = '\n' then begin
+      advance st;
+      advance st;
+      Buffer.add_char buf ' ';
+      collect ()
+    end
+    else begin
+      Buffer.add_char buf (peek st);
+      advance st;
+      collect ()
+    end
   in
   collect ();
   Token.Pragma (String.trim (Buffer.contents buf))
@@ -109,93 +116,89 @@ let tokenize src =
   let st = { src; i = 0; line = 1; bol = 0 } in
   let toks = ref [] in
   let emit t p = toks := (t, p) :: !toks in
+  let one t p =
+    advance st;
+    emit t p
+  in
+  let two t p =
+    advance st;
+    one t p
+  in
   let rec skip_ws_and_comments () =
-    match (peek st, peek2 st) with
-    | Some (' ' | '\t' | '\r' | '\n'), _ ->
+    match peek st with
+    | ' ' | '\t' | '\r' | '\n' ->
         advance st;
         skip_ws_and_comments ()
-    | Some '/', Some '/' ->
-        while peek st <> None && peek st <> Some '\n' do
-          advance st
-        done;
+    | '/' when peek2 st = '/' ->
+        (* to the newline, which the next round skips *)
+        st.i <-
+          Option.value ~default:(String.length st.src)
+            (String.index_from_opt st.src st.i '\n');
         skip_ws_and_comments ()
-    | Some '/', Some '*' ->
+    | '/' when peek2 st = '*' ->
         let p = pos st in
         advance st;
         advance st;
-        let rec until_close () =
-          match (peek st, peek2 st) with
-          | Some '*', Some '/' ->
-              advance st;
-              advance st
-          | None, _ -> raise (Error (p, "unterminated comment"))
-          | _ ->
-              advance st;
-              until_close ()
-        in
-        until_close ();
+        while not (peek st = '*' && peek2 st = '/') do
+          if at_end st then raise (Error (p, "unterminated comment"));
+          advance st
+        done;
+        advance st;
+        advance st;
         skip_ws_and_comments ()
     | _ -> ()
   in
   let rec loop () =
     skip_ws_and_comments ();
     let p = pos st in
-    match peek st with
-    | None -> emit Token.Eof p
-    | Some c ->
-        (match c with
-        | '#' ->
-            advance st;
-            emit (lex_pragma st p) p
-        | c when is_digit c -> emit (lex_number st p) p
-        | c when is_alpha c ->
-            let start = st.i in
-            while (match peek st with Some c -> is_alnum c | None -> false) do
-              advance st
-            done;
-            let text = String.sub st.src start (st.i - start) in
-            emit (Option.value (keyword text) ~default:(Token.Ident text)) p
-        | _ ->
-            let two tok =
-              advance st;
-              advance st;
-              emit tok p
-            and one tok =
-              advance st;
-              emit tok p
-            in
-            (match (c, peek2 st) with
-            | '+', Some '+' -> two Token.Plus_plus
-            | '+', Some '=' -> two Token.Plus_assign
-            | '-', Some '=' -> two Token.Minus_assign
-            | '*', Some '=' -> two Token.Star_assign
-            | '/', Some '=' -> two Token.Slash_assign
-            | '=', Some '=' -> two Token.Eq_eq
-            | '!', Some '=' -> two Token.Bang_eq
-            | '<', Some '=' -> two Token.Le
-            | '>', Some '=' -> two Token.Ge
-            | '&', Some '&' -> two Token.Amp_amp
-            | '|', Some '|' -> two Token.Bar_bar
-            | '+', _ -> one Token.Plus
-            | '-', _ -> one Token.Minus
-            | '*', _ -> one Token.Star
-            | '/', _ -> one Token.Slash
-            | '%', _ -> one Token.Percent
-            | '=', _ -> one Token.Assign
-            | '<', _ -> one Token.Lt
-            | '>', _ -> one Token.Gt
-            | '!', _ -> one Token.Bang
-            | '(', _ -> one Token.Lparen
-            | ')', _ -> one Token.Rparen
-            | '[', _ -> one Token.Lbracket
-            | ']', _ -> one Token.Rbracket
-            | '{', _ -> one Token.Lbrace
-            | '}', _ -> one Token.Rbrace
-            | ';', _ -> one Token.Semi
-            | ',', _ -> one Token.Comma
-            | ':', _ -> one Token.Colon
-            | _ -> raise (Error (p, Printf.sprintf "unexpected character %C" c))));
-        if (match !toks with (Token.Eof, _) :: _ -> false | _ -> true) then loop ()
+    if at_end st then emit Token.Eof p
+    else begin
+      (match peek st with
+      | '#' ->
+          advance st;
+          emit (lex_pragma st p) p
+      | c when is_digit c -> emit (lex_number st p) p
+      | c when is_alpha c ->
+          let start = st.i in
+          while is_alnum (peek st) do
+            advance st
+          done;
+          let text = String.sub st.src start (st.i - start) in
+          emit (Option.value (keyword text) ~default:(Token.Ident text)) p
+      | c -> (
+          match (c, peek2 st) with
+          | '+', '+' -> two Token.Plus_plus p
+          | '+', '=' -> two Token.Plus_assign p
+          | '-', '=' -> two Token.Minus_assign p
+          | '*', '=' -> two Token.Star_assign p
+          | '/', '=' -> two Token.Slash_assign p
+          | '=', '=' -> two Token.Eq_eq p
+          | '!', '=' -> two Token.Bang_eq p
+          | '<', '=' -> two Token.Le p
+          | '>', '=' -> two Token.Ge p
+          | '&', '&' -> two Token.Amp_amp p
+          | '|', '|' -> two Token.Bar_bar p
+          | '+', _ -> one Token.Plus p
+          | '-', _ -> one Token.Minus p
+          | '*', _ -> one Token.Star p
+          | '/', _ -> one Token.Slash p
+          | '%', _ -> one Token.Percent p
+          | '=', _ -> one Token.Assign p
+          | '<', _ -> one Token.Lt p
+          | '>', _ -> one Token.Gt p
+          | '!', _ -> one Token.Bang p
+          | '(', _ -> one Token.Lparen p
+          | ')', _ -> one Token.Rparen p
+          | '[', _ -> one Token.Lbracket p
+          | ']', _ -> one Token.Rbracket p
+          | '{', _ -> one Token.Lbrace p
+          | '}', _ -> one Token.Rbrace p
+          | ';', _ -> one Token.Semi p
+          | ',', _ -> one Token.Comma p
+          | ':', _ -> one Token.Colon p
+          | _ -> raise (Error (p, Printf.sprintf "unexpected character %C" c))));
+      loop ()
+    end
   in
   loop ();
   List.rev !toks

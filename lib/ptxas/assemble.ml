@@ -35,7 +35,11 @@ let assemble ?max_regs ~arch (k : Safara_vir.Kernel.t) =
   in
   let code, res, spill_bytes = go k.Safara_vir.Kernel.code 0 0 in
   let spill_loads, spill_stores = count_spill_ops code in
-  let k' = { k with Safara_vir.Kernel.code } in
+  (* without spills the kernel is handed on as it is *)
+  let k' =
+    if code == k.Safara_vir.Kernel.code then k
+    else { k with Safara_vir.Kernel.code }
+  in
   ( k',
     {
       kernel_name = k.Safara_vir.Kernel.kname;

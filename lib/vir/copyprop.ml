@@ -15,7 +15,6 @@
 module I = Instr
 module V = Vreg
 module C = Dataflow.Copies
-module IM = Dataflow.IM
 
 let subst_reg m (r : V.t) =
   match C.find r.V.rid m with
@@ -23,7 +22,6 @@ let subst_reg m (r : V.t) =
   | _ -> r
 
 let rewrite m ins =
-  let subst = subst_reg m in
   let subst_op op =
     match op with
     | I.Reg r -> (
@@ -33,24 +31,14 @@ let rewrite m ins =
         | _ -> op)
     | _ -> op
   in
-  match ins with
-  | I.Ld r -> I.Ld { r with addr = subst r.addr }
-  | I.St r -> I.St { r with src = subst_op r.src; addr = subst r.addr }
-  | I.Mov r -> I.Mov { r with src = subst_op r.src }
-  | I.Bin r -> I.Bin { r with a = subst_op r.a; b = subst_op r.b }
-  | I.Una r -> I.Una { r with a = subst_op r.a }
-  | I.Cvt r -> I.Cvt { r with src = subst r.src }
-  | I.Setp r -> I.Setp { r with a = subst_op r.a; b = subst_op r.b }
-  | I.Brc r -> I.Brc { r with pred = subst r.pred }
-  | I.Atom r -> I.Atom { r with addr = subst r.addr; src = subst_op r.src }
-  | (I.Label _ | I.Ldp _ | I.Bra _ | I.Spec _ | I.Ret) as other -> other
+  I.map_uses (subst_reg m) subst_op ins
 
 let optimize code =
   if Array.length code = 0 then code
   else begin
     let cfg = Cfg.build code in
     let at_start, _ = C.analyze cfg in
-    let out = ref [] in
+    let out = ref [] and changed = ref false in
     for b = 0 to Cfg.num_blocks cfg - 1 do
       let m =
         (* top only on unreachable blocks: nothing is known there *)
@@ -58,12 +46,13 @@ let optimize code =
       in
       Cfg.iter_instrs cfg b (fun _ ins ->
           let ins' = rewrite !m ins in
+          if ins' != ins then changed := true;
           (* the window advances over the rewritten instruction, as in
              the block-local pass: its operands are the live names *)
           m := C.step_map !m ins';
           match ins' with
-          | I.Mov { dst; src = I.Reg s } when V.equal dst s -> ()
+          | I.Mov { dst; src = I.Reg s } when V.equal dst s -> changed := true
           | _ -> out := ins' :: !out)
     done;
-    Array.of_list (List.rev !out)
+    if !changed then Array.of_list (List.rev !out) else code
   end

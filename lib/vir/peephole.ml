@@ -78,18 +78,7 @@ let copy_propagate code =
             | _ -> op
           in
           (* rewrite uses; Ld/St/Atom addresses are plain registers *)
-          let instr' =
-            match instr with
-            | I.Ld r -> I.Ld { r with addr = subst r.addr }
-            | I.St r -> I.St { r with src = subst_op r.src; addr = subst r.addr }
-            | I.Mov r -> I.Mov { r with src = subst_op r.src }
-            | I.Bin r -> I.Bin { r with a = subst_op r.a; b = subst_op r.b }
-            | I.Una r -> I.Una { r with a = subst_op r.a }
-            | I.Cvt r -> I.Cvt { r with src = subst r.src }
-            | I.Setp r -> I.Setp { r with a = subst_op r.a; b = subst_op r.b }
-            | I.Atom r -> I.Atom { r with addr = subst r.addr; src = subst_op r.src }
-            | other -> other
-          in
+          let instr' = I.map_uses subst subst_op instr in
           (* update the copy window *)
           List.iter invalidate (I.defs instr');
           (match instr' with
@@ -175,8 +164,15 @@ let dead_code_eliminate code =
   end
 
 let optimize code =
-  code |> Array.map fold_instr |> copy_propagate |> Array.map fold_instr
-  |> dead_code_eliminate
+  let out =
+    code |> Array.map fold_instr |> copy_propagate |> Array.map fold_instr
+    |> dead_code_eliminate
+  in
+  (* every step keeps an instruction it leaves alone physically, so
+     a kernel with nothing to rewrite gets its input array back *)
+  if Array.length out = Array.length code && Array.for_all2 ( == ) out code
+  then code
+  else out
 
 let stats before after =
   Printf.sprintf "peephole: %d -> %d instructions" (Array.length before)

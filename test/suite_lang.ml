@@ -302,9 +302,38 @@ let test_validate_catches_dim_mismatch () =
         (Str_helpers.contains msg "different dimensions")
   | _ -> Alcotest.fail "validation should reject unequal dim group"
 
+(* The token stream of every registry source and example program,
+   pinned as a digest per source in test/golden/lexer.golden: the
+   lexer's rewrites for speed must not change what it produces. *)
+let test_lex_golden () =
+  let line name src =
+    let toks = Lexer.tokenize src in
+    Printf.sprintf "%s %d %s\n" name (List.length toks)
+      (Digest.to_hex (Digest.string (Marshal.to_string toks [ Marshal.No_sharing ])))
+  in
+  let workloads =
+    List.map
+      (fun (w : Safara_suites.Workload.t) ->
+        line w.Safara_suites.Workload.id w.Safara_suites.Workload.source)
+      Safara_suites.Registry.all
+  in
+  let examples =
+    match Suite_more.sample_dir with
+    | None -> Alcotest.fail "examples/programs not found"
+    | Some dir ->
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".macc")
+        |> List.sort compare
+        |> List.map (fun f ->
+               line ("examples/" ^ f) (Suite_more.read_file (Filename.concat dir f)))
+  in
+  Suite_pipeline.check_golden "lexer.golden" "token stream digests"
+    (String.concat "" (workloads @ examples))
+
 let suite =
   [
     Alcotest.test_case "lex basics" `Quick test_lex_basic;
+    Alcotest.test_case "lex golden token streams" `Quick test_lex_golden;
     Alcotest.test_case "lex numbers" `Quick test_lex_numbers;
     Alcotest.test_case "lex comments" `Quick test_lex_comments;
     Alcotest.test_case "lex pragma" `Quick test_lex_pragma;

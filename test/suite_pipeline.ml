@@ -173,6 +173,99 @@ let test_verify_catches_broken_pass () =
     (List.length out.Safara_ir.Program.regions);
   Alcotest.(check int) "one report" 1 (List.length trace.Pl.tr_reports)
 
+(* a deliberately broken Vir -> Vir pass: drops every kernel's final
+   [ret], which the VIR verifier rejects. It builds new code arrays,
+   as every pass must: the pipeline verifies only the kernel values a
+   step changed. *)
+let broken_vir_pass =
+  Pass.make ~name:"test-break-vir" ~input:Pass.Vir ~output:Pass.Vir
+    ~identity:Fun.id (fun _ (s : Pass.vir_state) ->
+      { s with
+        Pass.v_kernels =
+          List.map
+            (fun (k : Safara_vir.Kernel.t) ->
+              let n = Array.length k.Safara_vir.Kernel.code in
+              { k with
+                Safara_vir.Kernel.code =
+                  Array.sub k.Safara_vir.Kernel.code 0 (n - 1) })
+            s.Pass.v_kernels })
+
+let test_verify_catches_broken_vir_pass () =
+  let prog = Safara_analysis.Schedule.resolve_program (fig5 ()) in
+  let ctx =
+    Pass.make_ctx ~arch:Safara_gpu.Arch.kepler_k20xm
+      ~latency:Safara_gpu.Latency.kepler
+  in
+  (* the tail's own codegen step, then the broken pass *)
+  let pipe : (Safara_ir.Program.t, Pass.vir_state) Pl.seq =
+    match Pl.tail with
+    | Pl.Step (codegen, _) -> (
+        match codegen.Pass.output with
+        | Pass.Vir -> Pl.Step (codegen, Pl.Step (broken_vir_pass, Pl.Done))
+        | _ -> Alcotest.fail "the tail does not start with codegen")
+  in
+  let opts verify = { Pl.default_options with Pl.o_verify = verify } in
+  (match Pl.run ~options:(opts true) ~name:"broken" ctx pipe prog with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "the VIR verifier rejects it" true
+        (Str_helpers.contains msg "VIR verifier")
+  | _ -> Alcotest.fail "verify-between-passes missed a kernel without ret");
+  let out, _ = Pl.run ~options:(opts false) ~name:"broken" ctx pipe prog in
+  Alcotest.(check bool) "without verification the bad kernel flows on" true
+    (List.for_all
+       (fun (k : Safara_vir.Kernel.t) ->
+         Safara_vir.Verify.verify k <> [])
+       out.Pass.v_kernels)
+
+(* The contract verify-once rests on: a pass that rewrites nothing
+   hands its input kernel on physically. Every VIR pass and assemble
+   is applied again to every registry kernel after the full tail on
+   kepler; a structurally unchanged kernel must be the input itself. *)
+let test_noop_passes_hand_input_on () =
+  let arch = Safara_gpu.Arch.kepler_k20xm in
+  let ctx = Pass.make_ctx ~arch ~latency:Safara_gpu.Latency.kepler in
+  let module K = Safara_vir.Kernel in
+  let rec reapply : type a b.
+      (a, b) Pl.seq -> (string * (Pass.vir_state -> K.t list)) list = function
+    | Pl.Done -> []
+    | Pl.Step (p, rest) ->
+        let here : (string * (Pass.vir_state -> K.t list)) list =
+          match (p.Pass.input, p.Pass.output) with
+          | Pass.Vir, Pass.Vir ->
+              [ (p.Pass.name, fun s -> (p.Pass.run ctx s).Pass.v_kernels) ]
+          | Pass.Vir, Pass.Asm ->
+              [ (p.Pass.name, fun s -> List.map fst (p.Pass.run ctx s).Pass.a_kernels) ]
+          | _ -> []
+        in
+        here @ reapply rest
+  in
+  let passes = reapply Pl.tail in
+  Alcotest.(check int) "every VIR pass and assemble" 7 (List.length passes);
+  let unchanged = Hashtbl.create 8 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let c = C.compile ~arch C.Full (Safara_lang.Frontend.compile w.Workload.source) in
+      let s = { Pass.v_prog = c.C.c_prog; v_kernels = List.map fst c.C.c_kernels } in
+      List.iter
+        (fun (name, f) ->
+          List.iter2
+            (fun (k : Safara_vir.Kernel.t) k' ->
+              if k' = k then begin
+                Hashtbl.replace unchanged name ();
+                if k' != k then
+                  Alcotest.failf "%s: %s %s rewrote nothing but built a new kernel"
+                    w.Workload.id name k.Safara_vir.Kernel.kname
+              end)
+            s.Pass.v_kernels (f s))
+        passes)
+    Registry.all;
+  (* the check is not vacuous: each pass left some kernel alone *)
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool) (name ^ " left some kernel alone") true
+        (Hashtbl.mem unchanged name))
+    passes
+
 let test_every_pass_timed () =
   let prog = fig5 () in
   List.iter
@@ -523,6 +616,10 @@ let suite =
     Alcotest.test_case "disable errors" `Quick test_disable_errors;
     Alcotest.test_case "verify between passes catches a broken pass" `Quick
       test_verify_catches_broken_pass;
+    Alcotest.test_case "verify-between-passes catches a broken VIR pass" `Quick
+      test_verify_catches_broken_vir_pass;
+    Alcotest.test_case "no-op passes hand their input kernel on" `Quick
+      test_noop_passes_hand_input_on;
     Alcotest.test_case "every pass reports nonzero time" `Quick
       test_every_pass_timed;
     Alcotest.test_case "--dump-ir=all" `Quick test_dump_all;

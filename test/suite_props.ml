@@ -182,11 +182,7 @@ let prop_safara_never_adds_loads =
    (indvar/memmerge) fire differently once small narrows offsets or dim
    merges descriptors, and can shift either side by a register pair
    (test/corpus/small_indvar.macc pins one such kernel) *)
-let paper_options =
-  {
-    Safara_core.Pipeline.default_options with
-    Safara_core.Pipeline.o_disable = [ "indvar"; "memmerge" ];
-  }
+let paper_options = Safara_core.Pipeline.paper_options
 
 let prop_small_never_increases_regs =
   Q.Test.make ~name:"small never increases register usage" ~count:40
@@ -456,20 +452,21 @@ let prop_emit_roundtrip =
    property under the full pipeline: small is no worse than base under
    the paper configuration, while indvar alone costs small a register
    pair — kept visible so a change to either side shows up here *)
-let test_small_indvar_corpus () =
+let corpus_regs ?options profile name =
   let path =
-    if Sys.file_exists "corpus" then Filename.concat "corpus" "small_indvar.macc"
-    else Filename.concat (Filename.concat "test" "corpus") "small_indvar.macc"
+    if Sys.file_exists "corpus" then Filename.concat "corpus" name
+    else Filename.concat (Filename.concat "test" "corpus") name
   in
   let ic = open_in_bin path in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let regs ?options profile =
-    let c = Safara_core.Compiler.compile_src ?options profile src in
-    List.map
-      (fun (_, r) -> r.Safara_ptxas.Assemble.regs_used)
-      c.Safara_core.Compiler.c_kernels
-  in
+  let c = Safara_core.Compiler.compile_src ?options profile src in
+  List.map
+    (fun (_, r) -> r.Safara_ptxas.Assemble.regs_used)
+    c.Safara_core.Compiler.c_kernels
+
+let test_small_indvar_corpus () =
+  let regs ?options profile = corpus_regs ?options profile "small_indvar.macc" in
   let base = regs ~options:paper_options Safara_core.Compiler.Base
   and small = regs ~options:paper_options Safara_core.Compiler.Small_only in
   Alcotest.(check bool) "paper configuration: small <= base" true
@@ -479,9 +476,33 @@ let test_small_indvar_corpus () =
   Alcotest.(check (list int)) "full pipeline: small" [ 32 ]
     (regs Safara_core.Compiler.Small_only)
 
+(* the two known counterexamples of "small never increases register
+   usage": under the paper configuration strength-red costs small a
+   register pair; without it, small and base agree *)
+let test_small_strength_corpus name ~base ~small () =
+  let regs ?options profile = corpus_regs ?options profile name in
+  Alcotest.(check (list int)) "paper configuration: base" [ base ]
+    (regs ~options:paper_options Safara_core.Compiler.Base);
+  Alcotest.(check (list int)) "paper configuration: small" [ small ]
+    (regs ~options:paper_options Safara_core.Compiler.Small_only);
+  let options =
+    {
+      paper_options with
+      Safara_core.Pipeline.o_disable =
+        "strength-red" :: paper_options.Safara_core.Pipeline.o_disable;
+    }
+  in
+  Alcotest.(check (list int)) "without strength-red: small = base"
+    (regs ~options Safara_core.Compiler.Base)
+    (regs ~options Safara_core.Compiler.Small_only)
+
 let suite =
   Alcotest.test_case "small vs base on the indvar corpus kernel" `Quick
     test_small_indvar_corpus
+  :: Alcotest.test_case "strength corpus 1022: small vs base" `Quick
+       (test_small_strength_corpus "small_strength_1022.macc" ~base:22 ~small:24)
+  :: Alcotest.test_case "strength corpus 1060: small vs base" `Quick
+       (test_small_strength_corpus "small_strength_1060.macc" ~base:20 ~small:22)
   :: List.map QCheck_alcotest.to_alcotest
     [
       prop_profiles_agree;

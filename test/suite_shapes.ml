@@ -10,11 +10,7 @@ open Safara_suites
    free enough registers on their own that e.g. SAFARA-only no longer
    crosses seismic's occupancy cliff.  Pin the historical configuration
    so these remain tests of the paper's story, not of our pipeline. *)
-let paper_options =
-  {
-    Safara_core.Pipeline.default_options with
-    Safara_core.Pipeline.o_disable = [ "indvar"; "memmerge" ];
-  }
+let paper_options = Safara_core.Pipeline.paper_options
 
 let times id =
   let w = Registry.find id in
