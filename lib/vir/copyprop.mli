@@ -9,3 +9,6 @@
     for {!Dce}. *)
 
 val optimize : Instr.t array -> Instr.t array
+(** Returns its argument itself when it rewrites nothing (the
+    pipeline then skips verifying the unchanged kernel); never updates
+    it in place. *)

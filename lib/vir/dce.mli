@@ -12,3 +12,6 @@
     semantics to preserve), and control flow is untouched. *)
 
 val optimize : Instr.t array -> Instr.t array
+(** Returns its argument itself when it rewrites nothing (the
+    pipeline then skips verifying the unchanged kernel); never updates
+    it in place. *)

@@ -18,3 +18,6 @@
     admits race-free kernels). *)
 
 val optimize : Instr.t array -> Instr.t array
+(** Returns its argument itself when it rewrites nothing (the
+    pipeline then skips verifying the unchanged kernel); never updates
+    it in place. *)

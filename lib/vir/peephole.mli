@@ -13,6 +13,9 @@
     compare results with it enabled. *)
 
 val optimize : Instr.t array -> Instr.t array
+(** Returns its argument itself when it rewrites nothing (the
+    pipeline then skips verifying the unchanged kernel); never updates
+    it in place. *)
 
 val stats : Instr.t array -> Instr.t array -> string
 (** Human-readable before/after summary. *)
