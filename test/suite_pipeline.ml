@@ -427,8 +427,8 @@ let test_golden () =
     (golden_content ())
 
 (* every registry workload x profile x arch compile, shared by the
-   allocation and assembled-kernel goldens so the second adds no
-   compile time *)
+   allocation, assembled-kernel and SAFARA-log goldens so only the
+   first pays for the compiles *)
 let registry_compiles =
   lazy
     (List.map
@@ -439,14 +439,13 @@ let registry_compiles =
              (fun p ->
                ( p,
                  List.map
-                   (fun (arch : Safara_gpu.Arch.t) ->
-                     (arch, (C.compile ~arch p prog).C.c_kernels))
+                   (fun (arch : Safara_gpu.Arch.t) -> (arch, C.compile ~arch p prog))
                    Safara_gpu.Arch.registry ))
              C.all_profiles ))
        Registry.all)
 
-(* one line per registry workload x profile, [cell arch kernels] per
-   arch after the padded row label *)
+(* one line per registry workload x profile, [cell kernels] per arch
+   after the padded row label *)
 let registry_golden cell =
   let b = Buffer.create 8192 in
   List.iter
@@ -455,9 +454,10 @@ let registry_golden cell =
         (fun (p, per_arch) ->
           Buffer.add_string b (Printf.sprintf "%-12s %-23s" id (C.profile_name p));
           List.iter
-            (fun ((arch : Safara_gpu.Arch.t), ks) ->
+            (fun ((arch : Safara_gpu.Arch.t), c) ->
               Buffer.add_string b
-                (Printf.sprintf " %s=%s" arch.Safara_gpu.Arch.key (cell ks)))
+                (Printf.sprintf " %s=%s" arch.Safara_gpu.Arch.key
+                   (cell c.C.c_kernels)))
             per_arch;
           Buffer.add_char b '\n')
         per_profile)
@@ -503,6 +503,39 @@ let kernels_golden_content () =
 let test_kernels_golden () =
   check_golden "kernels.golden" "registry assembled-kernel snapshot"
     (kernels_golden_content ())
+
+(* every SAFARA round of every registry workload under the profiles
+   that run SAFARA, on every arch: a header line per region, then its
+   rounds as {!Safara_transform.Safara.pp_round} prints them *)
+let safara_golden_content () =
+  let b = Buffer.create 16384 in
+  List.iter
+    (fun (id, per_profile) ->
+      List.iter
+        (fun (p, per_arch) ->
+          if List.mem p [ C.Safara_only; C.Full; C.Pgi_like ] then
+            List.iter
+              (fun ((arch : Safara_gpu.Arch.t), c) ->
+                List.iter
+                  (fun (region, rounds) ->
+                    Buffer.add_string b
+                      (Printf.sprintf "%s %s %s %s\n" id (C.profile_name p)
+                         arch.Safara_gpu.Arch.key region);
+                    List.iter
+                      (fun r ->
+                        Buffer.add_string b
+                          (Format.asprintf "  %a\n"
+                             Safara_transform.Safara.pp_round r))
+                      rounds)
+                  c.C.c_logs)
+              per_arch)
+        per_profile)
+    (Lazy.force registry_compiles);
+  Buffer.contents b
+
+let test_safara_golden () =
+  check_golden "safara.golden" "registry SAFARA round logs"
+    (safara_golden_content ())
 
 (* one line per registry kernel under base and full on kepler, where
    nothing spills, re-assembled under 16- and 32-register caps: the
@@ -632,6 +665,7 @@ let suite =
     Alcotest.test_case "golden pipeline snapshot" `Quick test_golden;
     Alcotest.test_case "golden ptxas allocation" `Quick test_ptxas_golden;
     Alcotest.test_case "golden assembled kernels" `Quick test_kernels_golden;
+    Alcotest.test_case "golden SAFARA round logs" `Quick test_safara_golden;
     Alcotest.test_case "golden capped allocation and spills" `Quick
       test_spill_golden;
     Alcotest.test_case "golden tune winners" `Slow test_tune_golden;
