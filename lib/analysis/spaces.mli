@@ -7,12 +7,6 @@
     (Kepler), the region never stores to it, and its declared intent
     permits ([copyin]/[copy]). Everything else is global. *)
 
-val space_of_array :
-  arch:Safara_gpu.Arch.t ->
-  Safara_ir.Region.t ->
-  Safara_ir.Array_info.t ->
-  Safara_gpu.Memspace.space
-
 val region_spaces :
   arch:Safara_gpu.Arch.t ->
   Safara_ir.Program.t ->

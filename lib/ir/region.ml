@@ -23,8 +23,16 @@ let dim_group_of t name =
 let is_small t name = List.mem name t.small
 
 let dedup names =
+  let seen = Hashtbl.create 16 in
   List.rev
-    (List.fold_left (fun acc n -> if List.mem n acc then acc else n :: acc) [] names)
+    (List.fold_left
+       (fun acc n ->
+         if Hashtbl.mem seen n then acc
+         else begin
+           Hashtbl.add seen n ();
+           n :: acc
+         end)
+       [] names)
 
 let referenced_arrays t =
   let reads = Stmt.loads t.body |> List.map fst in
