@@ -29,10 +29,17 @@ type ctx = {
   arch : Safara_gpu.Arch.t;
   latency : Safara_gpu.Latency.table;
   feedback : (Safara_ir.Program.t -> Safara_ir.Region.t -> int) option;
+  candidates :
+    (Safara_analysis.Reuse.policy ->
+    Safara_ir.Program.t ->
+    Safara_ir.Region.t ->
+    Safara_analysis.Reuse.candidate list)
+    option;
   mutable logs : (string * Safara_transform.Safara.round list) list;
 }
 
-let make_ctx ~arch ~latency = { arch; latency; feedback = None; logs = [] }
+let make_ctx ~arch ~latency =
+  { arch; latency; feedback = None; candidates = None; logs = [] }
 
 type ('a, 'b) t = {
   name : string;

@@ -65,11 +65,20 @@ type ctx = {
       (** SAFARA's register feedback ([None]:
           {!Safara_transform.Safara.regs_used}); the compiler passes a
           memoized one *)
+  candidates :
+    (Safara_analysis.Reuse.policy ->
+    Safara_ir.Program.t ->
+    Safara_ir.Region.t ->
+    Safara_analysis.Reuse.candidate list)
+    option;
+      (** SAFARA's candidate analysis ([None]:
+          {!Safara_analysis.Reuse.candidates}); the compiler passes a
+          memoized one *)
   mutable logs : (string * Safara_transform.Safara.round list) list;
 }
 
 val make_ctx : arch:Safara_gpu.Arch.t -> latency:Safara_gpu.Latency.table -> ctx
-(** No feedback override, no logs. *)
+(** No feedback or candidate override, no logs. *)
 
 type ('a, 'b) t = private {
   name : string;

@@ -66,8 +66,8 @@ let safara ?override mode =
       let config = safara_config_of ?override ~arch:ctx.Pass.arch mode in
       let prog', logs =
         Safara_transform.Safara.optimize_program ~resolve_first:false ~config
-          ?feedback:ctx.Pass.feedback ~arch:ctx.Pass.arch
-          ~latency:ctx.Pass.latency prog
+          ?feedback:ctx.Pass.feedback ?candidates:ctx.Pass.candidates
+          ~arch:ctx.Pass.arch ~latency:ctx.Pass.latency prog
       in
       ctx.Pass.logs <- logs;
       prog')
@@ -78,8 +78,7 @@ let codegen =
         Pass.v_prog = prog;
         v_kernels =
           List.map
-            (Safara_vir.Codegen.compile_region ~peephole:false
-               ~arch:ctx.Pass.arch prog)
+            (Safara_vir.Codegen.compile_region ~arch:ctx.Pass.arch prog)
             prog.P.regions;
       })
 

@@ -38,7 +38,8 @@ type t = {
   tc : Safara_sim.Launch.program_time Cache.t;  (** timing-sim cache *)
   fc : sim_result Cache.t;  (** functional-sim cache *)
   ak : string Cache.t;  (** compile key → artifact key *)
-  memo : C.memo;  (** per-region tail output and SAFARA feedback *)
+  memo : C.memo;
+      (** per-region tail output, SAFARA candidates and feedback *)
   fe : Safara_ir.Program.t Cache.t;  (** (source, unroll) → front-end IR *)
   lock : Mutex.t;
   images : (int, image) Hashtbl.t;
@@ -383,6 +384,8 @@ type stats = {
   st_tail_misses : int;
   st_feedback_hits : int;
   st_feedback_misses : int;
+  st_candidates_hits : int;
+  st_candidates_misses : int;
   st_front_end_hits : int;
   st_front_end_misses : int;
   st_images : int;
@@ -413,6 +416,8 @@ let stats t =
     st_tail_misses = Cache.misses t.memo.C.m_tail;
     st_feedback_hits = Cache.hits t.memo.C.m_feedback;
     st_feedback_misses = Cache.misses t.memo.C.m_feedback;
+    st_candidates_hits = Cache.hits t.memo.C.m_candidates;
+    st_candidates_misses = Cache.misses t.memo.C.m_candidates;
     st_front_end_hits = Cache.hits t.fe;
     st_front_end_misses = Cache.misses t.fe;
     st_images = images;
@@ -446,10 +451,11 @@ let render_stats t =
        s.st_sim_misses);
   Buffer.add_string b
     (Printf.sprintf
-       "  region cache:  tail %d hits / %d misses, feedback %d / %d, front \
-        end %d / %d\n"
+       "  region cache:  tail %d hits / %d misses, feedback %d / %d, \
+        candidates %d / %d, front end %d / %d\n"
        s.st_tail_hits s.st_tail_misses s.st_feedback_hits s.st_feedback_misses
-       s.st_front_end_hits s.st_front_end_misses);
+       s.st_candidates_hits s.st_candidates_misses s.st_front_end_hits
+       s.st_front_end_misses);
   Buffer.add_string b
     (Printf.sprintf "  input images:  %d prepared\n" s.st_images);
   (match s.st_store with
@@ -513,6 +519,7 @@ let stats_json s =
           (List.map hits_misses
              [ ("tail", s.st_tail_hits, s.st_tail_misses);
                ("feedback", s.st_feedback_hits, s.st_feedback_misses);
+               ("candidates", s.st_candidates_hits, s.st_candidates_misses);
                ("front_end", s.st_front_end_hits, s.st_front_end_misses) ]));
        ("images", int s.st_images);
        ("compile_s", num s.st_compile_s);

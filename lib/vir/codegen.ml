@@ -390,8 +390,7 @@ and compile_seq_loop ctx (l : S.loop) =
 (* Kernel assembly                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let compile_region ?(peephole = true) ~arch (prog : Safara_ir.Program.t)
-    (r : R.t) =
+let compile_region ~arch (prog : Safara_ir.Program.t) (r : R.t) =
   let mapping = Safara_analysis.Mapping.of_region r in
   let b = Builder.create () in
   let modes = Addressing.modes_of_region ~arch prog r in
@@ -445,13 +444,8 @@ let compile_region ?(peephole = true) ~arch (prog : Safara_ir.Program.t)
     Kernel.kname = r.R.rname;
     params =
       List.map (fun a -> Kernel.P_array a) arrays @ dope_params @ scalar_params;
-    code =
-      (if peephole then Peephole.optimize (Builder.code b) else Builder.code b);
+    code = Builder.code b;
     block = mapping.Safara_analysis.Mapping.block;
     axes = List.rev ctx.axes;
     shared_bytes = 0;
   }
-
-let compile_program ~arch prog =
-  let prog = Safara_analysis.Schedule.resolve_program prog in
-  List.map (compile_region ~arch prog) prog.Safara_ir.Program.regions

@@ -20,18 +20,12 @@
 exception Error of string
 
 val compile_region :
-  ?peephole:bool ->
   arch:Safara_gpu.Arch.t ->
   Safara_ir.Program.t ->
   Safara_ir.Region.t ->
   Kernel.t
-(** [peephole] (default [true]) runs {!Peephole.optimize} on the
-    generated code; the staged pipeline passes [false] and runs the
-    peephole as its own instrumented pass instead.
+(** The code straight out of generation, before any optimizer; the
+    staged pipeline runs {!Peephole.optimize} as its next pass.
     @raise Error on unsupported shapes: parallel loops that are not a
     perfectly nested chain, more than three parallel loops, or a
     reduction clause without the store pattern. *)
-
-val compile_program :
-  arch:Safara_gpu.Arch.t -> Safara_ir.Program.t -> Kernel.t list
-(** Compile every region (after schedule resolution). *)

@@ -1,0 +1,7 @@
+(* A region's kernel as the pipeline's codegen and peephole passes
+   leave it, for suites that test one kernel without the rest of the
+   tail. *)
+
+let compile_region ~arch prog r =
+  let k = Safara_vir.Codegen.compile_region ~arch prog r in
+  { k with Safara_vir.Kernel.code = Safara_vir.Peephole.optimize k.Safara_vir.Kernel.code }

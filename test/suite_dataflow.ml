@@ -195,7 +195,7 @@ let registry_kernels =
          List.map
            (fun r ->
              ( w.Workload.id ^ " codegen",
-               Safara_vir.Codegen.compile_region ~peephole:false ~arch resolved r ))
+               Safara_vir.Codegen.compile_region ~arch resolved r ))
            resolved.Safara_ir.Program.regions
          @ List.map
              (fun (k, _) -> (w.Workload.id ^ " tail", k))

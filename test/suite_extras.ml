@@ -110,7 +110,7 @@ let test_peephole_keeps_control_flow () =
 let compile_kernel src =
   let prog = Safara_lang.Frontend.compile src in
   let prog = Safara_analysis.Schedule.resolve_program prog in
-  Safara_vir.Codegen.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions)
+  Codegen_helper.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions)
 
 let test_strength_reduction_neighbors () =
   (* a[k] and a[k-1] on a dynamic 3D array: the second address must be
@@ -457,7 +457,7 @@ double a[n];
   let cycles src =
     let prog = Safara_lang.Frontend.compile src in
     let prog = Safara_analysis.Schedule.resolve_program prog in
-    let k = Safara_vir.Codegen.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
+    let k = Codegen_helper.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
     let mem = Safara_sim.Memory.create () in
     Safara_sim.Memory.alloc_program mem ~env:[ ("n", 65536) ] prog;
     let env = { Safara_sim.Interp.scalars = [ ("n", Safara_sim.Value.I 65536) ]; mem } in

@@ -107,7 +107,7 @@ let dope_loads src =
   let prog = Safara_lang.Frontend.compile src in
   let prog = Safara_analysis.Schedule.resolve_program prog in
   let k =
-    Safara_vir.Codegen.compile_region ~arch prog
+    Codegen_helper.compile_region ~arch prog
       (List.hd prog.Safara_ir.Program.regions)
   in
   Safara_vir.Kernel.count_instr k ~f:(function

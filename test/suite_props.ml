@@ -321,7 +321,7 @@ let prop_allocation_valid =
       let prog = Safara_analysis.Schedule.resolve_program prog in
       List.for_all
         (fun r ->
-          let k = Safara_vir.Codegen.compile_region ~arch prog r in
+          let k = Codegen_helper.compile_region ~arch prog r in
           let cfg = Safara_vir.Cfg.build k.Safara_vir.Kernel.code in
           let res = Safara_ptxas.Linear_scan.allocate ~max_regs:255 cfg in
           match Safara_ptxas.Linear_scan.verify cfg res with
@@ -361,7 +361,7 @@ let prop_instr_map_regs_identity =
       let prog = Safara_analysis.Schedule.resolve_program prog in
       List.for_all
         (fun r ->
-          let k = Safara_vir.Codegen.compile_region ~arch prog r in
+          let k = Codegen_helper.compile_region ~arch prog r in
           Array.for_all
             (fun instr ->
               let same = Safara_vir.Instr.map_regs (fun x -> x) instr in
@@ -382,8 +382,7 @@ let prop_instr_map_regs_identity =
 let prop_peephole_semantics =
   Q.Test.make ~name:"peephole preserves semantics" ~count:25 arb_program
     (fun src ->
-      (* compile_region applies the peephole; compare against a
-         pipeline with peephole applied twice (idempotence-ish) *)
+      (* codegen's own output against the peephole's *)
       let prog = Safara_lang.Frontend.compile src in
       let prog = Safara_analysis.Schedule.resolve_program prog in
       let run extra_opt =

@@ -179,7 +179,7 @@ double a[n];
   in
   let prog = Safara_lang.Frontend.compile src in
   let prog = Safara_analysis.Schedule.resolve_program prog in
-  let k = Safara_vir.Codegen.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
+  let k = Codegen_helper.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
   let run kernel =
     let mem = Safara_sim.Memory.create () in
     Safara_sim.Memory.alloc_program mem ~env:[ ("n", 64) ] prog;
@@ -222,7 +222,7 @@ let test_pressure_lower_bound () =
       let prog = Safara_analysis.Schedule.resolve_program prog in
       List.iter
         (fun r ->
-          let k = Safara_vir.Codegen.compile_region ~arch prog r in
+          let k = Codegen_helper.compile_region ~arch prog r in
           let code = k.Safara_vir.Kernel.code in
           let res = Linear_scan.allocate ~max_regs:255 (Cfg.build code) in
           let peak = interval_peak code in
@@ -243,7 +243,7 @@ let test_report_fields () =
   in
   let prog = Safara_lang.Frontend.compile src in
   let prog = Safara_analysis.Schedule.resolve_program prog in
-  let k = Safara_vir.Codegen.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
+  let k = Codegen_helper.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
   let _, rep = Assemble.assemble ~arch k in
   Alcotest.(check string) "name" "k" rep.Assemble.kernel_name;
   Alcotest.(check bool) "positive regs" true (rep.Assemble.regs_used > 0);

@@ -727,9 +727,10 @@ let test_stats_json_complete () =
       Eval.st_jobs = 1; st_job_counts = [ 2; 3 ]; st_compile_hits = 4;
       st_compile_misses = 5; st_sim_hits = 6; st_sim_misses = 7;
       st_tail_hits = 8; st_tail_misses = 9; st_feedback_hits = 10;
-      st_feedback_misses = 11; st_front_end_hits = 12;
-      st_front_end_misses = 13; st_images = 14; st_compile_s = 15.5;
-      st_sim_s = 16.5; st_pass_s = [ ("dce", 17, 18.5) ]; st_wall_s = 19.5;
+      st_feedback_misses = 11; st_candidates_hits = 12;
+      st_candidates_misses = 13; st_front_end_hits = 14;
+      st_front_end_misses = 15; st_images = 16; st_compile_s = 17.5;
+      st_sim_s = 18.5; st_pass_s = [ ("dce", 19, 20.5) ]; st_wall_s = 21.5;
       st_store = Some st;
     }
   in
@@ -742,11 +743,11 @@ let test_stats_json_complete () =
   let j = Eval.stats_json s in
   Alcotest.(check (list (float 0.)))
     "every counter exactly once"
-    (List.init 14 (fun i -> float_of_int (i + 1))
-    @ [ 15.5; 16.5; 17.; 18.5; 19.5 ]
+    (List.init 16 (fun i -> float_of_int (i + 1))
+    @ [ 17.5; 18.5; 19.; 20.5; 21.5 ]
     @ List.init 8 (fun i -> float_of_int (101 + i)))
     (List.sort compare (nums j));
-  Alcotest.(check int) "images" 14 (Sjson.to_int (Sjson.member "images" j))
+  Alcotest.(check int) "images" 16 (Sjson.to_int (Sjson.member "images" j))
 
 (* --- the CLI's JSON through the real binary ------------------------------ *)
 

@@ -46,7 +46,7 @@ let compile_pipeline src =
   let kernels =
     List.map
       (fun r ->
-        let k = Safara_vir.Codegen.compile_region ~arch prog r in
+        let k = Codegen_helper.compile_region ~arch prog r in
         Safara_ptxas.Assemble.assemble ~arch k)
       prog.Safara_ir.Program.regions
   in

@@ -8,7 +8,7 @@ let arch = Safara_gpu.Arch.kepler_k20xm
 let compile_first src =
   let prog = Safara_lang.Frontend.compile src in
   let prog = Safara_analysis.Schedule.resolve_program prog in
-  (prog, Safara_vir.Codegen.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions))
+  (prog, Codegen_helper.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions))
 
 let fig8 ~small ~dim =
   Printf.sprintf
@@ -88,7 +88,7 @@ let test_dim_shares_offsets () =
 let regs src =
   let prog = Safara_lang.Frontend.compile src in
   let prog = Safara_analysis.Schedule.resolve_program prog in
-  let k = Safara_vir.Codegen.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
+  let k = Codegen_helper.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
   let _, r = Safara_ptxas.Assemble.assemble ~arch k in
   r.Safara_ptxas.Assemble.regs_used
 

@@ -188,7 +188,7 @@ let reference_compile ?(arch = Safara_gpu.Arch.kepler_k20xm)
     List.map
       (fun r ->
         Safara_ptxas.Assemble.assemble ~arch
-          (Safara_vir.Codegen.compile_region ~arch prog r))
+          (Codegen_helper.compile_region ~arch prog r))
       prog.P.regions
   in
   (prog, kernels, logs)
