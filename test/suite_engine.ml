@@ -389,7 +389,9 @@ let test_memo_grid_matches_memoless () =
   Alcotest.(check (list string)) "points that differ when shared" [] differ;
   Alcotest.(check bool) "tail outputs were reused" true (s.Eval.st_tail_hits > 0);
   Alcotest.(check bool) "feedback was reused" true
-    (s.Eval.st_feedback_hits > 0)
+    (s.Eval.st_feedback_hits > 0);
+  Alcotest.(check bool) "candidate analyses were reused" true
+    (s.Eval.st_candidates_hits > 0)
 
 (* every registry workload under every profile, with and without
    indvar, on one engine *)
