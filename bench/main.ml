@@ -124,10 +124,18 @@ let sim_measure_group ~min_time ~min_runs
 
 (* Measurement closures prepare memory once and reuse it across runs:
    input generation is engine-independent work that would otherwise
-   dilute every engine ratio toward 1. Counters measure the work each
-   run actually did, so re-running over mutated arrays remains an
-   honest instructions-per-second. The bit-identity gates below use
-   fresh memory every time. *)
+   dilute every engine ratio toward 1. Inputs are produced lazily
+   (Memory page slots): a functional closure's first run produces its
+   arrays whole, and a timing closure's first run produces the pages
+   its resident set touches, which stay filled. That first run is the
+   warm-up round of [sim_measure_group], so neither the totals nor
+   best-of-K include it. Later timing runs still see one slot per
+   page: a site cursor that crosses a page computes the next slot
+   from its array (no search), a cost every measured run includes.
+   Counters measure the work each run actually
+   did, so re-running over mutated arrays remains an honest
+   instructions-per-second. The bit-identity gates below use fresh
+   memory every time. *)
 
 let sim_functional_run c (w : Workload.t) =
   let env = Workload.prepare c w in

@@ -220,7 +220,7 @@ let report_of c name =
   | Some (_, report) -> report
   | None -> invalid_arg ("no kernel named " ^ name)
 
-let make_env c ~scalars =
+let make_env ?fill c ~scalars =
   let int_env =
     List.filter_map
       (fun (name, v) ->
@@ -228,7 +228,7 @@ let make_env c ~scalars =
       scalars
   in
   let mem = Safara_sim.Memory.create () in
-  Safara_sim.Memory.alloc_program mem ~env:int_env c.c_prog;
+  Safara_sim.Memory.alloc_program ?fill mem ~env:int_env c.c_prog;
   { Safara_sim.Interp.scalars; mem }
 
 let run_functional ?counters ?pool c env =

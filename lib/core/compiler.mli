@@ -144,9 +144,12 @@ val report_of : compiled -> string -> Safara_ptxas.Assemble.report
 (** Per-kernel ptxas report by kernel name. *)
 
 val make_env :
+  ?fill:(Safara_ir.Array_info.t -> int -> int -> Safara_sim.Memory.payload) ->
   compiled -> scalars:(string * Safara_sim.Value.t) list -> Safara_sim.Interp.env
 (** Allocate device memory for the program's arrays (sized from the
-    integer scalars) and package the environment. *)
+    integer scalars) and package the environment. [fill a] produces
+    array [a]'s cells page by page ({!Safara_sim.Memory.alloc});
+    without it every cell is zero. *)
 
 val run_functional :
   ?counters:Safara_sim.Interp.counters ->

@@ -222,7 +222,9 @@ let add_counters ~into (c : counters) =
    identical by disjointness, and the integer counter sums are
    identical because addition is associative and commutative (they are
    still merged in chunk order for good measure). An undo journal is
-   single-domain, so a fan-out under one is refused. *)
+   single-domain, so a fan-out under one is refused. The memory is
+   forced ({!run_kernel_m} did it), so no chunk fills a page: the
+   table the chunks share is read-only. *)
 let run_kernel_par ~counters ~prog ~env ~grid ~pool (k : K.t) =
   if Memory.undo_active env.mem then
     invalid_arg "Interp.run_kernel: no block-parallel launch under an undo journal";
@@ -280,6 +282,8 @@ let run_kernel_seq ~counters ~prog ~env ~grid k =
 
 let run_kernel_m ?(counters = null_counters) ?pool ?verdict ~prog ~env ~grid
     (k : K.t) =
+  (* a functional run touches most of its arrays: produce them whole *)
+  Memory.force env.mem;
   let gx, gy, gz = grid in
   let nblocks = gx * gy * gz in
   match pool with

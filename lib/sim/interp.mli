@@ -65,10 +65,13 @@ val run_kernel :
     files, private {!Memory.view} cursors, counters summed in chunk
     order); anything unprovable falls back to the sequential engine.
     [verdict] supplies a precomputed {!Blockpar.analyze} result so
-    repeated launches skip the analysis.
+    repeated launches skip the analysis. [env.mem] is {!Memory.force}d
+    first, so every launch runs on whole arrays and no two domains
+    fill a page.
     @raise Invalid_argument when a launch would fan out while a
     {!Memory.with_undo} journal is active on [env.mem]: the journal
-    is not synchronized across domains.
+    is not synchronized across domains; likewise when [env.mem] has
+    unfilled pages under a journal ({!Memory.force}).
     @raise Failure when the step budget is exceeded (a guard against
     non-terminating generated code) or a parameter is unbound.
     @raise Decode.Error on a branch to an unknown label — detected

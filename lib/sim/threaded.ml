@@ -116,7 +116,7 @@ let[@inline] locate cur mem a =
   let s = !cur in
   if Memory.slot_contains mem ~slot:s ~addr:a then s
   else begin
-    let s = Memory.find_slot mem ~addr:a in
+    let s = Memory.find_slot mem ~near:s ~addr:a in
     cur := s;
     s
   end

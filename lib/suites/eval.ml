@@ -46,6 +46,8 @@ type t = {
       (** each domain's most recent input image, by domain id, under
           [lock]; out of the table while its domain runs on it *)
   mutable images_prepared : int;
+  mutable image_cells : int;  (** cells of the images dropped so far *)
+  mutable image_cells_filled : int;  (** ... and those their pages produced *)
   mutable compile_s : float;
   mutable sim_s : float;
   passes : (string, float * int) Hashtbl.t;
@@ -67,6 +69,8 @@ let create ?jobs ?store () =
     lock = Mutex.create ();
     images = Hashtbl.create 4;
     images_prepared = 0;
+    image_cells = 0;
+    image_cells_filled = 0;
     compile_s = 0.;
     sim_s = 0.;
     passes = Hashtbl.create 16;
@@ -269,7 +273,14 @@ let compile_src t ?(arch = Safara_gpu.Arch.default) ?safara_config
    thread prepares an image of its own instead. A search over one
    workload prepares its image once per domain. One entry per domain,
    because the registry's images total far more than a long-lived
-   daemon should hold. If [f] raises, the image is dropped. *)
+   daemon should hold. If [f] raises, the image is dropped. A dropped
+   image's cells are counted, under the lock, when it leaves. *)
+let drop_image t im =
+  let mem = im.im_env.Interp.mem in
+  t.image_cells <- t.image_cells + Safara_sim.Memory.cells mem;
+  t.image_cells_filled <-
+    t.image_cells_filled + Safara_sim.Memory.cells_filled mem
+
 let with_image t (c : C.compiled) (w : Workload.t) f =
   let arrays = c.C.c_prog.Safara_ir.Program.arrays in
   let fits im =
@@ -296,11 +307,18 @@ let with_image t (c : C.compiled) (w : Workload.t) f =
         { im_arrays = arrays; im_scalars = w.Workload.scalars;
           im_seed = w.Workload.seed; im_env = Workload.prepare c w }
   in
-  let v = f im.im_env in
-  Mutex.lock t.lock;
-  Hashtbl.replace t.images d im;
-  Mutex.unlock t.lock;
-  v
+  match f im.im_env with
+  | v ->
+      Mutex.lock t.lock;
+      Option.iter (drop_image t) (Hashtbl.find_opt t.images d);
+      Hashtbl.replace t.images d im;
+      Mutex.unlock t.lock;
+      v
+  | exception e ->
+      Mutex.lock t.lock;
+      drop_image t im;
+      Mutex.unlock t.lock;
+      raise e
 
 let image t c w = with_image t c w Fun.id
 
@@ -389,6 +407,8 @@ type stats = {
   st_front_end_hits : int;
   st_front_end_misses : int;
   st_images : int;
+  st_image_cells : int;
+  st_image_cells_filled : int;
   st_compile_s : float;
   st_sim_s : float;
   st_pass_s : (string * int * float) list;
@@ -400,6 +420,11 @@ let stats t =
   Mutex.lock t.lock;
   let compile_s = t.compile_s and sim_s = t.sim_s in
   let images = t.images_prepared in
+  let live f = Hashtbl.fold (fun _ im acc -> acc + f im.im_env.Interp.mem) t.images in
+  let image_cells = live Safara_sim.Memory.cells t.image_cells
+  and image_cells_filled =
+    live Safara_sim.Memory.cells_filled t.image_cells_filled
+  in
   let pass_s =
     List.sort compare
       (Hashtbl.fold (fun name (s, n) acc -> (name, n, s) :: acc) t.passes [])
@@ -421,6 +446,8 @@ let stats t =
     st_front_end_hits = Cache.hits t.fe;
     st_front_end_misses = Cache.misses t.fe;
     st_images = images;
+    st_image_cells = image_cells;
+    st_image_cells_filled = image_cells_filled;
     st_compile_s = compile_s;
     st_sim_s = sim_s;
     st_pass_s = pass_s;
@@ -457,7 +484,8 @@ let render_stats t =
        s.st_candidates_hits s.st_candidates_misses s.st_front_end_hits
        s.st_front_end_misses);
   Buffer.add_string b
-    (Printf.sprintf "  input images:  %d prepared\n" s.st_images);
+    (Printf.sprintf "  input images:  %d prepared, %d of %d cells filled\n"
+       s.st_images s.st_image_cells_filled s.st_image_cells);
   (match s.st_store with
   | None -> ()
   | Some st ->
@@ -522,6 +550,8 @@ let stats_json s =
                ("candidates", s.st_candidates_hits, s.st_candidates_misses);
                ("front_end", s.st_front_end_hits, s.st_front_end_misses) ]));
        ("images", int s.st_images);
+       ("image_cells", int s.st_image_cells);
+       ("image_cells_filled", int s.st_image_cells_filled);
        ("compile_s", num s.st_compile_s);
        ("sim_s", num s.st_sim_s);
        ("passes",

@@ -176,6 +176,14 @@ type stats = {
   st_images : int;
       (** input images prepared ({!Workload.prepare} runs): one per
           domain per searched workload when nothing evicts them *)
+  st_image_cells : int;
+      (** cells those images reserve, counted when an image is dropped
+          or, for the images the engine still holds, when the stats are
+          read (an image in use at that moment is not counted yet) *)
+  st_image_cells_filled : int;
+      (** of those, the cells their pages produced
+          ({!Safara_sim.Memory.cells_filled}): what the simulations
+          touched, or every cell of an image a functional run forced *)
   st_compile_s : float;  (** wall-clock spent in compile misses *)
   st_sim_s : float;  (** wall-clock spent in simulation misses *)
   st_pass_s : (string * int * float) list;

@@ -21,22 +21,50 @@ let make ~id ~title ~suite ~description ~scalars ?(seed = 42) ?check_arrays sour
   in
   { id; title; suite; description; source; scalars; seed; check_arrays }
 
-(* deterministic LCG; values in [0.5, 1.5) keep products and sums well
-   away from overflow and denormals *)
-let lcg_fill seed data =
-  let state = ref (seed land 0x3fffffff) in
-  for i = 0 to Array.length data - 1 do
-    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+(* The deterministic LCG x → a·x + c (mod 2^30). Products of two
+   residues stay below 2^61, inside OCaml's 63-bit ints. *)
+let lcg_a = 1103515245
+let lcg_c = 12345
+let lcg_mask = 0x3fffffff
+
+(* the LCG applied [n] times, as the affine pair (a', c') of
+   x → a'·x + c', by squaring: powers of one map commute, so composing
+   them in any order is exact *)
+let lcg_jump n =
+  let compose (a1, c1) (a2, c2) =
+    ((a1 * a2) land lcg_mask, ((a1 * c2) + c1) land lcg_mask)
+  in
+  let rec go n sq acc =
+    if n = 0 then acc
+    else go (n lsr 1) (compose sq sq) (if n land 1 = 1 then compose sq acc else acc)
+  in
+  go n (lcg_a, lcg_c) (1, 0)
+
+(* The state [lo] steps after [state0]: cell i holds a function of
+   the state after i+1 steps, so a page of cells [lo, hi) starts here
+   and equals the same cells of a serial loop from cell 0. *)
+let lcg_start state0 lo =
+  let a, c = lcg_jump lo in
+  ((a * state0) + c) land lcg_mask
+
+let float_cells state0 lo hi =
+  let state = ref (lcg_start state0 lo) in
+  let data = Array.create_float (hi - lo) in
+  for i = 0 to hi - lo - 1 do
+    state := ((!state * lcg_a) + lcg_c) land lcg_mask;
     (* scaling by 2^-30 is exact, so this equals dividing by 2^30 *)
     Array.unsafe_set data i (0.5 +. (float_of_int !state *. 0x1p-30))
-  done
+  done;
+  data
 
-let lcg_fill_int seed ~bound data =
-  let state = ref ((seed * 31) land 0x3fffffff) in
-  for i = 0 to Array.length data - 1 do
-    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+let int_cells state0 ~bound lo hi =
+  let state = ref (lcg_start state0 lo) in
+  let data = Array.make (hi - lo) 0 in
+  for i = 0 to hi - lo - 1 do
+    state := ((!state * lcg_a) + lcg_c) land lcg_mask;
     Array.unsafe_set data i (!state mod bound)
-  done
+  done;
+  data
 
 let int_env t =
   List.filter_map
@@ -44,34 +72,39 @@ let int_env t =
       match v with Safara_sim.Value.I x -> Some (n, x) | _ -> None)
     t.scalars
 
-let fill_inputs t mem (prog : Safara_ir.Program.t) =
-  let env = int_env t in
-  List.iteri
-    (fun idx (a : Safara_ir.Array_info.t) ->
-      let name = a.Safara_ir.Array_info.name in
-      if Safara_ir.Types.is_float a.Safara_ir.Array_info.elem then
-        lcg_fill (t.seed + (idx * 977)) (Safara_sim.Memory.float_data mem name)
-      else begin
-        (* integer arrays index other arrays: keep them within the
-           smallest dynamic extent to stay in bounds *)
-        let bound =
-          List.fold_left
-            (fun acc (d : Safara_ir.Dim.t) ->
-              match d.Safara_ir.Dim.extent with
-              | Safara_ir.Dim.Const n -> min acc n
-              | Safara_ir.Dim.Sym s ->
-                  min acc (Option.value (List.assoc_opt s env) ~default:acc))
-            1024 a.Safara_ir.Array_info.dims
-        in
-        lcg_fill_int (t.seed + (idx * 977)) ~bound:(max 1 bound)
-          (Safara_sim.Memory.int_data mem name)
-      end)
-    prog.Safara_ir.Program.arrays
+(* Float arrays get LCG values in [0.5, 1.5), which keep products and
+   sums well away from overflow and denormals. Integer arrays index
+   other arrays, so their values stay below the smallest dynamic
+   extent. *)
+let filler t ~env idx (a : Safara_ir.Array_info.t) =
+  let seed = t.seed + (idx * 977) in
+  if Safara_ir.Types.is_float a.Safara_ir.Array_info.elem then fun lo hi ->
+    Safara_sim.Memory.F (float_cells (seed land lcg_mask) lo hi)
+  else begin
+    let bound =
+      List.fold_left
+        (fun acc (d : Safara_ir.Dim.t) ->
+          match d.Safara_ir.Dim.extent with
+          | Safara_ir.Dim.Const n -> min acc n
+          | Safara_ir.Dim.Sym s ->
+              min acc (Option.value (List.assoc_opt s env) ~default:acc))
+        1024 a.Safara_ir.Array_info.dims
+    in
+    fun lo hi ->
+      Safara_sim.Memory.I
+        (int_cells ((seed * 31) land lcg_mask) ~bound:(max 1 bound) lo hi)
+  end
 
 let prepare (c : Safara_core.Compiler.compiled) t =
-  let env = Safara_core.Compiler.make_env c ~scalars:t.scalars in
-  fill_inputs t env.Safara_sim.Interp.mem c.Safara_core.Compiler.c_prog;
-  env
+  let env = int_env t in
+  let fillers =
+    List.mapi
+      (fun idx (a : Safara_ir.Array_info.t) ->
+        (a.Safara_ir.Array_info.name, filler t ~env idx a))
+      c.Safara_core.Compiler.c_prog.Safara_ir.Program.arrays
+  in
+  Safara_core.Compiler.make_env c ~scalars:t.scalars ~fill:(fun a ->
+      List.assoc a.Safara_ir.Array_info.name fillers)
 
 let time_under ?options profile t =
   let c = Safara_core.Compiler.compile_src ?options profile t.source in

@@ -34,14 +34,15 @@ val make :
   string ->
   t
 
-val fill_inputs : t -> Safara_sim.Memory.t -> Safara_ir.Program.t -> unit
-(** Deterministically fill every float array with LCG values in
-    [0.5, 1.5) (well-conditioned for the numerics) and every int array
-    with small non-negative values. *)
-
 val prepare :
   Safara_core.Compiler.compiled -> t -> Safara_sim.Interp.env
-(** Allocate memory, fill inputs. *)
+(** Allocate memory for the workload's inputs. Its cells are produced
+    deterministically, page by page as the simulators first resolve
+    them ({!Safara_sim.Memory.alloc}): every float array holds LCG
+    values in [\[0.5, 1.5)] (well-conditioned for the numerics) and
+    every int array small non-negative values. Each page starts its
+    array's sequence at its first index by jump-ahead, so the cells do
+    not depend on which pages are produced or in what order. *)
 
 val time_under :
   ?options:Safara_core.Pipeline.options ->

@@ -495,9 +495,13 @@ let test_image_untouched () =
   Alcotest.(check bool) "the search kept the memoized image" true
     (Eval.image eng c w == img);
   Eval.shutdown eng;
-  let fresh = Workload.prepare c w in
   let module M = Safara_sim.Memory in
   let mem (env : Safara_sim.Interp.env) = env.Safara_sim.Interp.mem in
+  (* timing produced only the pages its resident sets touched; the
+     checks below force the rest *)
+  Alcotest.(check bool) "the image is still mostly unfilled" true
+    (2 * M.cells_filled (mem img) < M.cells (mem img));
+  let fresh = Workload.prepare c w in
   List.iter
     (fun (a : Safara_ir.Array_info.t) ->
       let name = a.Safara_ir.Array_info.name in
@@ -513,6 +517,26 @@ let test_image_untouched () =
       in
       Alcotest.(check bool) (name ^ " contents") true same)
     c.C.c_prog.Safara_ir.Program.arrays
+
+(* an engine holds one image per domain, so searching a second
+   workload drops the first image; the stats still count its cells *)
+let test_image_cells_counted () =
+  let eng = Eval.create ~jobs:1 () in
+  let ws = List.map Registry.find [ "352.ep"; "314.omriq" ] in
+  List.iter (fun w -> ignore (Tune.search eng ~arch:Arch.default w)) ws;
+  let s = Eval.stats eng in
+  let cells w =
+    let c = Eval.compiled eng (Tune.job ~arch:Arch.default w Tune.default_point) in
+    Safara_sim.Memory.cells (Workload.prepare c w).Safara_sim.Interp.mem
+  in
+  Alcotest.(check int) "two images" 2 s.Eval.st_images;
+  Alcotest.(check int) "the dropped image's cells count too"
+    (List.fold_left (fun acc w -> acc + cells w) 0 ws)
+    s.Eval.st_image_cells;
+  Alcotest.(check bool) "timing filled part of them" true
+    (s.Eval.st_image_cells_filled > 0
+    && s.Eval.st_image_cells_filled < s.Eval.st_image_cells);
+  Eval.shutdown eng
 
 (* Timing writes each domain's image in place and restores it, so
    images are per domain: a search must pick the same winner, with the
@@ -560,6 +584,9 @@ let test_tune_j1_equals_j4 () =
         (List.map bits r4.Tune.tr_kernels);
       Alcotest.(check int) (id ^ ": -j 1 prepares one image") 1
         s1.Eval.st_images;
+      Alcotest.(check bool) (id ^ ": timing filled part of the image") true
+        (s1.Eval.st_image_cells_filled > 0
+        && s1.Eval.st_image_cells_filled < s1.Eval.st_image_cells);
       let domains =
         List.length (List.filter (fun n -> n > 0) s4.Eval.st_job_counts)
       in
@@ -652,6 +679,8 @@ let suite =
       test_memo_declarations_in_key;
     Alcotest.test_case "dedup: input image never written" `Quick
       test_image_untouched;
+    Alcotest.test_case "images: dropped images' cells counted" `Quick
+      test_image_cells_counted;
     Alcotest.test_case "determinism: tune -j1 = -j4" `Slow
       test_tune_j1_equals_j4;
     Alcotest.test_case "determinism: table1 -j1 = -j4" `Quick

@@ -729,9 +729,9 @@ let test_stats_json_complete () =
       st_tail_hits = 8; st_tail_misses = 9; st_feedback_hits = 10;
       st_feedback_misses = 11; st_candidates_hits = 12;
       st_candidates_misses = 13; st_front_end_hits = 14;
-      st_front_end_misses = 15; st_images = 16; st_compile_s = 17.5;
-      st_sim_s = 18.5; st_pass_s = [ ("dce", 19, 20.5) ]; st_wall_s = 21.5;
-      st_store = Some st;
+      st_front_end_misses = 15; st_images = 16; st_image_cells = 17;
+      st_image_cells_filled = 18; st_compile_s = 19.5; st_sim_s = 20.5;
+      st_pass_s = [ ("dce", 21, 22.5) ]; st_wall_s = 23.5; st_store = Some st;
     }
   in
   let rec nums = function
@@ -743,11 +743,15 @@ let test_stats_json_complete () =
   let j = Eval.stats_json s in
   Alcotest.(check (list (float 0.)))
     "every counter exactly once"
-    (List.init 16 (fun i -> float_of_int (i + 1))
-    @ [ 17.5; 18.5; 19.; 20.5; 21.5 ]
+    (List.init 18 (fun i -> float_of_int (i + 1))
+    @ [ 19.5; 20.5; 21.; 22.5; 23.5 ]
     @ List.init 8 (fun i -> float_of_int (101 + i)))
     (List.sort compare (nums j));
-  Alcotest.(check int) "images" 16 (Sjson.to_int (Sjson.member "images" j))
+  Alcotest.(check int) "images" 16 (Sjson.to_int (Sjson.member "images" j));
+  Alcotest.(check int) "image_cells" 17
+    (Sjson.to_int (Sjson.member "image_cells" j));
+  Alcotest.(check int) "image_cells_filled" 18
+    (Sjson.to_int (Sjson.member "image_cells_filled" j))
 
 (* --- the CLI's JSON through the real binary ------------------------------ *)
 

@@ -1064,7 +1064,7 @@ let write_everything m =
   Memory.store m ~addr:bf (V.F 2.0);
   Memory.store m ~addr:(bf + 8) (V.F 0.0);
   Memory.store v ~addr:(bf + 16) (V.F (-7.25));
-  let sf = Memory.find_slot m ~addr:bf and si = Memory.find_slot m ~addr:bi in
+  let sf = Memory.find_slot m ~near:(-1) ~addr:bf and si = Memory.find_slot m ~near:(-1) ~addr:bi in
   (* enough writes to grow the journal's buffers several times *)
   for k = 1 to 300 do
     Memory.store_int_slot m ~slot:si ~addr:(bi + (4 * (4 + (k mod 2)))) k
@@ -1198,6 +1198,234 @@ let test_time_restores_env () =
         [ Decode.Reference; Decode.Threaded ])
     Safara_suites.Registry.all
 
+(* --- page-lazy memory ---------------------------------------------- *)
+
+(* The serial fills [Workload.prepare] used before its pages were
+   produced lazily: the oracle of the page filler's jump-ahead. *)
+let serial_lcg_float seed n =
+  let state = ref (seed land 0x3fffffff) in
+  Array.init n (fun _ ->
+      state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+      0.5 +. (float_of_int !state *. 0x1p-30))
+
+let serial_lcg_int seed ~bound n =
+  let state = ref ((seed * 31) land 0x3fffffff) in
+  Array.init n (fun _ ->
+      state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+      !state mod bound)
+
+(* 3000 cells: five full pages and a partial sixth of 440 *)
+let lazy_n = 3000
+
+let lazy_workload =
+  Safara_suites.Workload.make ~id:"lazy" ~title:"lazy" ~description:""
+    ~suite:Safara_suites.Workload.Spec ~scalars:[ ("n", V.I lazy_n) ] ~seed:7
+    {|
+param int n;
+in double x[n];
+in int k[n];
+double y[n];
+#pragma acc kernels name(gather)
+{
+  #pragma acc loop gang vector(32)
+  for (i = 0; i <= n - 1; i++) {
+    y[i] = x[k[i]];
+  }
+}
+|}
+
+let lazy_prepare () =
+  let c =
+    Safara_core.Compiler.compile_src Safara_core.Compiler.Base
+      lazy_workload.Safara_suites.Workload.source
+  in
+  (c, (Safara_suites.Workload.prepare c lazy_workload).Interp.mem)
+
+(* the arrays in program order: seeds step by 977, and the int
+   array's values stay below min(1024, n) *)
+let lazy_oracle () =
+  ( float_bits (serial_lcg_float 7 lazy_n),
+    serial_lcg_int (7 + 977) ~bound:1024 lazy_n,
+    float_bits (serial_lcg_float (7 + 1954) lazy_n) )
+
+let lazy_contents m =
+  ( float_bits (Memory.float_data m "x"),
+    Memory.int_data m "k",
+    float_bits (Memory.float_data m "y") )
+
+let test_lazy_fill_matches_serial () =
+  let _, m = lazy_prepare () in
+  let ox, ok, _ = lazy_oracle () in
+  Alcotest.(check int) "nothing filled yet" 0 (Memory.cells_filled m);
+  let bx = Memory.base m "x" and bk = Memory.base m "k" in
+  List.iter
+    (fun i ->
+      Alcotest.(check int64)
+        (Printf.sprintf "x[%d]" i) ox.(i)
+        (Int64.bits_of_float (V.to_float (Memory.load m ~addr:(bx + (8 * i)))));
+      Alcotest.(check int)
+        (Printf.sprintf "k[%d]" i) ok.(i)
+        (V.to_int (Memory.load m ~addr:(bk + (4 * i)))))
+    [ 0; 511; 512; lazy_n - 1 ];
+  (* pages 0, 1 and the partial last one, of x and of k *)
+  Alcotest.(check int) "only the touched pages filled"
+    (2 * (512 + 512 + 440))
+    (Memory.cells_filled m);
+  Alcotest.(check int) "cells reserved" (3 * lazy_n) (Memory.cells m);
+  (* forcing produces the untouched pages 2-4 in one run, and y whole *)
+  Alcotest.(check bool) "every cell equals the serial loop" true
+    (lazy_contents m = lazy_oracle ());
+  Alcotest.(check int) "forced" (3 * lazy_n) (Memory.cells_filled m)
+
+let raises_wild f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument msg ->
+      let sub = "wild address" in
+      let n = String.length sub in
+      let rec at i =
+        i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
+      in
+      at 0
+
+let test_lazy_padding_wild () =
+  let m = Memory.create () in
+  let fill lo hi = Memory.F (Array.make (hi - lo) 1.0) in
+  (* 513 doubles: a full page, a one-cell page, then 248 bytes of
+     padding up to the next 256-byte boundary *)
+  Memory.alloc m ~fill ~name:"a" ~elem:Safara_ir.Types.F64 ~length:513;
+  Memory.alloc m ~fill ~name:"b" ~elem:Safara_ir.Types.F64 ~length:3;
+  let ba = Memory.base m "a" and bb = Memory.base m "b" in
+  Alcotest.(check int) "b after the padding" (ba + 4352) bb;
+  List.iter
+    (fun addr ->
+      Alcotest.(check bool)
+        (Printf.sprintf "a+%d is wild" (addr - ba))
+        true
+        (raises_wild (fun () -> Memory.load m ~addr)))
+    [ ba + 4104; ba + 4351; bb + 24; ba - 8 ];
+  Alcotest.(check bool) "a slot lookup in the padding is wild" true
+    (raises_wild (fun () -> Memory.find_slot m ~near:(-1) ~addr:(ba + 4200)));
+  Alcotest.(check int) "a wild address fills no page" 0 (Memory.cells_filled m);
+  Alcotest.(check (float 0.)) "last cell resolves" 1.0
+    (V.to_float (Memory.load m ~addr:(ba + (512 * 8))))
+
+let test_lazy_near_hint () =
+  let _, m = lazy_prepare () in
+  let ox, ok, _ = lazy_oracle () in
+  let bx = Memory.base m "x" and bk = Memory.base m "k" in
+  let s0 = Memory.find_slot m ~near:(-1) ~addr:bx in
+  (* x's page 3 from page 0's cursor, without a search *)
+  let a3 = bx + (8 * 1600) in
+  let s3 = Memory.find_slot m ~near:s0 ~addr:a3 in
+  Alcotest.(check int) "same slot as a search" (Memory.find_slot m ~near:(-1) ~addr:a3) s3;
+  Alcotest.(check int64) "x[1600]" ox.(1600)
+    (Int64.bits_of_float (Memory.load_float_slot m ~slot:s3 ~addr:a3));
+  Alcotest.(check int) "x's pages 0 and 3 filled" 1024 (Memory.cells_filled m);
+  (* an address in another array, or a hint that is no slot, searches *)
+  List.iter
+    (fun near ->
+      let s = Memory.find_slot m ~near ~addr:(bk + (4 * 2999)) in
+      Alcotest.(check int) "k[2999]" ok.(2999) (Memory.load_int_slot m ~slot:s ~addr:(bk + (4 * 2999))))
+    [ s0; s3; -1; 1_000_000 ];
+  Alcotest.(check bool) "x's padding is wild from x's cursor" true
+    (raises_wild (fun () -> Memory.find_slot m ~near:s3 ~addr:(bx + (8 * lazy_n))));
+  (* slots are renumbered by force: an old cursor is only a hint *)
+  Memory.force m;
+  List.iter
+    (fun near ->
+      let s = Memory.find_slot m ~near ~addr:a3 in
+      Alcotest.(check int64) "x[1600] forced" ox.(1600)
+        (Int64.bits_of_float (Memory.load_float_slot m ~slot:s ~addr:a3)))
+    [ s0; s3; 2; -1 ]
+
+let test_lazy_journal_restores_pristine () =
+  let _, m = lazy_prepare () in
+  let bx = Memory.base m "x" and bk = Memory.base m "k"
+  and by = Memory.base m "y" in
+  Memory.with_undo m (fun () ->
+      (* every write lands in a page nothing has touched *)
+      Memory.store m ~addr:(bx + (8 * 2000)) (V.F (-1.0));
+      let s = Memory.find_slot m ~near:(-1) ~addr:(bx + (8 * 2600)) in
+      Memory.store_float_slot m ~slot:s ~addr:(bx + (8 * 2600)) 42.0;
+      Memory.rmw m ~addr:(bk + (4 * 2999)) (fun v -> V.I (V.to_int v + 5));
+      let v = Memory.view m in
+      let s = Memory.find_slot v ~near:(-1) ~addr:(by + 8) in
+      Memory.store_int_slot v ~slot:s ~addr:(by + 8) 7);
+  (* x's pages 3 and 5, k's page 5 and y's page 0 *)
+  Alcotest.(check int) "the journaled pages stay filled"
+    (512 + 440 + 440 + 512)
+    (Memory.cells_filled m);
+  let _, fresh = lazy_prepare () in
+  Alcotest.(check bool) "copy equals a fresh prepare" true
+    (lazy_contents (Memory.copy m) = lazy_contents fresh)
+
+let test_lazy_copy_fills_by_force () =
+  let m = Memory.create () in
+  let calls = ref [] in
+  let fill name lo hi =
+    calls := (name, lo, hi) :: !calls;
+    Memory.F (Array.init (hi - lo) (fun i -> float_of_int (lo + i)))
+  in
+  Memory.alloc m ~fill:(fill "p") ~name:"p" ~elem:Safara_ir.Types.F64
+    ~length:2000;
+  Memory.alloc m ~fill:(fill "q") ~name:"q" ~elem:Safara_ir.Types.F32
+    ~length:700;
+  let bp = Memory.base m "p" in
+  Memory.store m ~addr:(bp + (8 * 600)) (V.F (-3.0));
+  let log () = List.rev !calls in
+  Alcotest.(check (list (triple string int int)))
+    "one page filled" [ ("p", 512, 1024) ] (log ());
+  let c = Memory.copy m in
+  (* the touched page is copied, each untouched run produced once *)
+  Alcotest.(check (list (triple string int int)))
+    "copy forced the source"
+    [ ("p", 512, 1024); ("p", 0, 512); ("p", 1024, 2000); ("q", 0, 700) ]
+    (log ());
+  Alcotest.(check int) "source forced" (Memory.cells m) (Memory.cells_filled m);
+  ignore (Memory.copy m);
+  Alcotest.(check int) "a second copy fills nothing" 4 (List.length (log ()));
+  let want = Array.init 2000 float_of_int in
+  want.(600) <- -3.0;
+  Alcotest.(check (array (float 0.))) "copy holds the written page" want
+    (Memory.float_data c "p");
+  Alcotest.(check (array (float 0.))) "source unchanged" want
+    (Memory.float_data m "p")
+
+(* a functional run produces whole arrays before any block runs, so
+   block-parallel chunks never fill a page *)
+let test_lazy_functional_forces () =
+  let c, m = lazy_prepare () in
+  let env = { Interp.scalars = lazy_workload.Safara_suites.Workload.scalars; mem = m } in
+  with_pool 2 (fun pool -> Safara_core.Compiler.run_functional ~pool c env);
+  Alcotest.(check int) "every cell produced" (Memory.cells m)
+    (Memory.cells_filled m);
+  let ox, ok, _ = lazy_oracle () in
+  let y = float_bits (Memory.float_data m "y") in
+  Alcotest.(check bool) "y[i] = x[k[i]]" true
+    (Array.for_all2 (fun yi ki -> yi = ox.(ki)) y ok)
+
+(* timing reads the same cells whether the image is lazy or whole *)
+let test_lazy_timing_identical () =
+  List.iter
+    (fun id ->
+      let w = Safara_suites.Registry.find id in
+      let c =
+        Safara_core.Compiler.compile_src Safara_core.Compiler.Full
+          w.Safara_suites.Workload.source
+      in
+      let lazy_env = Safara_suites.Workload.prepare c w in
+      let forced = Safara_suites.Workload.prepare c w in
+      Memory.force forced.Interp.mem;
+      let t_lazy = Safara_core.Compiler.time c lazy_env in
+      let t_forced = Safara_core.Compiler.time c forced in
+      Alcotest.(check bool) (id ^ ": same program_time") true
+        (compare t_lazy t_forced = 0);
+      let m = lazy_env.Interp.mem in
+      Alcotest.(check bool) (id ^ ": lazy image partly filled") true
+        (Memory.cells_filled m > 0 && Memory.cells_filled m < Memory.cells m))
+    [ "303.ostencil"; "354.cg"; "370.bt"; "SP" ]
+
 let suite =
   [
     Alcotest.test_case "memory roundtrip" `Quick test_memory_roundtrip;
@@ -1225,6 +1453,20 @@ let suite =
       test_memory_alternating_arrays;
     Alcotest.test_case "memory: views share store, not cursors" `Quick
       test_memory_view_cursors;
+    Alcotest.test_case "lazy: pages equal the serial fill" `Quick
+      test_lazy_fill_matches_serial;
+    Alcotest.test_case "lazy: padding after an array is wild" `Quick
+      test_lazy_padding_wild;
+    Alcotest.test_case "lazy: a cursor's array resolves its next page" `Quick
+      test_lazy_near_hint;
+    Alcotest.test_case "lazy: journaled writes to new pages undone" `Quick
+      test_lazy_journal_restores_pristine;
+    Alcotest.test_case "lazy: copy fills only through force" `Quick
+      test_lazy_copy_fills_by_force;
+    Alcotest.test_case "lazy: a functional run forces the memory" `Quick
+      test_lazy_functional_forces;
+    Alcotest.test_case "lazy: timing identical on a forced image" `Quick
+      test_lazy_timing_identical;
     Alcotest.test_case "undo: every write path restored bit-exactly" `Quick
       test_undo_restores;
     Alcotest.test_case "undo: restored when the body raises" `Quick
