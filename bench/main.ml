@@ -11,7 +11,7 @@
    -j. Engine statistics go to stderr so stdout stays comparable.
 
    Usage: main.exe [fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|
-                    ablations|crossarch|unroll|micro|sim|serve|tune|
+                    ablations|crossarch|unroll|micro|sim|tune|
                     loopopt|json|all]
                    [-j N] [--smoke] [--min-runs N] [--engine NAME]
                    [--arch NAME] [--store DIR]
@@ -24,7 +24,7 @@
 
 open Safara_suites
 
-(* --- JSON output (the sim, serve, tune, loopopt and json modes) ------- *)
+(* --- JSON output (the sim, tune, loopopt and json modes) -------------- *)
 
 module Sjson = Safara_json.Sjson
 
@@ -495,290 +495,6 @@ let run_sim ~smoke ~min_runs ~pool ~arch () =
   in
   write_json "BENCH_sim.json" json
 
-(* --- serve: compile-service latency and throughput ------------------- *)
-(* Measures what the daemon actually buys: per-request compile latency
-   cold (fresh in-process engine, what plain `saraccc compile` pays),
-   against a daemon answering from its warm in-memory caches, and
-   against a *restarted* daemon answering from the persistent on-disk
-   store; plus sustained warm requests/sec at several concurrent client
-   counts. The daemon runs in-process on its own thread — same code
-   path as `saraccc serve`, minus process spawn — so the comparison
-   isolates cache effects from exec overhead. Results go to
-   BENCH_serve.json. In --smoke mode the warm-vs-cold speedup is a
-   hard gate: below 10x the run exits 1. *)
-
-let serve_smoke_ids = [ "303.ostencil"; "355.seismic"; "EP" ]
-
-let serve_compile_req (w : Workload.t) =
-  Safara_serve.Protocol.Compile
-    {
-      cr_name = w.Workload.id;
-      cr_src = w.Workload.source;
-      cr_arch = "kepler";
-      cr_profile = "full";
-      cr_quiet = true;
-      cr_maxrreg = None;
-      cr_pressure = false;
-      cr_time_passes = false;
-      cr_json = false;
-      cr_dumps = [];
-      cr_annotate_live = false;
-      cr_disable = [];
-    }
-
-let serve_request conn req =
-  match Safara_serve.Client.request conn req with
-  | Safara_serve.Protocol.Result (o, ms) ->
-      if o.Safara_serve.Protocol.code <> 0 then
-        failwith "bench serve: request failed";
-      ms
-  | Safara_serve.Protocol.Error e -> failwith ("bench serve: " ^ e)
-  | Safara_serve.Protocol.Data _ -> failwith "bench serve: unexpected data"
-
-let serve_wall f =
-  let t0 = Safara_engine.Clock.now () in
-  let r = f () in
-  ((Safara_engine.Clock.now () -. t0) *. 1e3, r)
-
-(* the daemon on a bench thread; returns (thread, stop) where stop
-   sends the shutdown request and joins *)
-let serve_start ~socket ~store ~jobs =
-  let m = Mutex.create () in
-  let c = Condition.create () in
-  let up = ref false in
-  let th =
-    Thread.create
-      (fun () ->
-        Safara_serve.Server.serve
-          ~on_ready:(fun _ ->
-            Mutex.lock m;
-            up := true;
-            Condition.signal c;
-            Mutex.unlock m)
-          {
-            Safara_serve.Server.s_socket = socket;
-            s_store = Some store;
-            s_max_store_bytes = Safara_engine.Store.default_max_bytes;
-            s_jobs = jobs;
-            s_verbose = false;
-          })
-      ()
-  in
-  Mutex.lock m;
-  while not !up do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
-  let stop () =
-    (match Safara_serve.Client.try_connect socket with
-    | Some conn ->
-        ignore (Safara_serve.Client.request conn Safara_serve.Protocol.Shutdown);
-        Safara_serve.Client.close conn
-    | None -> ());
-    Thread.join th
-  in
-  stop
-
-let serve_stats socket =
-  match Safara_serve.Client.try_connect socket with
-  | None -> Sjson.Null
-  | Some conn ->
-      let r = Safara_serve.Client.request conn Safara_serve.Protocol.Stats in
-      Safara_serve.Client.close conn;
-      (match r with Safara_serve.Protocol.Data d -> d | _ -> Sjson.Null)
-
-let rec serve_rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter
-        (fun e -> serve_rm_rf (Filename.concat path e))
-        (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error _ -> ()
-
-let run_serve ~smoke ~jobs () =
-  let workloads =
-    if smoke then List.map Registry.find serve_smoke_ids else Registry.all
-  in
-  let repeats = if smoke then 2 else 3 in
-  let warm_reqs = if smoke then 5 else 10 in
-  let client_counts = if smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let per_client = if smoke then 20 else 50 in
-  let tmp =
-    let f = Filename.temp_file "saraccc-bench-serve" "" in
-    Sys.remove f;
-    Unix.mkdir f 0o700;
-    f
-  in
-  let store = Filename.concat tmp "store" in
-  Printf.printf
-    "Compile service: cold in-process vs daemon (warm memory, warm disk)\n\
-     profile full, %d workloads; -j %s; per-request ms is best-of-%d\n\n"
-    (List.length workloads)
-    (match jobs with Some n -> string_of_int n | None -> "auto")
-    warm_reqs;
-  (* cold in-process: a fresh engine per repeat, like one CLI run *)
-  let cold_inproc =
-    List.map
-      (fun (w : Workload.t) ->
-        let best = ref infinity in
-        for _ = 1 to repeats do
-          let eng = Eval.create ~jobs:1 () in
-          let ms, () =
-            serve_wall (fun () ->
-                ignore
-                  (Eval.compile_src eng Safara_core.Compiler.Full
-                     w.Workload.source))
-          in
-          Eval.shutdown eng;
-          if ms < !best then best := ms
-        done;
-        (w, !best))
-      workloads
-  in
-  (* daemon A: fresh store; cold request then warm repeats *)
-  let sock_a = Filename.concat tmp "a.sock" in
-  let stop_a = serve_start ~socket:sock_a ~store ~jobs in
-  let conn =
-    match Safara_serve.Client.try_connect sock_a with
-    | Some c -> c
-    | None -> failwith "bench serve: daemon A not reachable"
-  in
-  let cold_daemon =
-    List.map
-      (fun (w : Workload.t) ->
-        serve_wall (fun () -> ignore (serve_request conn (serve_compile_req w)))
-        |> fst)
-      workloads
-  in
-  let warm_daemon =
-    List.map
-      (fun (w : Workload.t) ->
-        let best = ref infinity in
-        for _ = 1 to warm_reqs do
-          let ms, () =
-            serve_wall (fun () ->
-                ignore (serve_request conn (serve_compile_req w)))
-          in
-          if ms < !best then best := ms
-        done;
-        !best)
-      workloads
-  in
-  Safara_serve.Client.close conn;
-  (* sustained warm throughput at several client counts *)
-  let throughput =
-    List.map
-      (fun nclients ->
-        let reqs = Array.of_list (List.map serve_compile_req workloads) in
-        let total = nclients * per_client in
-        let ms, () =
-          serve_wall (fun () ->
-              let clients =
-                List.init nclients (fun ci ->
-                    Thread.create
-                      (fun () ->
-                        match Safara_serve.Client.try_connect sock_a with
-                        | None -> failwith "bench serve: connect failed"
-                        | Some conn ->
-                            for i = 0 to per_client - 1 do
-                              ignore
-                                (serve_request conn
-                                   reqs.((ci + i) mod Array.length reqs))
-                            done;
-                            Safara_serve.Client.close conn)
-                      ())
-              in
-              List.iter Thread.join clients)
-        in
-        let rps = float_of_int total /. (ms /. 1e3) in
-        (nclients, total, ms /. 1e3, rps))
-      client_counts
-  in
-  let stats_a = serve_stats sock_a in
-  stop_a ();
-  (* daemon B: same store, fresh process state — first requests are
-     answered from disk *)
-  let sock_b = Filename.concat tmp "b.sock" in
-  let stop_b = serve_start ~socket:sock_b ~store ~jobs in
-  let diskwarm_daemon =
-    match Safara_serve.Client.try_connect sock_b with
-    | None -> failwith "bench serve: daemon B not reachable"
-    | Some conn ->
-        let r =
-          List.map
-            (fun (w : Workload.t) ->
-              serve_wall (fun () ->
-                  ignore (serve_request conn (serve_compile_req w)))
-              |> fst)
-            workloads
-        in
-        Safara_serve.Client.close conn;
-        r
-  in
-  let stats_b = serve_stats sock_b in
-  stop_b ();
-  Printf.printf "%-16s %12s %12s %12s %12s\n" "workload" "cold-inproc"
-    "cold-daemon" "warm-daemon" "disk-warm";
-  let sum l = List.fold_left ( +. ) 0. l in
-  List.iteri
-    (fun i (w, cold) ->
-      Printf.printf "%-16s %9.3f ms %9.3f ms %9.3f ms %9.3f ms\n"
-        w.Workload.id cold (List.nth cold_daemon i) (List.nth warm_daemon i)
-        (List.nth diskwarm_daemon i))
-    cold_inproc;
-  let cold_total = sum (List.map snd cold_inproc) in
-  let warm_total = sum warm_daemon in
-  let speedup = cold_total /. warm_total in
-  Printf.printf "%-16s %9.3f ms %9.3f ms %9.3f ms %9.3f ms\n" "total"
-    cold_total (sum cold_daemon) warm_total (sum diskwarm_daemon);
-  Printf.printf "\nwarm daemon vs cold in-process: %.1fx\n\n" speedup;
-  List.iter
-    (fun (n, total, s, rps) ->
-      Printf.printf "%2d client%s %4d requests %8.3f s %10.1f req/s\n" n
-        (if n = 1 then " " else "s") total s rps)
-    throughput;
-  let json =
-    let open Sjson in
-    Obj
-      [ ("mode", Str (if smoke then "smoke" else "full"));
-        ("jobs",
-         match jobs with Some n -> int n | None -> Str "auto");
-        ("workloads",
-         Arr
-           (List.mapi
-              (fun i (w, cold) ->
-                Obj
-                  [ ("id", Str w.Workload.id);
-                    ("cold_inprocess_ms", Num cold);
-                    ("cold_daemon_ms", Num (List.nth cold_daemon i));
-                    ("warm_daemon_ms", Num (List.nth warm_daemon i));
-                    ("diskwarm_daemon_ms",
-                     Num (List.nth diskwarm_daemon i)) ])
-              cold_inproc));
-        ("warm_speedup", Num speedup);
-        ("throughput",
-         Arr
-           (List.map
-              (fun (n, total, s, rps) ->
-                Obj
-                  [ ("clients", int n);
-                    ("requests", int total);
-                    ("seconds", Num s);
-                    ("rps", Num rps) ])
-              throughput));
-        ("engine", stats_a);
-        ("engine_diskwarm", stats_b) ]
-  in
-  write_json "BENCH_serve.json" json;
-  serve_rm_rf tmp;
-  if smoke && speedup < 10. then begin
-    Printf.eprintf
-      "bench serve: warm daemon speedup %.1fx is below the 10x gate\n" speedup;
-    exit 1
-  end
-
 (* --- bechamel microbenchmarks of the compiler passes ---------------- *)
 
 let micro_tests ~arch () =
@@ -789,6 +505,10 @@ let micro_tests ~arch () =
   let prog = Safara_lang.Frontend.compile src in
   let resolved = Safara_analysis.Schedule.resolve_program prog in
   let region = List.hd resolved.Safara_ir.Program.regions in
+  let ctx = Safara_core.Pass.make_ctx ~arch ~latency in
+  let feedback p r =
+    (snd (Safara_core.Pipeline.feedback ctx p r)).Safara_ptxas.Assemble.regs_used
+  in
   let kernel = Safara_vir.Codegen.compile_region ~arch resolved region in
   let kernel =
     { kernel with
@@ -816,7 +536,8 @@ let micro_tests ~arch () =
     Test.make ~name:"SAFARA: optimize hot1 (full feedback loop)"
       (Staged.stage (fun () ->
            ignore
-             (Safara_transform.Safara.optimize_region ~arch ~latency resolved region)));
+             (Safara_transform.Safara.optimize_region ~feedback ~arch ~latency
+              resolved region)));
   ]
 
 let run_micro ~arch () =
@@ -967,7 +688,7 @@ let run_json ~eng ~arch () =
    hits, and reports the winner per pair plus the engine's sim-cache
    hit rate over the whole search. The search revisits every warmed
    point at least once (argmin + baseline reads), so the hit rate must
-   exceed 50% — a hard gate in --smoke mode, like the serve gate. *)
+   exceed 50% — a hard gate in --smoke mode. *)
 
 let tune_smoke_ids = [ "303.ostencil"; "355.seismic" ]
 
@@ -1205,7 +926,7 @@ let run_loopopt ~smoke ~eng ~archs () =
 let usage () =
   Printf.eprintf
     "usage: main.exe \
-     [fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|micro|sim|serve|tune|loopopt|json|all] \
+     [fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|micro|sim|tune|loopopt|json|all] \
      [-j N] [--smoke] [--min-runs N] [--engine reference|threaded] \
      [--arch NAME] [--store DIR]\n";
   exit 2
@@ -1279,7 +1000,6 @@ let () =
   | "micro" -> run_micro ~arch ()
   | "sim" ->
       run_sim ~smoke:!smoke ~min_runs:!min_runs ~pool:(Eval.pool eng) ~arch ()
-  | "serve" -> run_serve ~smoke:!smoke ~jobs:!jobs ()
   | "tune" ->
       let archs =
         match !arch_override with
@@ -1304,9 +1024,9 @@ let () =
       | None ->
           Printf.eprintf
             "unknown experiment %S; expected \
-             fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|micro|sim|serve|tune|loopopt|json|all\n"
+             fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|micro|sim|tune|loopopt|json|all\n"
             other;
           exit 2));
-  if cmd <> "micro" && cmd <> "sim" && cmd <> "serve" then
+  if cmd <> "micro" && cmd <> "sim" then
     prerr_string (Eval.render_stats eng);
   Eval.shutdown eng

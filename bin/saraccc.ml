@@ -417,16 +417,15 @@ let safara_cmd =
     wrap (fun () ->
         setup_logs verbose;
         let arch = arch_of arch_name in
-        let latency = Safara_gpu.Latency.for_arch arch in
-        let config =
+        let safara_config =
           let d = Safara_transform.Safara.default_config ~arch in
           match cap with
           | None -> d
           | Some c -> { d with Safara_transform.Safara.reg_cap = c }
         in
-        let prog = load file in
-        let _, logs =
-          Safara_transform.Safara.optimize_program ~config ~arch ~latency prog
+        let c =
+          Safara_core.Compiler.compile ~arch ~safara_config
+            Safara_core.Compiler.Full (load file)
         in
         List.iter
           (fun (region, rounds) ->
@@ -435,7 +434,7 @@ let safara_cmd =
             List.iter
               (fun r -> Format.printf "  %a@." Safara_transform.Safara.pp_round r)
               rounds)
-          logs)
+          c.Safara_core.Compiler.c_logs)
   in
   let cap_arg =
     Arg.(

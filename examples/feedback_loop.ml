@@ -45,8 +45,15 @@ let show_rounds ~reg_cap =
   List.iter
     (fun cand -> Format.printf "  %a@." Safara_analysis.Reuse.pp_candidate cand)
     (Safara_analysis.Reuse.candidates ~arch ~latency prog region);
+  (* each round's register count comes from the pipeline's feedback
+     compile: codegen, peephole and the assembler *)
+  let ctx = Safara_core.Pass.make_ctx ~arch ~latency in
+  let feedback p r =
+    (snd (Safara_core.Pipeline.feedback ctx p r)).Safara_ptxas.Assemble.regs_used
+  in
   let _, rounds =
-    Safara_transform.Safara.optimize_region ~config ~arch ~latency prog region
+    Safara_transform.Safara.optimize_region ~config ~feedback ~arch ~latency
+      prog region
   in
   Printf.printf "feedback rounds:\n";
   List.iter (fun r -> Format.printf "  %a@." Safara_transform.Safara.pp_round r) rounds

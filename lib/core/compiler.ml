@@ -56,13 +56,11 @@ let pipeline_signature ?safara_config ?disable profile =
 
 type memo = {
   m_tail : (Safara_vir.Kernel.t * Safara_ptxas.Assemble.report) Cache.t;
-  m_feedback : int Cache.t;
   m_candidates : Safara_analysis.Reuse.candidate list Cache.t;
 }
 
 let memo () =
   { m_tail = Cache.create ~name:"tail" ();
-    m_feedback = Cache.create ~name:"feedback" ();
     m_candidates = Cache.create ~name:"candidates" () }
 
 let digest_of v =
@@ -71,13 +69,11 @@ let digest_of v =
 let tail_tag disable =
   digest_of (Pipeline.tail_names, List.sort_uniq compare disable)
 
-(* SAFARA's feedback compiles codegen → peephole → assemble: the tail
-   with its five dataflow passes disabled *)
-let feedback_tag =
-  tail_tag [ "copy-prop"; "strength-red"; "indvar"; "memmerge"; "dce" ]
+(* SAFARA's feedback is the tail under its own disable set *)
+let feedback_tag = tail_tag Pipeline.feedback_options.Pipeline.o_disable
 
-(* exactly what the tail, the feedback compile and the candidate
-   analysis read of one region besides their tag *)
+(* exactly what the tail and the candidate analysis read of one region
+   besides their tag *)
 let region_digest ~arch (prog : P.t) r =
   digest_of (arch, prog.P.params, prog.P.arrays, r)
 
@@ -108,9 +104,12 @@ let compile_with ?(arch = Safara_gpu.Arch.default) ?latency ?safara_config
         digests := (p.P.params, p.P.arrays, r, d) :: !digests;
         d
   in
+  let base = Pass.make_ctx ~arch ~latency in
   let feedback p r =
-    Cache.find_or_compute m.m_feedback ~key:(feedback_tag ^ digest p r)
-      (fun () -> Safara_transform.Safara.regs_used ~arch p r)
+    (snd
+       (Cache.find_or_compute m.m_tail ~key:(feedback_tag ^ digest p r)
+          (fun () -> Pipeline.feedback base p r)))
+      .Safara_ptxas.Assemble.regs_used
   in
   (* the analysis reads the policy and the latency table besides the
      region; a compile uses one policy, so its tag is made once *)
@@ -128,7 +127,7 @@ let compile_with ?(arch = Safara_gpu.Arch.default) ?latency ?safara_config
         Safara_analysis.Reuse.candidates ~policy ~arch ~latency p r)
   in
   let ctx =
-    { (Pass.make_ctx ~arch ~latency) with
+    { base with
       Pass.feedback = Some feedback;
       candidates = Some candidates }
   in

@@ -61,19 +61,19 @@ val pipeline_signature :
     and [arrays], and the region. For the tail the tag names it (its
     pass names and the sorted disable set); the latency table and the
     SAFARA config are not read by the tail and stay out. SAFARA's
-    candidate analysis is memoized the same way, its tag naming the
-    reuse policy and the latency table it reads. Within one compile a
-    region is digested once: a SAFARA round's candidate and feedback
-    lookups share the digest, and so does the tail's key of the region
-    SAFARA leaves. *)
+    feedback is a tail run ({!Pipeline.feedback}), so it is a tail
+    entry too, under the tag of {!Pipeline.feedback_options}'s disable
+    set: a compile under that disable set ships those kernels.
+    SAFARA's candidate analysis is memoized the same way, its tag
+    naming the reuse policy and the latency table it reads. Within one
+    compile a region is digested once: a SAFARA round's candidate and
+    feedback lookups share the digest, and so does the tail's key of
+    the region SAFARA leaves. *)
 
 type memo = {
   m_tail : (Safara_vir.Kernel.t * Safara_ptxas.Assemble.report) Safara_engine.Cache.t;
-      (** tail output per region key under the compile's disable set *)
-  m_feedback : int Safara_engine.Cache.t;
-      (** SAFARA's register feedback
-          ({!Safara_transform.Safara.regs_used}) per region key under
-          the feedback tail: codegen → peephole → assemble *)
+      (** tail output per region key under a disable set: the
+          compile's, or the feedback's *)
   m_candidates : Safara_analysis.Reuse.candidate list Safara_engine.Cache.t;
       (** SAFARA's candidate analysis
           ({!Safara_analysis.Reuse.candidates}) per region key under a

@@ -62,9 +62,9 @@ type ctx = {
   arch : Safara_gpu.Arch.t;
   latency : Safara_gpu.Latency.table;
   feedback : (Safara_ir.Program.t -> Safara_ir.Region.t -> int) option;
-      (** SAFARA's register feedback ([None]:
-          {!Safara_transform.Safara.regs_used}); the compiler passes a
-          memoized one *)
+      (** SAFARA's register feedback ([None]: the registers of
+          {!Pipeline.feedback}'s kernel); the compiler passes one read
+          from its region memo's tail entries *)
   candidates :
     (Safara_analysis.Reuse.policy ->
     Safara_ir.Program.t ->

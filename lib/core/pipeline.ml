@@ -60,18 +60,6 @@ let resolve_schedules =
   Pass.make ~name:"resolve-schedules" ~input:Pass.Ir ~output:Pass.Ir (fun _ ->
       Safara_analysis.Schedule.resolve_program)
 
-let safara ?override mode =
-  Pass.make ~name:"safara" ~input:Pass.Ir ~output:Pass.Ir ~identity:Fun.id
-    (fun ctx prog ->
-      let config = safara_config_of ?override ~arch:ctx.Pass.arch mode in
-      let prog', logs =
-        Safara_transform.Safara.optimize_program ~resolve_first:false ~config
-          ?feedback:ctx.Pass.feedback ?candidates:ctx.Pass.candidates
-          ~arch:ctx.Pass.arch ~latency:ctx.Pass.latency prog
-      in
-      ctx.Pass.logs <- logs;
-      prog')
-
 let codegen =
   Pass.make ~name:"codegen" ~input:Pass.Ir ~output:Pass.Vir (fun ctx prog ->
       {
@@ -139,16 +127,6 @@ type ('a, 'b) seq =
 let rec append : type a b c. (a, b) seq -> (b, c) seq -> (a, c) seq =
  fun s rest -> match s with Done -> rest | Step (p, s') -> Step (p, append s' rest)
 
-let head ?safara_config d =
-  let safara =
-    match d.d_safara with
-    | None -> Done
-    | Some mode -> Step (safara ?override:safara_config mode, Done)
-  in
-  Step
-    ( strip_clauses ~keep_small:d.d_keep_small ~keep_dim:d.d_keep_dim,
-      Step (resolve_schedules, safara) )
-
 let tail =
   Step
     ( codegen,
@@ -161,23 +139,6 @@ let tail =
                   Step
                     (indvar, Step (memmerge, Step (dce, Step (assemble, Done))))
                 ) ) ) )
-
-let build ?safara_config d = append (head ?safara_config d) tail
-
-let rec seq_names : type a b. (a, b) seq -> string list = function
-  | Done -> []
-  | Step (p, rest) -> p.Pass.name :: seq_names rest
-
-let pass_names ?safara_config d = seq_names (build ?safara_config d)
-let tail_names = seq_names tail
-
-(* descriptors, pass lists, SAFARA configs and disable sets are plain
-   immutable data, so marshalling them is a faithful content address *)
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
-let signature ?safara_config ?(disable = []) d =
-  digest_of
-    (d, pass_names ?safara_config d, safara_config, List.sort compare disable)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented execution                                              *)
@@ -307,6 +268,66 @@ let run ?(options = default_options) ~name ctx pipe input =
       tr_reports = List.rev !reports;
       tr_dumps = List.rev !dumps;
     } )
+
+(* ------------------------------------------------------------------ *)
+(* SAFARA and the head                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* SAFARA's feedback compiles codegen → peephole → assemble: the tail
+   with its five dataflow passes disabled *)
+let feedback_options =
+  { default_options with
+    o_disable = [ "copy-prop"; "strength-red"; "indvar"; "memmerge"; "dce" ] }
+
+let feedback ctx prog r =
+  let final, _ =
+    run ~options:feedback_options ~name:"feedback" ctx tail
+      { prog with P.regions = [ r ] }
+  in
+  List.hd final.Pass.a_kernels
+
+let safara ?override mode =
+  Pass.make ~name:"safara" ~input:Pass.Ir ~output:Pass.Ir ~identity:Fun.id
+    (fun ctx prog ->
+      let config = safara_config_of ?override ~arch:ctx.Pass.arch mode in
+      let feedback =
+        Option.value ctx.Pass.feedback ~default:(fun p r ->
+            (snd (feedback ctx p r)).Safara_ptxas.Assemble.regs_used)
+      in
+      let prog', logs =
+        Safara_transform.Safara.optimize_program ~config ~feedback
+          ?candidates:ctx.Pass.candidates ~arch:ctx.Pass.arch
+          ~latency:ctx.Pass.latency prog
+      in
+      ctx.Pass.logs <- logs;
+      prog')
+
+let head ?safara_config d =
+  let safara =
+    match d.d_safara with
+    | None -> Done
+    | Some mode -> Step (safara ?override:safara_config mode, Done)
+  in
+  Step
+    ( strip_clauses ~keep_small:d.d_keep_small ~keep_dim:d.d_keep_dim,
+      Step (resolve_schedules, safara) )
+
+let build ?safara_config d = append (head ?safara_config d) tail
+
+let rec seq_names : type a b. (a, b) seq -> string list = function
+  | Done -> []
+  | Step (p, rest) -> p.Pass.name :: seq_names rest
+
+let pass_names ?safara_config d = seq_names (build ?safara_config d)
+let tail_names = seq_names tail
+
+(* descriptors, pass lists, SAFARA configs and disable sets are plain
+   immutable data, so marshalling them is a faithful content address *)
+let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+
+let signature ?safara_config ?(disable = []) d =
+  digest_of
+    (d, pass_names ?safara_config d, safara_config, List.sort compare disable)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

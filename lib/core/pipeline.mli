@@ -44,14 +44,6 @@ type desc = {
 val effective_arch : Safara_gpu.Arch.t -> desc -> Safara_gpu.Arch.t
 (** Apply the descriptor's architecture deltas. *)
 
-val safara_config_of :
-  ?override:Safara_transform.Safara.config ->
-  arch:Safara_gpu.Arch.t ->
-  safara_mode ->
-  Safara_transform.Safara.config
-(** The SAFARA configuration a mode elaborates to (the [override]
-    wins when given). *)
-
 (** A well-typed pass sequence from stage ['a] to stage ['b]. *)
 type ('a, 'b) seq =
   | Done : ('a, 'a) seq
@@ -144,6 +136,20 @@ val run :
   ('a, 'b) seq ->
   'a ->
   'b * trace
+
+val feedback_options : options
+(** {!default_options} with the five dataflow passes disabled: the
+    tail of SAFARA's feedback is codegen → peephole → assemble. *)
+
+val feedback :
+  Pass.ctx ->
+  Safara_ir.Program.t ->
+  Safara_ir.Region.t ->
+  Safara_vir.Kernel.t * Safara_ptxas.Assemble.report
+(** SAFARA's feedback compile: {!run} of {!tail} under
+    {!feedback_options} on the program reduced to one region, verified
+    like any compile. Its report's [regs_used] is a round's "PTXAS
+    Info". *)
 
 val pp_trace : Format.formatter -> trace -> unit
 (** The [--time-passes] table. *)

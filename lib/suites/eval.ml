@@ -39,7 +39,8 @@ type t = {
   fc : sim_result Cache.t;  (** functional-sim cache *)
   ak : string Cache.t;  (** compile key → artifact key *)
   memo : C.memo;
-      (** per-region tail output, SAFARA candidates and feedback *)
+      (** per-region tail output (SAFARA feedback included) and SAFARA
+          candidates *)
   fe : Safara_ir.Program.t Cache.t;  (** (source, unroll) → front-end IR *)
   lock : Mutex.t;
   images : (int, image) Hashtbl.t;
@@ -400,8 +401,6 @@ type stats = {
   st_sim_misses : int;
   st_tail_hits : int;
   st_tail_misses : int;
-  st_feedback_hits : int;
-  st_feedback_misses : int;
   st_candidates_hits : int;
   st_candidates_misses : int;
   st_front_end_hits : int;
@@ -439,8 +438,6 @@ let stats t =
     st_sim_misses = Cache.misses t.tc;
     st_tail_hits = Cache.hits t.memo.C.m_tail;
     st_tail_misses = Cache.misses t.memo.C.m_tail;
-    st_feedback_hits = Cache.hits t.memo.C.m_feedback;
-    st_feedback_misses = Cache.misses t.memo.C.m_feedback;
     st_candidates_hits = Cache.hits t.memo.C.m_candidates;
     st_candidates_misses = Cache.misses t.memo.C.m_candidates;
     st_front_end_hits = Cache.hits t.fe;
@@ -478,11 +475,10 @@ let render_stats t =
        s.st_sim_misses);
   Buffer.add_string b
     (Printf.sprintf
-       "  region cache:  tail %d hits / %d misses, feedback %d / %d, \
-        candidates %d / %d, front end %d / %d\n"
-       s.st_tail_hits s.st_tail_misses s.st_feedback_hits s.st_feedback_misses
-       s.st_candidates_hits s.st_candidates_misses s.st_front_end_hits
-       s.st_front_end_misses);
+       "  region cache:  tail %d hits / %d misses, candidates %d / %d, \
+        front end %d / %d\n"
+       s.st_tail_hits s.st_tail_misses s.st_candidates_hits
+       s.st_candidates_misses s.st_front_end_hits s.st_front_end_misses);
   Buffer.add_string b
     (Printf.sprintf "  input images:  %d prepared, %d of %d cells filled\n"
        s.st_images s.st_image_cells_filled s.st_image_cells);
@@ -546,7 +542,6 @@ let stats_json s =
         Obj
           (List.map hits_misses
              [ ("tail", s.st_tail_hits, s.st_tail_misses);
-               ("feedback", s.st_feedback_hits, s.st_feedback_misses);
                ("candidates", s.st_candidates_hits, s.st_candidates_misses);
                ("front_end", s.st_front_end_hits, s.st_front_end_misses) ]));
        ("images", int s.st_images);

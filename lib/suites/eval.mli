@@ -15,10 +15,11 @@
     Below the compile cache, a miss shares work with every other
     compile of the engine's lifetime: the front end runs once per
     (source, unroll), and a {!Safara_core.Compiler.memo} runs the
-    codegen → assemble tail, SAFARA's candidate analysis and its
-    register feedback, once per region key — what those stages read of
-    a region's compile (see {!Safara_core.Compiler.memo}). These are memory-only and
-    never layered on the store.
+    codegen → assemble tail (SAFARA's register feedback is one, under
+    its own disable set) and SAFARA's candidate analysis once per
+    region key — what those stages read of a region's compile (see
+    {!Safara_core.Compiler.memo}). These are memory-only and never
+    layered on the store.
 
     Sharing discipline: cached values — {!Safara_core.Compiler.compiled}
     artifacts and {!Safara_sim.Launch.program_time} records — are
@@ -165,10 +166,9 @@ type stats = {
   st_sim_hits : int;
   st_sim_misses : int;
   st_tail_hits : int;
-      (** regions whose tail output a compile-cache miss reused *)
-  st_tail_misses : int;  (** regions the tail compiled *)
-  st_feedback_hits : int;  (** SAFARA feedback measurements reused *)
-  st_feedback_misses : int;  (** SAFARA feedback measurements run *)
+      (** regions whose tail output (or SAFARA feedback) a compile-cache
+          miss reused *)
+  st_tail_misses : int;  (** regions the tail (or SAFARA feedback) compiled *)
   st_candidates_hits : int;  (** SAFARA candidate analyses reused *)
   st_candidates_misses : int;  (** SAFARA candidate analyses run *)
   st_front_end_hits : int;

@@ -31,15 +31,6 @@ type round = {
   skipped : int;
 }
 
-let regs_used ~arch prog region =
-  let kernel = Safara_vir.Codegen.compile_region ~arch prog region in
-  let kernel =
-    { kernel with
-      Safara_vir.Kernel.code = Safara_vir.Peephole.optimize kernel.Safara_vir.Kernel.code }
-  in
-  let _, report = Safara_ptxas.Assemble.assemble ~arch kernel in
-  report.Safara_ptxas.Assemble.regs_used
-
 let rank config cands =
   match config.cost_model with
   | `Latency_times_count -> cands (* Reuse already sorts by C × L *)
@@ -65,9 +56,8 @@ let select budget cands =
 (* A round ranks its candidates first and asks for feedback only when
    there is something to choose: a region with no candidates left ends
    the loop without a compile. *)
-let optimize_region ?config ?feedback ?candidates ~arch ~latency prog region =
+let optimize_region ?config ~feedback ?candidates ~arch ~latency prog region =
   let config = Option.value config ~default:(default_config ~arch) in
-  let feedback = Option.value feedback ~default:(regs_used ~arch) in
   let candidates =
     Option.value candidates ~default:(fun policy prog region ->
         Reuse.candidates ~policy ~arch ~latency prog region)
@@ -106,19 +96,14 @@ let optimize_region ?config ?feedback ?candidates ~arch ~latency prog region =
   in
   loop region [] 1
 
-let optimize_program ?config ?feedback ?candidates ?(resolve_first = true)
-    ~arch ~latency prog =
+let optimize_program ?config ~feedback ?candidates ~arch ~latency prog =
   Scalar_replacement.reset_fresh ();
-  let prog =
-    if resolve_first then Safara_analysis.Schedule.resolve_program prog
-    else prog
-  in
   let logs = ref [] in
   let regions =
     List.map
       (fun r ->
         let r', rounds =
-          optimize_region ?config ?feedback ?candidates ~arch ~latency prog r
+          optimize_region ?config ~feedback ?candidates ~arch ~latency prog r
         in
         logs := (r.Safara_ir.Region.rname, rounds) :: !logs;
         r')

@@ -5,8 +5,9 @@
     + collect and rank the region's reuse candidates
       ({!Safara_analysis.Reuse}), classified by memory space and access
       pattern; with none left, stop;
-    + compile the region and run the assembler ({!Safara_ptxas}) — its
-      report is the "PTXAS Info" feedback;
+    + ask the caller's [feedback] for the registers the region uses —
+      the pipeline compiles it through its tail and the assembler,
+      whose report is the "PTXAS Info" feedback;
     + available registers = cap − registers used; with none, stop;
     + if every candidate fits, replace them all; otherwise take the
       highest [C × L] cost candidates that fit;
@@ -39,15 +40,9 @@ type round = {
   skipped : int;  (** candidates that did not fit this round *)
 }
 
-val regs_used :
-  arch:Safara_gpu.Arch.t -> Safara_ir.Program.t -> Safara_ir.Region.t -> int
-(** The feedback measurement: the registers ptxas reports for the
-    region compiled with codegen and the peephole only
-    ({!Safara_vir.Peephole.optimize}), then assembled. *)
-
 val optimize_region :
   ?config:config ->
-  ?feedback:(Safara_ir.Program.t -> Safara_ir.Region.t -> int) ->
+  feedback:(Safara_ir.Program.t -> Safara_ir.Region.t -> int) ->
   ?candidates:
     (Safara_analysis.Reuse.policy ->
     Safara_ir.Program.t ->
@@ -60,30 +55,28 @@ val optimize_region :
   Safara_ir.Region.t * round list
 (** The region must be schedule-resolved. Returns the transformed
     region and the per-round log (empty when nothing was applied).
-    [feedback] (default {!regs_used}[ ~arch]) measures the registers a
-    region uses in a round that has candidates; [candidates] (default
-    {!Safara_analysis.Reuse.candidates}[ ~arch ~latency]) analyses a
-    region under a policy at the start of each round. A caller may pass
-    memoized ones, which must return what the defaults would. Without
-    feedback ([use_feedback = false]) the loop runs one round. *)
+    [feedback] measures the registers a region uses in a round that has
+    candidates; the pipeline's is [Safara_core.Pipeline.feedback].
+    [candidates] (default {!Safara_analysis.Reuse.candidates}[ ~arch
+    ~latency]) analyses a region under a policy at the start of each
+    round; a memoized one must return what the default would. Without
+    feedback ([use_feedback = false]) the loop runs one round and never
+    calls [feedback]. *)
 
 val optimize_program :
   ?config:config ->
-  ?feedback:(Safara_ir.Program.t -> Safara_ir.Region.t -> int) ->
+  feedback:(Safara_ir.Program.t -> Safara_ir.Region.t -> int) ->
   ?candidates:
     (Safara_analysis.Reuse.policy ->
     Safara_ir.Program.t ->
     Safara_ir.Region.t ->
     Safara_analysis.Reuse.candidate list) ->
-  ?resolve_first:bool ->
   arch:Safara_gpu.Arch.t ->
   latency:Safara_gpu.Latency.table ->
   Safara_ir.Program.t ->
   Safara_ir.Program.t * (string * round list) list
-(** Schedule-resolves, then optimizes every region. Pass
-    [~resolve_first:false] when the program is already resolved
-    (resolution is idempotent, so this is purely a saving — the staged
-    pipeline runs resolution as its own pass). [feedback] and
-    [candidates] are passed to every {!optimize_region}. *)
+(** Optimizes every region of a schedule-resolved program (the
+    pipeline runs [resolve-schedules] as the pass before). [feedback]
+    and [candidates] are passed to every {!optimize_region}. *)
 
 val pp_round : Format.formatter -> round -> unit

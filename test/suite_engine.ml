@@ -388,10 +388,47 @@ let test_memo_grid_matches_memoless () =
   Eval.shutdown shared;
   Alcotest.(check (list string)) "points that differ when shared" [] differ;
   Alcotest.(check bool) "tail outputs were reused" true (s.Eval.st_tail_hits > 0);
-  Alcotest.(check bool) "feedback was reused" true
-    (s.Eval.st_feedback_hits > 0);
   Alcotest.(check bool) "candidate analyses were reused" true
     (s.Eval.st_candidates_hits > 0)
+
+(* SAFARA's feedback compile is the tail under the feedback disable
+   set, so its kernels are tail-memo entries: a compile under that
+   disable set ships, as tail hits, the kernels SAFARA's first round
+   measured *)
+let test_feedback_is_tail_entry () =
+  let root =
+    if Sys.file_exists "golden" then Filename.parent_dir_name else "."
+  in
+  let prog =
+    Safara_lang.Frontend.compile
+      (In_channel.with_open_text
+         (List.fold_left Filename.concat root
+            [ "examples"; "programs"; "fig5.macc" ])
+         In_channel.input_all)
+  in
+  let memo = C.memo () in
+  let safara, _ = C.compile_with ~memo C.Safara_only prog in
+  let tail = memo.C.m_tail in
+  let hits = Cache.hits tail and misses = Cache.misses tail in
+  let options =
+    { Safara_core.Pipeline.default_options with
+      Safara_core.Pipeline.o_disable =
+        [ "copy-prop"; "strength-red"; "indvar"; "memmerge"; "dce" ] }
+  in
+  let base, _ = C.compile_with ~options ~memo C.Base prog in
+  Alcotest.(check (pair int int)) "every region a tail hit, no miss"
+    (List.length prog.Safara_ir.Program.regions, 0)
+    (Cache.hits tail - hits, Cache.misses tail - misses);
+  List.iter2
+    (fun (region, rounds) (_, report) ->
+      match rounds with
+      | (first : Safara_transform.Safara.round) :: _ ->
+          Alcotest.(check int)
+            (region ^ ": shipped registers = round 1's feedback")
+            first.Safara_transform.Safara.regs_before
+            report.Safara_ptxas.Assemble.regs_used
+      | [] -> Alcotest.failf "%s: no SAFARA round" region)
+    safara.C.c_logs base.C.c_kernels
 
 (* every registry workload under every profile, with and without
    indvar, on one engine *)
@@ -687,4 +724,6 @@ let suite =
       test_table1_j1_equals_j4;
     Alcotest.test_case "determinism: fig9 -j1 = -j4" `Slow
       test_fig9_j1_equals_j4;
+    Alcotest.test_case "SAFARA feedback is a tail-memo entry" `Quick
+      test_feedback_is_tail_entry;
   ]

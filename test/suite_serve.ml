@@ -459,34 +459,52 @@ let test_daemon_concurrent_dedup () =
           in
           List.iter Thread.join clients;
           Alcotest.(check int) "all clients served" 0 (Atomic.get errors);
-          match Serve.Client.try_connect socket with
-          | None -> Alcotest.fail "daemon not reachable"
-          | Some conn ->
-              let stats =
-                match Serve.Client.request conn Serve.Protocol.Stats with
-                | Serve.Protocol.Data d -> d
-                | _ -> Alcotest.fail "no stats"
-              in
-              Serve.Client.close conn;
-              let misses =
-                Serve.Sjson.(
-                  to_int (member "misses" (member "compile_cache" stats)))
-              in
-              (* N identical concurrent requests, one cold compute:
-                 everyone else waited on the in-flight cache slot *)
-              Alcotest.(check int) "one compile miss for 8 clients" 1 misses;
-              (* below it, the one compile ran the front end once and
-                 the tail on every region, reusing nothing *)
-              let region cache field =
-                Serve.Sjson.(
-                  to_int
-                    (member field (member cache (member "region_cache" stats))))
-              in
-              Alcotest.(check (pair int int)) "front end: 0 hits, 1 miss"
-                (0, 1)
-                (region "front_end" "hits", region "front_end" "misses");
-              Alcotest.(check bool) "tail: no hits, some misses" true
-                (region "tail" "hits" = 0 && region "tail" "misses" > 0)))
+          let ask req =
+            match
+              Serve.Client.with_connection socket (fun conn ->
+                  Serve.Client.request conn req)
+            with
+            | Some r -> r
+            | None -> Alcotest.fail "daemon not reachable"
+          in
+          let stats () =
+            match ask Serve.Protocol.Stats with
+            | Serve.Protocol.Data d -> d
+            | _ -> Alcotest.fail "no stats"
+          in
+          let count stats field path =
+            Serve.Sjson.(
+              to_int
+                (member field
+                   (List.fold_left (fun v k -> member k v) stats path)))
+          in
+          let misses stats =
+            ( count stats "misses" [ "compile_cache" ],
+              count stats "misses" [ "region_cache"; "tail" ],
+              count stats "misses" [ "region_cache"; "front_end" ] )
+          in
+          let stats_cold = stats () in
+          let hits path = count stats_cold "hits" ("region_cache" :: path) in
+          (* N identical concurrent requests, one cold compute:
+             everyone else waited on the in-flight cache slot; below
+             it, the one compile ran the front end once and the tail
+             (SAFARA's feedback included) on every region it met,
+             reusing nothing *)
+          let compile, tail, front_end = misses stats_cold in
+          Alcotest.(check int) "one compile miss for 8 clients" 1 compile;
+          Alcotest.(check (pair int int)) "front end: 0 hits, 1 miss"
+            (0, 1)
+            (hits [ "front_end" ], front_end);
+          Alcotest.(check bool) "tail: no hits, some misses" true
+            (hits [ "tail" ] = 0 && tail > 0);
+          (* a warm request compiles nothing: it is answered from the
+             compile cache, and no miss is counted at any layer *)
+          (match ask (compile_req ~quiet:true ~profile:"full" w) with
+          | Serve.Protocol.Result (o, _) when o.Serve.Protocol.code = 0 -> ()
+          | _ -> Alcotest.fail "warm request failed");
+          Alcotest.(check (triple int int int))
+            "warm request: compile, tail and front-end misses unchanged"
+            (misses stats_cold) (misses (stats ()))))
 
 (* --- Sjson: strict parsing and committed BENCH files ------------------- *)
 
@@ -726,12 +744,11 @@ let test_stats_json_complete () =
     {
       Eval.st_jobs = 1; st_job_counts = [ 2; 3 ]; st_compile_hits = 4;
       st_compile_misses = 5; st_sim_hits = 6; st_sim_misses = 7;
-      st_tail_hits = 8; st_tail_misses = 9; st_feedback_hits = 10;
-      st_feedback_misses = 11; st_candidates_hits = 12;
-      st_candidates_misses = 13; st_front_end_hits = 14;
-      st_front_end_misses = 15; st_images = 16; st_image_cells = 17;
-      st_image_cells_filled = 18; st_compile_s = 19.5; st_sim_s = 20.5;
-      st_pass_s = [ ("dce", 21, 22.5) ]; st_wall_s = 23.5; st_store = Some st;
+      st_tail_hits = 8; st_tail_misses = 9; st_candidates_hits = 10;
+      st_candidates_misses = 11; st_front_end_hits = 12;
+      st_front_end_misses = 13; st_images = 14; st_image_cells = 15;
+      st_image_cells_filled = 16; st_compile_s = 17.5; st_sim_s = 18.5;
+      st_pass_s = [ ("dce", 19, 20.5) ]; st_wall_s = 21.5; st_store = Some st;
     }
   in
   let rec nums = function
@@ -743,14 +760,14 @@ let test_stats_json_complete () =
   let j = Eval.stats_json s in
   Alcotest.(check (list (float 0.)))
     "every counter exactly once"
-    (List.init 18 (fun i -> float_of_int (i + 1))
-    @ [ 19.5; 20.5; 21.; 22.5; 23.5 ]
+    (List.init 16 (fun i -> float_of_int (i + 1))
+    @ [ 17.5; 18.5; 19.; 20.5; 21.5 ]
     @ List.init 8 (fun i -> float_of_int (101 + i)))
     (List.sort compare (nums j));
-  Alcotest.(check int) "images" 16 (Sjson.to_int (Sjson.member "images" j));
-  Alcotest.(check int) "image_cells" 17
+  Alcotest.(check int) "images" 14 (Sjson.to_int (Sjson.member "images" j));
+  Alcotest.(check int) "image_cells" 15
     (Sjson.to_int (Sjson.member "image_cells" j));
-  Alcotest.(check int) "image_cells_filled" 18
+  Alcotest.(check int) "image_cells_filled" 16
     (Sjson.to_int (Sjson.member "image_cells_filled" j))
 
 (* --- the CLI's JSON through the real binary ------------------------------ *)

@@ -269,7 +269,7 @@ let test_safara_feedback_once_per_round () =
   let calls = ref 0 in
   let feedback p r =
     incr calls;
-    Safara.regs_used ~arch p r
+    Codegen_helper.feedback ~arch p r
   in
   let _, rounds = Safara.optimize_region ~feedback ~arch ~latency prog r in
   Alcotest.(check bool) "some rounds" true (rounds <> []);

@@ -181,7 +181,8 @@ let reference_compile ?(arch = Safara_gpu.Arch.kepler_k20xm)
   in
   let prog, logs =
     if uses_safara profile then
-      Safara_transform.Safara.optimize_program ~config ~arch ~latency prog
+      Safara_transform.Safara.optimize_program ~config
+        ~feedback:(Codegen_helper.feedback ~arch) ~arch ~latency prog
     else (prog, [])
   in
   let kernels =
