@@ -240,7 +240,11 @@ let run ?(options = default_options) ~name ctx pipe input =
           end
           else []
         in
-        let after = Pass.measure ~precise p.Pass.output v' in
+        (* a disabled step hands its input on unchanged: its input's
+           stats are its output's *)
+        let after =
+          if disabled then before else Pass.measure ~precise p.Pass.output v'
+        in
         reports :=
           {
             pr_pass = p.Pass.name;

@@ -163,7 +163,6 @@ type dop =
 type t = {
   d_kernel : K.t;
   d_ops : dop array;  (** 1:1 with [d_kernel.code]; labels are [DNop] *)
-  d_uses : int array array;  (** rids read per op, for scoreboards *)
   d_mems : mem_op array;
   d_params : pkind array;  (** by slot *)
   d_nregs : int;
@@ -286,12 +285,6 @@ let decode (k : K.t) =
     | I.Ret -> DRet
   in
   let ops = Array.mapi decode_one code in
-  let uses =
-    Array.map
-      (fun instr ->
-        Array.of_list (List.map (fun (r : V.t) -> r.V.rid) (I.uses instr)))
-      code
-  in
   let nregs = K.num_regs k in
   (* Which registers can be read before this thread writes them? A def
      in the entry prefix (the straightline run before the first label
@@ -318,14 +311,14 @@ let decode (k : K.t) =
   let first_use = Array.make nregs max_int in
   Array.iteri
     (fun i instr ->
-      List.iter
+      I.iter_uses
         (fun (r : V.t) ->
           if first_use.(r.V.rid) = max_int then first_use.(r.V.rid) <- i)
-        (I.uses instr);
-      List.iter
+        instr;
+      I.iter_defs
         (fun (r : V.t) ->
           if first_def.(r.V.rid) = max_int then first_def.(r.V.rid) <- i)
-        (I.defs instr))
+        instr)
     code;
   let zero = ref [] in
   for r = nregs - 1 downto 0 do
@@ -335,7 +328,6 @@ let decode (k : K.t) =
   {
     d_kernel = k;
     d_ops = ops;
-    d_uses = uses;
     d_mems = Array.of_list (List.rev !mems);
     d_params = Array.of_list (List.rev !plist);
     d_nregs = nregs;

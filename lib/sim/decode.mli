@@ -5,10 +5,9 @@
     [decode] compiles a {!Safara_vir.Kernel.t} once per launch into a
     flat array of decoded ops: branch targets resolved to instruction
     indices, [Ldp] parameter names pre-parsed (the [".lenN"]/[".loN"]
-    string surgery leaves the hot loop), per-op use sets as plain rid
-    arrays, and operand register classes resolved from the static
-    {!Safara_vir.Vreg.rty}. Registers live in unboxed
-    [float array]/[int array] halves ({!state}), so executing a
+    string surgery leaves the hot loop), and operand register classes
+    resolved from the static {!Safara_vir.Vreg.rty}. Registers live in
+    unboxed [float array]/[int array] halves ({!state}), so executing a
     register-to-register op allocates nothing.
 
     The decoded stream is 1:1 with [Kernel.code]: labels decode to
@@ -114,7 +113,6 @@ type dop =
 type t = {
   d_kernel : Safara_vir.Kernel.t;
   d_ops : dop array;  (** 1:1 with [d_kernel.code]; labels are [DNop] *)
-  d_uses : int array array;  (** rids read per op (timing scoreboard) *)
   d_mems : mem_op array;  (** memory descriptors, indexed by [mi] *)
   d_params : pkind array;  (** pre-parsed [Ldp] names, by slot *)
   d_nregs : int;

@@ -52,7 +52,9 @@ type block = {
 
 type t = {
   t_d : D.t;
-  t_blocks : block array;
+  mutable t_blocks : block array option;
+      (** superop form, built on demand; [of_kernel] builds it on the
+          calling domain before handing [t] out *)
   mutable t_steps : cl array option;  (** per-pc form, built on demand *)
 }
 
@@ -1375,10 +1377,10 @@ let fuse_addr (d : D.t) (ops : D.dop array) (i : int) (body_hi : int) :
 
 (* --- basic blocks and superop fusion --------------------------------- *)
 
-let compile (d : D.t) : t =
+let build_blocks (d : D.t) : block array =
   let ops = d.D.d_ops in
   let n = Array.length ops in
-  if n = 0 then { t_d = d; t_blocks = [||]; t_steps = None }
+  if n = 0 then [||]
   else begin
     (* leaders: entry, every branch target, every successor of a
        control-flow op — branch targets land on block boundaries, so
@@ -1491,13 +1493,26 @@ let compile (d : D.t) : t =
         b_spills = !spills;
       }
     in
-    { t_d = d; t_blocks = Array.init !nblocks build_block; t_steps = None }
+    Array.init !nblocks build_block
   end
+
+let blocks t =
+  match t.t_blocks with
+  | Some b -> b
+  | None ->
+      let b = build_blocks t.t_d in
+      t.t_blocks <- Some b;
+      b
+
+let compile (d : D.t) : t =
+  let t = { t_d = d; t_blocks = None; t_steps = None } in
+  ignore (blocks t : block array);
+  t
 
 (* --- drivers ---------------------------------------------------------- *)
 
 let run_thread t st ps (cnt : D.counters) ~fuel =
-  let blocks = t.t_blocks in
+  let blocks = blocks t in
   if Array.length blocks > 0 then begin
     let rec go b fuel =
       if b >= 0 then begin
@@ -1565,8 +1580,8 @@ let steps t =
 (* Compiling allocates a closure per op, so launching the same kernel
    repeatedly (measurement loops, per-chunk work) must not recompile.
    The cache is domain-local: compiled closures are immutable and
-   could be shared, but [t_steps] is filled lazily and a per-domain
-   instance keeps that write unsynchronized. Keyed by physical kernel
+   could be shared, but both forms are filled lazily and a per-domain
+   instance keeps those writes unsynchronized. Keyed by physical kernel
    identity — compiled artifacts are interned per compile, so [==] is
    exactly "same compiled kernel". *)
 let cache_limit = 64
@@ -1574,12 +1589,24 @@ let cache_limit = 64
 let cache : (K.t * t) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let of_kernel (k : K.t) : t =
+let cached (k : K.t) : t =
   let c = Domain.DLS.get cache in
   match List.find_opt (fun (k', _) -> k' == k) !c with
   | Some (_, t) -> t
   | None ->
-      let t = compile (D.decode k) in
+      let t = { t_d = D.decode k; t_blocks = None; t_steps = None } in
       let rest = if List.length !c >= cache_limit then [] else !c in
       c := (k, t) :: rest;
       t
+
+(* The blocks are built here, on the calling domain, so a block-parallel
+   launch that hands [t] to other domains never has them race to fill
+   it. *)
+let of_kernel (k : K.t) : t =
+  let t = cached k in
+  ignore (blocks t : block array);
+  t
+
+let steps_of_kernel (k : K.t) =
+  let t = cached k in
+  (t.t_d, steps t)

@@ -37,7 +37,14 @@ val of_kernel : Safara_vir.Kernel.t -> t
 (** [compile (Decode.decode k)] through a small per-domain cache
     keyed by physical kernel identity: repeated launches of the same
     compiled kernel (measurement loops, per-chunk work) reuse the
-    closures instead of recompiling.
+    closures instead of recompiling. The block closures are built
+    before it returns, so the result may be shared with other domains.
+    @raise Decode.Error on a branch to an unknown label (SAF021). *)
+
+val steps_of_kernel : Safara_vir.Kernel.t -> Decode.t * cl array
+(** The decoded kernel and its {!steps}, through the same cache as
+    {!of_kernel} but without building the block closures, which the
+    timing model never runs.
     @raise Decode.Error on a branch to an unknown label (SAF021). *)
 
 val run_thread :

@@ -57,19 +57,30 @@ type tier = L1 | L2 | Dram
 let tier_index = function L1 -> 0 | L2 -> 1 | Dram -> 2
 let tier_pipe_factor = function L1 -> 0.1 | L2 -> 0.25 | Dram -> 1.0
 
-(* Segment numbers are dense small integers, so they hash to
-   themselves: consecutive segments land in consecutive buckets, with
-   no call into the runtime's generic hash. *)
-module Segs = Hashtbl.Make (struct
-  type t = int
+(* The recency table: each segment's clock at its last touch, by open
+   addressing with linear probing over two int arrays, so a touch is
+   one probe sequence that reads the old stamp and writes the new one
+   in place. Segment numbers are dense small integers, which identity
+   hashing would pile into runs of adjacent slots; a multiplicative
+   hash (the top bits of [seg * odd constant]) spreads them. The table
+   starts small and doubles at half load. *)
+type cache = {
+  seg_bytes : int;
+  l1_segments : int;
+  l2_segments : int;
+  mutable keys : int array;  (** segment numbers; [no_seg] marks a free slot *)
+  mutable stamps : int array;  (** clock at the slot's last touch *)
+  mutable shift : int;  (** 63 - log2 (capacity) *)
+  mutable count : int;
+  mutable clock : int;
+}
 
-  let equal = Int.equal
-  let hash (seg : int) = seg land max_int
-end)
+(* [addr / seg_bytes] never yields [min_int] *)
+let no_seg = min_int
+let hash_mul = 0x4F1BBCDCBFA53E0B
+let initial_bits = 8
 
-(* A fresh cache for one resident set, as the function
-   [touch_tier ~ro addr]: it records a touch of [addr]'s segment and
-   returns the tier that served it. *)
+(* A fresh cache for one resident set. *)
 let cache_model (arch : Safara_gpu.Arch.t) =
   let seg_bytes = arch.Safara_gpu.Arch.mem_segment_bytes in
   let l1_segments = max 16 (arch.Safara_gpu.Arch.read_only_cache_bytes / seg_bytes) in
@@ -77,20 +88,67 @@ let cache_model (arch : Safara_gpu.Arch.t) =
     max l1_segments
       (arch.Safara_gpu.Arch.l2_bytes / seg_bytes / max 1 arch.Safara_gpu.Arch.num_sms)
   in
-  let seg_last = Segs.create 4096 in
-  let seg_clock = ref 0 in
-  fun ~ro addr ->
-    let seg = addr / seg_bytes in
-    let age =
-      match Segs.find seg_last seg with
-      | t -> !seg_clock - t
-      | exception Not_found -> max_int
-    in
-    incr seg_clock;
-    Segs.replace seg_last seg !seg_clock;
-    if age < l1_segments && ro then L1
-    else if age < l2_segments then L2
-    else Dram
+  {
+    seg_bytes;
+    l1_segments;
+    l2_segments;
+    keys = Array.make (1 lsl initial_bits) no_seg;
+    stamps = Array.make (1 lsl initial_bits) 0;
+    shift = 63 - initial_bits;
+    count = 0;
+    clock = 0;
+  }
+
+(* the slot holding [seg], or the free slot where it belongs *)
+let[@inline] probe keys shift seg =
+  let mask = Array.length keys - 1 in
+  let i = ref ((seg * hash_mul) lsr shift) in
+  while
+    let k = Array.unsafe_get keys !i in
+    k <> seg && k <> no_seg
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let grow c =
+  let keys = c.keys and stamps = c.stamps in
+  let cap = 2 * Array.length keys in
+  let shift = c.shift - 1 in
+  let keys' = Array.make cap no_seg and stamps' = Array.make cap 0 in
+  Array.iteri
+    (fun j seg ->
+      if seg <> no_seg then begin
+        let i = probe keys' shift seg in
+        keys'.(i) <- seg;
+        stamps'.(i) <- stamps.(j)
+      end)
+    keys;
+  c.keys <- keys';
+  c.stamps <- stamps';
+  c.shift <- shift
+
+(* Record a touch of [addr]'s segment and return the tier that served
+   it. *)
+let touch c ~ro addr =
+  let seg = addr / c.seg_bytes in
+  let keys = c.keys in
+  let i = probe keys c.shift seg in
+  let clock = c.clock in
+  let age =
+    if Array.unsafe_get keys i = seg then clock - Array.unsafe_get c.stamps i
+    else max_int
+  in
+  c.clock <- clock + 1;
+  Array.unsafe_set c.stamps i (clock + 1);
+  if age = max_int then begin
+    Array.unsafe_set keys i seg;
+    c.count <- c.count + 1;
+    if 2 * c.count > Array.length keys then grow c
+  end;
+  if age < c.l1_segments && ro then L1
+  else if age < c.l2_segments then L2
+  else Dram
 
 (* transactions one warp-wide access of [mem] generates *)
 let txns (arch : Safara_gpu.Arch.t) (mem : I.mem) =
@@ -176,7 +234,8 @@ let simulate_resident_set_ref ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
   let transactions = ref 0 in
   let issue_stall = ref 0. in
   let txns = txns arch in
-  let touch_tier = cache_model arch in
+  let cache = cache_model arch in
+  let touch_tier ~ro a = touch cache ~ro a in
   let tier_latency = tier_latency arch latency in
   (* one simulation step for warp [w]: execute its next instruction *)
   let step (w : warp) =
@@ -357,14 +416,23 @@ let simulate_resident_set_ref ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
   }
 
 (* --- threaded engine ---------------------------------------------------- *)
-(* Same machine model on the threaded engine: each op's semantics run
-   through its pre-compiled per-pc Threaded.steps closure, per-pc
-   costs/latencies are precomputed from the original instructions (so
-   every charged float is identical to the reference), and the
-   scheduler picks the next warp from a binary min-heap instead of
-   scanning all warps each step. The cost bookkeeping reads only the
-   decoded op and the state the closure left behind, which is what
-   keeps the two engines' stats bit-identical. *)
+(* Same machine model on the threaded engine. Each op's semantics run
+   through its pre-compiled per-pc {!Threaded.steps} closure; what the
+   model charges for it comes from a static per-pc record built from
+   the original instructions, so every charged float is computed the
+   way the reference engine computes it. The scheduler picks the next
+   warp from a binary min-heap instead of scanning all warps each step.
+
+   The state a step touches is unboxed: per-warp pc, [free] and [last]
+   live in flat arrays indexed by warp, the scoreboards in one float
+   array, and the memory-pipe and stall accumulators in local variables
+   of the one loop that updates them. A step allocates nothing.
+
+   Labels ([DNop]) are skipped when a warp advances, so a warp's pc is
+   always at a real instruction or past the end. A label step would
+   touch no shared state and leave the warp's key at its next real
+   instruction unchanged, so skipping them leaves the order of the real
+   steps — and so the stats — as the reference engine's. *)
 
 (* [Float.max]/[Float.min] are out-of-line calls on boxed floats
    without flambda; these inline. They agree with them on the finite,
@@ -386,22 +454,95 @@ let[@inline] swap (hkey : float array) (hwid : int array) i j =
   Array.unsafe_set hkey j k;
   Array.unsafe_set hwid j w
 
-type dwarp = {
-  dw_id : int;
-  dw_st : D.state;
-  dw_ready : float array;  (** per-rid operand availability, in cycles *)
-  dw_sched : int;
-  mutable dw_pc : int;
-  mutable dw_free : float;
-  mutable dw_done : bool;
-  mutable dw_last : float;
-}
+(* The sinking entry's path: which child is smaller is as likely one
+   way as the other, so it is computed without a branch ([before] as
+   0/1 arithmetic), and only the decision to stop sinking branches. *)
+let sift_down hkey hwid size i0 =
+  let i = ref i0 and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= size then sinking := false
+    else begin
+      let c =
+        if l + 1 < size then
+          let kr = Array.unsafe_get hkey (l + 1) and kl = Array.unsafe_get hkey l in
+          l
+          + (Bool.to_int (kr < kl)
+            lor (Bool.to_int (kr = kl)
+                land Bool.to_int
+                       (Array.unsafe_get hwid (l + 1) < Array.unsafe_get hwid l)))
+        else l
+      in
+      if before hkey hwid c !i then begin
+        swap hkey hwid !i c;
+        i := c
+      end
+      else sinking := false
+    end
+  done
+
+(* what a step charges, by the op's kind in the static record: a
+   register write (ALU, conversions, moves, specials, [Ldp]; branches
+   and [Ret] write the sink slot), or one of the three memory ops *)
+let k_reg = 0
+let k_ld = 1
+let k_st = 2
+let k_atom = 3
+
+(* fields of the per-pc int record *)
+let rs = 6
+let o_kind = 0
+let o_dst = 1
+let o_mi = 2
+let o_u0 = 3
+let o_u1 = 4
+let o_skip = 5
+
+(* Warp register files and scoreboards, kept per domain and reused by
+   the next run: they are most of what a run would otherwise allocate.
+   A run takes its domain's set out of the slot and puts it back when it
+   returns, so two threads of one domain never share one (the second
+   makes its own). A state keeps the [x_zero] of the kernel it was made
+   for; timing zeroes the whole register prefix instead and never calls
+   [Decode.reset_state]. *)
+type warp_files = { mutable wf_states : D.state array; mutable wf_ready : float array }
+
+let warp_files : warp_files option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let take_warp_files () =
+  let slot = Domain.DLS.get warp_files in
+  match !slot with
+  | Some wf ->
+      slot := None;
+      wf
+  | None -> { wf_states = [||]; wf_ready = [||] }
+
+(* [nwarps] states with fresh registers ([nregs] of them zeroed) and a
+   zeroed scoreboard of [len] slots *)
+let prepare_warp_files wf (d : D.t) ~nwarps ~len =
+  let nregs = d.D.d_nregs in
+  if Array.length wf.wf_states < nwarps then
+    wf.wf_states <-
+      Array.init nwarps (fun w ->
+          if w < Array.length wf.wf_states then wf.wf_states.(w)
+          else D.make_state d);
+  for w = 0 to nwarps - 1 do
+    let st = wf.wf_states.(w) in
+    if Array.length st.D.xf < nregs then wf.wf_states.(w) <- D.make_state d
+    else begin
+      Array.fill st.D.xf 0 nregs 0.;
+      Array.fill st.D.xi 0 nregs 0;
+      if Hashtbl.length st.D.x_local > 0 then Hashtbl.reset st.D.x_local;
+      st.D.x_addr <- 0
+    end
+  done;
+  if Array.length wf.wf_ready < len then wf.wf_ready <- Array.make len 0.
+  else Array.fill wf.wf_ready 0 len 0.
 
 let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
     (k : K.t) =
-  let th = Threaded.of_kernel k in
-  let d = Threaded.decoded th in
-  let steps = Threaded.steps th in
+  let d, steps = Threaded.steps_of_kernel k in
   let ops = d.D.d_ops in
   let code = k.K.code in
   let n = Array.length ops in
@@ -412,14 +553,78 @@ let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
   let threads_per_block = bx * by * bz in
   let warp_size = arch.Safara_gpu.Arch.warp_size in
   let warps_per_block = (threads_per_block + warp_size - 1) / warp_size in
-  (* Per-pc static timing, computed once from the original instruction
-     stream so the charged numbers are bit-identical to the reference
-     engine's per-step calls. *)
-  let icost = Array.map (issue_cost latency) code in
-  let rlat = Array.map (result_latency latency) code in
+  let nregs = d.D.d_nregs in
+  (* a warp's scoreboard: its registers, then [sink] (written by ops
+     that write no register) and [zero] (never written: the readiness
+     of a missing operand) *)
+  let sink = nregs and zero = nregs + 1 in
+  let stride = nregs + 2 in
+  let ldp_ready =
+    float_of_int (Safara_gpu.Latency.memory_latency latency M.Param M.Invariant)
+  in
+  (* The static per-pc record, [rs] ints at [pc * rs] in [si] and two
+     floats at [2 * pc] in [sf]: kind, written register ([sink] when
+     none), memory descriptor, the two operand registers ([zero] when
+     missing), the first real instruction at or after [pc] (for pcs up
+     to [n]); result latency ([ready = issue + lat]) and completion
+     ([complete = issue + cost]). One record is a line or two of
+     memory, where separate arrays would be one each. *)
+  let si = Array.make ((n + 1) * rs) 0 in
+  let sf = Array.make (2 * n) 0. in
+  let set_reg pc r ~lat ~cost =
+    si.((pc * rs) + o_dst) <- r;
+    sf.(2 * pc) <- lat;
+    sf.((2 * pc) + 1) <- cost
+  in
+  for pc = 0 to n - 1 do
+    let at = pc * rs in
+    si.(at + o_kind) <- k_reg;
+    set_reg pc sink ~lat:0. ~cost:1.;
+    (match ops.(pc) with
+    | D.DLd { dst = r; mi; _ } ->
+        si.(at + o_kind) <- k_ld;
+        si.(at + o_dst) <- r;
+        si.(at + o_mi) <- mi
+    | D.DSt { mi; _ } ->
+        si.(at + o_kind) <- k_st;
+        si.(at + o_mi) <- mi
+    | D.DAtom { mi; _ } ->
+        si.(at + o_kind) <- k_atom;
+        si.(at + o_mi) <- mi
+    | D.DLdp { dst = r; _ } -> set_reg pc r ~lat:ldp_ready ~cost:ldp_ready
+    | D.DMov { dst = r; _ } | D.DSpec { dst = r; _ } ->
+        set_reg pc r ~lat:1. ~cost:1.
+    | D.DAddF { dst = r; _ } | D.DSubF { dst = r; _ } | D.DMulF { dst = r; _ }
+    | D.DAddI { dst = r; _ } | D.DMulI { dst = r; _ }
+    | D.DBinF { dst = r; _ } | D.DBinI { dst = r; _ } | D.DBinB { dst = r; _ }
+    | D.DUnaF { dst = r; _ } | D.DNegI { dst = r; _ } | D.DNot { dst = r; _ } ->
+        set_reg pc r
+          ~lat:(result_latency latency code.(pc))
+          ~cost:(issue_cost latency code.(pc))
+    | D.DCvtF { dst = r; _ } | D.DCvtI { dst = r; _ } | D.DCvtB { dst = r; _ }
+    | D.DSetpF { dst = r; _ } | D.DSetpI { dst = r; _ } ->
+        set_reg pc r ~lat:(result_latency latency code.(pc)) ~cost:1.
+    | D.DNop | D.DBra _ | D.DBrc _ | D.DRet -> ());
+    (* an instruction reads at most two registers *)
+    si.(at + o_u0) <- zero;
+    si.(at + o_u1) <- zero;
+    I.iter_uses
+      (fun (r : V.t) ->
+        let slot = if si.(at + o_u0) = zero then o_u0 else o_u1 in
+        si.(at + slot) <- r.V.rid)
+      code.(pc)
+  done;
+  si.((n * rs) + o_skip) <- n;
+  for pc = n - 1 downto 0 do
+    si.((pc * rs) + o_skip) <-
+      (match ops.(pc) with D.DNop -> si.(((pc + 1) * rs) + o_skip) | _ -> pc)
+  done;
+  let entry = si.(o_skip) in
   (* per-mem-op tables, indexed by the decode-time [mi] *)
   let nmems = Array.length d.D.d_mems in
   let m_txns = Array.make nmems 0 in
+  let m_local = Array.map (fun mo -> mo.D.mo_local) d.D.d_mems in
+  let m_ro = Array.map (fun mo -> mo.D.mo_ro) d.D.d_mems in
   let m_lat = Array.make (nmems * 3) 0. in  (* [mi*3 + tier] *)
   let m_pipe = Array.make (nmems * 3) 0. in
   let mem_cpt = arch.Safara_gpu.Arch.mem_cycles_per_transaction in
@@ -434,195 +639,125 @@ let simulate_resident_set_thr ~arch ~latency ~prog ~env ~grid ~blocks_per_sm
         m_pipe.(ti) <- float_of_int nt *. mem_cpt *. tier_pipe_factor tier)
       [ L1; L2; Dram ]
   done;
-  let ldp_ready =
-    float_of_int (Safara_gpu.Latency.memory_latency latency M.Param M.Invariant)
-  in
-  let touch_tier = cache_model arch in
+  let cache = cache_model arch in
   let ps = D.make_params d ~env ~prog in
-  let warp_counter = ref 0 in
-  let warps =
-    Array.concat
-      (List.map
-        (fun b ->
-          Array.init warps_per_block (fun w ->
-              let id = !warp_counter in
-              incr warp_counter;
-              let st = D.make_state d in
-              let tid = lane0_coords ~bx ~by ~warp_size w in
-              let cta = block_coords ~gx ~gy b in
-              D.set_specials st ~tid ~cta ~ntid:(bx, by, bz)
-                ~nctaid:(gx, gy, gz);
-              {
-                dw_id = id;
-                dw_st = st;
-                dw_ready = Array.make d.D.d_nregs 0.;
-                dw_sched = id mod max 1 arch.Safara_gpu.Arch.issue_width;
-                dw_pc = 0;
-                dw_free = 0.;
-                dw_done = false;
-                dw_last = 0.;
-              }))
-        (List.init nblocks Fun.id))
-  in
-  let nwarps = Array.length warps in
-  let mem_busy = ref 0. in
+  let nwarps = nblocks * warps_per_block in
   let nports = max 1 arch.Safara_gpu.Arch.issue_width in
+  let wf = take_warp_files () in
+  prepare_warp_files wf d ~nwarps ~len:(nwarps * stride);
+  let sts = wf.wf_states and ready = wf.wf_ready in
+  for id = 0 to nwarps - 1 do
+    D.set_specials sts.(id)
+      ~tid:(lane0_coords ~bx ~by ~warp_size (id mod warps_per_block))
+      ~cta:(block_coords ~gx ~gy (id / warps_per_block))
+      ~ntid:(bx, by, bz) ~nctaid:(gx, gy, gz)
+  done;
+  let port = Array.init nwarps (fun id -> id mod nports) in
+  let pcs = Array.make nwarps entry in
+  let free = Array.make nwarps 0. in
+  let last = Array.make nwarps 0. in
   let issue_ports = Array.make nports 0. in
-  let issue_step = 1. in
-  let instructions = ref 0 in
-  let transactions = ref 0 in
-  let issue_stall = ref 0. in
   (* The scheduler: a binary min-heap of live warps keyed by
-     (issueable, warp id). The lexicographic order reproduces the
+     (issueable, warp id), where issueable is the earliest cycle the
+     warp's next instruction can issue: the later of its [free] and its
+     operands' readiness. The lexicographic order reproduces the
      reference engine's first-strict-minimum scan exactly, and since
-     ids are unique it is total, so which warp steps next never
-     depends on the heap's layout. *)
-  let hkey = Array.make (max 1 nwarps) infinity in
+     ids are unique it is total, so which warp steps next never depends
+     on the heap's layout. Every warp starts at key 0, so warps in id
+     order already form a heap. *)
+  let hkey = Array.make (max 1 nwarps) 0. in
   let hwid = Array.make (max 1 nwarps) 0 in
   let hsize = ref 0 in
-  (* [hkey.(i) <- issueable w]: the earliest time the warp's next
-     instruction can issue (written in place; returning it would box
-     it) *)
-  let set_key i (w : dwarp) =
-    let f = w.dw_free in
-    if w.dw_pc >= n then hkey.(i) <- f
-    else begin
-      let uses = d.D.d_uses.(w.dw_pc) in
-      let acc = ref f in
-      for u = 0 to Array.length uses - 1 do
-        let r = w.dw_ready.(uses.(u)) in
-        if r > !acc then acc := r
-      done;
-      hkey.(i) <- !acc
-    end
-  in
-  let step (w : dwarp) =
-    let pc = w.dw_pc in
-    (match ops.(pc) with
-    | D.DNop -> w.dw_pc <- pc + 1
-    | op ->
-        incr instructions;
-        let uses = d.D.d_uses.(pc) in
-        let op_ready = ref 0. in
-        for i = 0 to Array.length uses - 1 do
-          let r = w.dw_ready.(uses.(i)) in
-          if r > !op_ready then op_ready := r
-        done;
-        let port = w.dw_sched in
-        let want = fmax w.dw_free !op_ready in
-        let issue = fmax want issue_ports.(port) in
-        issue_stall := !issue_stall +. (issue -. want);
-        issue_ports.(port) <- issue +. issue_step;
-        let st = w.dw_st in
-        let next = (Array.unsafe_get steps pc) st ps in
-        let complete = ref (issue +. 1.) in
-        (match op with
-        | D.DNop | D.DRet -> ()
-        | D.DLd { dst; mi; _ } ->
-            let a = st.D.x_addr in
-            let mo = d.D.d_mems.(mi) in
-            let tier =
-              if mo.D.mo_local then L1 else touch_tier ~ro:mo.D.mo_ro a
-            in
-            let ti = (mi * 3) + tier_index tier in
-            transactions := !transactions + m_txns.(mi);
-            let start = fmax issue !mem_busy in
-            mem_busy := start +. m_pipe.(ti);
-            let ready = start +. m_lat.(ti) in
-            w.dw_ready.(dst) <- ready;
-            complete := ready
-        | D.DSt { mi; _ } ->
-            let a = st.D.x_addr in
-            let mo = d.D.d_mems.(mi) in
-            let tier =
-              if mo.D.mo_local then L1
-              else
-                (* stores allocate in L2, never in the read-only path *)
-                match touch_tier ~ro:false a with L1 -> L2 | t -> t
-            in
-            let ti = (mi * 3) + tier_index tier in
-            transactions := !transactions + m_txns.(mi);
-            let start = fmax issue !mem_busy in
-            mem_busy := start +. m_pipe.(ti)
-            (* stores retire without blocking the warp *)
-        | D.DAtom { mi; _ } ->
-            (* atomics serialize: charge a full round trip on the pipe *)
-            let start = fmax issue !mem_busy in
-            let nt = max 2 m_txns.(mi) in
-            transactions := !transactions + nt;
-            mem_busy := start +. (float_of_int nt *. mem_cpt)
-        | D.DLdp { dst; _ } ->
-            let ready = issue +. ldp_ready in
-            w.dw_ready.(dst) <- ready;
-            complete := ready
-        | D.DMov { dst; _ } | D.DSpec { dst; _ } ->
-            w.dw_ready.(dst) <- issue +. 1.
-        | D.DAddF { dst; _ } | D.DSubF { dst; _ } | D.DMulF { dst; _ }
-        | D.DAddI { dst; _ } | D.DMulI { dst; _ }
-        | D.DBinF { dst; _ } | D.DBinI { dst; _ } | D.DBinB { dst; _ }
-        | D.DUnaF { dst; _ } | D.DNegI { dst; _ } | D.DNot { dst; _ } ->
-            w.dw_ready.(dst) <- issue +. rlat.(pc);
-            complete := issue +. icost.(pc)
-        | D.DCvtF { dst; _ } | D.DCvtI { dst; _ } | D.DCvtB { dst; _ }
-        | D.DSetpF { dst; _ } | D.DSetpI { dst; _ } ->
-            w.dw_ready.(dst) <- issue +. rlat.(pc)
-        | D.DBra _ | D.DBrc _ -> ());
-        w.dw_pc <- next;
-        w.dw_free <- fmax (issue +. 1.) (fmin !complete (issue +. 8.));
-        w.dw_last <- fmax w.dw_last !complete);
-    if w.dw_pc >= n then w.dw_done <- true
-  in
-  let sift_up i0 =
-    let i = ref i0 in
-    while !i > 0 && before hkey hwid !i ((!i - 1) / 2) do
-      swap hkey hwid !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-  in
-  let sift_down i0 =
-    let size = !hsize and i = ref i0 and sinking = ref true in
-    while !sinking do
-      let l = (2 * !i) + 1 in
-      if l >= size then sinking := false
-      else begin
-        let c = if l + 1 < size && before hkey hwid (l + 1) l then l + 1 else l in
-        if before hkey hwid c !i then begin
-          swap hkey hwid !i c;
-          i := c
-        end
-        else sinking := false
-      end
-    done
-  in
-  Array.iter
-    (fun w ->
-      let i = !hsize in
-      set_key i w;
-      hwid.(i) <- w.dw_id;
-      incr hsize;
-      sift_up i)
-    warps;
-  (* The root warp steps, and its new key sifts down from the root: a
-     warp's key only changes when it steps itself (dw_free and dw_ready
-     are per-warp). While it still orders before both children, that
-     costs two comparisons and the warp steps again — where a pop and a push would have handed it
-     straight back. A finished warp leaves the heap. *)
+  if entry < n then
+    for w = 0 to nwarps - 1 do
+      hwid.(w) <- w;
+      incr hsize
+    done;
+  let mem_busy = ref 0. and issue_stall = ref 0. in
+  let instructions = ref 0 and transactions = ref 0 in
+  (* The root warp steps at its key, and its new key sifts down from
+     the root: a warp's key only changes when it steps itself ([free]
+     and its scoreboard are per-warp). While it still orders before
+     both children, that costs two comparisons and the warp steps again
+     — where a pop and a push would have handed it straight back. A
+     finished warp leaves the heap. *)
   while !hsize > 0 do
-    let w = warps.(hwid.(0)) in
-    step w;
-    if w.dw_done then begin
-      decr hsize;
-      hkey.(0) <- hkey.(!hsize);
-      hwid.(0) <- hwid.(!hsize)
+    let w = Array.unsafe_get hwid 0 in
+    let want = Array.unsafe_get hkey 0 in
+    let pc = Array.unsafe_get pcs w in
+    incr instructions;
+    let p = Array.unsafe_get port w in
+    let issue = fmax want (Array.unsafe_get issue_ports p) in
+    issue_stall := !issue_stall +. (issue -. want);
+    Array.unsafe_set issue_ports p (issue +. 1.);
+    let st = Array.unsafe_get sts w in
+    let next = (Array.unsafe_get steps pc) st ps in
+    let base = w * stride in
+    let at = pc * rs in
+    let complete = ref (issue +. 1.) in
+    let kd = Array.unsafe_get si (at + o_kind) in
+    if kd = k_reg then begin
+      Array.unsafe_set ready
+        (base + Array.unsafe_get si (at + o_dst))
+        (issue +. Array.unsafe_get sf (2 * pc));
+      complete := issue +. Array.unsafe_get sf ((2 * pc) + 1)
     end
-    else set_key 0 w;
-    sift_down 0
+    else begin
+      let mi = Array.unsafe_get si (at + o_mi) in
+      let start = fmax issue !mem_busy in
+      if kd = k_atom then begin
+        (* atomics serialize: charge a full round trip on the pipe *)
+        let nt = max 2 (Array.unsafe_get m_txns mi) in
+        transactions := !transactions + nt;
+        mem_busy := start +. (float_of_int nt *. mem_cpt)
+      end
+      else begin
+        (* stores allocate in L2, never in the read-only path *)
+        let tier =
+          if Array.unsafe_get m_local mi then tier_index L1
+          else
+            tier_index
+              (touch cache ~ro:(kd = k_ld && Array.unsafe_get m_ro mi)
+                 st.D.x_addr)
+        in
+        let ti = (mi * 3) + tier in
+        transactions := !transactions + Array.unsafe_get m_txns mi;
+        mem_busy := start +. Array.unsafe_get m_pipe ti;
+        if kd = k_ld then begin
+          let r = start +. Array.unsafe_get m_lat ti in
+          Array.unsafe_set ready (base + Array.unsafe_get si (at + o_dst)) r;
+          complete := r
+        end
+        (* stores retire without blocking the warp *)
+      end
+    end;
+    let c = !complete in
+    let f = fmax (issue +. 1.) (fmin c (issue +. 8.)) in
+    Array.unsafe_set free w f;
+    Array.unsafe_set last w (fmax (Array.unsafe_get last w) c);
+    let pc' = Array.unsafe_get si ((next * rs) + o_skip) in
+    Array.unsafe_set pcs w pc';
+    if pc' >= n then begin
+      decr hsize;
+      Array.unsafe_set hkey 0 (Array.unsafe_get hkey !hsize);
+      Array.unsafe_set hwid 0 (Array.unsafe_get hwid !hsize)
+    end
+    else begin
+      let at' = pc' * rs in
+      let r0 = Array.unsafe_get ready (base + Array.unsafe_get si (at' + o_u0)) in
+      let r1 = Array.unsafe_get ready (base + Array.unsafe_get si (at' + o_u1)) in
+      let key = if r0 > f then r0 else f in
+      Array.unsafe_set hkey 0 (if r1 > key then r1 else key)
+    end;
+    sift_down hkey hwid !hsize 0
   done;
-  let cycles =
-    Array.fold_left (fun acc w -> fmax acc (fmax w.dw_last w.dw_free)) 0. warps
-  in
+  Domain.DLS.get warp_files := Some wf;
+  let cycles = ref 0. in
+  for w = 0 to nwarps - 1 do
+    cycles := fmax !cycles (fmax last.(w) free.(w))
+  done;
   {
-    cycles = fmax cycles !mem_busy;
+    cycles = fmax !cycles !mem_busy;
     warps = nwarps;
     instructions = !instructions;
     transactions = !transactions;

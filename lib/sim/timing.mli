@@ -18,11 +18,12 @@
 
     Two engines implement the model, selected by [Decode.engine]. The
     threaded engine runs each op's semantics through its pre-compiled
-    {!Threaded.steps} closure, with per-pc precomputed costs/latencies
-    and a binary min-heap warp scheduler (O(log warps) per step
-    instead of a full scan); the original boxed walker is preserved as
-    [Reference]. Both produce identical {!stats} — the differential
-    suite checks every workload. *)
+    {!Threaded.steps} closure, reads what the op costs from a static
+    per-pc record, keeps every warp's scheduling state unboxed, skips
+    labels, and picks the next warp from a binary min-heap (O(log
+    warps) per step instead of a full scan); the original boxed walker
+    is preserved as [Reference]. Both produce identical {!stats} — the
+    differential suite checks every workload. *)
 
 type stats = {
   cycles : float;  (** drain time of the resident set, in SM cycles *)
@@ -44,3 +45,24 @@ val simulate_resident_set :
 (** Mutates [env.mem] ({!Launch.time_kernel} runs it under a
     {!Memory.with_undo} journal to preserve the memory). Simulates
     [min blocks_per_sm total_blocks] blocks. *)
+
+(** {1 Cache model}
+
+    Both engines charge a memory access by the tier that served it. An
+    access touches its segment (the arch's [mem_segment_bytes]); a
+    segment touched again fewer than [read_only_cache_bytes / segment]
+    (at least 16) touches after its previous touch is served by L1 on
+    the read-only path, fewer than this SM's share of L2 in segments by
+    L2, and otherwise by DRAM. *)
+
+type tier = L1 | L2 | Dram
+
+type cache
+(** One resident set's segment-recency table. *)
+
+val cache_model : Safara_gpu.Arch.t -> cache
+(** An empty table. *)
+
+val touch : cache -> ro:bool -> int -> tier
+(** [touch c ~ro addr] records a touch of [addr]'s segment and returns
+    the tier that served it (L1 only when [ro]). *)

@@ -41,7 +41,7 @@ type t = {
   memo : C.memo;
       (** per-region tail output (SAFARA feedback included) and SAFARA
           candidates *)
-  fe : Safara_ir.Program.t Cache.t;  (** (source, unroll) → front-end IR *)
+  fe : Safara_ir.Program.t Cache.t;  (** source → front-end IR *)
   lock : Mutex.t;
   images : (int, image) Hashtbl.t;
       (** each domain's most recent input image, by domain id, under
@@ -236,13 +236,17 @@ let compile_and_record t ~arch ?safara_config ~disable profile prog =
   record_trace t trace;
   c
 
-(* the front end reads the source and the unroll factor, nothing else *)
+(* The front end reads the source, nothing else: it runs once per
+   source, and the unroll factor, a cheap pure pass, applies per
+   compile. *)
 let front_end t src unroll =
-  Cache.find_or_compute t.fe ~key:(digest_of (src, unroll)) (fun () ->
-      let prog = Safara_lang.Frontend.compile src in
-      match unroll with
-      | None -> prog
-      | Some factor -> Safara_transform.Unroll.unroll_program ~factor prog)
+  let prog =
+    Cache.find_or_compute t.fe ~key:(digest_of src) (fun () ->
+        Safara_lang.Frontend.compile src)
+  in
+  match unroll with
+  | None -> prog
+  | Some factor -> Safara_transform.Unroll.unroll_program ~factor prog
 
 let compiled_at t j ck =
   through t t.cc ~kind:"compile" ~key:ck ~check:verified (fun () ->

@@ -14,12 +14,12 @@
 
     Below the compile cache, a miss shares work with every other
     compile of the engine's lifetime: the front end runs once per
-    (source, unroll), and a {!Safara_core.Compiler.memo} runs the
-    codegen → assemble tail (SAFARA's register feedback is one, under
-    its own disable set) and SAFARA's candidate analysis once per
-    region key — what those stages read of a region's compile (see
-    {!Safara_core.Compiler.memo}). These are memory-only and never
-    layered on the store.
+    source (the unroll factor applies per compile), and a
+    {!Safara_core.Compiler.memo} runs the codegen → assemble tail
+    (SAFARA's register feedback is one, under its own disable set) and
+    SAFARA's candidate analysis once per region key — what those
+    stages read of a region's compile (see {!Safara_core.Compiler.memo}).
+    These are memory-only and never layered on the store.
 
     Sharing discipline: cached values — {!Safara_core.Compiler.compiled}
     artifacts and {!Safara_sim.Launch.program_time} records — are
@@ -172,7 +172,7 @@ type stats = {
   st_candidates_hits : int;  (** SAFARA candidate analyses reused *)
   st_candidates_misses : int;  (** SAFARA candidate analyses run *)
   st_front_end_hits : int;
-  st_front_end_misses : int;  (** parse → lower (→ unroll) runs *)
+  st_front_end_misses : int;  (** parse → lower runs: one per source *)
   st_images : int;
       (** input images prepared ({!Workload.prepare} runs): one per
           domain per searched workload when nothing evicts them *)

@@ -575,6 +575,18 @@ let test_image_cells_counted () =
     && s.Eval.st_image_cells_filled < s.Eval.st_image_cells);
   Eval.shutdown eng
 
+(* the front end reads only the source: a grid search over every
+   unroll factor runs it once, and applies each factor per compile *)
+let test_front_end_once_per_search () =
+  let eng = Eval.create ~jobs:1 () in
+  let r = Tune.search eng ~arch:Arch.default (Registry.find "303.ostencil") in
+  let s = Eval.stats eng in
+  Eval.shutdown eng;
+  Alcotest.(check int) "points searched" Tune.space_size r.Tune.tr_evaluated;
+  Alcotest.(check int) "front-end misses" 1 s.Eval.st_front_end_misses;
+  Alcotest.(check int) "front-end hits" (s.Eval.st_compile_misses - 1)
+    s.Eval.st_front_end_hits
+
 (* Timing writes each domain's image in place and restores it, so
    images are per domain: a search must pick the same winner, with the
    same simulated time to the bit, at any -j. Every domain that ran a
@@ -718,6 +730,8 @@ let suite =
       test_image_untouched;
     Alcotest.test_case "images: dropped images' cells counted" `Quick
       test_image_cells_counted;
+    Alcotest.test_case "front end: once per source in a search" `Quick
+      test_front_end_once_per_search;
     Alcotest.test_case "determinism: tune -j1 = -j4" `Slow
       test_tune_j1_equals_j4;
     Alcotest.test_case "determinism: table1 -j1 = -j4" `Quick

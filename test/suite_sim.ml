@@ -623,6 +623,48 @@ let test_blockpar_saxpy_parallel () =
   Array.iteri (fun i v -> if v <> 2.0 *. float_of_int i then ok := false) y;
   Alcotest.(check bool) "parallel saxpy result correct" true !ok
 
+(* A timing run builds a kernel's step closures only; a block-parallel
+   functional run of the same kernel right after it must still build
+   the block closures before its chunks start, and match the serial
+   run. *)
+let test_blockpar_after_timing () =
+  let n = 1000 in
+  let prog, kernels = compile_pipeline saxpy_src in
+  let k, report = List.hd kernels in
+  let fresh () =
+    let mem = Memory.create () in
+    Memory.alloc_program mem ~env:[ ("n", n) ] prog;
+    Array.iteri
+      (fun i _ -> (Memory.float_data mem "x").(i) <- float_of_int i)
+      (Memory.float_data mem "x");
+    { Interp.scalars = [ ("n", V.I n) ]; mem }
+  in
+  let grid = Launch.grid_of ~env:[ ("n", V.I n) ] k in
+  Decode.with_engine Decode.Threaded @@ fun () ->
+  let env = fresh () in
+  ignore (Launch.time_kernel ~arch ~latency ~prog ~env ~report k : Launch.kernel_time);
+  let saved_t = !Interp.parallel_threshold
+  and saved_c = !Interp.parallel_min_chunk_ops in
+  Interp.parallel_threshold := 0;
+  Interp.parallel_min_chunk_ops := 1;
+  let mode =
+    Fun.protect
+      ~finally:(fun () ->
+        Interp.parallel_threshold := saved_t;
+        Interp.parallel_min_chunk_ops := saved_c)
+      (fun () ->
+        with_pool 4 (fun pool -> Interp.run_kernel_m ~pool ~prog ~env ~grid k))
+  in
+  (match mode with
+  | Interp.Parallel { chunks } ->
+      Alcotest.(check bool) "fanned into several chunks" true (chunks > 1)
+  | Interp.Sequential _ -> Alcotest.fail "saxpy did not run block-parallel");
+  let serial = fresh () in
+  Interp.run_kernel ~prog ~env:serial ~grid k;
+  Alcotest.(check (array (float 0.))) "y: parallel after timing = serial"
+    (Memory.float_data serial.Interp.mem "y")
+    (Memory.float_data env.Interp.mem "y")
+
 let test_blockpar_refuses_cross_block () =
   (* recurrence across the gang-distributed index: the write y[i] and
      the read y[i-1] are one apart, so a block could consume a cell
@@ -1479,6 +1521,8 @@ let suite =
       test_time_restores_env;
     Alcotest.test_case "blockpar: saxpy proves and runs parallel" `Quick
       test_blockpar_saxpy_parallel;
+    Alcotest.test_case "blockpar: parallel run after a timing run" `Quick
+      test_blockpar_after_timing;
     Alcotest.test_case "blockpar: cross-block recurrence refused" `Quick
       test_blockpar_refuses_cross_block;
     Alcotest.test_case "blockpar: reduction atomics fall back" `Quick

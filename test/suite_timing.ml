@@ -141,6 +141,141 @@ let test_sfu_issue_cost () =
   Alcotest.(check bool) "SFU ops issue slower" true
     (sfu.Safara_sim.Timing.cycles > 3. *. alu.Safara_sim.Timing.cycles)
 
+(* --- the segment table ---------------------------------------------- *)
+
+(* The recency table as a [Hashtbl]: what {!Safara_sim.Timing.touch}
+   must answer, touch for touch. *)
+let hashtbl_cache (arch : Safara_gpu.Arch.t) =
+  let seg_bytes = arch.Safara_gpu.Arch.mem_segment_bytes in
+  let l1 = max 16 (arch.Safara_gpu.Arch.read_only_cache_bytes / seg_bytes) in
+  let l2 =
+    max l1 (arch.Safara_gpu.Arch.l2_bytes / seg_bytes / max 1 arch.Safara_gpu.Arch.num_sms)
+  in
+  let last = Hashtbl.create 16 and clock = ref 0 in
+  fun ~ro addr ->
+    let seg = addr / seg_bytes in
+    let age =
+      match Hashtbl.find_opt last seg with Some t -> !clock - t | None -> max_int
+    in
+    incr clock;
+    Hashtbl.replace last seg !clock;
+    if age < l1 && ro then Safara_sim.Timing.L1
+    else if age < l2 then Safara_sim.Timing.L2
+    else Safara_sim.Timing.Dram
+
+(* A seeded address stream: streaming runs, re-touches of recent
+   addresses (L1/L2 distances), scattered addresses that add thousands
+   of segments (so the table grows several times), and a few negative
+   addresses. *)
+let address_stream seed n =
+  let rs = Random.State.make [| seed |] in
+  let recent = Array.make 4096 0 and cursor = ref 4096 in
+  List.init n (fun i ->
+      let addr =
+        match Random.State.int rs 100 with
+        | r when r < 40 ->
+            cursor := !cursor + (8 * (1 + Random.State.int rs 4));
+            !cursor
+        | r when r < 70 -> recent.(Random.State.int rs (1 + min i 4095))
+        | r when r < 99 -> Random.State.int rs (1 lsl 26)
+        | _ -> -Random.State.int rs 100_000
+      in
+      recent.(i land 4095) <- addr;
+      (Random.State.bool rs, addr))
+
+let test_segment_table_matches_hashtbl () =
+  List.iter
+    (fun (arch : Safara_gpu.Arch.t) ->
+      List.iter
+        (fun seed ->
+          let stream = address_stream seed 30_000 in
+          let segs = Hashtbl.create 1024 in
+          List.iter
+            (fun (_, a) ->
+              Hashtbl.replace segs (a / arch.Safara_gpu.Arch.mem_segment_bytes) ())
+            stream;
+          Alcotest.(check bool) "the stream crosses table growth" true
+            (Hashtbl.length segs > 4096);
+          let table = Safara_sim.Timing.cache_model arch in
+          let reference = hashtbl_cache arch in
+          let tiers = Hashtbl.create 3 in
+          List.iteri
+            (fun i (ro, a) ->
+              let got = Safara_sim.Timing.touch table ~ro a
+              and want = reference ~ro a in
+              Hashtbl.replace tiers want ();
+              if got <> want then
+                Alcotest.failf "%s, seed %d: touch %d (address %d) differs"
+                  arch.Safara_gpu.Arch.key seed i a)
+            stream;
+          Alcotest.(check int) "every tier served" 3 (Hashtbl.length tiers))
+        [ 1; 2; 3 ])
+    Safara_gpu.Arch.all
+
+(* --- labels: the threaded engine skips them ------------------------- *)
+
+let bool_reg rid = { V.rid; rty = T.Bool }
+
+let engines_agree name ?(blocks = 1) k =
+  let module D = Safara_sim.Decode in
+  let run e = D.with_engine e (fun () -> simulate ~blocks k) in
+  let r = run D.Reference and t = run D.Threaded in
+  let bits f = Int64.bits_of_float f in
+  let open Safara_sim.Timing in
+  Alcotest.(check int64) (name ^ ": cycles") (bits r.cycles) (bits t.cycles);
+  Alcotest.(check int64) (name ^ ": issue stall") (bits r.issue_stall) (bits t.issue_stall);
+  Alcotest.(check int) (name ^ ": instructions") r.instructions t.instructions;
+  Alcotest.(check int) (name ^ ": transactions") r.transactions t.transactions;
+  Alcotest.(check int) (name ^ ": warps") r.warps t.warps
+
+(* Each warp loops [3 + (tid / 32) mod 3] times, so warps finish at
+   different times. Branches land on labels, one of them the first of
+   two consecutive labels. *)
+let label_loop =
+  let i = r32 1 and tid = r32 2 and w = r32 3 and lim = r32 4 and p = bool_reg 5 in
+  [
+    I.Spec { dst = tid; sp = I.Tid I.X };
+    I.Bin { op = I.Div; dst = w; a = I.Reg tid; b = I.Imm 32 };
+    I.Bin { op = I.Rem; dst = w; a = I.Reg w; b = I.Imm 3 };
+    I.Bin { op = I.Add; dst = lim; a = I.Reg w; b = I.Imm 3 };
+    I.Mov { dst = i; src = I.Imm 0 };
+    I.Label "head";
+    I.Label "head2";
+  ]
+  @ mem_op ~access:Safara_gpu.Memspace.Coalesced
+  @ [
+      I.Bin { op = I.Add; dst = i; a = I.Reg i; b = I.Imm 1 };
+      I.Setp { cmp = I.Lt; dst = p; a = I.Reg i; b = I.Reg lim };
+      I.Brc { pred = p; if_true = true; target = "head" };
+      I.Bra "out";
+      I.Label "skipped";
+    ]
+  @ independent_adds 3
+  @ [ I.Label "out"; I.Label "out2" ]
+  @ dependent_adds 4
+
+let test_labels_reference_equals_threaded () =
+  let code l = { (kernel []) with K.code = Array.of_list l } in
+  let multi k = { k with K.block = (256, 1, 1) } in
+  (* a label at pc 0 *)
+  engines_agree "label at entry" ~blocks:2
+    (multi (kernel ((I.Label "entry" :: mem_op ~access:Safara_gpu.Memspace.Coalesced)
+                    @ dependent_adds 5)));
+  (* consecutive labels mid-stream, and labels as the last instructions
+     with no [Ret]: the warp falls off the end *)
+  engines_agree "consecutive labels" ~blocks:2
+    (multi
+       (code
+          (independent_adds 4
+          @ [ I.Label "a"; I.Label "b"; I.Label "c" ]
+          @ dependent_adds 3
+          @ [ I.Label "z1"; I.Label "z2" ])));
+  (* nothing but labels *)
+  engines_agree "only labels" (code [ I.Label "x"; I.Label "y" ]);
+  (* branches onto labels, warps leaving the loop at different times *)
+  engines_agree "loop over labels" ~blocks:3 (multi (kernel label_loop));
+  engines_agree "loop over labels, one warp" (kernel label_loop)
+
 let suite =
   [
     Alcotest.test_case "independent issue rate" `Quick test_independent_issue_rate;
@@ -150,4 +285,8 @@ let suite =
     Alcotest.test_case "labels are free" `Quick test_label_costs_nothing;
     Alcotest.test_case "scheduler partitioning" `Quick test_scheduler_partitioning;
     Alcotest.test_case "SFU issue cost" `Quick test_sfu_issue_cost;
+    Alcotest.test_case "segment table = Hashtbl reference" `Quick
+      test_segment_table_matches_hashtbl;
+    Alcotest.test_case "labels: reference = threaded" `Quick
+      test_labels_reference_equals_threaded;
   ]
