@@ -1,7 +1,7 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation section (see DESIGN.md's per-experiment index)
-   and, additionally, bechamel microbenchmarks of the compiler passes
-   themselves.
+   from one Experiments.t, built under the paper's pass configuration,
+   plus the simulator, tune and loop-pass benchmarks.
 
    All experiments run through the parallel, memoizing evaluation
    engine (lib/engine + Safara_suites.Eval): -j N sets the domain-pool
@@ -11,7 +11,7 @@
    -j. Engine statistics go to stderr so stdout stays comparable.
 
    Usage: main.exe [fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|
-                    ablations|crossarch|unroll|micro|sim|tune|
+                    ablations|crossarch|unroll|sim|tune|
                     loopopt|json|all]
                    [-j N] [--smoke] [--min-runs N] [--engine NAME]
                    [--arch NAME] [--store DIR]
@@ -27,8 +27,6 @@ open Safara_suites
 (* --- JSON output (the sim, tune, loopopt and json modes) -------------- *)
 
 module Sjson = Safara_json.Sjson
-
-let floats kvs = Sjson.Obj (List.map (fun (k, v) -> (k, Sjson.Num v)) kvs)
 
 let write_json file v =
   let oc = open_out file in
@@ -495,193 +493,6 @@ let run_sim ~smoke ~min_runs ~pool ~arch () =
   in
   write_json "BENCH_sim.json" json
 
-(* --- bechamel microbenchmarks of the compiler passes ---------------- *)
-
-let micro_tests ~arch () =
-  let open Bechamel in
-  let latency = Safara_gpu.Latency.for_arch arch in
-  let src = (Registry.find "355.seismic").Workload.source in
-  let ast = Safara_lang.Parser.parse src in
-  let prog = Safara_lang.Frontend.compile src in
-  let resolved = Safara_analysis.Schedule.resolve_program prog in
-  let region = List.hd resolved.Safara_ir.Program.regions in
-  let ctx = Safara_core.Pass.make_ctx ~arch ~latency in
-  let feedback p r =
-    (snd (Safara_core.Pipeline.feedback ctx p r)).Safara_ptxas.Assemble.regs_used
-  in
-  let kernel = Safara_vir.Codegen.compile_region ~arch resolved region in
-  let kernel =
-    { kernel with
-      Safara_vir.Kernel.code = Safara_vir.Peephole.optimize kernel.Safara_vir.Kernel.code }
-  in
-  [
-    Test.make ~name:"front-end: parse seismic"
-      (Staged.stage (fun () -> ignore (Safara_lang.Parser.parse src)));
-    Test.make ~name:"front-end: typecheck"
-      (Staged.stage (fun () -> ignore (Safara_lang.Typecheck.check ast)));
-    Test.make ~name:"analysis: dependences (hot1)"
-      (Staged.stage (fun () ->
-           ignore (Safara_analysis.Dependence.region_deps region.Safara_ir.Region.body)));
-    Test.make ~name:"analysis: reuse candidates (hot1)"
-      (Staged.stage (fun () ->
-           ignore
-             (Safara_analysis.Reuse.candidates ~arch ~latency resolved region)));
-    Test.make ~name:"codegen: hot1 -> VIR"
-      (Staged.stage (fun () ->
-           let k = Safara_vir.Codegen.compile_region ~arch resolved region in
-           ignore (Safara_vir.Peephole.optimize k.Safara_vir.Kernel.code)));
-    Test.make ~name:"ptxas: allocate hot1"
-      (Staged.stage (fun () ->
-           ignore (Safara_ptxas.Assemble.assemble ~arch kernel)));
-    Test.make ~name:"SAFARA: optimize hot1 (full feedback loop)"
-      (Staged.stage (fun () ->
-           ignore
-             (Safara_transform.Safara.optimize_region ~feedback ~arch ~latency
-              resolved region)));
-  ]
-
-let run_micro ~arch () =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~stabilize:false ()
-  in
-  print_endline "Compiler-pass microbenchmarks (bechamel, monotonic clock)";
-  print_endline "----------------------------------------------------------";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols Toolkit.Instance.monotonic_clock raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Printf.printf "%-44s %12.1f ns/run\n%!" name t
-          | _ -> Printf.printf "%-44s (no estimate)\n%!" name)
-        results)
-    (micro_tests ~arch ())
-
-let all ~eng ~arch () =
-  print_string (Experiments.report ~eng ~arch);
-  run_micro ~arch ()
-
-(* --- json output mode ------------------------------------------------ *)
-
-let speedup_rows_json rows =
-  let open Sjson in
-  Arr
-    (List.map
-       (fun (r : Experiments.speedup_row) ->
-         Obj
-           [ ("id", Str r.Experiments.sr_id);
-             ("values", floats r.Experiments.sr_values) ])
-       rows)
-
-let norm_rows_json rows =
-  let open Sjson in
-  Arr
-    (List.map
-       (fun (r : Experiments.norm_row) ->
-         Obj
-           [ ("id", Str r.Experiments.nr_id);
-             ("values", floats r.Experiments.nr_values) ])
-       rows)
-
-let reg_rows_json rows =
-  let open Sjson in
-  Arr
-    (List.map
-       (fun (r : Experiments.reg_row) ->
-         Obj
-           [ ("kernel", Str r.Experiments.rr_kernel);
-             ("base", int r.Experiments.rr_base);
-             ("small", int r.Experiments.rr_small);
-             ("dim",
-              match r.Experiments.rr_dim with
-              | Some d -> int d
-              | None -> Null);
-             ("saved", int r.Experiments.rr_saved) ])
-       rows)
-
-let run_json ~eng ~arch () =
-  let open Sjson in
-  let table1 = reg_rows_json (Experiments.table1 ~eng ~arch ()) in
-  let table2 = reg_rows_json (Experiments.table2 ~eng ~arch ()) in
-  let offsets =
-    Arr
-      (List.map
-         (fun (r : Experiments.offsets_demo) ->
-           Obj
-             [ ("config", Str r.Experiments.od_config);
-               ("dope_loads", int r.Experiments.od_dope_loads);
-               ("instructions", int r.Experiments.od_offset_instrs);
-               ("regs", int r.Experiments.od_regs) ])
-         (Experiments.offsets ~eng ~arch ()))
-  in
-  let fig7 = speedup_rows_json (Experiments.fig7 ~eng ~arch ()) in
-  let fig9 = speedup_rows_json (Experiments.fig9 ~eng ~arch ()) in
-  let fig10 = speedup_rows_json (Experiments.fig10 ~eng ~arch ()) in
-  let fig11 = norm_rows_json (Experiments.fig11 ~eng ~arch ()) in
-  let fig12 = norm_rows_json (Experiments.fig12 ~eng ~arch ()) in
-  let ablations =
-    Arr
-      (List.map
-         (fun (r : Experiments.ablation_row) ->
-           Obj
-             [ ("name", Str r.Experiments.ab_name);
-               ("description", Str r.Experiments.ab_description);
-               ("slowdowns", floats r.Experiments.ab_speedups) ])
-         (Experiments.ablations ~eng ~arch ()))
-  in
-  let crossarch =
-    (* the one figure that is inherently multi-arch: each row carries
-       per-arch speedups keyed by registry name *)
-    Arr
-      (List.map
-         (fun (r : Experiments.crossarch_row) ->
-           Obj
-             [ ("id", Str r.Experiments.ca_id);
-               ("speedups", floats r.Experiments.ca_values) ])
-         (Experiments.crossarch ~eng ()))
-  in
-  let unroll =
-    Arr
-      (List.map
-         (fun (r : Experiments.unroll_row) ->
-           Obj
-             [ ("id", Str r.Experiments.ur_id);
-               ("speedups",
-                Arr
-                  (List.map
-                     (fun (f, s) -> Arr [ int f; Num s ])
-                     r.Experiments.ur_speedups));
-               ("regs",
-                Arr
-                  (List.map
-                     (fun (f, n) -> Arr [ int f; int n ])
-                     r.Experiments.ur_regs)) ])
-         (Experiments.unroll_study ~eng ~arch ()))
-  in
-  print_endline
-    (to_string
-       (Obj
-          [ ("arch", Str arch.Safara_gpu.Arch.name);
-            ("arch_key", Str arch.Safara_gpu.Arch.key);
-            ("table1", table1);
-            ("table2", table2);
-            ("offsets", offsets);
-            ("fig7", fig7);
-            ("fig9", fig9);
-            ("fig10", fig10);
-            ("fig11", fig11);
-            ("fig12", fig12);
-            ("ablations", ablations);
-            ("crossarch", crossarch);
-            ("unroll", unroll);
-            ("engine", Eval.stats_json (Eval.stats eng)) ]))
-
 (* --- tune: autotuning search over (config x unroll x arch) ----------- *)
 (* Runs Safara_tune's grid search for every (workload, architecture)
    pair through one shared engine, so coincident points are cache
@@ -926,7 +737,7 @@ let run_loopopt ~smoke ~eng ~archs () =
 let usage () =
   Printf.eprintf
     "usage: main.exe \
-     [fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|micro|sim|tune|loopopt|json|all] \
+     [fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|sim|tune|loopopt|json|all] \
      [-j N] [--smoke] [--min-runs N] [--engine reference|threaded] \
      [--arch NAME] [--store DIR]\n";
   exit 2
@@ -997,7 +808,6 @@ let () =
      results exactly (debug builds only) *)
   if Eval.jobs eng > 1 then Eval.self_check eng (Registry.find "303.ostencil");
   (match cmd with
-  | "micro" -> run_micro ~arch ()
   | "sim" ->
       run_sim ~smoke:!smoke ~min_runs:!min_runs ~pool:(Eval.pool eng) ~arch ()
   | "tune" ->
@@ -1016,17 +826,23 @@ let () =
         | None -> Safara_gpu.Arch.registry
       in
       run_loopopt ~smoke:!smoke ~eng ~archs ()
-  | "json" -> run_json ~eng ~arch ()
-  | "all" -> all ~eng ~arch ()
+  | "json" -> (
+      match Experiments.to_json (Experiments.evaluate ~eng ~arch) with
+      | Sjson.Obj members ->
+          let engine = Eval.stats_json (Eval.stats eng) in
+          print_endline
+            (Sjson.to_string (Sjson.Obj (members @ [ ("engine", engine) ])))
+      | _ -> assert false)
+  | "all" -> print_string (Experiments.to_text (Experiments.evaluate ~eng ~arch))
   | other -> (
       match Experiments.section other with
-      | Some render -> print_string (render ~eng ~arch)
+      | Some render -> print_string (render (Experiments.evaluate ~eng ~arch))
       | None ->
           Printf.eprintf
             "unknown experiment %S; expected \
-             fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|micro|sim|tune|loopopt|json|all\n"
+             fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|sim|tune|loopopt|json|all\n"
             other;
           exit 2));
-  if cmd <> "micro" && cmd <> "sim" then
+  if cmd <> "sim" then
     prerr_string (Eval.render_stats eng);
   Eval.shutdown eng

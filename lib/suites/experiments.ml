@@ -1,4 +1,6 @@
 module C = Safara_core.Compiler
+module Arch = Safara_gpu.Arch
+module Sjson = Safara_json.Sjson
 
 type speedup_row = { sr_id : string; sr_values : (string * float) list }
 type norm_row = { nr_id : string; nr_values : (string * float) list }
@@ -9,6 +11,7 @@ type reg_row = {
   rr_small : int;
   rr_dim : int option;
   rr_saved : int;
+  rr_dim_default : int option;
 }
 
 (* Every experiment follows the same engine discipline: flatten the
@@ -17,112 +20,122 @@ type reg_row = {
    once and each distinct artifact simulates exactly once, memoized by
    content-addressed key), then
    assemble and render the rows serially from cache hits — so parallel
-   runs are byte-identical to serial ones. *)
+   runs are byte-identical to serial ones.
 
-let default_engine = lazy (Eval.create ())
-let engine = function Some e -> e | None -> Lazy.force default_engine
+   Every job compiles under the paper's pass configuration ([paper]).
+   Only the "default pipeline" extension columns pass
+   [default_pipeline]: the disable set is part of each compile key, so
+   the two configurations never share an artifact. *)
 
-let time ?eng ?arch profile (w : Workload.t) =
-  Eval.total_ms (engine eng) (Eval.job ?arch profile w)
+let paper = Safara_core.Pipeline.paper_options.Safara_core.Pipeline.o_disable
+let default_pipeline = []
 
-let warm_profiles ?arch eng profiles ws =
-  Eval.warm eng
-    (List.concat_map
-       (fun w -> List.map (fun p -> Eval.job ?arch p w) profiles)
-       ws)
+let time ~eng ~arch ?(disable = paper) profile w =
+  Eval.total_ms eng (Eval.job ~arch ~disable profile w)
 
 (* ------------------------------------------------------------------ *)
 (* Speedup figures                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let speedups ?eng ?arch configs (w : Workload.t) =
-  let base = time ?eng ?arch C.Base w in
-  {
-    sr_id = w.Workload.id;
-    sr_values =
-      List.map (fun (label, p) -> (label, base /. time ?eng ?arch p w)) configs;
-  }
+(* A column is (label, profile, disable set); its speedup is against
+   [Base] compiled under the same disable set. *)
+let speedup_figure ~eng ~arch columns ws =
+  let points =
+    List.sort_uniq compare
+      (List.concat_map (fun (_, p, d) -> [ (C.Base, d); (p, d) ]) columns)
+  in
+  Eval.warm eng
+    (List.concat_map
+       (fun w ->
+         List.map (fun (p, disable) -> Eval.job ~arch ~disable p w) points)
+       ws);
+  List.map
+    (fun (w : Workload.t) ->
+      let time = time ~eng ~arch in
+      {
+        sr_id = w.Workload.id;
+        sr_values =
+          List.map
+            (fun (label, p, disable) ->
+              (label, time ~disable C.Base w /. time ~disable p w))
+            columns;
+      })
+    ws
 
-let speedup_figure ?eng ?arch configs ws =
-  let eng = engine eng in
-  warm_profiles ?arch eng (C.Base :: List.map snd configs) ws;
-  List.map (speedups ~eng ?arch configs) ws
+let fig7 ~eng ~arch =
+  speedup_figure ~eng ~arch
+    [ ("SAFARA", C.Safara_only, paper);
+      ("SAFARA (default pipeline)", C.Safara_only, default_pipeline) ]
+    Registry.spec
 
-let fig7 ?eng ?arch () =
-  speedup_figure ?eng ?arch [ ("SAFARA", C.Safara_only) ] Registry.spec
+let cumulative_columns =
+  [ ("small", C.Small_only, paper); ("small+dim", C.Clauses_only, paper);
+    ("small+dim+SAFARA", C.Full, paper) ]
 
-let cumulative_configs =
-  [ ("small", C.Small_only); ("small+dim", C.Clauses_only);
-    ("small+dim+SAFARA", C.Full) ]
-
-let fig9 ?eng ?arch () =
-  speedup_figure ?eng ?arch cumulative_configs Registry.spec
-
-let fig10 ?eng ?arch () =
-  speedup_figure ?eng ?arch cumulative_configs Registry.npb
+let fig9 ~eng ~arch = speedup_figure ~eng ~arch cumulative_columns Registry.spec
+let fig10 ~eng ~arch = speedup_figure ~eng ~arch cumulative_columns Registry.npb
 
 (* ------------------------------------------------------------------ *)
 (* Normalized-time figures (paper §V.C)                                *)
 (* ------------------------------------------------------------------ *)
 
-let norm_profiles = [ C.Base; C.Safara_only; C.Full; C.Pgi_like ]
+let norm_columns =
+  [ ("OpenUH(base)", C.Base); ("OpenUH(SAFARA)", C.Safara_only);
+    ("OpenUH(SAFARA+clauses)", C.Full); ("PGI", C.Pgi_like) ]
 
-let norm_row ?eng ?arch (w : Workload.t) =
-  let openuh_base = time ?eng ?arch C.Base w in
-  let openuh_safara = time ?eng ?arch C.Safara_only w in
-  let openuh_full = time ?eng ?arch C.Full w in
-  let pgi = time ?eng ?arch C.Pgi_like w in
-  (* Norm(c) = ExeTime(c) / max(ExeTime(best OpenUH), ExeTime(PGI)) *)
-  let denom = Float.max openuh_base pgi in
-  {
-    nr_id = w.Workload.id;
-    nr_values =
-      [
-        ("OpenUH(base)", openuh_base /. denom);
-        ("OpenUH(SAFARA)", openuh_safara /. denom);
-        ("OpenUH(SAFARA+clauses)", openuh_full /. denom);
-        ("PGI", pgi /. denom);
-      ];
-  }
+let norm_figure ~eng ~arch ws =
+  Eval.warm eng
+    (List.concat_map
+       (fun w ->
+         List.map (fun (_, p) -> Eval.job ~arch ~disable:paper p w) norm_columns)
+       ws);
+  List.map
+    (fun (w : Workload.t) ->
+      let time p = time ~eng ~arch p w in
+      (* Norm(c) = ExeTime(c) / max(ExeTime(best OpenUH), ExeTime(PGI)) *)
+      let denom = Float.max (time C.Base) (time C.Pgi_like) in
+      {
+        nr_id = w.Workload.id;
+        nr_values = List.map (fun (label, p) -> (label, time p /. denom)) norm_columns;
+      })
+    ws
 
-let norm_figure ?eng ?arch ws =
-  let eng = engine eng in
-  warm_profiles ?arch eng norm_profiles ws;
-  List.map (norm_row ~eng ?arch) ws
-
-let fig11 ?eng ?arch () = norm_figure ?eng ?arch Registry.spec
-let fig12 ?eng ?arch () = norm_figure ?eng ?arch Registry.npb
+let fig11 ~eng ~arch = norm_figure ~eng ~arch Registry.spec
+let fig12 ~eng ~arch = norm_figure ~eng ~arch Registry.npb
 
 (* ------------------------------------------------------------------ *)
 (* Register tables                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let reg_table ?eng ?arch (w : Workload.t) kernels ~dim_na =
-  let eng = engine eng in
-  let profiles = [ C.Base; C.Small_only; C.Clauses_only ] in
-  Eval.warm_compiled eng (List.map (fun p -> Eval.job ?arch p w) profiles);
-  let compiled p = Eval.compiled eng (Eval.job ?arch p w) in
-  let cb = compiled C.Base and cs = compiled C.Small_only and cd = compiled C.Clauses_only in
-  let regs c k = (C.report_of c k).Safara_ptxas.Assemble.regs_used in
+let reg_table ~eng ~arch (w : Workload.t) kernels ~dim_na =
+  let job ?(disable = paper) p = Eval.job ~arch ~disable p w in
+  let base = job C.Base and small = job C.Small_only
+  and dim = job C.Clauses_only
+  and dim_default = job ~disable:default_pipeline C.Clauses_only in
+  Eval.warm_compiled eng [ base; small; dim; dim_default ];
+  let regs j k =
+    (C.report_of (Eval.compiled eng j) k).Safara_ptxas.Assemble.regs_used
+  in
+  let dim_regs j k = if List.mem k dim_na then None else Some (regs j k) in
   List.mapi
     (fun i k ->
-      let base = regs cb k and small = regs cs k in
-      let dim = if List.mem k dim_na then None else Some (regs cd k) in
+      let d = dim_regs dim k in
       {
         rr_kernel = Printf.sprintf "HOT%d" (i + 1);
-        rr_base = base;
-        rr_small = small;
-        rr_dim = dim;
-        rr_saved = base - Option.value dim ~default:small;
+        rr_base = regs base k;
+        rr_small = regs small k;
+        rr_dim = d;
+        rr_saved = regs base k - Option.value d ~default:(regs small k);
+        rr_dim_default = dim_regs dim_default k;
       })
     kernels
 
-let table1 ?eng ?arch () =
-  reg_table ?eng ?arch Spec_seismic.workload Spec_seismic.hot_kernels
+let table1 ~eng ~arch =
+  reg_table ~eng ~arch Spec_seismic.workload Spec_seismic.hot_kernels
     ~dim_na:[]
 
-let table2 ?eng ?arch () =
-  reg_table ?eng ?arch Spec_sp.workload Spec_sp.hot_kernels
+let table2 ~eng ~arch =
+  reg_table ~eng ~arch Spec_sp.workload Spec_sp.hot_kernels
     ~dim_na:Spec_sp.dim_na
 
 (* ------------------------------------------------------------------ *)
@@ -174,38 +187,31 @@ let offset_variants =
     ("+small +dim", true, true);
   ]
 
-let offsets ?eng ?arch () =
-  let eng = engine eng in
+(* descriptor fields have ".len"/".lo" in the name *)
+let is_dope_load = function
+  | Safara_vir.Instr.Ldp { param; _ } ->
+      let has sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length param
+          && (String.sub param i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      has ".len" || has ".lo"
+  | _ -> false
+
+let offsets ~eng ~arch =
   Eval.map eng
-    (fun (_, small, dim) ->
-      ignore
-        (Eval.compile_src eng ?arch C.Clauses_only (fig8_kernel ~small ~dim)))
-    offset_variants
-  |> ignore;
-  List.map
     (fun (label, small, dim) ->
       let c =
-        Eval.compile_src eng ?arch C.Clauses_only (fig8_kernel ~small ~dim)
+        Eval.compile_src eng ~arch ~disable:paper C.Clauses_only
+          (fig8_kernel ~small ~dim)
       in
       let k, report = List.hd c.C.c_kernels in
-      let dope_loads =
-        Safara_vir.Kernel.count_instr k ~f:(function
-          | Safara_vir.Instr.Ldp { param; _ } ->
-              (* descriptor fields have ".len"/".lo" in the name *)
-              let has sub =
-                let n = String.length sub in
-                let rec go i =
-                  i + n <= String.length param
-                  && (String.sub param i n = sub || go (i + 1))
-                in
-                go 0
-              in
-              has ".len" || has ".lo"
-          | _ -> false)
-      in
       {
         od_config = label;
-        od_dope_loads = dope_loads;
+        od_dope_loads = Safara_vir.Kernel.count_instr k ~f:is_dope_load;
         od_offset_instrs = report.Safara_ptxas.Assemble.instructions;
         od_regs = report.Safara_ptxas.Assemble.regs_used;
       })
@@ -220,59 +226,29 @@ type crossarch_row = { ca_id : string; ca_values : (string * float) list }
 let crossarch_benchmarks =
   [ "303.ostencil"; "314.omriq"; "355.seismic"; "370.bt"; "SP"; "LU" ]
 
-let crossarch ?eng ?(archs = Safara_gpu.Arch.registry) () =
-  let eng = engine eng in
+let crossarch ~eng ~archs =
   let ws = List.map Registry.find crossarch_benchmarks in
   Eval.warm eng
     (List.concat_map
        (fun w ->
          List.concat_map
            (fun arch ->
-             [ Eval.job ~arch C.Base w; Eval.job ~arch C.Full w ])
+             [ Eval.job ~arch ~disable:paper C.Base w;
+               Eval.job ~arch ~disable:paper C.Full w ])
            archs)
        ws);
-  let speedup_on arch (w : Workload.t) =
-    let run profile = Eval.total_ms eng (Eval.job ~arch profile w) in
-    run C.Base /. run C.Full
-  in
   List.map
     (fun (w : Workload.t) ->
       {
         ca_id = w.Workload.id;
         ca_values =
           List.map
-            (fun (arch : Safara_gpu.Arch.t) ->
-              (arch.Safara_gpu.Arch.key, speedup_on arch w))
+            (fun (arch : Arch.t) ->
+              ( arch.Arch.key,
+                time ~eng ~arch C.Base w /. time ~eng ~arch C.Full w ))
             archs;
       })
     ws
-
-let render_crossarch rows =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    "Extension: Full-stack speedup across the architecture registry\n";
-  Buffer.add_string b
-    "(each column re-prices the cost model and register limits)\n";
-  Buffer.add_string b
-    "--------------------------------------------------------------\n";
-  (match rows with
-  | [] -> ()
-  | first :: _ ->
-      Buffer.add_string b
-        (Printf.sprintf "%-16s %s\n" "benchmark"
-           (String.concat " "
-              (List.map (fun (k, _) -> Printf.sprintf "%10s" k)
-                 first.ca_values)));
-      List.iter
-        (fun r ->
-          Buffer.add_string b
-            (Printf.sprintf "%-16s %s\n" r.ca_id
-               (String.concat " "
-                  (List.map
-                     (fun (_, v) -> Printf.sprintf "%9.2fx" v)
-                     r.ca_values))))
-        rows);
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Future-work extension: unrolling x SAFARA (paper VII)               *)
@@ -285,70 +261,32 @@ type unroll_row = {
 }
 
 let unroll_benchmarks = [ "303.ostencil"; "355.seismic"; "SP"; "370.bt" ]
+let unroll_factors = [ 1; 2; 4 ]
 
-let unroll_study ?eng ?arch () =
-  let eng = engine eng in
-  let factors = [ 1; 2; 4 ] in
+let unroll_study ~eng ~arch =
   let ws = List.map Registry.find unroll_benchmarks in
+  let job w f = Eval.job ~arch ~unroll:f ~disable:paper C.Full w in
   Eval.warm eng
-    (List.concat_map
-       (fun w -> List.map (fun f -> Eval.job ?arch ~unroll:f C.Full w) factors)
-       ws);
+    (List.concat_map (fun w -> List.map (job w) unroll_factors) ws);
   List.map
     (fun (w : Workload.t) ->
-      let measure factor =
-        let j = Eval.job ?arch ~unroll:factor C.Full w in
-        let c = Eval.compiled eng j in
-        let ms = Eval.total_ms eng j in
+      let measure f =
+        let j = job w f in
         let regs =
           List.fold_left
             (fun acc (_, r) -> max acc r.Safara_ptxas.Assemble.regs_used)
-            0 c.C.c_kernels
+            0 (Eval.compiled eng j).C.c_kernels
         in
-        (ms, regs)
+        (Eval.total_ms eng j, regs)
       in
-      let base_ms, base_regs = measure 1 in
-      let rows =
-        List.map
-          (fun f ->
-            if f = 1 then ((f, 1.0), (f, base_regs))
-            else
-              let ms, regs = measure f in
-              ((f, base_ms /. ms), (f, regs)))
-          factors
-      in
+      let rows = List.map (fun f -> (f, measure f)) unroll_factors in
+      let base_ms = fst (List.assoc 1 rows) in
       {
         ur_id = w.Workload.id;
-        ur_speedups = List.map fst rows;
-        ur_regs = List.map snd rows;
+        ur_speedups = List.map (fun (f, (ms, _)) -> (f, base_ms /. ms)) rows;
+        ur_regs = List.map (fun (f, (_, regs)) -> (f, regs)) rows;
       })
     ws
-
-let render_unroll rows =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    "Extension (paper section VII future work): inner-loop unrolling on top of Full
-";
-  Buffer.add_string b
-    "(speedup vs unroll=1; max kernel registers in parentheses)
-";
-  Buffer.add_string b
-    "------------------------------------------------------------------------
-";
-  Buffer.add_string b (Printf.sprintf "%-16s %14s %14s %14s
-" "benchmark" "u=1" "u=2" "u=4");
-  List.iter
-    (fun r ->
-      Buffer.add_string b (Printf.sprintf "%-16s" r.ur_id);
-      List.iter
-        (fun (f, s) ->
-          let regs = List.assoc f r.ur_regs in
-          Buffer.add_string b (Printf.sprintf "  %6.2fx (%3d)" s regs))
-        r.ur_speedups;
-      Buffer.add_char b '
-')
-    rows;
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -363,135 +301,106 @@ type ablation_row = {
 let ablation_benchmarks =
   [ "355.seismic"; "356.sp"; "314.omriq"; "SP"; "370.bt" ]
 
-let time_with_config ?eng ?arch config (w : Workload.t) =
-  Eval.total_ms (engine eng) (Eval.job ?arch ~safara_config:config C.Full w)
+(* each ablation: name, description, the reference config and the
+   ablated variant, both timed under [Full] *)
+let ablation_specs arch =
+  let module S = Safara_transform.Safara in
+  let module R = Safara_analysis.Reuse in
+  let def = S.default_config ~arch in
+  let tight = { def with S.reg_cap = 48 } in
+  let policy p = { def with S.policy = p } in
+  [
+    ( "cost model: count-only",
+      "rank candidates by reference count alone (the Carr-Kennedy \
+       metric the paper criticizes in III.A.2) instead of C x L",
+      def, { def with S.cost_model = `Count_only } );
+    ( "cost model: count-only under a 48-register budget",
+      "same, but with the per-thread budget capped at 48 registers, \
+       the regime of the paper's III.B.4 running example where \
+       candidate selection actually has to choose",
+      tight, { tight with S.cost_model = `Count_only } );
+    ( "no ptxas feedback",
+      "replace the measured register count with a fixed 16-register \
+       estimate (single-shot, paper III.B.2 ablated)",
+      def, { def with S.use_feedback = false; assumed_free_regs = 16 } );
+    ( "skip coalesced read-only candidates",
+      "drop candidates served coalesced by the read-only cache (the \
+       VI refinement; helps the seismic-like overuse cases)",
+      def, policy { R.default_policy with R.skip_coalesced_read_only = true } );
+    ( "no rotating chains",
+      "disable inter-iteration replacement entirely (intra and \
+       promotion only)",
+      def, policy { R.default_policy with R.allow_inter = false } );
+    ( "no register promotion",
+      "disable loop-invariant promotion (accumulators stay in memory)",
+      def, policy { R.default_policy with R.allow_promote = false } );
+  ]
 
-let ablation_configs arch =
-  let default_config = Safara_transform.Safara.default_config ~arch in
-  let tight_config =
-    { default_config with Safara_transform.Safara.reg_cap = 48 }
-  in
-  let variants =
-    [
-      { default_config with Safara_transform.Safara.cost_model = `Count_only };
-      { tight_config with Safara_transform.Safara.cost_model = `Count_only };
-      { default_config with Safara_transform.Safara.use_feedback = false;
-        assumed_free_regs = 16 };
-      { default_config with
-        Safara_transform.Safara.policy =
-          { Safara_analysis.Reuse.default_policy with
-            Safara_analysis.Reuse.skip_coalesced_read_only = true } };
-      { default_config with
-        Safara_transform.Safara.policy =
-          { Safara_analysis.Reuse.default_policy with
-            Safara_analysis.Reuse.allow_inter = false } };
-      { default_config with
-        Safara_transform.Safara.policy =
-          { Safara_analysis.Reuse.default_policy with
-            Safara_analysis.Reuse.allow_promote = false } };
-    ]
-  in
-  (default_config, tight_config, variants)
-
-let ablations ?eng ?(arch = Safara_gpu.Arch.default) () =
-  let eng = engine eng in
-  let default_config, tight_config, ablation_variant_configs =
-    ablation_configs arch
+let ablations ~eng ~arch =
+  let specs = ablation_specs arch in
+  let job config id =
+    Eval.job ~arch ~safara_config:config ~disable:paper C.Full
+      (Registry.find id)
   in
   Eval.warm eng
     (List.concat_map
-       (fun config ->
-         List.map
-           (fun id ->
-             Eval.job ~arch ~safara_config:config C.Full (Registry.find id))
+       (fun (_, _, reference, variant) ->
+         List.concat_map
+           (fun id -> [ job reference id; job variant id ])
            ablation_benchmarks)
-       (default_config :: tight_config :: ablation_variant_configs));
-  let bench_rows variant_config =
-    List.map
-      (fun id ->
-        let w = Registry.find id in
-        let def = time_with_config ~eng ~arch default_config w in
-        let abl = time_with_config ~eng ~arch variant_config w in
-        (id, abl /. def))
-      ablation_benchmarks
-  in
-  [
-    {
-      ab_name = "cost model: count-only";
-      ab_description =
-        "rank candidates by reference count alone (the Carr-Kennedy \
-         metric the paper criticizes in III.A.2) instead of C x L";
-      ab_speedups =
-        bench_rows { default_config with Safara_transform.Safara.cost_model = `Count_only };
-    };
-    {
-      ab_name = "cost model: count-only under a 48-register budget";
-      ab_description =
-        "same, but with the per-thread budget capped at 48 registers, \
-         the regime of the paper's III.B.4 running example where \
-         candidate selection actually has to choose";
-      ab_speedups =
-        (List.map
-           (fun id ->
-             let w = Registry.find id in
-             let def = time_with_config ~eng ~arch tight_config w in
-             let abl =
-               time_with_config ~eng ~arch
-                 { tight_config with
-                   Safara_transform.Safara.cost_model = `Count_only }
-                 w
-             in
-             (id, abl /. def))
-           ablation_benchmarks);
-    };
-    {
-      ab_name = "no ptxas feedback";
-      ab_description =
-        "replace the measured register count with a fixed 16-register \
-         estimate (single-shot, paper III.B.2 ablated)";
-      ab_speedups =
-        bench_rows
-          { default_config with Safara_transform.Safara.use_feedback = false;
-            assumed_free_regs = 16 };
-    };
-    {
-      ab_name = "skip coalesced read-only candidates";
-      ab_description =
-        "drop candidates served coalesced by the read-only cache (the \
-         VI refinement; helps the seismic-like overuse cases)";
-      ab_speedups =
-        bench_rows
-          { default_config with
-            Safara_transform.Safara.policy =
-              { Safara_analysis.Reuse.default_policy with
-                Safara_analysis.Reuse.skip_coalesced_read_only = true } };
-    };
-    {
-      ab_name = "no rotating chains";
-      ab_description =
-        "disable inter-iteration replacement entirely (intra and \
-         promotion only)";
-      ab_speedups =
-        bench_rows
-          { default_config with
-            Safara_transform.Safara.policy =
-              { Safara_analysis.Reuse.default_policy with
-                Safara_analysis.Reuse.allow_inter = false } };
-    };
-    {
-      ab_name = "no register promotion";
-      ab_description = "disable loop-invariant promotion (accumulators stay in memory)";
-      ab_speedups =
-        bench_rows
-          { default_config with
-            Safara_transform.Safara.policy =
-              { Safara_analysis.Reuse.default_policy with
-                Safara_analysis.Reuse.allow_promote = false } };
-    };
-  ]
+       specs);
+  List.map
+    (fun (name, description, reference, variant) ->
+      {
+        ab_name = name;
+        ab_description = description;
+        ab_speedups =
+          List.map
+            (fun id ->
+              ( id,
+                Eval.total_ms eng (job variant id)
+                /. Eval.total_ms eng (job reference id) ))
+            ablation_benchmarks;
+      })
+    specs
 
 (* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
+(* The evaluation                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type t = {
+  arch : Arch.t;
+  table1 : reg_row list;
+  table2 : reg_row list;
+  offsets : offsets_demo list;
+  fig7 : speedup_row list;
+  fig9 : speedup_row list;
+  fig10 : speedup_row list;
+  fig11 : norm_row list;
+  fig12 : norm_row list;
+  ablations : ablation_row list;
+  crossarch : crossarch_row list;
+  unroll : unroll_row list;
+}
+
+(* sequenced, so the engine sees the jobs in [bench all] order *)
+let evaluate ~eng ~arch =
+  let table1 = table1 ~eng ~arch in
+  let table2 = table2 ~eng ~arch in
+  let offsets = offsets ~eng ~arch in
+  let fig7 = fig7 ~eng ~arch in
+  let fig9 = fig9 ~eng ~arch in
+  let fig10 = fig10 ~eng ~arch in
+  let fig11 = fig11 ~eng ~arch in
+  let fig12 = fig12 ~eng ~arch in
+  let ablations = ablations ~eng ~arch in
+  let crossarch = crossarch ~eng ~archs:Arch.registry in
+  let unroll = unroll_study ~eng ~arch in
+  { arch; table1; table2; offsets; fig7; fig9; fig10; fig11; fig12;
+    ablations; crossarch; unroll }
+
+(* ------------------------------------------------------------------ *)
+(* Text                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let geomean values =
@@ -525,49 +434,49 @@ let buf_table title header rows =
   List.iter (fun r -> Buffer.add_string b (r ^ "\n")) rows;
   Buffer.contents b
 
+(* labeled columns at least [min] wide, wider for a longer label *)
+let columns ~min ~cell labels =
+  let width l = max min (String.length l) in
+  ( String.concat " " (List.map (fun l -> Printf.sprintf "%*s" (width l) l) labels),
+    fun values ->
+      String.concat " " (List.map (fun l -> cell (width l) (List.assoc l values)) labels) )
+
 let render_speedups ~title rows =
   let rows = rows @ [ average rows ] in
   match rows with
   | [] -> title ^ ": (empty)\n"
   | first :: _ ->
-      let labels = List.map fst first.sr_values in
+      let header, cells =
+        columns ~min:18
+          ~cell:(fun w v -> Printf.sprintf "%*.2fx" (w - 1) v)
+          (List.map fst first.sr_values)
+      in
       buf_table title
-        (Printf.sprintf "%-16s %s" "benchmark"
-           (String.concat " " (List.map (Printf.sprintf "%18s") labels)))
-        (List.map
-           (fun r ->
-             Printf.sprintf "%-16s %s" r.sr_id
-               (String.concat " "
-                  (List.map
-                     (fun l -> Printf.sprintf "%17.2fx" (List.assoc l r.sr_values))
-                     labels)))
-           rows)
+        (Printf.sprintf "%-16s %s" "benchmark" header)
+        (List.map (fun r -> Printf.sprintf "%-16s %s" r.sr_id (cells r.sr_values)) rows)
 
 let render_norms ~title rows =
   match rows with
   | [] -> title ^ ": (empty)\n"
   | first :: _ ->
-      let labels = List.map fst first.nr_values in
+      let header, cells =
+        columns ~min:22
+          ~cell:(fun w v -> Printf.sprintf "%*.3f" w v)
+          (List.map fst first.nr_values)
+      in
       buf_table title
-        (Printf.sprintf "%-16s %s" "benchmark"
-           (String.concat " " (List.map (Printf.sprintf "%22s") labels)))
-        (List.map
-           (fun r ->
-             Printf.sprintf "%-16s %s" r.nr_id
-               (String.concat " "
-                  (List.map
-                     (fun l -> Printf.sprintf "%22.3f" (List.assoc l r.nr_values))
-                     labels)))
-           rows)
+        (Printf.sprintf "%-16s %s" "benchmark" header)
+        (List.map (fun r -> Printf.sprintf "%-16s %s" r.nr_id (cells r.nr_values)) rows)
 
 let render_regs ~title rows =
+  let cell = function Some d -> string_of_int d | None -> "NA" in
   buf_table title
-    (Printf.sprintf "%-8s %8s %8s %8s %8s" "Kernel" "Base" "+small" "w dim" "Saved")
+    (Printf.sprintf "%-8s %8s %8s %8s %8s %24s" "Kernel" "Base" "+small" "w dim"
+       "Saved" "w dim (default pipeline)")
     (List.map
        (fun r ->
-         Printf.sprintf "%-8s %8d %8d %8s %8d" r.rr_kernel r.rr_base r.rr_small
-           (match r.rr_dim with Some d -> string_of_int d | None -> "NA")
-           r.rr_saved)
+         Printf.sprintf "%-8s %8d %8d %8s %8d %24s" r.rr_kernel r.rr_base
+           r.rr_small (cell r.rr_dim) r.rr_saved (cell r.rr_dim_default))
        rows)
 
 let render_offsets rows =
@@ -592,79 +501,174 @@ let render_ablations rows =
     rows;
   Buffer.contents b
 
-(* ------------------------------------------------------------------ *)
-(* The evaluation report: every table, in [bench all] order            *)
-(* ------------------------------------------------------------------ *)
+let render_crossarch rows =
+  let b = Buffer.create 512 in
+  Buffer.add_string b
+    "Extension: Full-stack speedup across the architecture registry\n";
+  Buffer.add_string b
+    "(each column re-prices the cost model and register limits)\n";
+  Buffer.add_string b
+    "--------------------------------------------------------------\n";
+  (match rows with
+  | [] -> ()
+  | first :: _ ->
+      Buffer.add_string b
+        (Printf.sprintf "%-16s %s\n" "benchmark"
+           (String.concat " "
+              (List.map (fun (k, _) -> Printf.sprintf "%10s" k)
+                 first.ca_values)));
+      List.iter
+        (fun r ->
+          Buffer.add_string b
+            (Printf.sprintf "%-16s %s\n" r.ca_id
+               (String.concat " "
+                  (List.map
+                     (fun (_, v) -> Printf.sprintf "%9.2fx" v)
+                     r.ca_values))))
+        rows);
+  Buffer.contents b
+
+let render_unroll rows =
+  let b = Buffer.create 512 in
+  Buffer.add_string b
+    "Extension (paper section VII future work): inner-loop unrolling on top of Full\n";
+  Buffer.add_string b
+    "(speedup vs unroll=1; max kernel registers in parentheses)\n";
+  Buffer.add_string b
+    "------------------------------------------------------------------------\n";
+  Buffer.add_string b
+    (Printf.sprintf "%-16s %14s %14s %14s\n" "benchmark" "u=1" "u=2" "u=4");
+  List.iter
+    (fun r ->
+      Buffer.add_string b (Printf.sprintf "%-16s" r.ur_id);
+      List.iter
+        (fun (f, s) ->
+          let regs = List.assoc f r.ur_regs in
+          Buffer.add_string b (Printf.sprintf "  %6.2fx (%3d)" s regs))
+        r.ur_speedups;
+      Buffer.add_char b '\n')
+    rows;
+  Buffer.contents b
 
 (* every experiment title carries the architecture it was measured on
    when it is not the paper's default, so mixed-arch logs stay
    readable *)
-let arch_suffix (arch : Safara_gpu.Arch.t) =
-  if arch.Safara_gpu.Arch.key = Safara_gpu.Arch.default.Safara_gpu.Arch.key
-  then ""
-  else Printf.sprintf " [arch %s]" arch.Safara_gpu.Arch.key
+let titled t title =
+  if t.arch.Arch.key = Arch.default.Arch.key then title
+  else Printf.sprintf "%s [arch %s]" title t.arch.Arch.key
 
 let sections =
-  let t title arch = title ^ arch_suffix arch in
   [
     ( "table1",
-      fun ~eng ~arch ->
+      fun t ->
         render_regs
-          ~title:(t "Table I: 355.seismic register usage via small and dim clauses" arch)
-          (table1 ~eng ~arch ()) );
+          ~title:(titled t "Table I: 355.seismic register usage via small and dim clauses")
+          t.table1 );
     ( "table2",
-      fun ~eng ~arch ->
+      fun t ->
         render_regs
-          ~title:(t "Table II: 356.sp register usage via small and dim clauses" arch)
-          (table2 ~eng ~arch ()) );
-    ("offsets", fun ~eng ~arch -> render_offsets (offsets ~eng ~arch ()));
+          ~title:(titled t "Table II: 356.sp register usage via small and dim clauses")
+          t.table2 );
+    ("offsets", fun t -> render_offsets t.offsets);
     ( "fig7",
-      fun ~eng ~arch ->
+      fun t ->
         render_speedups
-          ~title:(t "Figure 7: SPEC ACCEL speedup with SAFARA alone (vs OpenUH base)" arch)
-          (fig7 ~eng ~arch ()) );
+          ~title:(titled t "Figure 7: SPEC ACCEL speedup with SAFARA alone (vs OpenUH base)")
+          t.fig7 );
     ( "fig9",
-      fun ~eng ~arch ->
+      fun t ->
         render_speedups
           ~title:
-            (t
-               "Figure 9: SPEC ACCEL speedup, cumulative small / small+dim / small+dim+SAFARA"
-               arch)
-          (fig9 ~eng ~arch ()) );
+            (titled t
+               "Figure 9: SPEC ACCEL speedup, cumulative small / small+dim / small+dim+SAFARA")
+          t.fig9 );
     ( "fig10",
-      fun ~eng ~arch ->
+      fun t ->
         render_speedups
           ~title:
-            (t "Figure 10: NAS speedup, cumulative small / small+dim / small+dim+SAFARA"
-               arch)
-          (fig10 ~eng ~arch ()) );
+            (titled t "Figure 10: NAS speedup, cumulative small / small+dim / small+dim+SAFARA")
+          t.fig10 );
     ( "fig11",
-      fun ~eng ~arch ->
+      fun t ->
         render_norms
           ~title:
-            (t
-               "Figure 11: SPEC normalized execution time, OpenUH vs PGI-like (lower is better)"
-               arch)
-          (fig11 ~eng ~arch ()) );
+            (titled t
+               "Figure 11: SPEC normalized execution time, OpenUH vs PGI-like (lower is better)")
+          t.fig11 );
     ( "fig12",
-      fun ~eng ~arch ->
+      fun t ->
         render_norms
           ~title:
-            (t
-               "Figure 12: NAS normalized execution time, OpenUH vs PGI-like (lower is better)"
-               arch)
-          (fig12 ~eng ~arch ()) );
-    ("ablations", fun ~eng ~arch -> render_ablations (ablations ~eng ~arch ()));
-    ("crossarch", fun ~eng ~arch:_ -> render_crossarch (crossarch ~eng ()));
-    ("unroll", fun ~eng ~arch -> render_unroll (unroll_study ~eng ~arch ()));
+            (titled t
+               "Figure 12: NAS normalized execution time, OpenUH vs PGI-like (lower is better)")
+          t.fig12 );
+    ("ablations", fun t -> render_ablations t.ablations);
+    ("crossarch", fun t -> render_crossarch t.crossarch);
+    ("unroll", fun t -> render_unroll t.unroll);
   ]
 
 let section name = List.assoc_opt name sections
 
-let report ~eng ~arch =
+let to_text t =
   Printf.sprintf
     "SAFARA reproduction evaluation — %s, latency table '%s'\n\
      profiles: base / SAFARA / small / small+dim / full(small+dim+SAFARA) / PGI-like\n\
+     pipeline: paper (%s off); \"default pipeline\" columns: all passes\n\
      deterministic: fixed workload seeds, no simulator randomness\n\n"
-    arch.Safara_gpu.Arch.name arch.Safara_gpu.Arch.key
-  ^ String.concat "" (List.map (fun (_, f) -> f ~eng ~arch ^ "\n") sections)
+    t.arch.Arch.name t.arch.Arch.key (String.concat ", " paper)
+  ^ String.concat "" (List.map (fun (_, render) -> render t ^ "\n") sections)
+
+(* ------------------------------------------------------------------ *)
+(* JSON                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let to_json t =
+  let open Sjson in
+  let floats kvs = Obj (List.map (fun (k, v) -> (k, Num v)) kvs) in
+  let opt_int = function Some d -> int d | None -> Null in
+  let rows f l = Arr (List.map (fun r -> Obj (f r)) l) in
+  let regs =
+    rows (fun r ->
+        [ ("kernel", Str r.rr_kernel); ("base", int r.rr_base);
+          ("small", int r.rr_small); ("dim", opt_int r.rr_dim);
+          ("saved", int r.rr_saved);
+          ("dim_default_pipeline", opt_int r.rr_dim_default) ])
+  in
+  let speedups = rows (fun r -> [ ("id", Str r.sr_id); ("values", floats r.sr_values) ]) in
+  let norms = rows (fun r -> [ ("id", Str r.nr_id); ("values", floats r.nr_values) ]) in
+  let pairs f l = Arr (List.map (fun (k, v) -> Arr [ int k; f v ]) l) in
+  Obj
+    [ ("arch", Str t.arch.Arch.name);
+      ("arch_key", Str t.arch.Arch.key);
+      ("pipeline", Obj [ ("name", Str "paper");
+                         ("disabled", Arr (List.map str paper)) ]);
+      ("table1", regs t.table1);
+      ("table2", regs t.table2);
+      ( "offsets",
+        rows
+          (fun r ->
+            [ ("config", Str r.od_config); ("dope_loads", int r.od_dope_loads);
+              ("instructions", int r.od_offset_instrs); ("regs", int r.od_regs) ])
+          t.offsets );
+      ("fig7", speedups t.fig7);
+      ("fig9", speedups t.fig9);
+      ("fig10", speedups t.fig10);
+      ("fig11", norms t.fig11);
+      ("fig12", norms t.fig12);
+      ( "ablations",
+        rows
+          (fun r ->
+            [ ("name", Str r.ab_name); ("description", Str r.ab_description);
+              ("slowdowns", floats r.ab_speedups) ])
+          t.ablations );
+      (* the one inherently multi-arch figure: per-arch speedups keyed
+         by registry name *)
+      ( "crossarch",
+        rows (fun r -> [ ("id", Str r.ca_id); ("speedups", floats r.ca_values) ])
+          t.crossarch );
+      ( "unroll",
+        rows
+          (fun r ->
+            [ ("id", Str r.ur_id); ("speedups", pairs num r.ur_speedups);
+              ("regs", pairs int r.ur_regs) ])
+          t.unroll ) ]

@@ -106,11 +106,6 @@ let prepare (c : Safara_core.Compiler.compiled) t =
   Safara_core.Compiler.make_env c ~scalars:t.scalars ~fill:(fun a ->
       List.assoc a.Safara_ir.Array_info.name fillers)
 
-let time_under ?options profile t =
-  let c = Safara_core.Compiler.compile_src ?options profile t.source in
-  let env = prepare c t in
-  (Safara_core.Compiler.time c env, c)
-
 let run_under ?options profile t =
   let c = Safara_core.Compiler.compile_src ?options profile t.source in
   let env = prepare c t in

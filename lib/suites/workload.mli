@@ -44,14 +44,6 @@ val prepare :
     array's sequence at its first index by jump-ahead, so the cells do
     not depend on which pages are produced or in what order. *)
 
-val time_under :
-  ?options:Safara_core.Pipeline.options ->
-  Safara_core.Compiler.profile -> t ->
-  Safara_sim.Launch.program_time * Safara_core.Compiler.compiled
-(** Compile under the profile and run the timing simulation.
-    [?options] selects pipeline options (e.g. a pass-disable set for
-    historical-configuration comparisons). *)
-
 val run_under :
   ?options:Safara_core.Pipeline.options ->
   Safara_core.Compiler.profile -> t -> (string * float) list

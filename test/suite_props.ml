@@ -495,6 +495,29 @@ let test_small_strength_corpus name ~base ~small () =
     (regs ~options Safara_core.Compiler.Base)
     (regs ~options Safara_core.Compiler.Small_only)
 
+(* the first known counterexample of "small+dim never increase
+   register usage by more than a pair": pinned as it stands, including
+   the pair that remains without strength-red *)
+let test_clauses_strength_corpus () =
+  let regs ?options profile =
+    corpus_regs ?options profile "clauses_strength_13.macc"
+  in
+  let no_strength =
+    {
+      paper_options with
+      Safara_core.Pipeline.o_disable =
+        "strength-red" :: paper_options.Safara_core.Pipeline.o_disable;
+    }
+  in
+  List.iter
+    (fun (what, options, base, clauses) ->
+      Alcotest.(check (list int)) (what ^ ": base") [ base ]
+        (regs ~options Safara_core.Compiler.Base);
+      Alcotest.(check (list int)) (what ^ ": small+dim") [ clauses ]
+        (regs ~options Safara_core.Compiler.Clauses_only))
+    [ ("paper configuration", paper_options, 26, 30);
+      ("without strength-red", no_strength, 26, 28) ]
+
 let suite =
   Alcotest.test_case "small vs base on the indvar corpus kernel" `Quick
     test_small_indvar_corpus
@@ -516,4 +539,8 @@ let suite =
       prop_peephole_semantics;
       prop_occupancy_bounds;
       prop_unroll_equivalence;
+    ]
+  @ [
+      Alcotest.test_case "clauses corpus 13: small+dim vs base" `Quick
+        test_clauses_strength_corpus;
     ]
