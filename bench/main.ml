@@ -800,12 +800,28 @@ let () =
   parse 1;
   let cmd = match !cmds with [] -> "all" | [ c ] -> c | _ -> usage () in
   let arch = Option.value !arch_override ~default:Safara_gpu.Arch.default in
+  (* the command is resolved before an engine exists, so an unknown
+     one costs nothing *)
+  let section =
+    match cmd with
+    | "sim" | "tune" | "loopopt" | "json" | "all" -> None
+    | other -> (
+        match Experiments.section other with
+        | Some _ as render -> render
+        | None ->
+            Printf.eprintf
+              "unknown experiment %S; expected \
+               fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|sim|tune|loopopt|json|all\n"
+              other;
+            exit 2)
+  in
   (* --store memoizes compile+simulate results across bench runs via
      the persistent on-disk artifact store (same format as serve) *)
   let store = Option.map Safara_engine.Store.open_store !store_dir in
   let eng = Eval.create ?jobs:!jobs ?store () in
-  (* determinism guard: parallel evaluation must reproduce the serial
-     results exactly (debug builds only) *)
+  Fun.protect ~finally:(fun () -> Eval.shutdown eng) @@ fun () ->
+  (* determinism guard, on every -j > 1: parallel evaluation must
+     reproduce the serial results exactly *)
   if Eval.jobs eng > 1 then Eval.self_check eng (Registry.find "303.ostencil");
   (match cmd with
   | "sim" ->
@@ -834,15 +850,6 @@ let () =
             (Sjson.to_string (Sjson.Obj (members @ [ ("engine", engine) ])))
       | _ -> assert false)
   | "all" -> print_string (Experiments.to_text (Experiments.evaluate ~eng ~arch))
-  | other -> (
-      match Experiments.section other with
-      | Some render -> print_string (render (Experiments.evaluate ~eng ~arch))
-      | None ->
-          Printf.eprintf
-            "unknown experiment %S; expected \
-             fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|sim|tune|loopopt|json|all\n"
-            other;
-          exit 2));
+  | _ -> print_string (Option.get section (Experiments.evaluate ~eng ~arch)));
   if cmd <> "sim" then
-    prerr_string (Eval.render_stats eng);
-  Eval.shutdown eng
+    prerr_string (Eval.render_stats eng)

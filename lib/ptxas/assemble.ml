@@ -51,8 +51,13 @@ let assemble ?max_regs ~arch (k : Safara_vir.Kernel.t) =
       instructions = Array.length code;
     } )
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "ptxas info: %s: %d registers, %d predicates, %d bytes spill (%d loads, %d stores), %d instructions"
-    r.kernel_name r.regs_used r.pred_regs r.spill_bytes r.spill_loads
-    r.spill_stores r.instructions
+let report_line r =
+  String.concat ""
+    [ "ptxas info: "; r.kernel_name; ": "; string_of_int r.regs_used;
+      " registers, "; string_of_int r.pred_regs; " predicates, ";
+      string_of_int r.spill_bytes; " bytes spill (";
+      string_of_int r.spill_loads; " loads, "; string_of_int r.spill_stores;
+      " stores), ";
+      string_of_int r.instructions; " instructions" ]
+
+let pp_report ppf r = Format.pp_print_string ppf (report_line r)

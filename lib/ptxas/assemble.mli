@@ -22,4 +22,10 @@ val assemble :
     contains the final (possibly spill-augmented) code.
     @raise Failure if spilling fails to converge (pathological input). *)
 
+val report_line : report -> string
+(** The one text of a report: [ptxas info: NAME: R registers, P
+    predicates, B bytes spill (L loads, S stores), I instructions],
+    without a newline. *)
+
 val pp_report : Format.formatter -> report -> unit
+(** Prints {!report_line}. *)

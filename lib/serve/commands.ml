@@ -21,11 +21,11 @@ let with_engine_opt name f =
       Safara_sim.Decode.with_engine (Safara_sim.Decode.engine_of_string n) f
 
 (* Rendering discipline, shared by every command: Printf-style output
-   goes straight into the buffer, Format-style output through one
-   formatter over the same buffer that is flushed after every use —
-   exactly the interleaving the CLI's stdout sees (Format.printf
-   flushes at each "@."), so the bytes match the in-process
-   subcommand's. *)
+   goes straight into the buffer, Format-style output through a
+   formatter that is flushed after every use (a formatter over the
+   buffer, or one Format.asprintf per use) — exactly the interleaving
+   the CLI's stdout sees (Format.printf flushes at each "@."), so the
+   bytes match the in-process subcommand's. *)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)
@@ -36,8 +36,7 @@ let compile eng (r : Protocol.compile_req) : Protocol.outcome =
   let profile = profile_of r.cr_profile in
   if r.cr_annotate_live && r.cr_dumps = [] then
     failwith "--annotate-live needs --dump-ir (it annotates the dumps)";
-  let b = Buffer.create 4096 in
-  let fmt = Format.formatter_of_buffer b in
+  let b = Buffer.create 256 in
   let instrumented = r.cr_time_passes || r.cr_dumps <> [] in
   let c, trace =
     if instrumented then
@@ -86,16 +85,18 @@ let compile eng (r : Protocol.compile_req) : Protocol.outcome =
             | Some cap -> Safara_ptxas.Assemble.assemble ~max_regs:cap ~arch k
           in
           if r.cr_pressure then
-            Format.fprintf fmt "%a@." Safara_vir.Dataflow.Live.pp_annotated k
+            Buffer.add_string b
+              (Format.asprintf "%a@." Safara_vir.Dataflow.Live.pp_annotated k)
           else if not r.cr_quiet then
-            Format.fprintf fmt "%a@." Safara_vir.Kernel.pp k;
-          Format.fprintf fmt "%a@.@." Safara_ptxas.Assemble.pp_report report)
+            Buffer.add_string b (Format.asprintf "%a@." Safara_vir.Kernel.pp k);
+          Buffer.add_string b (Safara_ptxas.Assemble.report_line report);
+          Buffer.add_string b "\n\n")
         c.C.c_kernels;
       (match trace with
       | Some trace when r.cr_time_passes ->
-          Format.fprintf fmt "%a" Safara_core.Pipeline.pp_trace trace
+          Buffer.add_string b
+            (Format.asprintf "%a" Safara_core.Pipeline.pp_trace trace)
       | _ -> ()));
-  Format.pp_print_flush fmt ();
   { Protocol.out = Buffer.contents b; err = ""; code = 0 }
 
 (* ------------------------------------------------------------------ *)

@@ -5,7 +5,11 @@ let max_frame_bytes = 64 * 1024 * 1024
 (* ------------------------------------------------------------------ *)
 
 let write_frame oc payload =
-  Printf.fprintf oc "%08x\n" (String.length payload);
+  let len = String.length payload in
+  output_string oc
+    (String.init 9 (fun i ->
+         if i = 8 then '\n'
+         else "0123456789abcdef".[(len lsr (28 - (4 * i))) land 15]));
   output_string oc payload;
   flush oc
 
@@ -13,17 +17,18 @@ let write_frame oc payload =
 let read_frame ic =
   let header = really_input_string ic 9 in
   if header.[8] <> '\n' then failwith "protocol: bad frame header";
-  let len =
-    String.fold_left
-      (fun acc c ->
-        match c with
-        | '0' .. '9' -> (acc lsl 4) + Char.code c - Char.code '0'
-        | 'a' .. 'f' -> (acc lsl 4) + Char.code c - Char.code 'a' + 10
-        | _ -> failwith "protocol: bad frame length")
-      0 (String.sub header 0 8)
-  in
-  if len > max_frame_bytes then failwith "protocol: oversized frame";
-  really_input_string ic len
+  let len = ref 0 in
+  for i = 0 to 7 do
+    let d =
+      match header.[i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | _ -> failwith "protocol: bad frame length"
+    in
+    len := (!len lsl 4) + d
+  done;
+  if !len > max_frame_bytes then failwith "protocol: oversized frame";
+  really_input_string ic !len
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)

@@ -20,22 +20,30 @@ let default_store () =
 
 (* Run [f] on one of the engine's worker domains and wait for its
    result here, on the connection's systhread.  Condition.wait releases
-   the runtime lock, so worker domains make progress while we block. *)
+   the runtime lock, so worker domains make progress while we block.
+   A serial pool runs the task in place, as a job of the calling
+   domain, so there is nothing to wait for. *)
 let on_pool eng f =
-  let m = Mutex.create () in
-  let c = Condition.create () in
+  let pool = Eval.pool eng in
   let result = ref None in
-  Pool.submit (Eval.pool eng) (fun () ->
-      let r = try Ok (f ()) with e -> Error e in
-      Mutex.lock m;
-      result := Some r;
-      Condition.signal c;
-      Mutex.unlock m);
-  Mutex.lock m;
-  while Option.is_none !result do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
+  let run () = try Ok (f ()) with e -> Error e in
+  if Pool.size pool <= 1 then
+    Pool.submit pool (fun () -> result := Some (run ()))
+  else begin
+    let m = Mutex.create () in
+    let c = Condition.create () in
+    Pool.submit pool (fun () ->
+        let r = run () in
+        Mutex.lock m;
+        result := Some r;
+        Condition.signal c;
+        Mutex.unlock m);
+    Mutex.lock m;
+    while Option.is_none !result do
+      Condition.wait c m
+    done;
+    Mutex.unlock m
+  end;
   match Option.get !result with Ok v -> v | Error e -> raise e
 
 type state = {
