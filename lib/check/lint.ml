@@ -230,7 +230,9 @@ let dead_stores ?(map = Srcmap.empty) (k : Safara_vir.Kernel.t) =
    compiler bug and reported as an error *)
 let static_pressure ?(map = Srcmap.empty) ~(arch : Safara_gpu.Arch.t)
     ((k : Safara_vir.Kernel.t), (report : Safara_ptxas.Assemble.report)) =
-  let units = Safara_vir.Dataflow.Live.max_units k.Safara_vir.Kernel.code in
+  let units =
+    Safara_vir.Facts.max_units (Safara_vir.Facts.make k.Safara_vir.Kernel.code)
+  in
   let span = Srcmap.region_span map k.Safara_vir.Kernel.kname in
   let where = "kernel " ^ k.Safara_vir.Kernel.kname in
   let regs = report.Safara_ptxas.Assemble.regs_used in

@@ -147,9 +147,9 @@ let compile_with ?(arch = Safara_gpu.Arch.default) ?latency ?safara_config
         raise e
     | final, t ->
         List.iter2
-          (fun (key, _) k ->
-            Cache.fill m.m_tail ~key k;
-            Hashtbl.replace kernels key k)
+          (fun (key, _) (k, _, report) ->
+            Cache.fill m.m_tail ~key (k, report);
+            Hashtbl.replace kernels key (k, report))
           missed final.Pass.a_kernels;
         { trace with
           Pipeline.tr_reports = trace.Pipeline.tr_reports @ t.Pipeline.tr_reports;

@@ -1,11 +1,12 @@
 module P = Safara_ir.Program
 module K = Safara_vir.Kernel
+module Facts = Safara_vir.Facts
 
-type vir_state = { v_prog : P.t; v_kernels : K.t list }
+type vir_state = { v_prog : P.t; v_kernels : (K.t * Facts.t) list }
 
 type asm_state = {
   a_prog : P.t;
-  a_kernels : (K.t * Safara_ptxas.Assemble.report) list;
+  a_kernels : (K.t * Facts.t * Safara_ptxas.Assemble.report) list;
 }
 
 type _ stage = Ir : P.t stage | Vir : vir_state stage | Asm : asm_state stage
@@ -68,15 +69,25 @@ let count_stmts prog =
     (fun acc r -> acc + Safara_ir.Region.weight r)
     0 prog.P.regions
 
+(* the kernels a VIR or ASM value carries, each with its facts *)
+let with_facts : type a. a stage -> a -> (K.t * Facts.t) list =
+ fun stage v ->
+  match stage with
+  | Ir -> []
+  | Vir -> v.v_kernels
+  | Asm -> List.map (fun (k, f, _) -> (k, f)) v.a_kernels
+
+(* [regs_of] is a kernel's register estimate; [s_vregs] counts
+   [Kernel.num_regs], read from the facts' bound *)
 let kernel_stats ~regs_of kernels =
   List.fold_left
-    (fun acc k ->
+    (fun acc (k, f) ->
       {
         acc with
         s_units = acc.s_units + 1;
         s_instrs = acc.s_instrs + Array.length k.K.code;
-        s_vregs = acc.s_vregs + K.num_regs k;
-        s_regs = max acc.s_regs (regs_of k);
+        s_vregs = acc.s_vregs + max 1 (Facts.bound f);
+        s_regs = max acc.s_regs (regs_of f);
       })
     zero_stats kernels
 
@@ -92,38 +103,30 @@ let measure : type a. precise:bool -> a stage -> a -> stats =
   | Vir ->
       (* the liveness fixpoint is the "what would allocation need"
          lower bound; only worth its cost under --time-passes *)
-      let regs_of k =
-        if precise then Safara_vir.Dataflow.Live.max_units k.K.code else 0
-      in
+      let regs_of f = if precise then Facts.max_units f else 0 in
       kernel_stats ~regs_of v.v_kernels
   | Asm ->
-      kernel_stats
-        ~regs_of:(fun _ -> 0)
-        (List.map fst v.a_kernels)
-      |> fun s ->
+      kernel_stats ~regs_of:(fun _ -> 0) (with_facts Asm v) |> fun s ->
       {
         s with
         s_regs =
           List.fold_left
-            (fun acc (_, r) -> max acc r.Safara_ptxas.Assemble.regs_used)
+            (fun acc (_, _, r) -> max acc r.Safara_ptxas.Assemble.regs_used)
             0 v.a_kernels;
       }
 
-let kernels : type a. a stage -> a -> K.t list =
+let verify : type a. a stage -> a -> unit =
  fun stage v ->
-  match stage with
-  | Ir -> []
-  | Vir -> v.v_kernels
-  | Asm -> List.map fst v.a_kernels
-
-let verify : type a. checked:K.t list -> a stage -> a -> unit =
- fun ~checked stage v ->
   match stage with
   | Ir -> Safara_ir.Validate.check_exn v
   | Vir | Asm ->
       List.iter
-        (fun k -> if not (List.memq k checked) then Safara_vir.Verify.verify_exn k)
-        (kernels stage v)
+        (fun (k, f) ->
+          if not (Facts.verified f) then begin
+            Safara_vir.Verify.verify_exn ~facts:f k;
+            Facts.set_verified f
+          end)
+        (with_facts stage v)
 
 let dump : type a. a stage -> a -> string =
  fun stage v ->
@@ -131,11 +134,11 @@ let dump : type a. a stage -> a -> string =
   | Ir -> Format.asprintf "%a" P.pp v
   | Vir ->
       String.concat "\n"
-        (List.map (fun k -> Format.asprintf "%a" K.pp k) v.v_kernels)
+        (List.map (fun (k, _) -> Format.asprintf "%a" K.pp k) v.v_kernels)
   | Asm ->
       String.concat "\n"
         (List.map
-           (fun (k, r) ->
+           (fun (k, _, r) ->
              Format.asprintf "%a@.%a@." K.pp k Safara_ptxas.Assemble.pp_report
                r)
            v.a_kernels)
@@ -146,17 +149,15 @@ let dump : type a. a stage -> a -> string =
    annotate, so it falls back to the plain dump *)
 let dump_annotated : type a. a stage -> a -> string =
  fun stage v ->
-  let annotated k =
-    Format.asprintf "%a" Safara_vir.Dataflow.Live.pp_annotated k
-  in
+  let annotated (k, f) = Format.asprintf "%a" (Facts.pp_annotated k) f in
   match stage with
   | Ir -> dump Ir v
   | Vir -> String.concat "\n" (List.map annotated v.v_kernels)
   | Asm ->
       String.concat "\n"
         (List.map
-           (fun (k, r) ->
-             Format.asprintf "%s@.%a@." (annotated k)
+           (fun (k, f, r) ->
+             Format.asprintf "%s@.%a@." (annotated (k, f))
                Safara_ptxas.Assemble.pp_report r)
            v.a_kernels)
 

@@ -20,14 +20,22 @@
     whenever {!assertions_enabled}, i.e. in every dune profile —
     verification between every pass. *)
 
+(** VIR- and ASM-stage values carry each kernel with the
+    {!Safara_vir.Facts} of its code: the step that produced the
+    kernel made them, and every later reader (the verifier, the next
+    pass, {!measure}, the allocator) shares them. *)
+
 type vir_state = {
   v_prog : Safara_ir.Program.t;  (** the program the kernels came from *)
-  v_kernels : Safara_vir.Kernel.t list;  (** one per region, in order *)
+  v_kernels : (Safara_vir.Kernel.t * Safara_vir.Facts.t) list;
+      (** one per region, in order *)
 }
 
 type asm_state = {
   a_prog : Safara_ir.Program.t;
-  a_kernels : (Safara_vir.Kernel.t * Safara_ptxas.Assemble.report) list;
+  a_kernels :
+    (Safara_vir.Kernel.t * Safara_vir.Facts.t * Safara_ptxas.Assemble.report)
+    list;
 }
 
 type _ stage =
@@ -44,11 +52,13 @@ type stats = {
   s_units : int;  (** regions (IR) or kernels (VIR/ASM) *)
   s_stmts : int;  (** static IR statements across all regions *)
   s_instrs : int;  (** virtual-ISA instructions across all kernels *)
-  s_vregs : int;  (** virtual registers across all kernels *)
+  s_vregs : int;
+      (** virtual registers across all kernels: each kernel's
+          register-id bound, read from its facts *)
   s_regs : int;
       (** estimated hardware registers: max over kernels of the
           register-pressure lower bound
-          {!Safara_vir.Dataflow.Live.max_units} (VIR, only when
+          {!Safara_vir.Facts.max_units} (VIR, only when
           measured [~precise:true]) or of the allocator's report
           (ASM) *)
 }
@@ -109,17 +119,15 @@ val is_registered : string -> bool
 
 val measure : precise:bool -> 'a stage -> 'a -> stats
 (** [precise:true] additionally computes the VIR-stage register
-    estimate (a liveness fixpoint per kernel — cheap next to
+    estimate (the liveness of each kernel's facts — cheap next to
     allocation, but skipped on the default compile path). *)
 
-val kernels : 'a stage -> 'a -> Safara_vir.Kernel.t list
-(** The kernels a VIR or ASM value carries; [[]] for IR. *)
-
-val verify : checked:Safara_vir.Kernel.t list -> 'a stage -> 'a -> unit
+val verify : 'a stage -> 'a -> unit
 (** The stage's invariant checker: {!Safara_ir.Validate.check_exn} on
-    IR, {!Safara_vir.Verify.verify_exn} on every kernel at the VIR and
-    ASM stages except those physically in [checked], kernel values
-    already verified.
+    IR, {!Safara_vir.Verify.verify_exn} over its facts on every kernel
+    at the VIR and ASM stages whose facts are not
+    {!Safara_vir.Facts.verified} yet, marking them: a kernel value is
+    verified once however many steps hand it on.
     @raise Invalid_argument on the first ill-formed value. *)
 
 val dump : 'a stage -> 'a -> string
@@ -128,7 +136,7 @@ val dump : 'a stage -> 'a -> string
 val dump_annotated : 'a stage -> 'a -> string
 (** Like {!dump}, but VIR-bearing stages prefix every instruction
     with its live-set size — vregs, then 32-bit register units — from
-    {!Safara_vir.Dataflow.Live.pp_annotated}, and end each kernel with
+    {!Safara_vir.Facts.pp_annotated}, and end each kernel with
     its peak demand ([--dump-ir --annotate-live]). IR values fall back
     to the plain dump. *)
 

@@ -1,6 +1,7 @@
 module P = Safara_ir.Program
 module R = Safara_ir.Region
 module K = Safara_vir.Kernel
+module Facts = Safara_vir.Facts
 module Sjson = Safara_json.Sjson
 
 type safara_mode = Feedback | Exhaustive
@@ -66,14 +67,16 @@ let codegen =
         Pass.v_prog = prog;
         v_kernels =
           List.map
-            (Safara_vir.Codegen.compile_region ~arch:ctx.Pass.arch prog)
+            (fun r ->
+              let k = Safara_vir.Codegen.compile_region ~arch:ctx.Pass.arch prog r in
+              (k, Facts.make k.K.code))
             prog.P.regions;
       })
 
-(* VIR → VIR code transforms share a shape: map a code optimizer over
-   every kernel; all are disableable. An optimizer that rewrites
-   nothing returns its input array, and the kernel record is then
-   handed on as it is, so {!run} does not verify it again. *)
+(* VIR → VIR code transforms share a shape: map an optimizer over
+   every kernel's facts; all are disableable. An optimizer that
+   rewrites nothing returns its input facts, and the kernel record is
+   then handed on as it is, so {!run} does not verify it again. *)
 let vir_pass name f =
   Pass.make ~name ~input:Pass.Vir ~output:Pass.Vir ~identity:Fun.id
     (fun _ s ->
@@ -81,13 +84,17 @@ let vir_pass name f =
         s with
         Pass.v_kernels =
           List.map
-            (fun k ->
-              let code = f k.K.code in
-              if code == k.K.code then k else { k with K.code })
+            (fun ((k, facts) as kf) ->
+              let facts' = f facts in
+              if facts' == facts then kf
+              else ({ k with K.code = Facts.code facts' }, facts'))
             s.Pass.v_kernels;
       })
 
-let peephole = vir_pass "peephole" Safara_vir.Peephole.optimize
+(* the block-local peephole reads no analysis *)
+let peephole =
+  vir_pass "peephole" (fun f ->
+      Facts.update f (Safara_vir.Peephole.optimize (Facts.code f)))
 
 (* the dataflow catalog: global (CFG-wide) optimizations over the
    solver framework, scheduled after the block-local peephole.
@@ -112,7 +119,8 @@ let assemble =
         Pass.a_prog = s.Pass.v_prog;
         a_kernels =
           List.map
-            (Safara_ptxas.Assemble.assemble ~arch:ctx.Pass.arch)
+            (fun (k, facts) ->
+              Safara_ptxas.Assemble.assemble ~facts ~arch:ctx.Pass.arch k)
             s.Pass.v_kernels;
       })
 
@@ -168,6 +176,7 @@ type report = {
   pr_pass : string;
   pr_stage : string;
   pr_s : float;
+  pr_verify_s : float;
   pr_disabled : bool;
   pr_before : Pass.stats;
   pr_after : Pass.stats;
@@ -201,12 +210,8 @@ let run ?(options = default_options) ~name ctx pipe input =
   in
   let precise = options.o_precise_stats in
   let reports = ref [] and dumps = ref [] in
-  (* [checked]: the kernels of [v] already verified in this run; a
-     step's output is verified except for the kernel values it handed
-     on unchanged, so each kernel value is verified once *)
-  let rec go :
-      type x y. (x, y) seq -> x -> Pass.stats option -> K.t list -> y =
-   fun s v before checked ->
+  let rec go : type x y. (x, y) seq -> x -> Pass.stats option -> y =
+   fun s v before ->
     match s with
     | Done -> v
     | Step (p, rest) ->
@@ -228,17 +233,16 @@ let run ?(options = default_options) ~name ctx pipe input =
                      p.Pass.name)
           else p.Pass.run ctx v
         in
-        let dt = Safara_engine.Clock.now () -. t0 in
-        let checked =
-          if disabled then
-            List.filter
-              (fun k -> List.memq k checked)
-              (Pass.kernels p.Pass.output v')
-          else if options.o_verify then begin
-            Pass.verify ~checked p.Pass.output v';
-            Pass.kernels p.Pass.output v'
+        let t1 = Safara_engine.Clock.now () in
+        let dt = t1 -. t0 in
+        (* a step's output is verified except for the kernel values it
+           handed on unchanged, whose facts are verified already *)
+        let verify_s =
+          if disabled || not options.o_verify then 0.
+          else begin
+            Pass.verify p.Pass.output v';
+            Safara_engine.Clock.now () -. t1
           end
-          else []
         in
         (* a disabled step hands its input on unchanged: its input's
            stats are its output's *)
@@ -252,6 +256,7 @@ let run ?(options = default_options) ~name ctx pipe input =
             (* clamp below the clock's resolution floor so a pass that
                ran is never reported as exactly zero *)
             pr_s = (if dt > 0. then dt else 1e-9);
+            pr_verify_s = verify_s;
             pr_disabled = disabled;
             pr_before = before;
             pr_after = after;
@@ -263,9 +268,9 @@ let run ?(options = default_options) ~name ctx pipe input =
           in
           dumps := (p.Pass.name, render p.Pass.output v') :: !dumps
         end;
-        go rest v' (Some after) checked
+        go rest v' (Some after)
   in
-  let result = go pipe input None [] in
+  let result = go pipe input None in
   ( result,
     {
       tr_pipeline = name;
@@ -288,7 +293,8 @@ let feedback ctx prog r =
     run ~options:feedback_options ~name:"feedback" ctx tail
       { prog with P.regions = [ r ] }
   in
-  List.hd final.Pass.a_kernels
+  let k, _, report = List.hd final.Pass.a_kernels in
+  (k, report)
 
 let safara ?override mode =
   Pass.make ~name:"safara" ~input:Pass.Ir ~output:Pass.Ir ~identity:Fun.id
@@ -338,21 +344,21 @@ let signature ?safara_config ?(disable = []) d =
 (* ------------------------------------------------------------------ *)
 
 let pp_trace ppf t =
-  let total =
-    List.fold_left (fun acc r -> acc +. r.pr_s) 0. t.tr_reports
-  in
+  let total f = List.fold_left (fun acc r -> acc +. f r) 0. t.tr_reports in
   Format.fprintf ppf "pass timings (pipeline %s)@." t.tr_pipeline;
-  Format.fprintf ppf "  %-18s %-5s %12s %8s %8s %8s %8s %6s@." "pass" "stage"
-    "seconds" "units" "stmts" "instrs" "vregs" "regs";
+  Format.fprintf ppf "  %-18s %-5s %12s %12s %8s %8s %8s %8s %6s@." "pass"
+    "stage" "seconds" "verify" "units" "stmts" "instrs" "vregs" "regs";
   List.iter
     (fun r ->
       let s = r.pr_after in
-      Format.fprintf ppf "  %-18s %-5s %12.6f %8d %8d %8d %8d %6d%s@."
-        r.pr_pass r.pr_stage r.pr_s s.Pass.s_units s.Pass.s_stmts
-        s.Pass.s_instrs s.Pass.s_vregs s.Pass.s_regs
+      Format.fprintf ppf "  %-18s %-5s %12.6f %12.6f %8d %8d %8d %8d %6d%s@."
+        r.pr_pass r.pr_stage r.pr_s r.pr_verify_s s.Pass.s_units
+        s.Pass.s_stmts s.Pass.s_instrs s.Pass.s_vregs s.Pass.s_regs
         (if r.pr_disabled then "  (disabled)" else ""))
     t.tr_reports;
-  Format.fprintf ppf "  %-18s %-5s %12.6f@." "total" "" total
+  Format.fprintf ppf "  %-18s %-5s %12.6f %12.6f@." "total" ""
+    (total (fun r -> r.pr_s))
+    (total (fun r -> r.pr_verify_s))
 
 let trace_to_json t =
   let open Sjson in
@@ -378,6 +384,7 @@ let trace_to_json t =
                    ("name", Str r.pr_pass);
                    ("stage", Str r.pr_stage);
                    ("seconds", Num r.pr_s);
+                   ("verify_seconds", Num r.pr_verify_s);
                    ("disabled", Bool r.pr_disabled);
                    ("before", stats r.pr_before);
                    ("after", stats r.pr_after);

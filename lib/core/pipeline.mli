@@ -118,6 +118,10 @@ type report = {
   pr_s : float;
       (** wall-clock seconds; clamped to the clock's resolution floor
           so a recorded pass never reports exactly zero *)
+  pr_verify_s : float;
+      (** wall-clock seconds of the stage checker on this step's
+          output, outside [pr_s]; 0 when the step was disabled or
+          verification is off *)
   pr_disabled : bool;
   pr_before : Pass.stats;
   pr_after : Pass.stats;
@@ -152,8 +156,10 @@ val feedback :
     Info". *)
 
 val pp_trace : Format.formatter -> trace -> unit
-(** The [--time-passes] table. *)
+(** The [--time-passes] table: per pass its seconds and its
+    verification seconds, then its output's stats. *)
 
 val trace_to_json : trace -> Safara_json.Sjson.t
 (** The [--time-passes --json] object: pipeline name plus one record
-    per pass (name, stage, seconds, disabled, before/after stats). *)
+    per pass (name, stage, seconds, verify_seconds, disabled,
+    before/after stats). *)

@@ -1,4 +1,5 @@
 module I = Safara_vir.Instr
+module Facts = Safara_vir.Facts
 
 type report = {
   kernel_name : string;
@@ -19,21 +20,26 @@ let count_spill_ops code =
       | _ -> (ld, st))
     (0, 0) code
 
-let assemble ?max_regs ~arch (k : Safara_vir.Kernel.t) =
+let assemble ?max_regs ?facts ~arch (k : Safara_vir.Kernel.t) =
   let cap =
     Option.value max_regs ~default:arch.Safara_gpu.Arch.max_registers_per_thread
   in
-  let rec go code spill_bytes round =
+  let rec go facts spill_bytes round =
     if round > 16 then failwith "ptxas: spilling did not converge";
-    let cfg = Safara_vir.Cfg.build code in
-    let res = Linear_scan.allocate ~max_regs:cap cfg in
+    let res = Linear_scan.allocate ~max_regs:cap facts in
     match res.Linear_scan.spilled with
-    | [] -> (code, res, spill_bytes)
+    | [] -> (facts, res, spill_bytes)
     | spilled ->
-        let code', bytes = Spill.rewrite ~slot_base:spill_bytes spilled code in
-        go code' (spill_bytes + bytes) (round + 1)
+        let code', bytes = Spill.rewrite ~slot_base:spill_bytes spilled facts in
+        go (Facts.make code') (spill_bytes + bytes) (round + 1)
   in
-  let code, res, spill_bytes = go k.Safara_vir.Kernel.code 0 0 in
+  let facts =
+    match facts with
+    | Some f -> f
+    | None -> Facts.make k.Safara_vir.Kernel.code
+  in
+  let facts, res, spill_bytes = go facts 0 0 in
+  let code = Facts.code facts in
   let spill_loads, spill_stores = count_spill_ops code in
   (* without spills the kernel is handed on as it is *)
   let k' =
@@ -41,6 +47,7 @@ let assemble ?max_regs ~arch (k : Safara_vir.Kernel.t) =
     else { k with Safara_vir.Kernel.code }
   in
   ( k',
+    facts,
     {
       kernel_name = k.Safara_vir.Kernel.kname;
       regs_used = res.Linear_scan.regs_used;

@@ -14,12 +14,19 @@ type report = {
 }
 
 val assemble :
-  ?max_regs:int -> arch:Safara_gpu.Arch.t -> Safara_vir.Kernel.t ->
-  Safara_vir.Kernel.t * report
+  ?max_regs:int ->
+  ?facts:Safara_vir.Facts.t ->
+  arch:Safara_gpu.Arch.t ->
+  Safara_vir.Kernel.t ->
+  Safara_vir.Kernel.t * Safara_vir.Facts.t * report
 (** Allocate registers (default cap:
     [arch.max_registers_per_thread]); if demand exceeds the cap,
-    insert spill code and re-allocate to fixpoint. The returned kernel
-    contains the final (possibly spill-augmented) code.
+    insert spill code and re-allocate to fixpoint. [facts] are the
+    facts of the kernel's code (default: fresh ones); each round's
+    allocation reads the liveness of its code's facts. The returned
+    kernel contains the final (possibly spill-augmented) code, and
+    the returned facts are that code's: the input kernel and facts
+    themselves when nothing spilled.
     @raise Failure if spilling fails to converge (pathological input). *)
 
 val report_line : report -> string

@@ -9,8 +9,9 @@ type interval = { reg : V.t; i_start : int; i_end : int }
    anything live-in is live at its block's first instruction, anything
    live-out at its last, and every use or def touches its index. The
    first and last touch are kept in arrays indexed by rid. *)
-let intervals (cfg : Cfg.t) =
-  let live = Safara_vir.Dataflow.Live.analyze cfg in
+let intervals facts =
+  let cfg = Safara_vir.Facts.cfg facts in
+  let live = Safara_vir.Facts.live facts in
   let regs = live.Safara_vir.Dataflow.Live.regs in
   let starts = Array.make (Array.length regs) max_int in
   let ends = Array.make (Array.length regs) min_int in
@@ -57,8 +58,8 @@ module Active = Set.Make (struct
     | c -> c
 end)
 
-let allocate ~max_regs (cfg : Cfg.t) =
-  let ivs = intervals cfg in
+let allocate ~max_regs facts =
+  let ivs = intervals facts in
   let free = Array.make (max max_regs 2) true in
   let placed = ref [] and placements = ref 0 in
   let spilled = ref [] in
@@ -133,8 +134,8 @@ let allocate ~max_regs (cfg : Cfg.t) =
     pred_used = !pred_used;
   }
 
-let verify (cfg : Cfg.t) res =
-  let ivs = intervals cfg in
+let verify facts res =
+  let ivs = intervals facts in
   let find r = List.find_opt (fun iv -> V.equal iv.reg r) ivs in
   let assigned = res.assignment in
   let overlap (a : interval) (b : interval) =

@@ -12,10 +12,11 @@
     ordered by end point, so an allocation costs O(n log n) in the
     number of intervals.
 
-    Intervals come from the optimizer's CFG ({!Safara_vir.Cfg}) and
-    liveness solver ({!Safara_vir.Dataflow.Live}): the register count
-    SAFARA feeds back is computed on the same analyses the passes and
-    the SAF036 pressure lint use. *)
+    Intervals come from the code's {!Safara_vir.Facts}: its CFG and
+    liveness, the ones the VIR passes and the SAF036 pressure lint
+    read, so the register count SAFARA feeds back is computed on the
+    same analyses — and, in the pipeline, on the very values the last
+    pass computed when it left the code unchanged. *)
 
 type interval = {
   reg : Safara_vir.Vreg.t;
@@ -23,14 +24,14 @@ type interval = {
   i_end : int;  (** inclusive *)
 }
 
-val intervals : Safara_vir.Cfg.t -> interval list
+val intervals : Safara_vir.Facts.t -> interval list
 (** One interval per register, covering every instruction index at
     which it is live (or defined), so values that cross a loop back
     edge are live for the whole loop body — the long-lived dope-vector
     and base-pointer values the paper's clauses target end up with
     kernel-length intervals. Dead definitions get a point interval.
     Sorted by increasing [i_start], then register id. The peak
-    interval overlap is at least {!Safara_vir.Dataflow.Live.max_units}
+    interval overlap is at least {!Safara_vir.Facts.max_units}
     (intervals over-approximate the live sets) and at most an
     uncapped allocation's [regs_used]. *)
 
@@ -42,9 +43,9 @@ type result = {
   pred_used : int;
 }
 
-val allocate : max_regs:int -> Safara_vir.Cfg.t -> result
-(** Allocate over the CFG's {!intervals}. *)
+val allocate : max_regs:int -> Safara_vir.Facts.t -> result
+(** Allocate over the code's {!intervals}. *)
 
-val verify : Safara_vir.Cfg.t -> result -> (unit, string) Result.t
+val verify : Safara_vir.Facts.t -> result -> (unit, string) Result.t
 (** Check that no two simultaneously-live registers share a 32-bit
     unit and that 64-bit values are even-aligned — used by tests. *)

@@ -8,17 +8,9 @@ let local_mem bytes =
     m_bytes = bytes;
   }
 
-let rewrite ~slot_base spilled code =
-  let next_rid =
-    ref
-      (Array.fold_left
-         (fun acc i ->
-           List.fold_left
-             (fun acc (r : V.t) -> max acc (r.V.rid + 1))
-             acc
-             (I.defs i @ I.uses i))
-         0 code)
-  in
+let rewrite ~slot_base spilled facts =
+  let code = Safara_vir.Facts.code facts in
+  let next_rid = ref (Safara_vir.Facts.bound facts) in
   let fresh rty =
     let r = { V.rid = !next_rid; rty } in
     incr next_rid;

@@ -10,8 +10,9 @@
 val rewrite :
   slot_base:int ->
   Safara_vir.Vreg.t list ->
-  Safara_vir.Instr.t array ->
+  Safara_vir.Facts.t ->
   Safara_vir.Instr.t array * int
-(** [rewrite ~slot_base spilled code] returns the rewritten stream and
-    the number of local-memory bytes used by the new slots. Slots are
-    numbered from [slot_base] bytes. *)
+(** [rewrite ~slot_base spilled facts] returns the rewritten code of
+    [facts] and the number of local-memory bytes used by the new
+    slots. Slots are numbered from [slot_base] bytes; fresh
+    temporaries from the code's register-id bound on. *)

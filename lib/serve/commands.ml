@@ -79,14 +79,14 @@ let compile eng (r : Protocol.compile_req) : Protocol.outcome =
       | None -> ());
       List.iter
         (fun (k, report) ->
-          let k, report =
+          let k, facts, report =
             match r.cr_maxrreg with
-            | None -> (k, report)
+            | None -> (k, Safara_vir.Facts.make k.Safara_vir.Kernel.code, report)
             | Some cap -> Safara_ptxas.Assemble.assemble ~max_regs:cap ~arch k
           in
           if r.cr_pressure then
             Buffer.add_string b
-              (Format.asprintf "%a@." Safara_vir.Dataflow.Live.pp_annotated k)
+              (Format.asprintf "%a@." (Safara_vir.Facts.pp_annotated k) facts)
           else if not r.cr_quiet then
             Buffer.add_string b (Format.asprintf "%a@." Safara_vir.Kernel.pp k);
           Buffer.add_string b (Safara_ptxas.Assemble.report_line report);

@@ -56,7 +56,21 @@ val store : t -> Safara_engine.Store.t option
 val store_schema : string
 (** The schema token folded into every on-disk key: a hand-bumped
     generation for the marshalled value shapes, the OCaml version
-    (Marshal is not release-stable) and the store format version. *)
+    (Marshal is not release-stable) and the store format version. A
+    compile's entry is keyed [store_schema ^ "/compile/" ^ key], with
+    [key] its {!compile_key}. *)
+
+val compile_key :
+  src:string ->
+  profile:Safara_core.Compiler.profile ->
+  arch:Safara_gpu.Arch.t ->
+  config:Safara_transform.Safara.config option ->
+  unroll:int option ->
+  disable:string list ->
+  string
+(** The compile cache's key: a digest of the source, the profile, the
+    arch, the SAFARA config, the unroll factor, the disabled passes
+    and the resolved pipeline's signature. *)
 
 val shutdown : t -> unit
 

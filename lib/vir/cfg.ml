@@ -52,7 +52,13 @@ let compute_rpo blocks =
     Array.of_list (List.rev !order)
   end
 
+(* constructions per domain, so parallel compiles count their own
+   work without contending for a shared counter *)
+let built = Domain.DLS.new_key (fun () -> ref 0)
+let builds () = !(Domain.DLS.get built)
+
 let build (code : I.t array) =
+  incr (Domain.DLS.get built);
   let n = Array.length code in
   if n = 0 then
     { code; blocks = [||]; rpo = [||]; label_block = Hashtbl.create 1 }
@@ -71,14 +77,14 @@ let build (code : I.t array) =
     let starts = Array.of_list !starts in
     let nb = Array.length starts in
     let last_of k = if k + 1 < nb then starts.(k + 1) - 1 else n - 1 in
+    (* a label is a leader, so only a block's first instruction can be
+       one *)
     let label_block = Hashtbl.create 16 in
     for k = 0 to nb - 1 do
-      for i = starts.(k) to last_of k do
-        match code.(i) with
-        | I.Label l ->
-            if not (Hashtbl.mem label_block l) then Hashtbl.add label_block l k
-        | _ -> ()
-      done
+      match code.(starts.(k)) with
+      | I.Label l ->
+          if not (Hashtbl.mem label_block l) then Hashtbl.add label_block l k
+      | _ -> ()
     done;
     let succs = Array.make nb [] and preds = Array.make nb [] in
     for k = 0 to nb - 1 do

@@ -28,6 +28,11 @@ type t = {
 }
 
 val build : Instr.t array -> t
+
+val builds : unit -> int
+(** {!build} calls in the calling domain since it started
+    ({!Facts.counts} reports it). *)
+
 val num_blocks : t -> int
 
 val reachable : t -> bool array

@@ -33,10 +33,11 @@ let rewrite m ins =
   in
   I.map_uses (subst_reg m) subst_op ins
 
-let optimize code =
-  if Array.length code = 0 then code
+let optimize f =
+  let code = Facts.code f in
+  if Array.length code = 0 then f
   else begin
-    let cfg = Cfg.build code in
+    let cfg = Facts.cfg f in
     let at_start, _ = C.analyze cfg in
     let out = ref [] and changed = ref false in
     for b = 0 to Cfg.num_blocks cfg - 1 do
@@ -54,5 +55,5 @@ let optimize code =
           | I.Mov { dst; src = I.Reg s } when V.equal dst s -> changed := true
           | _ -> out := ins' :: !out)
     done;
-    if !changed then Array.of_list (List.rev !out) else code
+    if !changed then Facts.make (Array.of_list (List.rev !out)) else f
   end

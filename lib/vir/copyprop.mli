@@ -8,7 +8,7 @@
     substitution are deleted; other newly-dead definitions are left
     for {!Dce}. *)
 
-val optimize : Instr.t array -> Instr.t array
+val optimize : Facts.t -> Facts.t
 (** Returns its argument itself when it rewrites nothing (the
-    pipeline then skips verifying the unchanged kernel); never updates
-    it in place. *)
+    pipeline then skips verifying the unchanged kernel), else the
+    facts of the new code; never updates the code in place. *)

@@ -137,6 +137,41 @@ end
 module BSolve = Solver (Bits)
 
 (* ------------------------------------------------------------------ *)
+(* Per-block use/def sets                                              *)
+(* ------------------------------------------------------------------ *)
+
+type block_sets = { gen : Bits.t array; kill : Bits.t array; regs : V.t array }
+
+(* per-block upward-exposed uses (gen) and defs (kill), so each solver
+   iteration is O(words), not O(block length); liveness and the
+   def-before-use screen both read them *)
+let block_sets ~nregs (cfg : Cfg.t) =
+  let code = cfg.Cfg.code in
+  let regs = Array.make nregs { V.rid = -1; rty = Safara_ir.Types.Bool } in
+  let nb = Cfg.num_blocks cfg in
+  let gen = Array.init nb (fun _ -> Bits.create nregs) in
+  let kill = Array.init nb (fun _ -> Bits.create nregs) in
+  (* the block being walked: one pair of visitors for the whole code *)
+  let g = ref [||] and d = ref [||] in
+  let use (u : V.t) =
+    regs.(u.V.rid) <- u;
+    if not (Bits.mem !d u.V.rid) then Bits.add !g u.V.rid
+  in
+  let def (x : V.t) =
+    regs.(x.V.rid) <- x;
+    Bits.add !d x.V.rid
+  in
+  for b = 0 to nb - 1 do
+    g := gen.(b);
+    d := kill.(b);
+    for i = cfg.Cfg.blocks.(b).Cfg.first to cfg.Cfg.blocks.(b).Cfg.last do
+      I.iter_uses use code.(i);
+      I.iter_defs def code.(i)
+    done
+  done;
+  { gen; kill; regs }
+
+(* ------------------------------------------------------------------ *)
 (* Liveness (backward, may)                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -148,37 +183,16 @@ module Live = struct
     I.iter_defs (fun (d : V.t) -> Bits.remove live d.V.rid) ins;
     I.iter_uses (fun (u : V.t) -> Bits.add live u.V.rid) ins
 
-  let analyze (cfg : Cfg.t) =
-    (* per-block gen (upward-exposed uses) / kill (defs), precomputed
-       so each solver iteration is O(words), not O(block length) *)
-    let nregs = I.rid_bound cfg.Cfg.code in
-    let regs = Array.make nregs { V.rid = -1; rty = Safara_ir.Types.Bool } in
-    let nb = Cfg.num_blocks cfg in
-    let gen = Array.init nb (fun _ -> Bits.create nregs) in
-    let kill = Array.init nb (fun _ -> Bits.create nregs) in
-    for b = 0 to nb - 1 do
-      let g = gen.(b) and d = kill.(b) in
-      Cfg.iter_instrs cfg b (fun _ ins ->
-          I.iter_uses
-            (fun (u : V.t) ->
-              regs.(u.V.rid) <- u;
-              if not (Bits.mem d u.V.rid) then Bits.add g u.V.rid)
-            ins;
-          I.iter_defs
-            (fun (x : V.t) ->
-              regs.(x.V.rid) <- x;
-              Bits.add d x.V.rid)
-            ins)
-    done;
-    let empty = Bits.create nregs in
+  let analyze (cfg : Cfg.t) (s : block_sets) =
+    let empty = Bits.create (Array.length s.regs) in
     let r =
       BSolve.solve ~dir:Backward ~init:empty ~boundary:empty
         ~transfer:(fun b out ->
-          let g = gen.(b) and d = kill.(b) in
+          let g = s.gen.(b) and d = s.kill.(b) in
           Array.mapi (fun w x -> g.(w) lor (x land lnot d.(w))) out)
         cfg
     in
-    { live_in = r.BSolve.at_start; live_out = r.BSolve.at_end; regs }
+    { live_in = r.BSolve.at_start; live_out = r.BSolve.at_end; regs = s.regs }
 
   let units info set =
     let u = ref 0 in
@@ -190,9 +204,8 @@ module Live = struct
      simultaneous demand — at each instruction the values live after
      it coexist with the values it defines (a dead def still occupies
      its register at that point) *)
-  let profile code =
-    let cfg = Cfg.build code in
-    let info = analyze cfg in
+  let profile (cfg : Cfg.t) info =
+    let code = cfg.Cfg.code in
     let count = Array.make (Array.length code) 0 in
     let width = Array.make (Array.length code) 0 in
     let peak = ref 0 in
@@ -211,24 +224,6 @@ module Live = struct
       done
     done;
     (count, width, !peak)
-
-  let max_units code =
-    let _, _, peak = profile code in
-    peak
-
-  (* --dump-ir --annotate-live: the listing with the precise live-set
-     size (count of live vregs, and their width in 32-bit units) after
-     each instruction *)
-  let pp_annotated ppf (k : Kernel.t) =
-    let count, width, peak = profile k.Kernel.code in
-    Format.fprintf ppf
-      "@[<v>// %s: live vregs / 32-bit units after each instruction@,"
-      k.Kernel.kname;
-    Array.iteri
-      (fun i ins ->
-        Format.fprintf ppf "%4d %4d | %s@," count.(i) width.(i) (I.to_string ins))
-      k.Kernel.code;
-    Format.fprintf ppf "// peak demand: %d units@]" peak
 end
 
 (* ------------------------------------------------------------------ *)
@@ -299,39 +294,25 @@ module Reach = struct
      exactly when the site analysis would report a fault; only then is
      the site-tracking [analyze] run, to name the partial definition
      sites. *)
-  let may_see_uninit ~nregs (cfg : Cfg.t) =
-    nregs > 0
-    &&
+  let may_see_uninit (cfg : Cfg.t) (s : block_sets) =
     let nb = Cfg.num_blocks cfg in
-    (* per-block upward-exposed uses and defs, as in [Live.analyze]: a
-       use sees an uninitialized register exactly when it is exposed
+    (* a use sees an uninitialized register exactly when it is exposed
        in a block whose entry state holds that register *)
-    let gen = Array.init nb (fun _ -> Bits.create nregs) in
-    let kill = Array.init nb (fun _ -> Bits.create nregs) in
-    let g = ref [||] and d = ref [||] in
-    let use (u : V.t) = if not (Bits.mem !d u.V.rid) then Bits.add !g u.V.rid in
-    let def (x : V.t) = Bits.add !d x.V.rid in
-    for b = 0 to nb - 1 do
-      g := gen.(b);
-      d := kill.(b);
-      Cfg.iter_instrs cfg b (fun _ ins ->
-          I.iter_uses use ins;
-          I.iter_defs def ins)
-    done;
+    nb > 0
+    && Array.length s.kill.(0) > 0
+    &&
     let transfer b st =
       if Array.length st = 0 then st
-      else Array.mapi (fun w x -> x land lnot kill.(b).(w)) st
+      else Array.mapi (fun w x -> x land lnot s.kill.(b).(w)) st
     in
     let r =
       BSolve.solve ~dir:Forward ~init:[||]
-        ~boundary:(Array.make (Array.length kill.(0)) (-1))
+        ~boundary:(Array.make (Array.length s.kill.(0)) (-1))
         ~transfer cfg
     in
     let exposed b =
-      let at = r.BSolve.at_start.(b) in
-      let rec any w =
-        w < Array.length at && (at.(w) land gen.(b).(w) <> 0 || any (w + 1))
-      in
+      let at = r.BSolve.at_start.(b) and g = s.gen.(b) in
+      let rec any w = w < Array.length at && (at.(w) land g.(w) <> 0 || any (w + 1)) in
       any 0
     in
     let rec hit b = b < nb && (exposed b || hit (b + 1)) in
@@ -361,8 +342,8 @@ module Reach = struct
     done;
     List.rev !faults
 
-  let possibly_uninitialized ~nregs cfg =
-    if may_see_uninit ~nregs cfg then explain cfg else []
+  let possibly_uninitialized cfg s =
+    if may_see_uninit cfg s then explain cfg else []
 end
 
 (* ------------------------------------------------------------------ *)
@@ -647,7 +628,7 @@ end
 module Rewriter (X : sig
   type t
 
-  val create : I.t array -> t
+  val create : nregs:int -> I.t array -> t
   val copy : t -> t
   val equal : t -> t -> bool
   val join : t -> t -> t
@@ -674,11 +655,11 @@ struct
      changes, so the last visit sees the fixpoint input and its
      decisions stand: no second walk. A block the entry never reaches
      is decided on the entry state. *)
-  let optimize code =
+  let optimize ~nregs (cfg : Cfg.t) =
+    let code = cfg.Cfg.code in
     if Array.length code = 0 then code
     else begin
-      let cfg = Cfg.build code in
-      let entry = X.create code in
+      let entry = X.create ~nregs code in
       let decided = Array.make (Array.length code) None in
       let decide b st =
         Cfg.iter_instrs cfg b (fun i ins -> decided.(i) <- X.step st ins)

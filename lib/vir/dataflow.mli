@@ -60,16 +60,27 @@ module Bits : sig
   (** the members in ascending id *)
 end
 
+(** Per-block use/def sets of one code array: the summary liveness
+    and the def-before-use screen share, read through {!Facts}. *)
+type block_sets = {
+  gen : Bits.t array;  (** per block: the upward-exposed uses *)
+  kill : Bits.t array;  (** per block: the registers it defines *)
+  regs : Vreg.t array;
+      (** register id → the register, for every id in the code *)
+}
+
+val block_sets : nregs:int -> Cfg.t -> block_sets
+(** One walk over the code; [nregs] is its {!Instr.rid_bound}. *)
+
 (** Liveness: backward may-analysis over register bitsets. *)
 module Live : sig
   type info = {
     live_in : Bits.t array;
     live_out : Bits.t array;  (** per-block fixpoint *)
-    regs : Vreg.t array;
-        (** register id → the register, for every id in the code *)
+    regs : Vreg.t array;  (** the {!block_sets}' [regs] *)
   }
 
-  val analyze : Cfg.t -> info
+  val analyze : Cfg.t -> block_sets -> info
 
   val step : Bits.t -> Instr.t -> unit
   (** one instruction backward, in place: (live − defs) ∪ uses *)
@@ -77,16 +88,11 @@ module Live : sig
   val units : info -> Bits.t -> int
   (** total width in 32-bit units (predicates count 0) *)
 
-  val max_units : Instr.t array -> int
-  (** peak simultaneous register demand in 32-bit units — the one
-      static pressure number (SAF036, the VIR-stage [regs] column of
-      [--time-passes]) and the lower bound the linear-scan
-      allocator's [regs_used] must meet or exceed *)
-
-  val pp_annotated : Format.formatter -> Kernel.t -> unit
-  (** the kernel listing with live vregs / live units after each
-      instruction, ending with its {!max_units} peak
-      ([compile --pressure], [--dump-ir] [--annotate-live]) *)
+  val profile : Cfg.t -> info -> int array * int array * int
+  (** per instruction, the number and the 32-bit width of the values
+      live after it, and the peak simultaneous demand in 32-bit units
+      (at each instruction the values live after it plus the ones it
+      defines): {!Facts.max_units} and {!Facts.pp_annotated} *)
 end
 
 module IM : Map.S with type key = int
@@ -116,17 +122,18 @@ module Reach : sig
             path *)
   }
 
-  val may_see_uninit : nregs:int -> Cfg.t -> bool
+  val may_see_uninit : Cfg.t -> block_sets -> bool
   (** The screen: whether any reachable use may see an uninitialized
-      register — exactly [possibly_uninitialized cfg <> []], decided
-      by a forward may-analysis over a dense bitset of
-      possibly-uninitialized registers instead of site sets. *)
+      register — exactly [possibly_uninitialized cfg sets <> []],
+      decided by a forward may-analysis over a dense bitset of
+      possibly-uninitialized registers, with the blocks' [kill] sets
+      as transfer and their [gen] sets as the uses, instead of site
+      sets. *)
 
-  val possibly_uninitialized : nregs:int -> Cfg.t -> fault list
+  val possibly_uninitialized : Cfg.t -> block_sets -> fault list
   (** every use the synthetic uninitialized definition can reach, in
       instruction order; runs the site analysis ({!analyze}) only when
-      {!may_see_uninit} fires. [nregs] is the code's
-      {!Instr.rid_bound}, which the verifier's walk already finds. *)
+      {!may_see_uninit} fires. *)
 end
 
 (** Available copies: forward must-analysis backing global copy
@@ -206,9 +213,9 @@ end
 module Rewriter (X : sig
   type t
 
-  val create : Instr.t array -> t
+  val create : nregs:int -> Instr.t array -> t
   (** the state at kernel entry; also the state of blocks the entry
-      never reaches *)
+      never reaches. [nregs] is the code's {!Instr.rid_bound}. *)
 
   val copy : t -> t
   (** a state [step] may update: values kept by the solver, and the
@@ -222,7 +229,8 @@ module Rewriter (X : sig
       decided on the state before it: [None] keeps it, [Some None]
       drops it, [Some (Some i)] replaces it with [i] *)
 end) : sig
-  val optimize : Instr.t array -> Instr.t array
-  (** the code with every instruction rewritten on the fixpoint state
-      before it; [code] itself when nothing is rewritten *)
+  val optimize : nregs:int -> Cfg.t -> Instr.t array
+  (** the CFG's code with every instruction rewritten on the fixpoint
+      state before it; that code itself when nothing is rewritten.
+      [nregs] is the code's {!Instr.rid_bound}. *)
 end

@@ -23,9 +23,9 @@ let is_pure = function
       true
   | I.Label _ | I.St _ | I.Bra _ | I.Brc _ | I.Atom _ | I.Ret -> false
 
-let sweep_once code =
-  let cfg = Cfg.build code in
-  let info = L.analyze cfg in
+let sweep_once f =
+  let code = Facts.code f and cfg = Facts.cfg f in
+  let info = Facts.live f in
   let keep = Array.make (Array.length code) true in
   let removed = ref 0 in
   for b = 0 to Cfg.num_blocks cfg - 1 do
@@ -59,8 +59,8 @@ let sweep_once code =
     Some out
   end
 
-let optimize code =
-  let rec go code =
-    match sweep_once code with None -> code | Some code' -> go code'
+let optimize f =
+  let rec go f =
+    match sweep_once f with None -> f | Some code -> go (Facts.make code)
   in
-  if Array.length code = 0 then code else go code
+  if Array.length (Facts.code f) = 0 then f else go f

@@ -11,7 +11,7 @@
     instructions are removed (loads are pure — there are no faulting
     semantics to preserve), and control flow is untouched. *)
 
-val optimize : Instr.t array -> Instr.t array
+val optimize : Facts.t -> Facts.t
 (** Returns its argument itself when it rewrites nothing (the
-    pipeline then skips verifying the unchanged kernel); never updates
-    it in place. *)
+    pipeline then skips verifying the unchanged kernel), else the
+    facts of the new code; never updates the code in place. *)

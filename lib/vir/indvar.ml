@@ -461,17 +461,17 @@ let try_loop cfg (loop : Cfg.loop) ~facts ~fresh =
           end)
       | _ -> None)
 
-let optimize code =
-  let next = ref (max 1 (I.rid_bound code)) in
+let optimize f =
+  let next = ref (max 1 (Facts.bound f)) in
   let fresh () =
     let r = !next in
     incr next;
     r
   in
-  let rec go code budget =
-    if budget = 0 then code
+  let rec go f budget =
+    if budget = 0 then f
     else
-      let cfg = Cfg.build code in
+      let code = Facts.code f and cfg = Facts.cfg f in
       let facts = facts_of code ~nregs:!next in
       let rec first_hit = function
         | [] -> None
@@ -481,7 +481,7 @@ let optimize code =
             | None -> first_hit rest)
       in
       match first_hit (Cfg.loops cfg) with
-      | None -> code
-      | Some code' -> go code' (budget - 1)
+      | None -> f
+      | Some code' -> go (Facts.make code') (budget - 1)
   in
-  go code 16
+  go f 16

@@ -19,7 +19,7 @@
     zero-trips, so the closure is restricted to non-trapping ops
     writing registers dead outside the loop. *)
 
-val optimize : Instr.t array -> Instr.t array
+val optimize : Facts.t -> Facts.t
 (** Returns its argument itself when it rewrites nothing (the
-    pipeline then skips verifying the unchanged kernel); never updates
-    it in place. *)
+    pipeline then skips verifying the unchanged kernel), else the
+    facts of the new code; never updates the code in place. *)

@@ -36,9 +36,7 @@ let label_map t =
     t.code;
   tbl
 
-let max_rid t = max 0 (Instr.rid_bound t.code - 1)
-
-let num_regs t = max_rid t + 1
+let num_regs t = max 1 (Instr.rid_bound t.code)
 
 let memory_ops t =
   count_instr t ~f:(function

@@ -36,11 +36,11 @@ val count_instr : t -> f:(Instr.t -> bool) -> int
 val label_map : t -> (string, int) Hashtbl.t
 (** Label name → instruction index of the [Label] in [code]. *)
 
-val max_rid : t -> int
-(** Highest virtual-register id appearing in [code] (defs or uses). *)
-
 val num_regs : t -> int
-(** [max_rid + 1]: the register-file size a simulator must provide. *)
+(** One more than the highest virtual-register id in [code] (defs or
+    uses), at least 1: the register-file size a simulator must
+    provide. A walk of the code; the compiler reads the same bound
+    from the code's {!Facts}. *)
 
 val memory_ops : t -> int
 (** Global/read-only/local loads, stores and atomics in the static code. *)

@@ -155,11 +155,10 @@ let step st ins =
   A.step st.fm ins;
   rewrite
 
-include Dataflow.Rewriter (struct
+module R = Dataflow.Rewriter (struct
   type t = st
 
-  let create code =
-    let nregs = I.rid_bound code in
+  let create ~nregs code =
     {
       fm = A.create ~nregs code;
       facts = FM.empty;
@@ -183,3 +182,5 @@ include Dataflow.Rewriter (struct
 
   let step = step
 end)
+
+let optimize f = Facts.update f (R.optimize ~nregs:(Facts.bound f) (Facts.cfg f))

@@ -166,11 +166,10 @@ let rewrite { fm; prods; _ } ins =
       | _ -> None)
   | _ -> None
 
-include Dataflow.Rewriter (struct
+module R = Dataflow.Rewriter (struct
   type t = st
 
-  let create code =
-    let nregs = I.rid_bound code in
+  let create ~nregs code =
     {
       fm = A.create ~nregs code;
       prods = PM.empty;
@@ -198,3 +197,5 @@ include Dataflow.Rewriter (struct
     advance st ins;
     r
 end)
+
+let optimize f = Facts.update f (R.optimize ~nregs:(Facts.bound f) (Facts.cfg f))

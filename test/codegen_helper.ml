@@ -10,5 +10,7 @@ let compile_region ~arch prog r =
    assemble: the oracle the pipeline's feedback compile (the tail with
    its dataflow passes disabled) must agree with *)
 let feedback ~arch prog r =
-  (snd (Safara_ptxas.Assemble.assemble ~arch (compile_region ~arch prog r)))
-    .Safara_ptxas.Assemble.regs_used
+  let _, _, report =
+    Safara_ptxas.Assemble.assemble ~arch (compile_region ~arch prog r)
+  in
+  report.Safara_ptxas.Assemble.regs_used

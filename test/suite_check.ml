@@ -323,6 +323,179 @@ let test_verify_all_compiled_kernels () =
         c.Safara_core.Compiler.c_kernels)
     Safara_suites.Registry.all
 
+(* --- the verifier against its reference, on mutated kernels ------- *)
+
+(* the kernels every registry workload ships: under the full profile
+   on kepler, and under base on fermi, where some spill *)
+let registry_kernels =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun (w : Safara_suites.Workload.t) ->
+            let prog = Safara_lang.Frontend.compile w.Safara_suites.Workload.source in
+            List.concat_map
+              (fun (arch, profile) ->
+                List.map fst
+                  (Safara_core.Compiler.compile ~arch profile prog)
+                    .Safara_core.Compiler.c_kernels)
+              [
+                (Safara_gpu.Arch.kepler_k20xm, Safara_core.Compiler.Full);
+                (Safara_gpu.Arch.fermi_like, Safara_core.Compiler.Base);
+              ])
+          Safara_suites.Registry.all))
+
+type mutation =
+  | Drop_def
+  | Retype
+  | Drop_label
+  | Dup_label
+  | Retarget
+  | Store_read_only
+  | Drop_ret
+  | Bad_param
+
+let mutations =
+  [ Drop_def; Retype; Drop_label; Dup_label; Retarget; Store_read_only;
+    Drop_ret; Bad_param ]
+
+let mutation_name = function
+  | Drop_def -> "dropped def"
+  | Retype -> "retyped register"
+  | Drop_label -> "removed label"
+  | Dup_label -> "duplicated label"
+  | Retarget -> "retargeted branch"
+  | Store_read_only -> "store to read-only space"
+  | Drop_ret -> "dropped ret"
+  | Bad_param -> "bad ld.param"
+
+let retype (t : T.dtype) =
+  match t with
+  | T.I32 -> T.I64
+  | T.I64 -> T.I32
+  | T.F32 -> T.F64
+  | T.F64 -> T.F32
+  | T.Bool -> T.I32
+
+(* [k] with one mutation of the given kind at the instruction [pick]
+   selects among the ones it applies to; [None] when none does *)
+let mutate kind pick (k : K.t) =
+  let code = k.K.code in
+  let n = Array.length code in
+  let where p = List.filter (fun i -> p code.(i)) (List.init n Fun.id) in
+  let choose = function [] -> None | l -> Some (List.nth l (pick mod List.length l)) in
+  let remove i = Array.append (Array.sub code 0 i) (Array.sub code (i + 1) (n - i - 1)) in
+  let replace i ins =
+    let c = Array.copy code in
+    c.(i) <- ins;
+    c
+  in
+  let labels = List.filter_map (function I.Label l -> Some l | _ -> None) (Array.to_list code) in
+  let code' =
+    match kind with
+    | Drop_def -> Option.map remove (choose (where (fun ins -> I.defs ins <> [])))
+    | Retype ->
+        Option.map
+          (fun i ->
+            let d = List.hd (I.defs code.(i)) in
+            replace i
+              (I.map_regs
+                 (fun (r : Safara_vir.Vreg.t) ->
+                   if r.Safara_vir.Vreg.rid = d.Safara_vir.Vreg.rid then
+                     { r with Safara_vir.Vreg.rty = retype r.Safara_vir.Vreg.rty }
+                   else r)
+                 code.(i)))
+          (choose (where (fun ins -> I.defs ins <> [])))
+    | Drop_label -> Option.map remove (choose (where (function I.Label _ -> true | _ -> false)))
+    | Dup_label ->
+        Option.map
+          (fun i ->
+            let at = pick / 7 mod (n + 1) in
+            Array.concat [ Array.sub code 0 at; [| code.(i) |]; Array.sub code at (n - at) ])
+          (choose (where (function I.Label _ -> true | _ -> false)))
+    | Retarget ->
+        Option.map
+          (fun i ->
+            let target =
+              if pick mod 2 = 0 || labels = [] then "nowhere"
+              else List.nth labels (pick / 2 mod List.length labels)
+            in
+            replace i
+              (match code.(i) with
+              | I.Brc b -> I.Brc { b with target }
+              | _ -> I.Bra target))
+          (choose (where (function I.Bra _ | I.Brc _ -> true | _ -> false)))
+    | Store_read_only ->
+        Option.map
+          (fun i ->
+            match code.(i) with
+            | I.St st ->
+                let m_space = List.nth [ M.Read_only; M.Constant; M.Param ] (pick mod 3) in
+                replace i (I.St { st with mem = { st.mem with I.m_space } })
+            | ins -> replace i ins)
+          (choose (where (function I.St _ -> true | _ -> false)))
+    | Drop_ret -> Option.map remove (choose (where (function I.Ret -> true | _ -> false)))
+    | Bad_param ->
+        Option.map
+          (fun i ->
+            match code.(i) with
+            | I.Ldp l -> replace i (I.Ldp { l with param = "no_such_param" })
+            | ins -> replace i ins)
+          (choose (where (function I.Ldp _ -> true | _ -> false)))
+  in
+  Option.map (fun code -> { k with K.code }) code'
+
+(* One mutation of a registry kernel never faults two checks at once,
+   so a mutant also draws a second mutation half of the time: the
+   pairs are what would show two checks reported in the wrong order. *)
+let arb_mutant =
+  let kernels () = Lazy.force registry_kernels in
+  let gen_mutation = QCheck.Gen.(pair (oneofl mutations) (int_bound 10_000)) in
+  QCheck.make
+    ~print:(fun (ki, ms) ->
+      Printf.sprintf "%s: %s" (kernels ()).(ki).K.kname
+        (String.concat ", then "
+           (List.map
+              (fun (kind, pick) ->
+                Printf.sprintf "%s at choice %d" (mutation_name kind) pick)
+              ms)))
+    QCheck.Gen.(
+      pair
+        (int_bound (Array.length (kernels ()) - 1))
+        (list_size (int_range 1 2) gen_mutation))
+
+let prop_verify_matches_reference =
+  QCheck.Test.make ~name:"verify: same faults as the reference on mutants"
+    ~count:500 arb_mutant (fun (ki, ms) ->
+      let k =
+        List.fold_left
+          (fun k (kind, pick) -> Option.value ~default:k (mutate kind pick k))
+          (Lazy.force registry_kernels).(ki)
+          ms
+      in
+      Verify.verify k = Verify_reference.verify k)
+
+(* the property is not vacuous: every mutation class breaks some
+   registry kernel, and the two verifiers agree there *)
+let test_verify_mutants_fault () =
+  List.iter
+    (fun kind ->
+      let faulted =
+        Array.exists
+          (fun k ->
+            match mutate kind 1 k with
+            | None -> false
+            | Some k ->
+                let got = Verify.verify k in
+                Alcotest.(check (list string))
+                  (mutation_name kind ^ " on " ^ k.K.kname)
+                  (List.map (fun d -> d.Diag.message) (Verify_reference.verify k))
+                  (List.map (fun d -> d.Diag.message) got);
+                got <> [])
+          (Lazy.force registry_kernels)
+      in
+      Alcotest.(check bool) (mutation_name kind ^ " faults some kernel") true faulted)
+    mutations
+
 (* --- lints --------------------------------------------------------- *)
 
 let test_lint_dead_scalar () =
@@ -685,4 +858,7 @@ let suite =
     Alcotest.test_case "diag: deterministic" `Quick test_check_deterministic;
     Alcotest.test_case "pipeline: workloads error-free" `Quick
       test_workloads_error_free;
+    Alcotest.test_case "verify: every mutation class faults" `Quick
+      test_verify_mutants_fault;
+    QCheck_alcotest.to_alcotest prop_verify_matches_reference;
   ]

@@ -19,6 +19,10 @@ module D = Safara_vir.Dataflow
 module T = Safara_ir.Types
 module M = Safara_gpu.Memspace
 module C = Safara_core.Compiler
+module Facts = Safara_vir.Facts
+
+(* a VIR pass on bare code: its result on fresh facts of [c] *)
+let opt pass c = Facts.code (pass (Facts.make c))
 
 (* --- builders ----------------------------------------------------- *)
 
@@ -134,8 +138,8 @@ let test_live_units () =
       I.Ret;
     |]
   in
-  let cfg = Cfg.build code in
-  let info = D.Live.analyze cfg in
+  let facts = Facts.make code in
+  let cfg = Facts.cfg facts and info = Facts.live facts in
   let set rids =
     let s = D.Bits.create 3 in
     List.iter (D.Bits.add s) rids;
@@ -157,7 +161,7 @@ let test_live_straightline_peak () =
     |]
   in
   (* peak: the address register (2 units) plus one 32-bit value *)
-  Alcotest.(check int) "max units" 3 (D.Live.max_units code)
+  Alcotest.(check int) "max units" 3 (Facts.max_units (Facts.make code))
 
 let test_live_loop_carried () =
   let code =
@@ -172,8 +176,8 @@ let test_live_loop_carried () =
       I.Ret;
     |]
   in
-  let cfg = Cfg.build code in
-  let info = D.Live.analyze cfg in
+  let facts = Facts.make code in
+  let cfg = Facts.cfg facts and info = Facts.live facts in
   let loop = Hashtbl.find cfg.Cfg.label_block "loop" in
   (* the induction register is loop-carried; r9 is live across the
      whole loop to its post-loop use — both must survive the
@@ -236,8 +240,8 @@ let test_live_equations () =
       String.concat "," (List.map string_of_int (S.elements s)))) S.equal in
   List.iter
     (fun (what, (k : K.t)) ->
-      let cfg = Cfg.build k.K.code in
-      let info = D.Live.analyze cfg in
+      let facts = Facts.make k.K.code in
+      let cfg = Facts.cfg facts and info = Facts.live facts in
       Array.iter
         (fun (b : Cfg.block) ->
           let at = Printf.sprintf "%s %s block %d" what k.K.kname b.Cfg.bid in
@@ -260,7 +264,8 @@ let test_live_equations () =
 (* --- reaching definitions / possibly-uninitialized ---------------- *)
 
 let uninitialized code =
-  D.Reach.possibly_uninitialized ~nregs:(I.rid_bound code) (Cfg.build code)
+  let facts = Facts.make code in
+  D.Reach.possibly_uninitialized (Facts.cfg facts) (Facts.sets facts)
 
 let test_reach_one_path () =
   let code =
@@ -348,10 +353,10 @@ let triples = Alcotest.(list (triple int int ints))
    that fires needlessly still yields the right faults (the site
    analysis runs), so only this check sees an imprecise screen *)
 let screened code =
-  let cfg = Cfg.build code in
-  let nregs = I.rid_bound cfg.Cfg.code in
-  let fs = fault_triples (D.Reach.possibly_uninitialized ~nregs cfg) in
-  Alcotest.(check bool) "screen verdict" (fs <> []) (D.Reach.may_see_uninit ~nregs cfg);
+  let facts = Facts.make code in
+  let cfg = Facts.cfg facts and sets = Facts.sets facts in
+  let fs = fault_triples (D.Reach.possibly_uninitialized cfg sets) in
+  Alcotest.(check bool) "screen verdict" (fs <> []) (D.Reach.may_see_uninit cfg sets);
   fs
 
 let test_screen_word_boundaries () =
@@ -492,7 +497,8 @@ let codegen_and_final ~arch p prog =
         go rest v'
   in
   let final = go (Safara_core.Pipeline.build desc) prog in
-  !at_codegen @ List.map fst final.Safara_core.Pass.a_kernels
+  List.map fst !at_codegen
+  @ List.map (fun (k, _, _) -> k) final.Safara_core.Pass.a_kernels
 
 let differential_seed = 20_161_013
 let mutants_per_kernel = 3
@@ -502,11 +508,11 @@ let test_screen_differential () =
   let rng = Random.State.make [| differential_seed |] in
   let checked = ref 0 and faulting = ref 0 in
   let compare_code what code =
-    let cfg = Cfg.build code in
+    let facts = Facts.make code in
+    let cfg = Facts.cfg facts and sets = Facts.sets facts in
     let expected = reach_faults cfg in
-    let nregs = I.rid_bound cfg.Cfg.code in
-    let got = fault_triples (D.Reach.possibly_uninitialized ~nregs cfg) in
-    let fired = D.Reach.may_see_uninit ~nregs cfg in
+    let got = fault_triples (D.Reach.possibly_uninitialized cfg sets) in
+    let fired = D.Reach.may_see_uninit cfg sets in
     incr checked;
     if expected <> [] then incr faulting;
     if got <> expected || fired <> (expected <> []) then
@@ -650,7 +656,7 @@ let test_affine_self_update_and_kill () =
 let test_strength_neighbor_product () =
   let u = i64 0 and p1 = i64 1 and t = i64 2 and q = i64 3 in
   let out =
-    Safara_vir.Strength.optimize
+    opt Safara_vir.Strength.optimize
       [|
         ldp u "n";
         mul p1 (I.Reg u) (I.Imm 8);
@@ -666,7 +672,7 @@ let test_strength_neighbor_product () =
 let test_strength_local_folds () =
   let u = i64 0 in
   let out =
-    Safara_vir.Strength.optimize
+    opt Safara_vir.Strength.optimize
       [|
         ldp u "n";
         movi (i64 1) 5;
@@ -700,7 +706,7 @@ let test_strength_loop_invalidation () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Strength.optimize code in
+  let out = opt Safara_vir.Strength.optimize code in
   (* the latch redefines the base, so the product is not available on
      the back edge; the must-join at the loop header has to keep the
      multiply *)
@@ -710,7 +716,7 @@ let test_strength_loop_invalidation () =
 
 let test_dce_overwritten_def () =
   let out =
-    Safara_vir.Dce.optimize
+    opt Safara_vir.Dce.optimize
       [| ldp (i64 0) "a"; movi (i32 1) 5; movi (i32 1) 7; st (i32 1) (i64 0); I.Ret |]
   in
   Alcotest.(check int) "first store-to-register removed" 4 (Array.length out);
@@ -718,7 +724,7 @@ let test_dce_overwritten_def () =
 
 let test_dce_dead_chain () =
   let out =
-    Safara_vir.Dce.optimize
+    opt Safara_vir.Dce.optimize
       [|
         movi (i32 0) 5;
         add (i32 1) (I.Reg (i32 0)) (I.Imm 1);
@@ -733,7 +739,7 @@ let test_dce_keeps_effects () =
   let code =
     [| ldp (i64 0) "a"; movi (i32 1) 5; st (i32 1) (i64 0); I.Ret |]
   in
-  let out = Safara_vir.Dce.optimize code in
+  let out = opt Safara_vir.Dce.optimize code in
   Alcotest.(check int) "stores and their inputs survive" 4 (Array.length out)
 
 (* --- global copy propagation -------------------------------------- *)
@@ -741,7 +747,7 @@ let test_dce_keeps_effects () =
 let test_copyprop_across_branch () =
   let y = i64 0 and x = i64 1 in
   let out =
-    Safara_vir.Copyprop.optimize
+    opt Safara_vir.Copyprop.optimize
       [|
         movi y 5;
         movr x y;
@@ -788,9 +794,9 @@ let test_wide_kernel_linear () =
   in
   let t0 = Sys.time () in
   let a = Safara_vir.Peephole.optimize chain in
-  let b = Safara_vir.Copyprop.optimize a in
-  let c = Safara_vir.Strength.optimize b in
-  let d = Safara_vir.Dce.optimize c in
+  let b = opt Safara_vir.Copyprop.optimize a in
+  let c = opt Safara_vir.Strength.optimize b in
+  let d = opt Safara_vir.Dce.optimize c in
   let dt = Sys.time () -. t0 in
   Alcotest.(check bool)
     (Printf.sprintf "20k-instruction battery stayed linear (%.2fs)" dt)
@@ -810,7 +816,7 @@ let test_static_pressure_bounds_allocator () =
           List.iter
             (fun ((k : K.t), (r : Safara_ptxas.Assemble.report)) ->
               if r.Safara_ptxas.Assemble.spill_bytes = 0 then begin
-                let static = D.Live.max_units k.K.code in
+                let static = Facts.max_units (Facts.make k.K.code) in
                 if static > r.Safara_ptxas.Assemble.regs_used then
                   Alcotest.failf
                     "%s/%s under %s: static peak %d exceeds the %d \

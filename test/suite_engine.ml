@@ -691,6 +691,40 @@ let test_fig9_j1_equals_j4 () =
   Alcotest.(check bool) "rows assembled from cache hits" true
     (s.Eval.st_sim_hits >= 40)
 
+(* Each code array is analysed once: a compile makes one facts value
+   per array it analyses (a pass that rewrites nothing hands its input
+   facts on), and builds at most one CFG and walks at most one
+   register-id bound per facts value — for the verifier, the passes,
+   the stage stats and the allocator together. Counted in this domain
+   over one cold compile of fig8 under the full profile, SAFARA's
+   feedback compiles included. *)
+let test_one_analysis_per_array () =
+  let root =
+    if Sys.file_exists "golden" then Filename.parent_dir_name else "."
+  in
+  let prog =
+    Safara_lang.Frontend.compile
+      (In_channel.with_open_text
+         (List.fold_left Filename.concat root
+            [ "examples"; "programs"; "fig8.macc" ])
+         In_channel.input_all)
+  in
+  let module F = Safara_vir.Facts in
+  let before = F.counts () in
+  let c = C.compile C.Full prog in
+  let after = F.counts () in
+  let arrays = after.F.arrays - before.F.arrays in
+  let cfgs = after.F.cfgs - before.F.cfgs in
+  let bounds = after.F.bounds - before.F.bounds in
+  Alcotest.(check bool) "the compile shipped kernels" true (c.C.c_kernels <> []);
+  Alcotest.(check bool) "the compile analysed code" true (cfgs > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d CFGs for %d code arrays" cfgs arrays)
+    true (cfgs <= arrays);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bound walks for %d code arrays" bounds arrays)
+    true (bounds <= arrays)
+
 let suite =
   [
     Alcotest.test_case "pool: map preserves order" `Quick test_pool_map_order;
@@ -740,4 +774,6 @@ let suite =
       test_fig9_j1_equals_j4;
     Alcotest.test_case "SAFARA feedback is a tail-memo entry" `Quick
       test_feedback_is_tail_entry;
+    Alcotest.test_case "fig8 -p full analyses each code array once" `Quick
+      test_one_analysis_per_array;
   ]

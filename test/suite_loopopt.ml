@@ -14,6 +14,10 @@ module T = Safara_ir.Types
 module M = Safara_gpu.Memspace
 module C = Safara_core.Compiler
 module Pl = Safara_core.Pipeline
+module Facts = Safara_vir.Facts
+
+(* a VIR pass on bare code: its result on fresh facts of [c] *)
+let opt pass c = Facts.code (pass (Facts.make c))
 
 (* --- builders (mirroring suite_dataflow) --------------------------- *)
 
@@ -69,7 +73,7 @@ let label_index code l =
 let count_if code f = Array.fold_left (fun n i -> if f i then n + 1 else n) 0 code
 
 let test_indvar_basic_stride () =
-  let out = Safara_vir.Indvar.optimize (addr_chain_loop ~step:1 ~iv_op:incr_add) in
+  let out = opt Safara_vir.Indvar.optimize (addr_chain_loop ~step:1 ~iv_op:incr_add) in
   let lbl = label_index out "loop" in
   Alcotest.(check bool) "label kept" true (lbl >= 0);
   (* the per-iteration def of a (= base + t64) is deleted from the
@@ -95,7 +99,7 @@ let test_indvar_basic_stride () =
 
 let test_indvar_negative_step () =
   (* sub i, i, 2 is a step of -2, so the chain advances by -16 *)
-  let out = Safara_vir.Indvar.optimize (addr_chain_loop ~step:2 ~iv_op:incr_sub) in
+  let out = opt Safara_vir.Indvar.optimize (addr_chain_loop ~step:2 ~iv_op:incr_sub) in
   let lbl = label_index out "loop" in
   let body = Array.sub out lbl (Array.length out - lbl) in
   Alcotest.(check int) "increment is add a, a, -16" 1
@@ -122,7 +126,7 @@ let test_indvar_symbolic_stride () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Indvar.optimize code in
+  let out = opt Safara_vir.Indvar.optimize code in
   let lbl = label_index out "loop" in
   let body = Array.sub out lbl (Array.length out - lbl) in
   Alcotest.(check int) "increment adds a register stride" 1
@@ -150,7 +154,7 @@ let test_indvar_refuses_outside_use () =
     |]
   in
   Alcotest.check instrs "unchanged" (to_list code)
-    (to_list (Safara_vir.Indvar.optimize code))
+    (to_list (opt Safara_vir.Indvar.optimize code))
 
 let test_indvar_refuses_multi_latch () =
   (* two back edges: the increment would have to run on both, refuse *)
@@ -171,20 +175,20 @@ let test_indvar_refuses_multi_latch () =
     |]
   in
   Alcotest.check instrs "unchanged" (to_list code)
-    (to_list (Safara_vir.Indvar.optimize code))
+    (to_list (opt Safara_vir.Indvar.optimize code))
 
 (* --- memmerge: merging and its legality boundaries ----------------- *)
 
 let test_memmerge_redundant_load () =
   let code = [| ld (f64 1) (i64 0) gmem; ld (f64 2) (i64 0) gmem; I.Ret |] in
-  let out = Safara_vir.Memmerge.optimize code in
+  let out = opt Safara_vir.Memmerge.optimize code in
   Alcotest.check instr "second load becomes a move"
     (I.Mov { dst = f64 2; src = I.Reg (f64 1) })
     out.(1)
 
 let test_memmerge_store_forwarding () =
   let code = [| st (I.Reg (f64 1)) (i64 0) gmem; ld (f64 2) (i64 0) gmem; I.Ret |] in
-  let out = Safara_vir.Memmerge.optimize code in
+  let out = opt Safara_vir.Memmerge.optimize code in
   Alcotest.check instr "load forwards the stored value"
     (I.Mov { dst = f64 2; src = I.Reg (f64 1) })
     out.(1)
@@ -200,7 +204,7 @@ let test_memmerge_alias_kill () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Memmerge.optimize code in
+  let out = opt Safara_vir.Memmerge.optimize code in
   Alcotest.check instr "reload survives the may-alias store" code.(2) out.(2)
 
 let test_memmerge_disjoint_intervals () =
@@ -215,7 +219,7 @@ let test_memmerge_disjoint_intervals () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Memmerge.optimize code in
+  let out = opt Safara_vir.Memmerge.optimize code in
   Alcotest.check instr "disjoint store keeps the value available"
     (I.Mov { dst = f64 2; src = I.Reg (f64 1) })
     out.(3)
@@ -236,7 +240,7 @@ let test_memmerge_partial_path () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Memmerge.optimize code in
+  let out = opt Safara_vir.Memmerge.optimize code in
   Alcotest.check instr "post-join load survives" code.(7) out.(7)
 
 let test_memmerge_cross_iteration () =
@@ -256,7 +260,7 @@ let test_memmerge_cross_iteration () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Memmerge.optimize code in
+  let out = opt Safara_vir.Memmerge.optimize code in
   Alcotest.check instr "in-loop load survives the varying store" code.(3) out.(3);
   (* drop the store and reload into the same register: the fact now
      agrees around the back edge and the in-loop reload disappears
@@ -273,7 +277,7 @@ let test_memmerge_cross_iteration () =
       I.Ret;
     |]
   in
-  let out2 = Safara_vir.Memmerge.optimize code2 in
+  let out2 = opt Safara_vir.Memmerge.optimize code2 in
   Alcotest.(check int) "loop-invariant reload dropped"
     (Array.length code2 - 1)
     (Array.length out2);
@@ -291,7 +295,7 @@ let test_memmerge_space_classes () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Memmerge.optimize code in
+  let out = opt Safara_vir.Memmerge.optimize code in
   Alcotest.check instr "local store leaves the global fact alone"
     (I.Mov { dst = f64 2; src = I.Reg (f64 1) })
     out.(2)

@@ -175,19 +175,18 @@ let test_verify_catches_broken_pass () =
 
 (* a deliberately broken Vir -> Vir pass: drops every kernel's final
    [ret], which the VIR verifier rejects. It builds new code arrays,
-   as every pass must: the pipeline verifies only the kernel values a
-   step changed. *)
+   with new facts, as every pass must: the pipeline verifies only the
+   kernel values a step changed. *)
 let broken_vir_pass =
   Pass.make ~name:"test-break-vir" ~input:Pass.Vir ~output:Pass.Vir
     ~identity:Fun.id (fun _ (s : Pass.vir_state) ->
       { s with
         Pass.v_kernels =
           List.map
-            (fun (k : Safara_vir.Kernel.t) ->
+            (fun ((k : Safara_vir.Kernel.t), _) ->
               let n = Array.length k.Safara_vir.Kernel.code in
-              { k with
-                Safara_vir.Kernel.code =
-                  Array.sub k.Safara_vir.Kernel.code 0 (n - 1) })
+              let code = Array.sub k.Safara_vir.Kernel.code 0 (n - 1) in
+              ({ k with Safara_vir.Kernel.code }, Safara_vir.Facts.make code))
             s.Pass.v_kernels })
 
 let test_verify_catches_broken_vir_pass () =
@@ -215,7 +214,7 @@ let test_verify_catches_broken_vir_pass () =
     (List.for_all
        (fun (k : Safara_vir.Kernel.t) ->
          Safara_vir.Verify.verify k <> [])
-       out.Pass.v_kernels)
+       (List.map fst out.Pass.v_kernels))
 
 (* The contract verify-once rests on: a pass that rewrites nothing
    hands its input kernel on physically. Every VIR pass and assemble
@@ -232,9 +231,11 @@ let test_noop_passes_hand_input_on () =
         let here : (string * (Pass.vir_state -> K.t list)) list =
           match (p.Pass.input, p.Pass.output) with
           | Pass.Vir, Pass.Vir ->
-              [ (p.Pass.name, fun s -> (p.Pass.run ctx s).Pass.v_kernels) ]
+              [ (p.Pass.name, fun s -> List.map fst (p.Pass.run ctx s).Pass.v_kernels) ]
           | Pass.Vir, Pass.Asm ->
-              [ (p.Pass.name, fun s -> List.map fst (p.Pass.run ctx s).Pass.a_kernels) ]
+              [ ( p.Pass.name,
+                  fun s ->
+                    List.map (fun (k, _, _) -> k) (p.Pass.run ctx s).Pass.a_kernels ) ]
           | _ -> []
         in
         here @ reapply rest
@@ -245,7 +246,15 @@ let test_noop_passes_hand_input_on () =
   List.iter
     (fun (w : Workload.t) ->
       let c = C.compile ~arch C.Full (Safara_lang.Frontend.compile w.Workload.source) in
-      let s = { Pass.v_prog = c.C.c_prog; v_kernels = List.map fst c.C.c_kernels } in
+      let s =
+        {
+          Pass.v_prog = c.C.c_prog;
+          v_kernels =
+            List.map
+              (fun ((k : K.t), _) -> (k, Safara_vir.Facts.make k.K.code))
+              c.C.c_kernels;
+        }
+      in
       List.iter
         (fun (name, f) ->
           List.iter2
@@ -256,7 +265,7 @@ let test_noop_passes_hand_input_on () =
                   Alcotest.failf "%s: %s %s rewrote nothing but built a new kernel"
                     w.Workload.id name k.Safara_vir.Kernel.kname
               end)
-            s.Pass.v_kernels (f s))
+            (List.map fst s.Pass.v_kernels) (f s))
         passes)
     Registry.all;
   (* the check is not vacuous: each pass left some kernel alone *)
@@ -547,9 +556,9 @@ let spill_golden_content () =
   let module A = Safara_ptxas.Assemble in
   let arch = Safara_gpu.Arch.kepler_k20xm in
   let allocate cap code what =
-    let cfg = Safara_vir.Cfg.build code in
-    let res = LS.allocate ~max_regs:cap cfg in
-    (match LS.verify cfg res with
+    let facts = Safara_vir.Facts.make code in
+    let res = LS.allocate ~max_regs:cap facts in
+    (match LS.verify facts res with
     | Ok () -> ()
     | Error e -> Alcotest.fail (what ^ ": " ^ e));
     let digest =
@@ -578,7 +587,7 @@ let spill_golden_content () =
               List.iter
                 (fun cap ->
                   let first, first_digest = allocate cap k.Safara_vir.Kernel.code what in
-                  let k', rep' = A.assemble ~max_regs:cap ~arch k in
+                  let k', _, rep' = A.assemble ~max_regs:cap ~arch k in
                   let final, final_digest = allocate cap k'.Safara_vir.Kernel.code what in
                   Alcotest.(check (list string)) (what ^ " spill converged") []
                     (List.map Safara_vir.Vreg.to_string final.LS.spilled);

@@ -322,9 +322,9 @@ let prop_allocation_valid =
       List.for_all
         (fun r ->
           let k = Codegen_helper.compile_region ~arch prog r in
-          let cfg = Safara_vir.Cfg.build k.Safara_vir.Kernel.code in
-          let res = Safara_ptxas.Linear_scan.allocate ~max_regs:255 cfg in
-          match Safara_ptxas.Linear_scan.verify cfg res with
+          let facts = Safara_vir.Facts.make k.Safara_vir.Kernel.code in
+          let res = Safara_ptxas.Linear_scan.allocate ~max_regs:255 facts in
+          match Safara_ptxas.Linear_scan.verify facts res with
           | Ok () -> true
           | Error _ -> false)
         prog.Safara_ir.Program.regions)

@@ -6,6 +6,7 @@ module I = Safara_vir.Instr
 module V = Safara_vir.Vreg
 module T = Safara_ir.Types
 module Cfg = Safara_vir.Cfg
+module Facts = Safara_vir.Facts
 open Safara_ptxas
 
 let arch = Safara_gpu.Arch.kepler_k20xm
@@ -59,8 +60,8 @@ let loopy =
   |]
 
 let test_liveness_loop () =
-  let cfg = Cfg.build loopy in
-  let ivs = Linear_scan.intervals cfg in
+  let facts = Facts.make loopy in
+  let ivs = Linear_scan.intervals facts in
   let iv0 = List.find (fun iv -> iv.Linear_scan.reg.V.rid = 0) ivs in
   (* r0 is live from its definition through the loop to the final use *)
   Alcotest.(check int) "r0 starts at def" 0 iv0.Linear_scan.i_start;
@@ -68,7 +69,7 @@ let test_liveness_loop () =
 
 let test_dead_def_has_point_interval () =
   let code = [| I.Mov { dst = r32 0; src = I.Imm 1 }; I.Ret |] in
-  let ivs = Linear_scan.intervals (Cfg.build code) in
+  let ivs = Linear_scan.intervals (Facts.make code) in
   let iv = List.find (fun iv -> iv.Linear_scan.reg.V.rid = 0) ivs in
   Alcotest.(check int) "point interval" iv.Linear_scan.i_start iv.Linear_scan.i_end
 
@@ -84,10 +85,10 @@ let test_allocation_reuses_registers () =
       I.Ret;
     |]
   in
-  let cfg = Cfg.build code in
-  let res = Linear_scan.allocate ~max_regs:255 cfg in
+  let facts = Facts.make code in
+  let res = Linear_scan.allocate ~max_regs:255 facts in
   Alcotest.(check bool) "at most 3 regs" true (res.Linear_scan.regs_used <= 3);
-  (match Linear_scan.verify cfg res with
+  (match Linear_scan.verify facts res with
   | Ok () -> ()
   | Error e -> Alcotest.fail e)
 
@@ -100,14 +101,14 @@ let test_pair_alignment () =
       I.Ret;
     |]
   in
-  let cfg = Cfg.build code in
-  let res = Linear_scan.allocate ~max_regs:255 cfg in
+  let facts = Facts.make code in
+  let res = Linear_scan.allocate ~max_regs:255 facts in
   List.iter
     (fun (r, base) ->
       if V.width r = 2 then
         Alcotest.(check int) "aligned" 0 (base mod 2))
     res.Linear_scan.assignment;
-  match Linear_scan.verify cfg res with
+  match Linear_scan.verify facts res with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -130,15 +131,15 @@ let many_live n =
 
 let test_spilling_under_cap () =
   let code = many_live 20 in
-  let cfg = Cfg.build code in
+  let facts = Facts.make code in
   (* 20 f64 = 40 units live at once; cap at 16 forces spills *)
-  let res = Linear_scan.allocate ~max_regs:16 cfg in
+  let res = Linear_scan.allocate ~max_regs:16 facts in
   Alcotest.(check bool) "spills happened" true (res.Linear_scan.spilled <> []);
   Alcotest.(check bool) "cap respected" true (res.Linear_scan.regs_used <= 16)
 
 let test_no_spill_when_fits () =
   let code = many_live 20 in
-  let res = Linear_scan.allocate ~max_regs:255 (Cfg.build code) in
+  let res = Linear_scan.allocate ~max_regs:255 (Facts.make code) in
   Alcotest.(check (list string)) "no spills" []
     (List.map V.to_string res.Linear_scan.spilled)
 
@@ -151,7 +152,7 @@ let test_predicates_not_counted () =
       I.Ret;
     |]
   in
-  let res = Linear_scan.allocate ~max_regs:255 (Cfg.build code) in
+  let res = Linear_scan.allocate ~max_regs:255 (Facts.make code) in
   Alcotest.(check int) "no gprs" 0 res.Linear_scan.regs_used;
   Alcotest.(check int) "one predicate" 1 res.Linear_scan.pred_used
 
@@ -189,8 +190,8 @@ double a[n];
     Safara_sim.Launch.run_functional ~prog ~env [ kernel ];
     Array.copy (Safara_sim.Memory.float_data mem "a")
   in
-  let k_full, rep_full = Assemble.assemble ~arch k in
-  let k_tight, rep_tight = Assemble.assemble ~max_regs:10 ~arch k in
+  let k_full, _, rep_full = Assemble.assemble ~arch k in
+  let k_tight, _, rep_tight = Assemble.assemble ~max_regs:10 ~arch k in
   Alcotest.(check int) "full cap has no spills" 0 rep_full.Assemble.spill_bytes;
   Alcotest.(check bool) "tight cap spills" true (rep_tight.Assemble.spill_bytes > 0);
   Alcotest.(check bool) "tight cap respected" true (rep_tight.Assemble.regs_used <= 10);
@@ -206,7 +207,7 @@ let interval_peak code =
       for i = iv.Linear_scan.i_start to iv.Linear_scan.i_end do
         units.(i) <- units.(i) + V.width iv.Linear_scan.reg
       done)
-    (Linear_scan.intervals (Cfg.build code));
+    (Linear_scan.intervals (Facts.make code));
   Array.fold_left max 0 units
 
 let test_pressure_lower_bound () =
@@ -224,7 +225,7 @@ let test_pressure_lower_bound () =
         (fun r ->
           let k = Codegen_helper.compile_region ~arch prog r in
           let code = k.Safara_vir.Kernel.code in
-          let res = Linear_scan.allocate ~max_regs:255 (Cfg.build code) in
+          let res = Linear_scan.allocate ~max_regs:255 (Facts.make code) in
           let peak = interval_peak code in
           Alcotest.(check bool)
             (r.Safara_ir.Region.rname ^ " allocation >= interval peak")
@@ -233,7 +234,7 @@ let test_pressure_lower_bound () =
           Alcotest.(check bool)
             (r.Safara_ir.Region.rname ^ " interval peak >= live units")
             true
-            (Safara_vir.Dataflow.Live.max_units code <= peak))
+            (Facts.max_units (Facts.make code) <= peak))
         prog.Safara_ir.Program.regions)
     srcs
 
@@ -244,7 +245,7 @@ let test_report_fields () =
   let prog = Safara_lang.Frontend.compile src in
   let prog = Safara_analysis.Schedule.resolve_program prog in
   let k = Codegen_helper.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
-  let _, rep = Assemble.assemble ~arch k in
+  let _, _, rep = Assemble.assemble ~arch k in
   Alcotest.(check string) "name" "k" rep.Assemble.kernel_name;
   Alcotest.(check bool) "positive regs" true (rep.Assemble.regs_used > 0);
   Alcotest.(check bool) "instr count" true (rep.Assemble.instructions > 10)

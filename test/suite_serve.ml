@@ -325,7 +325,9 @@ let test_pressure_listing () =
         String.concat ""
           (List.map
              (fun (k, rep) ->
-               Format.asprintf "%a" Safara_vir.Dataflow.Live.pp_annotated k
+               Format.asprintf "%a"
+                 (Safara_vir.Facts.pp_annotated k)
+                 (Safara_vir.Facts.make k.Safara_vir.Kernel.code)
                ^ "\n"
                ^ Format.asprintf "%a" Safara_ptxas.Assemble.pp_report rep
                ^ "\n\n")
@@ -1027,6 +1029,77 @@ let test_sigterm_shutdown () =
           Alcotest.(check bool)
             "socket unlinked on shutdown" false (Sys.file_exists socket))
 
+(* --- a stored kernel that fails the verifier -------------------------- *)
+
+(* An entry that passes the store's checksum but holds an ill-formed
+   kernel, under the real key of a compile: a fresh engine over the
+   store must say so on stderr, recompute, and serve the kernels the
+   compile makes. *)
+let test_store_revalidation () =
+  with_tmpdir (fun dir ->
+      let src = seismic.Workload.source and profile = Safara_core.Compiler.Full in
+      let e1 = Eval.create ~jobs:1 ~store:(Store.open_store dir) () in
+      let good = Eval.compile_src e1 profile src in
+      Eval.shutdown e1;
+      let key =
+        Printf.sprintf "%s/compile/%s" Eval.store_schema
+          (Eval.compile_key ~src ~profile ~arch:Safara_gpu.Arch.default
+             ~config:None ~unroll:None ~disable:[])
+      in
+      let s = Store.open_store dir in
+      Alcotest.(check bool) "the compile is stored under its key" true
+        (Store.find s ~key <> None);
+      (* drop the first label of the first kernel: its branches now
+         target an undefined label *)
+      let broken =
+        match good.Safara_core.Compiler.c_kernels with
+        | (k, report) :: rest ->
+            let code = k.Safara_vir.Kernel.code in
+            let i =
+              Option.get
+                (Array.find_index
+                   (function Safara_vir.Instr.Label _ -> true | _ -> false)
+                   code)
+            in
+            let code =
+              Array.append (Array.sub code 0 i)
+                (Array.sub code (i + 1) (Array.length code - i - 1))
+            in
+            ({ k with Safara_vir.Kernel.code }, report) :: rest
+        | [] -> Alcotest.fail "no kernels"
+      in
+      Alcotest.(check bool) "the stored kernel is ill-formed" true
+        (Safara_vir.Verify.verify (fst (List.hd broken)) <> []);
+      (* [Store.add] keeps an entry already present *)
+      Sys.remove (Store.entry_path s ~key);
+      Store.add s ~key
+        (Marshal.to_string
+           { good with Safara_core.Compiler.c_kernels = broken }
+           []);
+      let log = Filename.temp_file "safara-revalidation" ".log" in
+      let e2 = Eval.create ~jobs:1 ~store:(Store.open_store dir) () in
+      let served =
+        let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+        let saved = Unix.dup Unix.stderr in
+        Unix.dup2 fd Unix.stderr;
+        Unix.close fd;
+        Fun.protect
+          ~finally:(fun () ->
+            flush stderr;
+            Unix.dup2 saved Unix.stderr;
+            Unix.close saved)
+          (fun () -> Eval.compile_src e2 profile src)
+      in
+      let st = Option.get (Eval.stats e2).Eval.st_store in
+      Eval.shutdown e2;
+      let said = In_channel.with_open_bin log In_channel.input_all in
+      Sys.remove log;
+      Alcotest.(check bool) "stderr names the failed revalidation" true
+        (Str_helpers.contains said "failed revalidation");
+      Alcotest.(check int) "the entry was read" 1 st.Store.st_disk_hits;
+      Alcotest.(check bool) "the compile's own kernels are served" true
+        (served.Safara_core.Compiler.c_kernels = good.Safara_core.Compiler.c_kernels))
+
 let suite =
   [
     Alcotest.test_case "cache: mutex released when compute raises" `Quick
@@ -1077,3 +1150,7 @@ let suite =
         prop_frame_decoder;
         prop_store_entries;
       ]
+  @ [
+      Alcotest.test_case "store: ill-formed kernel fails revalidation" `Quick
+        test_store_revalidation;
+    ]

@@ -47,7 +47,8 @@ let compile_pipeline src =
     List.map
       (fun r ->
         let k = Codegen_helper.compile_region ~arch prog r in
-        Safara_ptxas.Assemble.assemble ~arch k)
+        let k, _, report = Safara_ptxas.Assemble.assemble ~arch k in
+        (k, report))
       prog.Safara_ir.Program.regions
   in
   (prog, kernels)

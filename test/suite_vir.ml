@@ -89,7 +89,7 @@ let regs src =
   let prog = Safara_lang.Frontend.compile src in
   let prog = Safara_analysis.Schedule.resolve_program prog in
   let k = Codegen_helper.compile_region ~arch prog (List.hd prog.Safara_ir.Program.regions) in
-  let _, r = Safara_ptxas.Assemble.assemble ~arch k in
+  let _, _, r = Safara_ptxas.Assemble.assemble ~arch k in
   r.Safara_ptxas.Assemble.regs_used
 
 let test_register_ordering_table1 () =

@@ -188,8 +188,11 @@ let reference_compile ?(arch = Safara_gpu.Arch.kepler_k20xm)
   let kernels =
     List.map
       (fun r ->
-        Safara_ptxas.Assemble.assemble ~arch
-          (Codegen_helper.compile_region ~arch prog r))
+        let k, _, report =
+          Safara_ptxas.Assemble.assemble ~arch
+            (Codegen_helper.compile_region ~arch prog r)
+        in
+        (k, report))
       prog.P.regions
   in
   (prog, kernels, logs)
