@@ -26,25 +26,10 @@ let races_of src =
 
 (* --- race detector: positive and negative cases per class ---------- *)
 
-let wrap_loop ?(sched = "gang vector(128)") body =
-  Printf.sprintf
-    {|
-param int n;
-double a[n];
-double b[n];
-out double c[n];
-#pragma acc kernels name(k)
-{
-  #pragma acc loop %s
-  for (i = 1; i < n - 1; i++) {
-    %s
-  }
-}
-|}
-    sched body
+module Src = Legality_sources
 
 let test_siv_flow_race () =
-  let ds = races_of (wrap_loop "c[i] = c[i-1] + a[i];") in
+  let ds = races_of Src.siv_flow in
   Alcotest.(check bool) "SAF010 reported" true (has "SAF010" ds);
   let d = List.find (fun d -> d.Diag.code = "SAF010") ds in
   Alcotest.(check bool) "severity error" true (d.Diag.severity = Diag.Error);
@@ -55,101 +40,39 @@ let test_siv_flow_race () =
   Alcotest.(check bool) "has seq fix-it" true (d.Diag.hint <> None)
 
 let test_siv_independent () =
-  let ds = races_of (wrap_loop "c[i] = a[i] * b[i];") in
+  let ds = races_of Src.siv_independent in
   Alcotest.(check (list string)) "no diagnostics" [] (codes ds)
 
 let test_ziv_race () =
-  (* every iteration writes the same element: output dependence *)
-  let ds = races_of (wrap_loop "c[0] = a[i];") in
+  let ds = races_of Src.ziv_race in
   Alcotest.(check bool) "SAF010 on ZIV pair" true (has "SAF010" ds)
 
 let test_ziv_distinct_elements () =
-  (* constant subscripts that never collide: no dependence *)
-  let src =
-    {|
-param int n;
-double a[n];
-out double c[n];
-#pragma acc kernels name(k)
-{
-  #pragma acc loop seq
-  for (i = 1; i < n - 1; i++) {
-    c[i] = a[1] + a[2];
-  }
-}
-|}
-  in
-  Alcotest.(check (list string)) "no diagnostics" [] (codes (races_of src))
-
-let miv_src ~outer_sched ~rhs =
-  Printf.sprintf
-    {|
-param int n;
-param int m;
-double a[n][m];
-out double c[n][m];
-#pragma acc kernels name(k)
-{
-  #pragma acc loop %s
-  for (i = 1; i < n - 1; i++) {
-    #pragma acc loop seq
-    for (j = 1; j < m - 1; j++) {
-      c[i][j] = %s;
-    }
-  }
-}
-|}
-    outer_sched rhs
+  Alcotest.(check (list string))
+    "no diagnostics" [] (codes (races_of Src.ziv_distinct))
 
 let test_miv_race () =
-  (* c[i][j] <- c[i-1][j+1]: distance (1,-1), carried by the parallel
-     outer loop *)
-  let ds =
-    races_of (miv_src ~outer_sched:"gang vector(64)" ~rhs:"c[i-1][j+1] + 1.0")
-  in
+  let ds = races_of Src.miv_race in
   Alcotest.(check bool) "SAF010 reported" true (has "SAF010" ds)
 
 let test_miv_inner_carried_ok () =
-  (* c[i][j] <- c[i][j-1]: carried only by the inner seq loop, so the
-     parallel outer loop is race-free *)
-  let ds =
-    races_of (miv_src ~outer_sched:"gang vector(64)" ~rhs:"c[i][j-1] + 1.0")
-  in
+  let ds = races_of Src.miv_inner_carried in
   Alcotest.(check (list string)) "no diagnostics" [] (codes ds)
 
 let test_read_read_not_race () =
-  (* both iterations read a[i-1]; reads never race *)
-  let ds = races_of (wrap_loop "c[i] = a[i-1] + a[i+1];") in
+  let ds = races_of Src.read_read in
   Alcotest.(check (list string)) "no diagnostics" [] (codes ds)
 
 let test_seq_loop_not_reported () =
-  let ds = races_of (wrap_loop ~sched:"seq" "c[i] = c[i-1] + a[i];") in
+  let ds = races_of Src.seq_loop in
   Alcotest.(check (list string)) "seq loop never races" [] (codes ds)
 
-let accumulator_src ~clause =
-  Printf.sprintf
-    {|
-param int n;
-double a[n];
-out double c[n];
-#pragma acc kernels name(k)
-{
-  double s = 0.0;
-  #pragma acc loop gang vector(128) %s
-  for (i = 0; i < n; i++) {
-    s = s + a[i];
-  }
-  c[0] = s;
-}
-|}
-    clause
-
 let test_scalar_recurrence () =
-  let ds = races_of (accumulator_src ~clause:"") in
+  let ds = races_of Src.scalar_recurrence in
   Alcotest.(check bool) "SAF011 reported" true (has "SAF011" ds)
 
 let test_declared_reduction_ok () =
-  let ds = races_of (accumulator_src ~clause:"reduction(+:s)") in
+  let ds = races_of Src.declared_reduction in
   Alcotest.(check (list string)) "no diagnostics" [] (codes ds)
 
 (* --- VIR verifier on hand-broken kernels --------------------------- *)
@@ -735,7 +658,7 @@ out double c[n];
 |}))
 
 let test_spans_and_render () =
-  let src = wrap_loop "c[i] = c[i-1] + a[i];" in
+  let src = Src.siv_flow in
   let ds = run_check src in
   let d = List.find (fun d -> d.Diag.code = "SAF010") ds in
   (match d.Diag.span with

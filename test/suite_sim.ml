@@ -572,23 +572,9 @@ let check_parallel_agrees profile (w : Safara_suites.Workload.t) () =
                  w.Safara_suites.Workload.id kname))
     p_modes
 
-let saxpy_src =
-  {|
-param int n;
-in double x[n];
-double y[n];
-#pragma acc kernels name(saxpy)
-{
-  #pragma acc loop gang vector(32)
-  for (i = 0; i <= n - 1; i++) {
-    y[i] = 2.0 * x[i] + y[i];
-  }
-}
-|}
-
 let test_blockpar_saxpy_parallel () =
   let n = 1000 in
-  let prog, kernels = compile_pipeline saxpy_src in
+  let prog, kernels = compile_pipeline Legality_sources.saxpy in
   let k = fst (List.hd kernels) in
   (match Blockpar.analyze ~prog k with
   | Blockpar.Block_parallel -> ()
@@ -630,7 +616,7 @@ let test_blockpar_saxpy_parallel () =
    run. *)
 let test_blockpar_after_timing () =
   let n = 1000 in
-  let prog, kernels = compile_pipeline saxpy_src in
+  let prog, kernels = compile_pipeline Legality_sources.saxpy in
   let k, report = List.hd kernels in
   let fresh () =
     let mem = Memory.create () in
@@ -671,20 +657,7 @@ let test_blockpar_refuses_cross_block () =
      the read y[i-1] are one apart, so a block could consume a cell
      another block produces — must be refused and still match the
      boxed reference walker exactly *)
-  let src =
-    {|
-param int n;
-in double x[n];
-double y[n];
-#pragma acc kernels name(scan)
-{
-  #pragma acc loop gang vector(32)
-  for (i = 1; i <= n - 1; i++) {
-    y[i] = y[i-1] + x[i];
-  }
-}
-|}
-  in
+  let src = Legality_sources.blocking_dep in
   let n = 500 in
   let prog, kernels = compile_pipeline src in
   let k = fst (List.hd kernels) in
@@ -718,22 +691,7 @@ double y[n];
     par_sum
 
 let test_blockpar_atomics_fall_back () =
-  let src =
-    {|
-param int n;
-in double x[n];
-double s[1];
-#pragma acc kernels name(total)
-{
-  double sum = 0.0;
-  #pragma acc loop gang vector(32) reduction(+:sum)
-  for (i = 0; i <= n - 1; i++) {
-    sum += x[i];
-  }
-  s[0] = sum;
-}
-|}
-  in
+  let src = Legality_sources.atomics in
   let prog, kernels = compile_pipeline src in
   let k = fst (List.hd kernels) in
   match Blockpar.analyze ~prog k with
@@ -748,20 +706,7 @@ let test_blockpar_unmapped_write_refused () =
      loop's refs, and [self_output_race] only judges writes inside the
      parallel loop) — the block-parallel pass must still refuse it,
      via the every-write-pinned-by-every-axis condition *)
-  let src =
-    {|
-param int n;
-double y[n];
-#pragma acc kernels name(edge)
-{
-  #pragma acc loop gang vector(32)
-  for (i = 0; i <= n - 1; i++) {
-    y[i] = 1.0;
-  }
-  y[0] = 2.0;
-}
-|}
-  in
+  let src = Legality_sources.unproven_write in
   let prog, kernels = compile_pipeline src in
   let k = fst (List.hd kernels) in
   match Blockpar.analyze ~prog k with
@@ -1168,7 +1113,7 @@ let test_undo_rejects_nesting () =
 (* a block-parallel launch under a journal would write the store from
    several domains at once: refused, and memory is still restored *)
 let test_undo_refuses_fanout () =
-  let prog, kernels = compile_pipeline saxpy_src in
+  let prog, kernels = compile_pipeline Legality_sources.saxpy in
   let k = fst (List.hd kernels) in
   let n = 1000 in
   let mem = Memory.create () in

@@ -22,6 +22,7 @@ let () =
       ("loopopt", Suite_loopopt.suite);
       ("shapes", Suite_shapes.suite);
       ("check", Suite_check.suite);
+      ("legality", Suite_legality.suite);
       ("serve", Suite_serve.suite);
       ("arch", Suite_arch.suite);
     ]
