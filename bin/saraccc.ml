@@ -264,18 +264,19 @@ let analyze_cmd =
         let prog = Safara_analysis.Schedule.resolve_program (load file) in
         List.iter
           (fun (r : Safara_ir.Region.t) ->
+            let legality = Safara_analysis.Legality.analyze r.Safara_ir.Region.body in
             Format.printf "=== region %s ===@." r.Safara_ir.Region.rname;
             Format.printf "--- parallelism:@.";
             List.iter
               (fun (idx, v) ->
-                Format.printf "  loop %s: %a@." idx Safara_analysis.Parallelism.pp_verdict v)
-              (Safara_analysis.Parallelism.analyze_body r.Safara_ir.Region.body);
+                Format.printf "  loop %s: %a@." idx Safara_analysis.Legality.pp_verdict v)
+              (Safara_analysis.Legality.verdicts legality);
             Format.printf "--- thread mapping: %a@." Safara_analysis.Mapping.pp
               (Safara_analysis.Mapping.of_region r);
             Format.printf "--- dependences:@.";
             List.iter
               (fun d -> Format.printf "  %a@." Safara_analysis.Dependence.pp_dep d)
-              (Safara_analysis.Dependence.region_deps r.Safara_ir.Region.body);
+              (Safara_analysis.Legality.deps legality);
             Format.printf "--- coalescing:@.";
             List.iter
               (fun ((a, subs), access) ->

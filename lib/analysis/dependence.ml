@@ -78,7 +78,8 @@ let collect_refs stmts =
 (* Pairwise subscript tests                                            *)
 (* ------------------------------------------------------------------ *)
 
-let common_nest a b =
+(* the loop indices enclosing both references, outermost first *)
+let shared_nest a b =
   let rec go xs ys =
     match (xs, ys) with
     | (x, _) :: xs', (y, _) :: ys' when String.equal x y -> x :: go xs' ys'
@@ -94,7 +95,7 @@ exception Give_up
 let test_pair a b =
   if not (String.equal a.array b.array) then None
   else
-    let indices = common_nest a b in
+    let indices = shared_nest a b in
     if List.length a.subs <> List.length b.subs then Some (List.map (fun _ -> Star) indices)
     else
       let constraints = Hashtbl.create 8 in
@@ -174,8 +175,7 @@ let disjoint_guards a b =
   let gb = if lb > la then tail (lb - la) b.guard else b.guard in
   List.exists2 (fun x y -> x / 2 = y / 2 && x <> y) ga gb
 
-let region_deps ?(include_input = false) stmts =
-  let refs = collect_refs stmts in
+let deps_of_refs ?(include_input = false) refs =
   let deps = ref [] in
   let rec pairs = function
     | [] -> ()
@@ -216,6 +216,15 @@ let region_deps ?(include_input = false) stmts =
   pairs refs;
   List.rev !deps
 
+let region_deps ?include_input stmts =
+  deps_of_refs ?include_input (collect_refs stmts)
+
+let common_nest d = shared_nest d.d_src d.d_dst
+
+let level d index = List.find_index (String.equal index) (common_nest d)
+
+let distance_at d level = List.nth_opt d.d_dist level
+
 let carried_at dep level =
   let rec go i = function
     | [] -> false
@@ -225,18 +234,15 @@ let carried_at dep level =
   in
   go 0 dep.d_dist
 
-let carried_anywhere dep =
-  List.exists (function D 0 -> false | D _ | Star -> true) dep.d_dist
-
 let pp_distance ppf = function
   | D n -> Format.pp_print_int ppf n
   | Star -> Format.pp_print_char ppf '*'
 
+let ref_name r =
+  r.array ^ String.concat "" (List.map (fun s -> "[" ^ E.to_string s ^ "]") r.subs)
+
 let ref_to_string r =
-  Format.asprintf "%s%a%s" r.array
-    (fun ppf subs -> List.iter (fun s -> Format.fprintf ppf "[%a]" E.pp s) subs)
-    r.subs
-    (match r.kind with Read -> "" | Write -> " (w)")
+  ref_name r ^ match r.kind with Read -> "" | Write -> " (w)"
 
 let kind_to_string = function
   | Flow -> "flow"

@@ -2,16 +2,18 @@ module S = Safara_ir.Stmt
 module R = Safara_ir.Region
 
 let resolve (r : R.t) =
-  let verdicts = Parallelism.analyze_body r.body in
-  let parallelizable idx =
+  let parallelizable =
     (* inside a [parallel] construct an undirected loop is
        user-asserted independent (OpenACC semantics); the [kernels]
        construct leaves the decision to the compiler's analysis *)
-    r.R.kind = R.Parallel
-    ||
-    match List.assoc_opt idx verdicts with
-    | Some Parallelism.Parallel -> true
-    | Some (Parallelism.Serial _) | None -> false
+    match r.R.kind with
+    | R.Parallel -> fun _ -> true
+    | R.Kernels -> (
+        let legality = Legality.analyze r.R.body in
+        fun l ->
+          match Legality.verdict legality l with
+          | Legality.Parallel -> true
+          | Legality.Serial _ -> false)
   in
   (* count how many parallel axes are already taken along the chain *)
   let rec rewrite ~axes_left ~can_promote stmts =
@@ -19,10 +21,9 @@ let resolve (r : R.t) =
       (fun s ->
         match s with
         | S.For l -> (
-            let idx = l.S.index.Safara_ir.Expr.vname in
             match l.S.sched with
             | S.Auto ->
-                if can_promote && axes_left > 0 && parallelizable idx then
+                if can_promote && axes_left > 0 && parallelizable l then
                   S.For
                     {
                       l with

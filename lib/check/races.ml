@@ -4,11 +4,7 @@ module R = Safara_ir.Region
 module Dep = Safara_analysis.Dependence
 module Diag = Safara_diag.Diagnostic
 module Srcmap = Safara_lang.Srcmap
-
-let subs_to_string subs =
-  String.concat "" (List.map (fun s -> "[" ^ E.to_string s ^ "]") subs)
-
-let ref_str (a : Dep.aref) = a.Dep.array ^ subs_to_string a.Dep.subs
+module Legality = Safara_analysis.Legality
 
 let dist_str dists =
   "("
@@ -16,27 +12,9 @@ let dist_str dists =
       (List.map (Format.asprintf "%a" Dep.pp_distance) dists)
   ^ ")"
 
-let kind_str = function
-  | Dep.Flow -> "flow"
-  | Dep.Anti -> "anti"
-  | Dep.Output -> "output"
-  | Dep.Input -> "input"
-
-(* the common nest of a dependence, outermost first — distance vectors
-   are indexed over it *)
-let common_nest (d : Dep.dep) =
-  let rec go xs ys =
-    match (xs, ys) with
-    | (x, _) :: xs', (y, _) :: ys' when String.equal x y -> x :: go xs' ys'
-    | _ -> []
-  in
-  go d.Dep.d_src.Dep.nest d.Dep.d_dst.Dep.nest
-
-let direction dists level =
-  match List.nth_opt dists level with
-  | Some (Dep.D n) when n > 0 -> Printf.sprintf "distance %d" n
-  | Some (Dep.D n) when n < 0 -> Printf.sprintf "distance %d" n
-  | Some (Dep.D _) -> "distance 0"
+let direction d level =
+  match Dep.distance_at d level with
+  | Some (Dep.D n) -> Printf.sprintf "distance %d" n
   | Some Dep.Star | None -> "unknown distance"
 
 let seq_hint index =
@@ -45,107 +23,58 @@ let seq_hint index =
      iterations touch disjoint elements"
     index
 
-(* [self_output_race idx a]: the pairwise dependence test never pairs
-   a reference with itself, so a lone write whose subscripts are all
-   invariant in the parallel loop (e.g. [c[0] = ...] under a parallel
-   [i]) would escape it — yet every iteration writes the same element.
-   Only provable cases are reported: all subscripts affine, none
-   involving [idx], and the write unguarded. *)
-let self_output_race idx (a : Dep.aref) =
-  a.Dep.kind = Dep.Write
-  && a.Dep.guard = []
-  && List.exists (fun (x, _) -> String.equal x idx) a.Dep.nest
-  && a.Dep.subs <> []
-  &&
-  let indices = List.map fst a.Dep.nest in
-  List.for_all
-    (fun sub ->
-      match Safara_analysis.Affine.analyze ~indices sub with
-      | Some f -> not (Safara_analysis.Affine.depends_on f idx)
-      | None -> false)
-    a.Dep.subs
+let loop_races ?span ~where legality (l : S.loop) =
+  let idx = l.S.index.E.vname in
+  let race ?(hint = seq_hint idx) code fmt =
+    Format.kasprintf (Diag.make ?span ~code ~where ~hint Diag.Error) fmt
+  in
+  (* array dependences carried by this loop's level *)
+  List.map
+    (fun ((d : Dep.dep), level) ->
+      race "SAF010"
+        "data race: loop %s is scheduled %a but carries a %s dependence on \
+         %s: %s -> %s, distance vector %s over nest (%s), %s at this loop"
+        idx S.pp_sched l.S.sched
+        (Dep.kind_to_string d.Dep.d_kind)
+        d.Dep.d_src.Dep.array (Dep.ref_name d.Dep.d_src)
+        (Dep.ref_name d.Dep.d_dst) (dist_str d.Dep.d_dist)
+        (String.concat ", " (Dep.common_nest d))
+        (direction d level))
+    (Legality.carried legality idx)
+  (* writes invariant in this loop: every iteration hits the same
+     element (self output dependence) *)
+  @ List.map
+      (fun a ->
+        race "SAF010"
+          "data race: loop %s is scheduled %a but every iteration writes \
+           the same element %s"
+          idx S.pp_sched l.S.sched (Dep.ref_name a))
+      (Legality.invariant_writes legality idx)
+  (* scalar recurrences not covered by declared reductions *)
+  @ List.map
+      (fun v ->
+        race "SAF011"
+          ~hint:
+            (Printf.sprintf
+               "declare 'reduction(...:%s)' if it is a reduction, or %s" v
+               (seq_hint idx))
+          "data race: scalar %s is read and written across iterations of \
+           loop %s, which is scheduled %a"
+          v idx S.pp_sched l.S.sched)
+      (Legality.scalar_recurrences l)
 
 let check_region ?(map = Srcmap.empty) (r : R.t) : Diag.t list =
-  let deps = Dep.region_deps r.R.body in
-  let refs = Dep.collect_refs r.R.body in
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let rec walk stmts =
-    List.iter
-      (fun s ->
-        match s with
-        | S.For l ->
-            let idx = l.S.index.E.vname in
-            (if S.is_parallel_sched l.S.sched then begin
-               let where =
-                 Printf.sprintf "region %s, loop %s" r.R.rname idx
-               in
-               let span = Srcmap.loop_span map ~region:r.R.rname ~index:idx in
-               (* array dependences carried by this loop's level *)
-               List.iter
-                 (fun (d : Dep.dep) ->
-                   let nest = common_nest d in
-                   match
-                     List.find_index (fun x -> String.equal x idx) nest
-                   with
-                   | Some level when Dep.carried_at d level ->
-                       add
-                         (Diag.make ?span ~code:"SAF010" ~where
-                            ~hint:(seq_hint idx) Diag.Error
-                            (Format.asprintf
-                               "data race: loop %s is scheduled %a but \
-                                carries a %s dependence on %s: %s -> %s, \
-                                distance vector %s over nest (%s), %s at \
-                                this loop"
-                               idx S.pp_sched l.S.sched
-                               (kind_str d.Dep.d_kind)
-                               d.Dep.d_src.Dep.array (ref_str d.Dep.d_src)
-                               (ref_str d.Dep.d_dst)
-                               (dist_str d.Dep.d_dist)
-                               (String.concat ", " nest)
-                               (direction d.Dep.d_dist level)))
-                   | _ -> ())
-                 deps;
-               (* writes invariant in this loop: every iteration hits
-                  the same element (self output dependence) *)
-               List.iter
-                 (fun (a : Dep.aref) ->
-                   if self_output_race idx a then
-                     add
-                       (Diag.make ?span ~code:"SAF010" ~where
-                          ~hint:(seq_hint idx) Diag.Error
-                          (Format.asprintf
-                             "data race: loop %s is scheduled %a but every \
-                              iteration writes the same element %s"
-                             idx S.pp_sched l.S.sched (ref_str a))))
-                 refs;
-               (* scalar recurrences not covered by declared reductions *)
-               List.iter
-                 (fun v ->
-                   add
-                     (Diag.make ?span ~code:"SAF011" ~where
-                        ~hint:
-                          (Printf.sprintf
-                             "declare 'reduction(...:%s)' if it is a \
-                              reduction, or %s"
-                             v (seq_hint idx))
-                        Diag.Error
-                        (Format.asprintf
-                           "data race: scalar %s is read and written \
-                            across iterations of loop %s, which is \
-                            scheduled %a"
-                           v idx S.pp_sched l.S.sched)))
-                 (Safara_analysis.Parallelism.scalar_recurrences l)
-             end);
-            walk l.S.body
-        | S.If (_, t, e) ->
-            walk t;
-            walk e
-        | S.Assign _ | S.Local _ -> ())
-      stmts
-  in
-  walk r.R.body;
-  List.rev !diags
+  let legality = Legality.analyze r.R.body in
+  List.concat_map
+    (fun (l : S.loop) ->
+      if S.is_parallel_sched l.S.sched then
+        let idx = l.S.index.E.vname in
+        loop_races
+          ?span:(Srcmap.loop_span map ~region:r.R.rname ~index:idx)
+          ~where:(Printf.sprintf "region %s, loop %s" r.R.rname idx)
+          legality l
+      else [])
+    (Legality.loops legality)
 
 let check_program ?map (p : Safara_ir.Program.t) : Diag.t list =
   List.concat_map (check_region ?map) p.Safara_ir.Program.regions

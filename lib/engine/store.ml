@@ -197,6 +197,21 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* delete an entry file and take it out of the totals; a file already
+   gone (another process dropped it first) changes nothing *)
+let drop t path =
+  match Unix.stat path with
+  | exception Unix.Unix_error _ -> ()
+  | st -> (
+      match Sys.remove path with
+      | () ->
+          locked t (fun () ->
+              t.total <- t.total - st.Unix.st_size;
+              t.entries <- t.entries - 1)
+      | exception Sys_error _ -> ())
+
+let remove t ~key = drop t (entry_path t ~key)
+
 let find t ~key =
   let path = entry_path t ~key in
   match read_file path with
@@ -215,22 +230,10 @@ let find t ~key =
       | exception Invalid reason ->
           Printf.eprintf "saraccc store: dropping corrupt entry %s (%s)\n%!"
             (Filename.basename path) reason;
-          let removed =
-            match Unix.stat path with
-            | st -> (
-                match Sys.remove path with
-                | () -> Some st.Unix.st_size
-                | exception Sys_error _ -> None)
-            | exception Unix.Unix_error _ -> None
-          in
+          drop t path;
           locked t (fun () ->
               t.misses <- t.misses + 1;
-              t.corrupt <- t.corrupt + 1;
-              match removed with
-              | Some size ->
-                  t.total <- t.total - size;
-                  t.entries <- t.entries - 1
-              | None -> ());
+              t.corrupt <- t.corrupt + 1);
           None)
 
 let add t ~key payload =

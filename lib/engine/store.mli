@@ -59,6 +59,12 @@ val add : t -> key:string -> string -> unit
     a one-line warning — the store is a cache, not a system of
     record. *)
 
+val remove : t -> key:string -> unit
+(** Delete [key]'s entry, if present, keeping [st_entries] and
+    [st_total_bytes] right. {!add} keeps an entry already present, so
+    a caller that rejects a validated payload removes it before adding
+    the replacement. *)
+
 val entry_path : t -> key:string -> string
 (** Where [key]'s entry lives (whether or not it exists) — exposed
     for the corrupt-entry tests. *)

@@ -3,7 +3,7 @@ module I = Safara_vir.Instr
 module P = Safara_ir.Program
 module R = Safara_ir.Region
 module Dep = Safara_analysis.Dependence
-module Affine = Safara_analysis.Affine
+module Legality = Safara_analysis.Legality
 module Diag = Safara_diag.Diagnostic
 
 type reason =
@@ -31,61 +31,6 @@ let reason_message = function
         "estimated work (%d ops) is below the parallel threshold (%d)" est_ops
         threshold
 
-let subs_to_string subs =
-  String.concat ""
-    (List.map (fun s -> "[" ^ Safara_ir.Expr.to_string s ^ "]") subs)
-
-let ref_str (a : Dep.aref) = a.Dep.array ^ subs_to_string a.Dep.subs
-
-(* the common nest of a dependence, outermost first — distance vectors
-   are indexed over it *)
-let common_nest (d : Dep.dep) =
-  let rec go xs ys =
-    match (xs, ys) with
-    | (x, _) :: xs', (y, _) :: ys' when String.equal x y -> x :: go xs' ys'
-    | _ -> []
-  in
-  go d.Dep.d_src.Dep.nest d.Dep.d_dst.Dep.nest
-
-(* [pinned idx a]: some subscript of the write is affine with a
-   nonzero coefficient on [idx] and a zero coefficient on every other
-   enclosing index — as a function of the block-distributed [idx] it
-   is injective (the additive [rest] is loop-invariant, hence the same
-   for every block), so two distinct blocks can never produce the same
-   value in that dimension.  One pinning dimension block-disjoints the
-   whole reference along [idx]. *)
-let pinned idx (a : Dep.aref) =
-  let indices = List.map fst a.Dep.nest in
-  List.exists
-    (fun sub ->
-      match Affine.analyze ~indices sub with
-      | Some f ->
-          Affine.coeff f idx <> 0
-          && List.for_all
-               (fun (x, c) -> String.equal x idx || c = 0)
-               f.Affine.coeffs
-      | None -> false)
-    a.Dep.subs
-
-(* [zero_at idx d]: [idx] is in the dependence's common nest and the
-   distance at its level is exactly 0 — source and destination agree
-   on [idx], i.e. they run at the same grid position along that axis.
-   Note this is strictly stronger than the race detector's SAF010
-   condition ([not carried_at]): a dependence carried by an *outer
-   sequential* loop is race-free yet still crosses blocks, and the
-   sequential interpreter's thread-major order would observe it. *)
-let zero_at idx (d : Dep.dep) =
-  let nest = common_nest d in
-  match List.find_index (fun x -> String.equal x idx) nest with
-  | None -> false
-  | Some level -> (
-      match List.nth_opt d.Dep.d_dist level with
-      | Some (Dep.D 0) -> true
-      | _ -> false)
-
-let dep_str (d : Dep.dep) =
-  Printf.sprintf "%s -> %s" (ref_str d.Dep.d_src) (ref_str d.Dep.d_dst)
-
 (* A kernel may run its thread-blocks concurrently iff every axis the
    codegen mapped onto the grid provably partitions the kernel's store
    footprint: each block then reads what it likes but writes only its
@@ -103,35 +48,15 @@ let analyze ~(prog : P.t) (k : K.t) : verdict =
     with
     | None -> Serial No_region
     | Some r -> (
-        let axis_indices =
-          List.map (fun (m : K.axis_map) -> m.K.ax_index) k.K.axes
-        in
-        let refs = Dep.collect_refs r.R.body in
-        let writes =
-          List.filter (fun (a : Dep.aref) -> a.Dep.kind = Dep.Write) refs
-        in
-        let bad_write =
-          List.find_opt
-            (fun (a : Dep.aref) ->
-              List.exists
-                (fun idx ->
-                  (not (List.mem_assoc idx a.Dep.nest)) || not (pinned idx a))
-                axis_indices)
-            writes
-        in
-        match bad_write with
-        | Some a -> Serial (Unproven_write (ref_str a))
-        | None -> (
-            let deps = Dep.region_deps r.R.body in
-            let bad_dep =
-              List.find_opt
-                (fun (d : Dep.dep) ->
-                  List.exists (fun idx -> not (zero_at idx d)) axis_indices)
-                deps
-            in
-            match bad_dep with
-            | Some d -> Serial (Blocking_dep (dep_str d))
-            | None -> Block_parallel))
+        let axes = List.map (fun (m : K.axis_map) -> m.K.ax_index) k.K.axes in
+        match Legality.blocks (Legality.analyze r.R.body) ~axes with
+        | Legality.Disjoint -> Block_parallel
+        | Legality.Unproven_write a -> Serial (Unproven_write (Dep.ref_name a))
+        | Legality.Blocking_dep d ->
+            Serial
+              (Blocking_dep
+                 (Printf.sprintf "%s -> %s" (Dep.ref_name d.Dep.d_src)
+                    (Dep.ref_name d.Dep.d_dst))))
 
 let diagnostic k reason =
   Diag.make ~code:"SAF034"

@@ -4,9 +4,10 @@
     the sequential interpreter nevertheless fixes one global thread
     order, so running blocks concurrently is only bit-identical when
     no block can observe or overwrite another block's stores. This
-    pass proves that from the paper's dependence machinery (the same
-    ZIV/SIV tests behind the SAF010 race detector), judging the
-    *source region* whose name the kernel carries:
+    pass checks the kernel side (atomics, grid axes) and asks
+    {!Safara_analysis.Legality.blocks} — the module behind the SAF010
+    race detector — to judge the *source region* whose name the
+    kernel carries:
 
     - the kernel executes no atomics (reductions compile to [Atom],
       whose interleaving order the sequential walk pins down);

@@ -101,7 +101,8 @@ let store_schema =
    a disk hit is published to every waiter. [check] revalidates
    payloads that unmarshalled into the wrong generation of value
    (schema drift the checksum cannot see) by raising — treated as a
-   miss. *)
+   miss whose entry is removed, so the recomputed value replaces it
+   on disk. *)
 let through t cache ~kind ~key ?(check = fun v -> v) f =
   match t.estore with
   | None -> Cache.find_or_compute cache ~key f
@@ -126,6 +127,7 @@ let through t cache ~kind ~key ?(check = fun v -> v) f =
                      recomputing\n\
                      %!"
                     kind key;
+                  Store.remove s ~key:skey;
                   computed ()))
 
 (* the simulation engine + parallelism mode this engine would use:

@@ -81,6 +81,11 @@ let body_of src =
   let prog = Safara_lang.Frontend.compile src in
   (List.hd prog.Safara_ir.Program.regions).Safara_ir.Region.body
 
+(* the loop-parallelism verdict on loop [idx] of a region body *)
+let parallel body idx =
+  List.assoc_opt idx (Legality.verdicts (Legality.analyze body))
+  = Some Legality.Parallel
+
 let fig3 =
   {|
 param int n;
@@ -120,7 +125,7 @@ let test_fig3_input_dependence () =
 let test_fig3_parallel () =
   let body = body_of fig3 in
   Alcotest.(check bool) "loop i parallelizable" true
-    (Parallelism.loop_parallelizable body "i")
+    (parallel body "i")
 
 let test_fig4_sequentialized () =
   (* after naive scalar replacement (Fig 4), b1 = b2 creates a scalar
@@ -144,7 +149,7 @@ double b[n];
   in
   let body = body_of src in
   Alcotest.(check bool) "fig4 loop is serial" false
-    (Parallelism.loop_parallelizable body "i")
+    (parallel body "i")
 
 let test_flow_dependence_distance () =
   (* a[i] = a[i-1] + 1: flow dep carried with distance 1 *)
@@ -168,7 +173,7 @@ double a[n];
          d.Dependence.d_kind = Dependence.Flow
          && d.Dependence.d_dist = [ Dependence.D 1 ])
        deps);
-  Alcotest.(check bool) "loop serial" false (Parallelism.loop_parallelizable body "i")
+  Alcotest.(check bool) "loop serial" false (parallel body "i")
 
 let test_independent_strided () =
   (* a[2*i] and a[2*i+1] never collide: no dependence *)
@@ -187,7 +192,7 @@ double a[n];
   let body = body_of src in
   let deps = Dependence.region_deps body in
   Alcotest.(check int) "no deps" 0 (List.length deps);
-  Alcotest.(check bool) "parallelizable" true (Parallelism.loop_parallelizable body "i")
+  Alcotest.(check bool) "parallelizable" true (parallel body "i")
 
 let test_ziv_independent () =
   (* a[0] and a[1] are distinct cells *)
@@ -206,7 +211,7 @@ let test_ziv_dependent () =
   let deps = Dependence.region_deps body in
   Alcotest.(check bool) "output dep exists" true
     (List.exists (fun d -> d.Dependence.d_kind = Dependence.Output) deps);
-  Alcotest.(check bool) "serial" false (Parallelism.loop_parallelizable body "i")
+  Alcotest.(check bool) "serial" false (parallel body "i")
 
 let test_2d_distance_vector () =
   (* a[i][j] = a[i-1][j+2]: distance vector (1, -2) *)
@@ -271,7 +276,7 @@ out double r[n];
   let body = body_of src in
   (* with the reduction clause the loop has no disqualifying recurrence *)
   Alcotest.(check bool) "reduction loop parallel" true
-    (Parallelism.loop_parallelizable body "i")
+    (parallel body "i")
 
 (* --- schedule resolution ------------------------------------------- *)
 

@@ -7,6 +7,7 @@ module C = Safara_core.Compiler
 module Diag = Safara_diag.Diagnostic
 module Workload = Safara_suites.Workload
 module Blockpar = Safara_sim.Blockpar
+module Legality = Safara_analysis.Legality
 
 let corpus_dir =
   if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus"
@@ -72,18 +73,19 @@ let legality_content () =
       (* the resolved regions, as `saraccc analyze` prints them *)
       List.iter
         (fun (r : Safara_ir.Region.t) ->
+          let legality = Legality.analyze r.Safara_ir.Region.body in
           line "=== region %s ===" r.Safara_ir.Region.rname;
           line "--- parallelism:";
           List.iter
             (fun (idx, v) ->
               line "  loop %s: %s" idx
-                (Format.asprintf "%a" Safara_analysis.Parallelism.pp_verdict v))
-            (Safara_analysis.Parallelism.analyze_body r.Safara_ir.Region.body);
+                (Format.asprintf "%a" Legality.pp_verdict v))
+            (Legality.verdicts legality);
           line "--- dependences:";
           List.iter
             (fun d ->
               line "  %s" (Format.asprintf "%a" Safara_analysis.Dependence.pp_dep d))
-            (Safara_analysis.Dependence.region_deps r.Safara_ir.Region.body))
+            (Legality.deps legality))
         (Safara_analysis.Schedule.resolve_program prog).Safara_ir.Program.regions;
       line "--- races:";
       List.iter
@@ -108,7 +110,52 @@ let test_legality_golden () =
     "loop verdicts, dependences, races and block-parallel verdicts"
     (legality_content ())
 
+(* Block-parallel soundness: a kernel judged block-parallel must also
+   pass the loop-parallelism answer at each grid-mapped loop — no
+   dependence carried there and no write of the same element from
+   every iteration. *)
+let test_blocks_imply_parallel_axes () =
+  let judged = ref 0 in
+  List.iter
+    (fun (name, _, per_profile) ->
+      List.iter
+        (fun (p, (c : C.compiled)) ->
+          List.iter
+            (fun ((k : Safara_vir.Kernel.t), _) ->
+              match Blockpar.analyze ~prog:c.C.c_prog k with
+              | Blockpar.Serial _ -> ()
+              | Blockpar.Block_parallel ->
+                  incr judged;
+                  let r =
+                    List.find
+                      (fun (r : Safara_ir.Region.t) ->
+                        String.equal r.Safara_ir.Region.rname
+                          k.Safara_vir.Kernel.kname)
+                      c.C.c_prog.Safara_ir.Program.regions
+                  in
+                  let legality = Legality.analyze r.Safara_ir.Region.body in
+                  List.iter
+                    (fun (m : Safara_vir.Kernel.axis_map) ->
+                      let idx = m.Safara_vir.Kernel.ax_index in
+                      let where =
+                        Printf.sprintf "%s %s kernel %s axis loop %s" name
+                          (C.profile_name p) k.Safara_vir.Kernel.kname idx
+                      in
+                      Alcotest.(check int)
+                        (where ^ ": carried dependences") 0
+                        (List.length (Legality.carried legality idx));
+                      Alcotest.(check int)
+                        (where ^ ": same-element writes") 0
+                        (List.length (Legality.invariant_writes legality idx)))
+                    k.Safara_vir.Kernel.axes)
+            c.C.c_kernels)
+        per_profile)
+    (Lazy.force programs);
+  Alcotest.(check bool) "some kernel is block-parallel" true (!judged > 0)
+
 let suite =
   [
     Alcotest.test_case "golden legality verdicts" `Quick test_legality_golden;
+    Alcotest.test_case "block-parallel kernels pass the loop verdict" `Quick
+      test_blocks_imply_parallel_axes;
   ]

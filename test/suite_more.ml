@@ -364,7 +364,7 @@ let test_symbolic_rest_conservative () =
   let deps = Safara_analysis.Dependence.region_deps (body_of src) in
   Alcotest.(check bool) "conservative dep" true (deps <> []);
   Alcotest.(check bool) "loop stays serial" false
-    (Safara_analysis.Parallelism.loop_parallelizable (body_of src) "i")
+    (Suite_analysis.parallel (body_of src) "i")
 
 let suite =
   [

@@ -1033,8 +1033,9 @@ let test_sigterm_shutdown () =
 
 (* An entry that passes the store's checksum but holds an ill-formed
    kernel, under the real key of a compile: a fresh engine over the
-   store must say so on stderr, recompute, and serve the kernels the
-   compile makes. *)
+   store must say so on stderr, recompute, serve the kernels the
+   compile makes and replace the entry, so the next fresh engine gets
+   a clean disk hit. *)
 let test_store_revalidation () =
   with_tmpdir (fun dir ->
       let src = seismic.Workload.source and profile = Safara_core.Compiler.Full in
@@ -1071,33 +1072,44 @@ let test_store_revalidation () =
       Alcotest.(check bool) "the stored kernel is ill-formed" true
         (Safara_vir.Verify.verify (fst (List.hd broken)) <> []);
       (* [Store.add] keeps an entry already present *)
-      Sys.remove (Store.entry_path s ~key);
+      Store.remove s ~key;
       Store.add s ~key
         (Marshal.to_string
            { good with Safara_core.Compiler.c_kernels = broken }
            []);
-      let log = Filename.temp_file "safara-revalidation" ".log" in
-      let e2 = Eval.create ~jobs:1 ~store:(Store.open_store dir) () in
-      let served =
-        let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
-        let saved = Unix.dup Unix.stderr in
-        Unix.dup2 fd Unix.stderr;
-        Unix.close fd;
-        Fun.protect
-          ~finally:(fun () ->
-            flush stderr;
-            Unix.dup2 saved Unix.stderr;
-            Unix.close saved)
-          (fun () -> Eval.compile_src e2 profile src)
+      (* a fresh engine's compile, with its stderr and store stats *)
+      let fresh_compile () =
+        let log = Filename.temp_file "safara-revalidation" ".log" in
+        let e = Eval.create ~jobs:1 ~store:(Store.open_store dir) () in
+        let served =
+          let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+          let saved = Unix.dup Unix.stderr in
+          Unix.dup2 fd Unix.stderr;
+          Unix.close fd;
+          Fun.protect
+            ~finally:(fun () ->
+              flush stderr;
+              Unix.dup2 saved Unix.stderr;
+              Unix.close saved)
+            (fun () -> Eval.compile_src e profile src)
+        in
+        let st = Option.get (Eval.stats e).Eval.st_store in
+        Eval.shutdown e;
+        let said = In_channel.with_open_bin log In_channel.input_all in
+        Sys.remove log;
+        (served, said, st)
       in
-      let st = Option.get (Eval.stats e2).Eval.st_store in
-      Eval.shutdown e2;
-      let said = In_channel.with_open_bin log In_channel.input_all in
-      Sys.remove log;
+      let served, said, st = fresh_compile () in
       Alcotest.(check bool) "stderr names the failed revalidation" true
         (Str_helpers.contains said "failed revalidation");
       Alcotest.(check int) "the entry was read" 1 st.Store.st_disk_hits;
       Alcotest.(check bool) "the compile's own kernels are served" true
+        (served.Safara_core.Compiler.c_kernels = good.Safara_core.Compiler.c_kernels);
+      let served, said, st = fresh_compile () in
+      Alcotest.(check string) "the next engine revalidates cleanly" "" said;
+      Alcotest.(check int) "the replaced entry was read" 1 st.Store.st_disk_hits;
+      Alcotest.(check bool) "the replaced entry serves the compile's kernels"
+        true
         (served.Safara_core.Compiler.c_kernels = good.Safara_core.Compiler.c_kernels))
 
 let suite =

@@ -703,9 +703,9 @@ let test_blockpar_atomics_fall_back () =
 let test_blockpar_unmapped_write_refused () =
   (* a write outside the grid-mapped loop executes in *every* block,
      and the race detector is silent about it (no common nest with the
-     loop's refs, and [self_output_race] only judges writes inside the
-     parallel loop) — the block-parallel pass must still refuse it,
-     via the every-write-pinned-by-every-axis condition *)
+     loop's refs, and [Legality.invariant_writes] only judges writes
+     inside the parallel loop) — the block-parallel pass must still
+     refuse it, via the every-write-pinned-by-every-axis condition *)
   let src = Legality_sources.unproven_write in
   let prog, kernels = compile_pipeline src in
   let k = fst (List.hd kernels) in

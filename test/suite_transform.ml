@@ -143,7 +143,7 @@ double a[n];
   let cands = Safara_analysis.Reuse.candidates ~arch ~latency prog r in
   let r' = Scalar_replacement.apply r cands in
   Alcotest.(check bool) "loop i still parallel" true
-    (Safara_analysis.Parallelism.loop_parallelizable r'.Safara_ir.Region.body "i"
+    (Suite_analysis.parallel r'.Safara_ir.Region.body "i"
     ||
     (* the loop still carries no new dependence: also acceptable if
        no candidate was applied at all *)
