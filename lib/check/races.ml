@@ -23,8 +23,10 @@ let seq_hint index =
      iterations touch disjoint elements"
     index
 
-let loop_races ?span ~where legality (l : S.loop) =
+let loop_races ~map (r : R.t) legality (l : S.loop) =
   let idx = l.S.index.E.vname in
+  let span = Srcmap.loop_span map ~region:r.R.rname ~index:idx in
+  let where = Printf.sprintf "region %s, loop %s" r.R.rname idx in
   let race ?(hint = seq_hint idx) code fmt =
     Format.kasprintf (Diag.make ?span ~code ~where ~hint Diag.Error) fmt
   in
@@ -67,12 +69,7 @@ let check_region ?(map = Srcmap.empty) (r : R.t) : Diag.t list =
   let legality = Legality.analyze r.R.body in
   List.concat_map
     (fun (l : S.loop) ->
-      if S.is_parallel_sched l.S.sched then
-        let idx = l.S.index.E.vname in
-        loop_races
-          ?span:(Srcmap.loop_span map ~region:r.R.rname ~index:idx)
-          ~where:(Printf.sprintf "region %s, loop %s" r.R.rname idx)
-          legality l
+      if S.is_parallel_sched l.S.sched then loop_races ~map r legality l
       else [])
     (Legality.loops legality)
 
