@@ -23,6 +23,44 @@ let loops t =
   List.rev (walk [] t.body)
 
 (* ------------------------------------------------------------------ *)
+(* Write footprints                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* How a reference's subscripts vary with the loop [index]. [Invariant]:
+   every subscript is affine and free of [index], so every iteration
+   touches the same element. [Injective]: some subscript is affine in
+   [index] alone ([c·index + rest] with [c <> 0] and [rest]
+   loop-invariant), so distinct iterations — and the distinct blocks
+   they are distributed over — touch distinct elements in that
+   dimension. *)
+type footprint = Invariant | Injective | Other
+
+let footprint index (a : Dep.aref) =
+  let forms =
+    List.map (Affine.analyze ~indices:(List.map fst a.Dep.nest)) a.Dep.subs
+  in
+  let free = function
+    | Some f -> not (Affine.depends_on f index)
+    | None -> false
+  in
+  let alone = function
+    | Some { Affine.coeffs = [ (x, _) ]; _ } -> String.equal x index
+    | Some _ | None -> false
+  in
+  if forms <> [] && List.for_all free forms then Invariant
+  else if List.exists alone forms then Injective
+  else Other
+
+let encloses index (a : Dep.aref) = List.mem_assoc index a.Dep.nest
+
+let invariant_writes t index =
+  List.filter
+    (fun (a : Dep.aref) ->
+      a.Dep.kind = Dep.Write && a.Dep.guard = [] && encloses index a
+      && footprint index a = Invariant)
+    t.refs
+
+(* ------------------------------------------------------------------ *)
 (* Loop parallelism                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -83,10 +121,13 @@ let scalar_recurrences (l : S.loop) =
   List.filter (fun v -> List.mem v !written) !read_before_write
 
 let verdict t (l : S.loop) =
-  match carried t l.S.index.E.vname with
-  | (d, _) :: _ ->
+  let index = l.S.index.E.vname in
+  match (carried t index, invariant_writes t index) with
+  | (d, _) :: _, _ ->
       Serial (Format.asprintf "loop-carried dependence: %a" Dep.pp_dep d)
-  | [] -> (
+  | [], a :: _ ->
+      Serial ("every iteration writes the same element " ^ Dep.ref_name a)
+  | [], [] -> (
       match scalar_recurrences l with
       | [] -> Parallel
       | v :: _ -> Serial (Printf.sprintf "scalar recurrence on %s" v))
@@ -96,44 +137,6 @@ let verdicts t = List.map (fun l -> (l.S.index.E.vname, verdict t l)) (loops t)
 let pp_verdict ppf = function
   | Parallel -> Format.pp_print_string ppf "parallel"
   | Serial reason -> Format.fprintf ppf "serial (%s)" reason
-
-(* ------------------------------------------------------------------ *)
-(* Write footprints                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* How a reference's subscripts vary with the loop [index]. [Invariant]:
-   every subscript is affine and free of [index], so every iteration
-   touches the same element. [Injective]: some subscript is affine in
-   [index] alone ([c·index + rest] with [c <> 0] and [rest]
-   loop-invariant), so distinct iterations — and the distinct blocks
-   they are distributed over — touch distinct elements in that
-   dimension. *)
-type footprint = Invariant | Injective | Other
-
-let footprint index (a : Dep.aref) =
-  let forms =
-    List.map (Affine.analyze ~indices:(List.map fst a.Dep.nest)) a.Dep.subs
-  in
-  let free = function
-    | Some f -> not (Affine.depends_on f index)
-    | None -> false
-  in
-  let alone = function
-    | Some { Affine.coeffs = [ (x, _) ]; _ } -> String.equal x index
-    | Some _ | None -> false
-  in
-  if forms <> [] && List.for_all free forms then Invariant
-  else if List.exists alone forms then Injective
-  else Other
-
-let encloses index (a : Dep.aref) = List.mem_assoc index a.Dep.nest
-
-let invariant_writes t index =
-  List.filter
-    (fun (a : Dep.aref) ->
-      a.Dep.kind = Dep.Write && a.Dep.guard = [] && encloses index a
-      && footprint index a = Invariant)
-    t.refs
 
 (* ------------------------------------------------------------------ *)
 (* Block disjointness                                                  *)

@@ -47,10 +47,10 @@ val scalar_recurrences : Safara_ir.Stmt.loop -> string list
     anyway). *)
 
 val verdict : t -> Safara_ir.Stmt.loop -> verdict
-(** [Serial] on the first carried dependence, else on the first scalar
-    recurrence; directives are ignored, so this answers "could this
-    loop be parallelized?". Writes from {!invariant_writes} do not
-    make a loop [Serial]. *)
+(** [Serial] on the first carried dependence, else on the first write
+    from {!invariant_writes}, else on the first scalar recurrence;
+    directives are ignored, so this answers "could this loop be
+    parallelized?". *)
 
 val verdicts : t -> (string * verdict) list
 (** {!verdict} of every loop, keyed by index name (unique within a

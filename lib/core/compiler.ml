@@ -63,11 +63,8 @@ let memo () =
   { m_tail = Cache.create ~name:"tail" ();
     m_candidates = Cache.create ~name:"candidates" () }
 
-let digest_of v =
-  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
-
 let tail_tag disable =
-  digest_of (Pipeline.tail_names, List.sort_uniq compare disable)
+  Cache.key (Pipeline.tail_names, List.sort_uniq compare disable)
 
 (* SAFARA's feedback is the tail under its own disable set *)
 let feedback_tag = tail_tag Pipeline.feedback_options.Pipeline.o_disable
@@ -75,7 +72,7 @@ let feedback_tag = tail_tag Pipeline.feedback_options.Pipeline.o_disable
 (* exactly what the tail and the candidate analysis read of one region
    besides their tag *)
 let region_digest ~arch (prog : P.t) r =
-  digest_of (arch, prog.P.params, prog.P.arrays, r)
+  Cache.key (arch, prog.P.params, prog.P.arrays, r)
 
 let compile_with ?(arch = Safara_gpu.Arch.default) ?latency ?safara_config
     ?(options = Pipeline.default_options) ?memo:m profile prog =
@@ -119,7 +116,7 @@ let compile_with ?(arch = Safara_gpu.Arch.default) ?latency ?safara_config
       match List.assq_opt policy !tags with
       | Some t -> t
       | None ->
-          let t = digest_of (policy, latency) in
+          let t = Cache.key (policy, latency) in
           tags := (policy, t) :: !tags;
           t
     in

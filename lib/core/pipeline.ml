@@ -333,10 +333,8 @@ let tail_names = seq_names tail
 
 (* descriptors, pass lists, SAFARA configs and disable sets are plain
    immutable data, so marshalling them is a faithful content address *)
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
 let signature ?safara_config ?(disable = []) d =
-  digest_of
+  Safara_engine.Cache.key
     (d, pass_names ?safara_config d, safara_config, List.sort compare disable)
 
 (* ------------------------------------------------------------------ *)

@@ -9,6 +9,9 @@ type 'v t = {
   mutable misses : int;
 }
 
+let key v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
 let create ?(name = "cache") () =
   {
     cname = name;

@@ -19,6 +19,13 @@
 
 type 'v t
 
+val key : 'a -> string
+(** The content address of a plain immutable value (strings, records,
+    variants, arrays and lists of them; no closures): the MD5 hex of
+    its marshalled bytes. Marshalled without sharing, so the bytes are
+    a function of the structure alone and structurally equal values
+    built apart get the same key. *)
+
 val create : ?name:string -> unit -> 'v t
 
 val name : 'v t -> string

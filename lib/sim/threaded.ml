@@ -12,12 +12,12 @@
    inner loop: counters become one static delta per block, fuel one
    subtraction per block.
 
-   Two superop families go further and share one closure body across
-   several ops: [fuse_addr] (the byte-addressing chain scale → convert
-   → base add → global load or store, with the loaded value's move)
-   and [fuse_generic] (any dependent int or float arithmetic pair).
-   Every other op is its own [build_op] closure, and the terminator is
-   a plain branch on its predicate register.
+   One superop family goes further and shares one closure body across
+   several ops: [fuse_addr], the byte-addressing chain scale → convert
+   → base add → global load or store, with the loaded value's move.
+   Every other op is its own [build_op] closure — the same closure the
+   timing model's [steps] run — and the terminator is a plain branch
+   on its predicate register.
 
    Each closure body is the semantics of one decoded op ({!Decode.dop})
    with the operand [match] hoisted to compile time, converting across
@@ -658,23 +658,14 @@ let build_op (d : D.t) (op : D.dop) (k : cl) : cl =
          builders, never as a body op *)
       assert false
 
-(* --- pair fusion ------------------------------------------------------ *)
+(* --- addressing-chain fusion ------------------------------------------ *)
 
-(* A value-dependent arithmetic pair — the second op reading the
-   register the first just wrote — compiles into one closure body, so
-   the indirect call between them disappears. The pair fuses through
-   a compile-time decomposition: the first op is reduced to "how t is
-   computed" (operand shape), the second to "how t is folded" (where t
-   appears, what the other operand is). The operator itself is a small
-   integer code branched on inside the closure: unlike a reader
-   closure, a two-way branch on a captured immediate costs no call, no
-   allocation, and keeps every float unboxed ([iapp]/[fapp] are direct
-   applications the compiler inlines). The intermediate register
-   write is preserved — it may be live past the pair — and aliasing
-   follows sequential order exactly: the second op reads the freshly
-   computed value, which is precisely what the register holds at that
-   point. Operand positions are always preserved — nothing commutes,
-   so float bit-identity (NaN payloads, signed zeros) is untouched. *)
+(* The first op of an addressing chain computes the index t with an
+   int operator given by a small integer code, branched on inside the
+   closure: unlike a reader closure, a branch on a captured immediate
+   costs no call and no allocation ([iapp] is a direct application the
+   compiler inlines). Operand positions are always preserved — nothing
+   commutes. *)
 
 let[@inline always] iapp c p q =
   if c = 0 then p + q
@@ -683,12 +674,6 @@ let[@inline always] iapp c p q =
   else if c = 3 then if p <= q then p else q
   else if p <= q then q
   else p
-
-let[@inline always] fapp c p q =
-  if c = 0 then p +. q
-  else if c = 1 then p -. q
-  else if c = 2 then p *. q
-  else p /. q
 
 (* the int binops with branch-free direct bodies; Div/Rem guard
    against zero and Pow round-trips through float — those stay on the
@@ -702,44 +687,17 @@ let icode_of (op : Safara_vir.Instr.binop) =
   | Safara_vir.Instr.Max -> Some 4
   | _ -> None
 
-(* first op: t's shape. codes: int 0=add 1=mul 2=sub 3=min 4=max;
-   float 0=add 1=sub 2=mul 3=div *)
+(* the chain's first op: t's shape. codes 0=add 1=mul 2=sub 3=min
+   4=max *)
 type ifirst =
   | IF_rr of int * int * int  (* code, x, y: t = x ⊙ y *)
   | IF_rc of int * int * int  (* code, x, c: t = x ⊙ c *)
-  | IF_cr of int * int * int  (* code, c, y: t = c ⊙ y *)
-  | IF_mov of int  (* t = reg (int-to-int cvt or mov) *)
-
-type ffirst =
-  | FF_rr of int * int * int
-  | FF_rc of int * int * float
-  | FF_cr of int * float * int
-  | FF_una of int * int  (* ucode, r: t = una r *)
-
-(* second op: where t lands. positions preserved, never commuted *)
-type irel =
-  | IS_self of int  (* u = t ⊙ t *)
-  | IS_lr of int * int  (* code, p: u = p ⊙ t *)
-  | IS_rr of int * int  (* code, q: u = t ⊙ q *)
-  | IS_lc of int * int  (* code, c: u = c ⊙ t *)
-  | IS_rc of int * int  (* code, c: u = t ⊙ c *)
-  | IS_copy  (* u = t *)
-
-type frel =
-  | FS_self of int
-  | FS_lr of int * int
-  | FS_rr of int * int
-  | FS_lc of int * float
-  | FS_rc of int * float
-  | FS_una of int  (* ucode: u = una t *)
-  | FS_copy
 
 let ifirst_of (op : D.dop) : (int * ifirst) option =
   let dec code dst a b =
     match (isrc a, isrc b) with
     | IR x, IR y -> Some (dst, IF_rr (code, x, y))
     | IR x, IC c -> Some (dst, IF_rc (code, x, c))
-    | IC c, IR y -> Some (dst, IF_cr (code, c, y))
     | _ -> None
   in
   match op with
@@ -747,456 +705,7 @@ let ifirst_of (op : D.dop) : (int * ifirst) option =
   | D.DMulI { dst; a; b } -> dec 1 dst a b
   | D.DBinI { op; dst; a; b } -> (
       match icode_of op with Some c -> dec c dst a b | None -> None)
-  | D.DCvtI { dst; src = D.SIReg r } -> Some (dst, IF_mov r)
-  | D.DMov { fdst = false; dst; src = D.SIReg r } -> Some (dst, IF_mov r)
   | _ -> None
-
-let ffirst_of (op : D.dop) : (int * ffirst) option =
-  let dec code dst a b =
-    match (fsrc a, fsrc b) with
-    | FR x, FR y -> Some (dst, FF_rr (code, x, y))
-    | FR x, FC c -> Some (dst, FF_rc (code, x, c))
-    | FC c, FR y -> Some (dst, FF_cr (code, c, y))
-    | _ -> None
-  in
-  match op with
-  | D.DAddF { dst; a; b } -> dec 0 dst a b
-  | D.DSubF { dst; a; b } -> dec 1 dst a b
-  | D.DMulF { dst; a; b } -> dec 2 dst a b
-  | D.DBinF { op = Safara_vir.Instr.Div; dst; a; b } -> dec 3 dst a b
-  | D.DUnaF { op; fdst = true; dst; a = D.SFReg r } -> (
-      match ucode_of op with Some u -> Some (dst, FF_una (u, r)) | None -> None)
-  | _ -> None
-
-let irel_of dst (op : D.dop) : (int * irel) option =
-  let dec code d2 a b =
-    match (isrc a, isrc b) with
-    | IR p, IR q when p = dst && q = dst -> Some (d2, IS_self code)
-    | IR p, IR q when p = dst -> Some (d2, IS_rr (code, q))
-    | IR p, IR q when q = dst -> Some (d2, IS_lr (code, p))
-    | IR p, IC c when p = dst -> Some (d2, IS_rc (code, c))
-    | IC c, IR q when q = dst -> Some (d2, IS_lc (code, c))
-    | _ -> None
-  in
-  match op with
-  | D.DAddI { dst = d2; a; b } -> dec 0 d2 a b
-  | D.DMulI { dst = d2; a; b } -> dec 1 d2 a b
-  | D.DBinI { op; dst = d2; a; b } -> (
-      match icode_of op with Some c -> dec c d2 a b | None -> None)
-  | D.DCvtI { dst = d2; src = D.SIReg r } when r = dst -> Some (d2, IS_copy)
-  | D.DMov { fdst = false; dst = d2; src = D.SIReg r } when r = dst ->
-      Some (d2, IS_copy)
-  | _ -> None
-
-let frel_of dst (op : D.dop) : (int * frel) option =
-  let dec code d2 a b =
-    match (fsrc a, fsrc b) with
-    | FR p, FR q when p = dst && q = dst -> Some (d2, FS_self code)
-    | FR p, FR q when p = dst -> Some (d2, FS_rr (code, q))
-    | FR p, FR q when q = dst -> Some (d2, FS_lr (code, p))
-    | FR p, FC c when p = dst -> Some (d2, FS_rc (code, c))
-    | FC c, FR q when q = dst -> Some (d2, FS_lc (code, c))
-    | _ -> None
-  in
-  match op with
-  | D.DAddF { dst = d2; a; b } -> dec 0 d2 a b
-  | D.DSubF { dst = d2; a; b } -> dec 1 d2 a b
-  | D.DMulF { dst = d2; a; b } -> dec 2 d2 a b
-  | D.DBinF { op = Safara_vir.Instr.Div; dst = d2; a; b } -> dec 3 d2 a b
-  | D.DUnaF { op; fdst = true; dst = d2; a = D.SFReg r } when r = dst -> (
-      match ucode_of op with Some u -> Some (d2, FS_una u) | None -> None)
-  | D.DMov { fdst = true; dst = d2; src = D.SFReg r } when r = dst ->
-      Some (d2, FS_copy)
-  | _ -> None
-
-(* every (shape × fold) combination is its own closure literal: the
-   shapes and register numbers are compile-time constants inside each
-   body, so the execution is pure array traffic plus the inlined
-   two-way code branch *)
-let fuse_generic (op1 : D.dop) (op2 : D.dop) : (cl -> cl) option =
-  match ifirst_of op1 with
-  | Some (dst, f) -> (
-      match irel_of dst op2 with
-      | None -> None
-      | Some (d2, r) ->
-          Some
-            (match (f, r) with
-            | IF_rr (c1, x, y), IS_self c2 ->
-                fun k st ps ->
-                  let t =
-                    iapp c1 (Array.unsafe_get st.D.xi x)
-                      (Array.unsafe_get st.D.xi y)
-                  in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 t t);
-                  k st ps
-            | IF_rr (c1, x, y), IS_lr (c2, p) ->
-                fun k st ps ->
-                  let t =
-                    iapp c1 (Array.unsafe_get st.D.xi x)
-                      (Array.unsafe_get st.D.xi y)
-                  in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2
-                    (iapp c2 (Array.unsafe_get st.D.xi p) t);
-                  k st ps
-            | IF_rr (c1, x, y), IS_rr (c2, q) ->
-                fun k st ps ->
-                  let t =
-                    iapp c1 (Array.unsafe_get st.D.xi x)
-                      (Array.unsafe_get st.D.xi y)
-                  in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2
-                    (iapp c2 t (Array.unsafe_get st.D.xi q));
-                  k st ps
-            | IF_rr (c1, x, y), IS_lc (c2, c) ->
-                fun k st ps ->
-                  let t =
-                    iapp c1 (Array.unsafe_get st.D.xi x)
-                      (Array.unsafe_get st.D.xi y)
-                  in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 c t);
-                  k st ps
-            | IF_rr (c1, x, y), IS_rc (c2, c) ->
-                fun k st ps ->
-                  let t =
-                    iapp c1 (Array.unsafe_get st.D.xi x)
-                      (Array.unsafe_get st.D.xi y)
-                  in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 t c);
-                  k st ps
-            | IF_rr (c1, x, y), IS_copy ->
-                fun k st ps ->
-                  let t =
-                    iapp c1 (Array.unsafe_get st.D.xi x)
-                      (Array.unsafe_get st.D.xi y)
-                  in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 t;
-                  k st ps
-            | IF_rc (c1, x, c0), IS_self c2 ->
-                fun k st ps ->
-                  let t = iapp c1 (Array.unsafe_get st.D.xi x) c0 in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 t t);
-                  k st ps
-            | IF_rc (c1, x, c0), IS_lr (c2, p) ->
-                fun k st ps ->
-                  let t = iapp c1 (Array.unsafe_get st.D.xi x) c0 in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2
-                    (iapp c2 (Array.unsafe_get st.D.xi p) t);
-                  k st ps
-            | IF_rc (c1, x, c0), IS_rr (c2, q) ->
-                fun k st ps ->
-                  let t = iapp c1 (Array.unsafe_get st.D.xi x) c0 in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2
-                    (iapp c2 t (Array.unsafe_get st.D.xi q));
-                  k st ps
-            | IF_rc (c1, x, c0), IS_lc (c2, c) ->
-                fun k st ps ->
-                  let t = iapp c1 (Array.unsafe_get st.D.xi x) c0 in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 c t);
-                  k st ps
-            | IF_rc (c1, x, c0), IS_rc (c2, c) ->
-                fun k st ps ->
-                  let t = iapp c1 (Array.unsafe_get st.D.xi x) c0 in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 t c);
-                  k st ps
-            | IF_rc (c1, x, c0), IS_copy ->
-                fun k st ps ->
-                  let t = iapp c1 (Array.unsafe_get st.D.xi x) c0 in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 t;
-                  k st ps
-            | IF_cr (c1, c0, y), IS_self c2 ->
-                fun k st ps ->
-                  let t = iapp c1 c0 (Array.unsafe_get st.D.xi y) in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 t t);
-                  k st ps
-            | IF_cr (c1, c0, y), IS_lr (c2, p) ->
-                fun k st ps ->
-                  let t = iapp c1 c0 (Array.unsafe_get st.D.xi y) in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2
-                    (iapp c2 (Array.unsafe_get st.D.xi p) t);
-                  k st ps
-            | IF_cr (c1, c0, y), IS_rr (c2, q) ->
-                fun k st ps ->
-                  let t = iapp c1 c0 (Array.unsafe_get st.D.xi y) in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2
-                    (iapp c2 t (Array.unsafe_get st.D.xi q));
-                  k st ps
-            | IF_cr (c1, c0, y), IS_lc (c2, c) ->
-                fun k st ps ->
-                  let t = iapp c1 c0 (Array.unsafe_get st.D.xi y) in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 c t);
-                  k st ps
-            | IF_cr (c1, c0, y), IS_rc (c2, c) ->
-                fun k st ps ->
-                  let t = iapp c1 c0 (Array.unsafe_get st.D.xi y) in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 t c);
-                  k st ps
-            | IF_cr (c1, c0, y), IS_copy ->
-                fun k st ps ->
-                  let t = iapp c1 c0 (Array.unsafe_get st.D.xi y) in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 t;
-                  k st ps
-            | IF_mov r, IS_self c2 ->
-                fun k st ps ->
-                  let t = Array.unsafe_get st.D.xi r in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 t t);
-                  k st ps
-            | IF_mov r, IS_lr (c2, p) ->
-                fun k st ps ->
-                  let t = Array.unsafe_get st.D.xi r in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2
-                    (iapp c2 (Array.unsafe_get st.D.xi p) t);
-                  k st ps
-            | IF_mov r, IS_rr (c2, q) ->
-                fun k st ps ->
-                  let t = Array.unsafe_get st.D.xi r in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2
-                    (iapp c2 t (Array.unsafe_get st.D.xi q));
-                  k st ps
-            | IF_mov r, IS_lc (c2, c) ->
-                fun k st ps ->
-                  let t = Array.unsafe_get st.D.xi r in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 c t);
-                  k st ps
-            | IF_mov r, IS_rc (c2, c) ->
-                fun k st ps ->
-                  let t = Array.unsafe_get st.D.xi r in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 (iapp c2 t c);
-                  k st ps
-            | IF_mov r, IS_copy ->
-                fun k st ps ->
-                  let t = Array.unsafe_get st.D.xi r in
-                  Array.unsafe_set st.D.xi dst t;
-                  Array.unsafe_set st.D.xi d2 t;
-                  k st ps))
-  | None -> (
-      match ffirst_of op1 with
-      | None -> None
-      | Some (dst, f) -> (
-          match frel_of dst op2 with
-          | None -> None
-          | Some (d2, r) ->
-              Some
-                (match (f, r) with
-                | FF_rr (c1, x, y), FS_self c2 ->
-                    fun k st ps ->
-                      let t =
-                        fapp c1 (Array.unsafe_get st.D.xf x)
-                          (Array.unsafe_get st.D.xf y)
-                      in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 t t);
-                      k st ps
-                | FF_rr (c1, x, y), FS_lr (c2, p) ->
-                    fun k st ps ->
-                      let t =
-                        fapp c1 (Array.unsafe_get st.D.xf x)
-                          (Array.unsafe_get st.D.xf y)
-                      in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2
-                        (fapp c2 (Array.unsafe_get st.D.xf p) t);
-                      k st ps
-                | FF_rr (c1, x, y), FS_rr (c2, q) ->
-                    fun k st ps ->
-                      let t =
-                        fapp c1 (Array.unsafe_get st.D.xf x)
-                          (Array.unsafe_get st.D.xf y)
-                      in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2
-                        (fapp c2 t (Array.unsafe_get st.D.xf q));
-                      k st ps
-                | FF_rr (c1, x, y), FS_lc (c2, c) ->
-                    fun k st ps ->
-                      let t =
-                        fapp c1 (Array.unsafe_get st.D.xf x)
-                          (Array.unsafe_get st.D.xf y)
-                      in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 c t);
-                      k st ps
-                | FF_rr (c1, x, y), FS_rc (c2, c) ->
-                    fun k st ps ->
-                      let t =
-                        fapp c1 (Array.unsafe_get st.D.xf x)
-                          (Array.unsafe_get st.D.xf y)
-                      in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 t c);
-                      k st ps
-                | FF_rr (c1, x, y), FS_una u ->
-                    fun k st ps ->
-                      let t =
-                        fapp c1 (Array.unsafe_get st.D.xf x)
-                          (Array.unsafe_get st.D.xf y)
-                      in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (uapp u t);
-                      k st ps
-                | FF_rr (c1, x, y), FS_copy ->
-                    fun k st ps ->
-                      let t =
-                        fapp c1 (Array.unsafe_get st.D.xf x)
-                          (Array.unsafe_get st.D.xf y)
-                      in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 t;
-                      k st ps
-                | FF_rc (c1, x, c0), FS_self c2 ->
-                    fun k st ps ->
-                      let t = fapp c1 (Array.unsafe_get st.D.xf x) c0 in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 t t);
-                      k st ps
-                | FF_rc (c1, x, c0), FS_lr (c2, p) ->
-                    fun k st ps ->
-                      let t = fapp c1 (Array.unsafe_get st.D.xf x) c0 in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2
-                        (fapp c2 (Array.unsafe_get st.D.xf p) t);
-                      k st ps
-                | FF_rc (c1, x, c0), FS_rr (c2, q) ->
-                    fun k st ps ->
-                      let t = fapp c1 (Array.unsafe_get st.D.xf x) c0 in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2
-                        (fapp c2 t (Array.unsafe_get st.D.xf q));
-                      k st ps
-                | FF_rc (c1, x, c0), FS_lc (c2, c) ->
-                    fun k st ps ->
-                      let t = fapp c1 (Array.unsafe_get st.D.xf x) c0 in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 c t);
-                      k st ps
-                | FF_rc (c1, x, c0), FS_rc (c2, c) ->
-                    fun k st ps ->
-                      let t = fapp c1 (Array.unsafe_get st.D.xf x) c0 in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 t c);
-                      k st ps
-                | FF_rc (c1, x, c0), FS_una u ->
-                    fun k st ps ->
-                      let t = fapp c1 (Array.unsafe_get st.D.xf x) c0 in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (uapp u t);
-                      k st ps
-                | FF_rc (c1, x, c0), FS_copy ->
-                    fun k st ps ->
-                      let t = fapp c1 (Array.unsafe_get st.D.xf x) c0 in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 t;
-                      k st ps
-                | FF_cr (c1, c0, y), FS_self c2 ->
-                    fun k st ps ->
-                      let t = fapp c1 c0 (Array.unsafe_get st.D.xf y) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 t t);
-                      k st ps
-                | FF_cr (c1, c0, y), FS_lr (c2, p) ->
-                    fun k st ps ->
-                      let t = fapp c1 c0 (Array.unsafe_get st.D.xf y) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2
-                        (fapp c2 (Array.unsafe_get st.D.xf p) t);
-                      k st ps
-                | FF_cr (c1, c0, y), FS_rr (c2, q) ->
-                    fun k st ps ->
-                      let t = fapp c1 c0 (Array.unsafe_get st.D.xf y) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2
-                        (fapp c2 t (Array.unsafe_get st.D.xf q));
-                      k st ps
-                | FF_cr (c1, c0, y), FS_lc (c2, c) ->
-                    fun k st ps ->
-                      let t = fapp c1 c0 (Array.unsafe_get st.D.xf y) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 c t);
-                      k st ps
-                | FF_cr (c1, c0, y), FS_rc (c2, c) ->
-                    fun k st ps ->
-                      let t = fapp c1 c0 (Array.unsafe_get st.D.xf y) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 t c);
-                      k st ps
-                | FF_cr (c1, c0, y), FS_una u ->
-                    fun k st ps ->
-                      let t = fapp c1 c0 (Array.unsafe_get st.D.xf y) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (uapp u t);
-                      k st ps
-                | FF_cr (c1, c0, y), FS_copy ->
-                    fun k st ps ->
-                      let t = fapp c1 c0 (Array.unsafe_get st.D.xf y) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 t;
-                      k st ps
-                | FF_una (u1, r0), FS_self c2 ->
-                    fun k st ps ->
-                      let t = uapp u1 (Array.unsafe_get st.D.xf r0) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 t t);
-                      k st ps
-                | FF_una (u1, r0), FS_lr (c2, p) ->
-                    fun k st ps ->
-                      let t = uapp u1 (Array.unsafe_get st.D.xf r0) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2
-                        (fapp c2 (Array.unsafe_get st.D.xf p) t);
-                      k st ps
-                | FF_una (u1, r0), FS_rr (c2, q) ->
-                    fun k st ps ->
-                      let t = uapp u1 (Array.unsafe_get st.D.xf r0) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2
-                        (fapp c2 t (Array.unsafe_get st.D.xf q));
-                      k st ps
-                | FF_una (u1, r0), FS_lc (c2, c) ->
-                    fun k st ps ->
-                      let t = uapp u1 (Array.unsafe_get st.D.xf r0) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 c t);
-                      k st ps
-                | FF_una (u1, r0), FS_rc (c2, c) ->
-                    fun k st ps ->
-                      let t = uapp u1 (Array.unsafe_get st.D.xf r0) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (fapp c2 t c);
-                      k st ps
-                | FF_una (u1, r0), FS_una u ->
-                    fun k st ps ->
-                      let t = uapp u1 (Array.unsafe_get st.D.xf r0) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 (uapp u t);
-                      k st ps
-                | FF_una (u1, r0), FS_copy ->
-                    fun k st ps ->
-                      let t = uapp u1 (Array.unsafe_get st.D.xf r0) in
-                      Array.unsafe_set st.D.xf dst t;
-                      Array.unsafe_set st.D.xf d2 t;
-                      k st ps)))
 
 (* The complete byte-addressing idiom
    [t = x ⊙ y; off = cvt t; a = base + off; ld f <- [a]; mov g <- f]
@@ -1325,8 +834,7 @@ let fuse_addr (d : D.t) (ops : D.dop array) (i : int) (body_hi : int) :
                                 let s = locate cur mem a in
                                 Array.unsafe_set st.D.xf dl
                                   (Memory.load_float_slot mem ~slot:s ~addr:a);
-                                k st ps )
-                    | _ -> None)
+                                k st ps ))
                 | Some p, D.DSt { src = D.SFReg v; addr = D.SIReg ra; mi }
                   when ra = d3 && glob mi -> (
                     match t_shape with
@@ -1369,8 +877,7 @@ let fuse_addr (d : D.t) (ops : D.dop array) (i : int) (body_hi : int) :
                                 let s = locate cur mem a in
                                 Memory.store_float_slot mem ~slot:s ~addr:a
                                   (Array.unsafe_get st.D.xf v);
-                                k st ps )
-                    | _ -> None)
+                                k st ps ))
                 | _ -> None)
             | _ -> None)
         | _ -> None)
@@ -1451,21 +958,14 @@ let build_blocks (d : D.t) : block array =
             (hi, fun (_ : D.state) (_ : D.params) -> fb)
       in
       (* fuse the straight-line body into the terminator so executing
-         the block is one call; an addressing chain, else a dependent
-         arithmetic pair, shares a single closure body *)
+         the block is one call; an addressing chain shares a single
+         closure body *)
       let rec chain i : cl =
         if i >= body_hi then term
         else
           match fuse_addr d ops i body_hi with
           | Some (consumed, mk) -> mk (chain (i + consumed))
-          | None -> (
-              let pair =
-                if i + 1 < body_hi then fuse_generic ops.(i) ops.(i + 1)
-                else None
-              in
-              match pair with
-              | Some mk -> mk (chain (i + 2))
-              | None -> build_op d ops.(i) (chain (i + 1)))
+          | None -> build_op d ops.(i) (chain (i + 1))
       in
       let run = chain lo in
       (* static per-block counter deltas: every class a memory op

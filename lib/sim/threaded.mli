@@ -5,11 +5,11 @@
     straight-line runs are fused into per-basic-block superop closures
     (continuation-passing chains ending in a terminator that returns
     the next block index), and counters/fuel collapse to one static
-    delta per block. Within a block, two fusion families share one
+    delta per block. Within a block, one fusion family shares one
     closure body across ops: the byte-addressing chain ending in a
-    global load or store, and any dependent int or float arithmetic
-    pair. Executing a thread is then a tight loop over block closures
-    with no per-instruction dispatch.
+    global load or store; every other op keeps its own closure.
+    Executing a thread is then a tight loop over block closures with
+    no per-instruction dispatch.
 
     Semantically each closure is one decoded op ({!Decode.dop}) with
     the operand and opcode matches hoisted to compile time: the

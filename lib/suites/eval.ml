@@ -5,8 +5,6 @@ module Store = Safara_engine.Store
 module Clock = Safara_engine.Clock
 module Interp = Safara_sim.Interp
 
-let assertions_enabled = Safara_core.Pass.assertions_enabled
-
 (* a disk-store hit proves its kernels VIR-well-formed before it is
    served, so a stale or corrupt entry is recomputed; a compile-cache
    miss needs no second pass, [Pipeline.run] verified the kernels
@@ -185,19 +183,12 @@ let job ?(arch = Safara_gpu.Arch.default) ?safara_config ?unroll
   { jw = w; jp = profile; jarch = arch; jconfig = safara_config;
     junroll = unroll; jdisable = disable }
 
-(* All key components are plain immutable data (strings, records,
-   variants, arrays of them), so marshalling them is a faithful content
-   address. [No_sharing] makes the bytes a function of the structure
-   alone: structurally equal values built apart digest alike. *)
-let digest_of v =
-  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
-
 (* the key covers the resolved pipeline description (pass list +
    per-pass config + disabled set), not just the profile tag, so
    toggling or reordering passes can never return a stale hit *)
 let compile_key ~src ~profile ~arch ~config ~unroll ~disable =
   let psig = C.pipeline_signature ?safara_config:config ~disable profile in
-  digest_of (src, profile, arch, config, unroll, disable, psig)
+  Cache.key (src, profile, arch, config, unroll, disable, psig)
 
 let ckey j =
   compile_key ~src:j.jw.Workload.source ~profile:j.jp ~arch:j.jarch
@@ -216,7 +207,7 @@ let ckey j =
    up the compile cache. *)
 let artifact_key t ~kind ck fetch view =
   through t t.ak ~kind:"artifact" ~key:(kind ^ "/" ^ ck) (fun () ->
-      digest_of (view (fetch ())))
+      Cache.key (view (fetch ())))
 
 let timing_view (c : C.compiled) =
   (c.C.c_arch, c.C.c_latency, c.C.c_prog.Safara_ir.Program.arrays, c.C.c_kernels)
@@ -243,7 +234,7 @@ let compile_and_record t ~arch ?safara_config ~disable profile prog =
    compile. *)
 let front_end t src unroll =
   let prog =
-    Cache.find_or_compute t.fe ~key:(digest_of src) (fun () ->
+    Cache.find_or_compute t.fe ~key:(Cache.key src) (fun () ->
         Safara_lang.Frontend.compile src)
   in
   match unroll with
@@ -346,7 +337,7 @@ let simulated t cache ~kind ~view ~extra j f =
   let ak = artifact_key t ~kind ck fetch view in
   let w = j.jw in
   let key =
-    digest_of (kind, ak, extra, w.Workload.seed, w.Workload.scalars, sim_mode t)
+    Cache.key (kind, ak, extra, w.Workload.seed, w.Workload.scalars, sim_mode t)
   in
   through t cache ~kind ~key (fun () ->
       let c = fetch () in
@@ -565,7 +556,7 @@ let stats_json s =
     @ store_fields)
 
 let self_check t w =
-  if jobs t > 1 && assertions_enabled then begin
+  if jobs t > 1 && Safara_core.Pass.assertions_enabled then begin
     let js = List.map (fun p -> job p w) C.all_profiles in
     warm t js;
     let parallel = List.map (time_job t) js in

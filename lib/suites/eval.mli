@@ -224,13 +224,9 @@ val stats_json : stats -> Safara_json.Sjson.t
     [engine] block of the bench JSON files. The [store] member is
     present only when the engine has a store. *)
 
-val assertions_enabled : bool
-(** Whether this binary keeps [assert]s: true unless it was built with
-    [-noassert], which no dune profile of this project passes, so
-    release builds keep them too. *)
-
 val self_check : t -> Workload.t -> unit
-(** Determinism guard: when {!assertions_enabled} and the pool is parallel,
-    times the workload under every profile both through the pool and
-    through a fresh serial engine and asserts the results are equal.
+(** Determinism guard: when {!Safara_core.Pass.assertions_enabled}
+    and the pool is parallel, times the workload under every profile
+    both through the pool and through a fresh serial engine and
+    asserts the results are equal.
     A no-op at [-j 1] or in a [-noassert] build. *)

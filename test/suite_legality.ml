@@ -153,9 +153,26 @@ let test_blocks_imply_parallel_axes () =
     (Lazy.force programs);
   Alcotest.(check bool) "some kernel is block-parallel" true (!judged > 0)
 
+(* Under [kernels] an undirected loop is the compiler's to promote,
+   but not one whose every iteration writes the same element. *)
+let test_same_element_write_stays_seq () =
+  let src = Legality_sources.wrap_loop ~sched:"" "c[0] = a[i];" in
+  let prog =
+    Safara_analysis.Schedule.resolve_program (Safara_lang.Frontend.compile src)
+  in
+  let r = List.hd prog.Safara_ir.Program.regions in
+  match r.Safara_ir.Region.body with
+  | [ Safara_ir.Stmt.For l ] ->
+      Alcotest.(check bool)
+        "stays seq" true
+        (l.Safara_ir.Stmt.sched = Safara_ir.Stmt.Seq)
+  | _ -> Alcotest.fail "loop missing"
+
 let suite =
   [
     Alcotest.test_case "golden legality verdicts" `Quick test_legality_golden;
     Alcotest.test_case "block-parallel kernels pass the loop verdict" `Quick
       test_blocks_imply_parallel_axes;
+    Alcotest.test_case "same-element write keeps an auto loop seq" `Quick
+      test_same_element_write_stays_seq;
   ]

@@ -790,14 +790,14 @@ let test_costmodel_estimate_scales () =
   let e2 = Interp.estimated_ops ~grid:(8, 1, 1) k in
   Alcotest.(check int) "linear in blocks" (2 * e1) e2
 
-(* --- threaded engine: superop fusion boundaries ---------------------- *)
-(* Hand-built register-only kernels drive the closure compiler's fusion
-   paths directly against an unfused walk of the same kernel's per-pc
-   step closures, comparing final register files bit-for-bit and the
-   fused instruction count against the number of steps walked. The
-   shapes are chosen to straddle fusion boundaries: labels inside
-   would-be fused runs, branches landing between dependent ops, and
-   compares feeding the conditional branch that ends a block. *)
+(* --- threaded engine: block closures against the step walk ----------- *)
+(* Hand-built register-only kernels run through the closure compiler's
+   block closures and, once more, through a walk of the same kernel's
+   per-pc step closures, comparing final register files bit-for-bit and
+   the block-counted instructions against the number of steps walked.
+   The shapes straddle block boundaries: labels inside straight-line
+   runs, branches landing between dependent ops, and compares feeding
+   the conditional branch that ends a block. *)
 
 let vreg rid rty = { Safara_vir.Vreg.rid; rty }
 let freg rid = vreg rid Safara_ir.Types.F64
@@ -823,10 +823,10 @@ let regonly_thread th =
   Decode.reset_state st;
   (st, Decode.make_params d ~env ~prog)
 
-(* run one thread through the fused block closures and once more by
-   walking the unfused per-pc step closures (the timing model's view of
-   the same kernel); both register halves must match and the fused
-   instruction count must equal the number of steps walked. Returns
+(* run one thread through the block closures and once more by walking
+   the per-pc step closures (the timing model's view of the same
+   kernel); both register halves must match and the block-counted
+   instructions must equal the number of steps walked. Returns
    (float regs, int regs, instructions). *)
 let check_regonly_agree k =
   let name = k.Safara_vir.Kernel.kname in
@@ -850,10 +850,10 @@ let check_regonly_agree k =
   (f_st.Decode.xf, f_st.Decode.xi, cnt.Decode.c_instructions)
 
 let test_fusion_loop_with_dependent_chain () =
-  (* a loop whose body is a fusable dependent float pair, an int
-     increment, and a compare feeding the back-edge: exercises the
-     generic pair fuser, a block whose last body op writes the branch
-     predicate, and the label op at the loop head *)
+  (* a loop whose body is a dependent float pair, an int increment,
+     and a compare feeding the back-edge: exercises a chained block
+     body, a block whose last body op writes the branch predicate, and
+     the label op at the loop head *)
   let module I = Safara_vir.Instr in
   let k =
     regonly_kernel "chainloop"
@@ -886,8 +886,8 @@ let test_fusion_loop_with_dependent_chain () =
 
 let test_fusion_branch_into_straightline () =
   (* the entry jump lands *between* two dependent float ops: the
-     closure compiler must break the would-be fused run at the block
-     leader rather than fusing across it *)
+     closure compiler must start a block at the leader rather than
+     chaining across it *)
   let module I = Safara_vir.Instr in
   let k =
     regonly_kernel "midjump"
@@ -914,7 +914,8 @@ let test_fusion_branch_into_straightline () =
 
 let test_fusion_unop_chain () =
   (* dependent unary chains exercise the compile-time unop
-     specialization (sqrt of a product, scaled) on both fusion sides *)
+     specialization (sqrt of a product, scaled) in block closures and
+     step closures alike *)
   let module I = Safara_vir.Instr in
   let k =
     regonly_kernel "unops"
@@ -933,16 +934,14 @@ let test_fusion_unop_chain () =
   Alcotest.(check (float 0.)) "floor" 3.0 xf.(4);
   Alcotest.(check (float 0.)) "negated fraction" 0.0 xf.(6)
 
-let test_fusion_addressing_chain_source () =
-  (* addressing arithmetic as generated from real array code, on both
-     engines with counters: a small strided gather with 64-bit offsets
-     (dependent pairs only), and the same gather under [small], whose
-     32-bit offsets give the full idiom the addressing-chain fuser
-     collapses — scale, convert, base add, then a store, or a load
-     whose value is copied into the conditionally assigned scalar
-     (the copy is the chain's fifth op) *)
-  let gather =
-    {|
+(* addressing arithmetic as generated from real array code: a small
+   strided gather with 64-bit offsets, and the same gather under
+   [small], whose 32-bit offsets give the full idiom the
+   addressing-chain fuser collapses — scale, convert, base add, then a
+   store, or a load whose value is copied into the conditionally
+   assigned scalar (the copy is the chain's fifth op) *)
+let gather_src =
+  {|
 param int n;
 in double b[n][n];
 double y[n];
@@ -954,8 +953,9 @@ double y[n];
   }
 }
 |}
-  and gather_small =
-    {|
+
+let gather_small_src =
+  {|
 param int n;
 in double b[n][n];
 double y[n];
@@ -971,34 +971,65 @@ double y[n];
   }
 }
 |}
-  in
+
+(* run [src]'s kernels, each rewritten by [edit], on engine [eng]:
+   [y]'s checksum bits and (instructions, loads, stores) *)
+let gather_snapshot ?(edit = Fun.id) src eng =
   let n = 64 in
-  let snapshot src eng =
-    Decode.with_engine eng (fun () ->
-        let prog, kernels = compile_pipeline src in
-        let mem = Memory.create () in
-        Memory.alloc_program mem ~env:[ ("n", n) ] prog;
-        let b = Memory.float_data mem "b" in
-        Array.iteri (fun i _ -> b.(i) <- float_of_int (i mod 97)) b;
-        let env = { Interp.scalars = [ ("n", V.I n) ]; mem } in
-        let counters = Interp.fresh_counters () in
-        List.iter
-          (fun (k, _) ->
-            let grid = Launch.grid_of ~env:env.Interp.scalars k in
-            Interp.run_kernel ~counters ~prog ~env ~grid k)
-          kernels;
-        ( Int64.bits_of_float (Memory.checksum mem "y"),
-          ( counters.Interp.c_instructions,
-            counters.Interp.c_loads,
-            counters.Interp.c_stores ) ))
+  Decode.with_engine eng (fun () ->
+      let prog, kernels = compile_pipeline src in
+      let kernels = List.map (fun (k, r) -> (edit k, r)) kernels in
+      let mem = Memory.create () in
+      Memory.alloc_program mem ~env:[ ("n", n) ] prog;
+      let b = Memory.float_data mem "b" in
+      Array.iteri (fun i _ -> b.(i) <- float_of_int (i mod 97)) b;
+      let env = { Interp.scalars = [ ("n", V.I n) ]; mem } in
+      let counters = Interp.fresh_counters () in
+      List.iter
+        (fun (k, _) ->
+          let grid = Launch.grid_of ~env:env.Interp.scalars k in
+          Interp.run_kernel ~counters ~prog ~env ~grid k)
+        kernels;
+      ( Int64.bits_of_float (Memory.checksum mem "y"),
+        ( counters.Interp.c_instructions,
+          counters.Interp.c_loads,
+          counters.Interp.c_stores ) ))
+
+let check_gather_engines_agree ?edit name src =
+  let r_sum, r_cnt = gather_snapshot ?edit src Decode.Reference in
+  let t_sum, t_cnt = gather_snapshot ?edit src Decode.Threaded in
+  Alcotest.(check int64) (name ^ ": threaded checksum") r_sum t_sum;
+  Alcotest.(check bool) (name ^ ": threaded counters") true (r_cnt = t_cnt)
+
+let test_fusion_addressing_chain_source () =
+  (* both engines with counters, on both gathers *)
+  check_gather_engines_agree "gather" gather_src;
+  check_gather_engines_agree "gather small" gather_small_src
+
+let test_fusion_addressing_chain_cut () =
+  (* [bra cut; cut:] just before the kernel's first non-local load or
+     store makes the base add and the memory op different blocks, so
+     the addressing chain cannot fuse across the leader *)
+  let module I = Safara_vir.Instr in
+  let cuts = ref 0 in
+  let cut (k : Safara_vir.Kernel.t) =
+    let global = function
+      | I.Ld { mem; _ } | I.St { mem; _ } ->
+          mem.I.m_space <> Safara_gpu.Memspace.Local
+      | _ -> false
+    in
+    let code = Array.to_list k.Safara_vir.Kernel.code in
+    let rec go = function
+      | [] -> []
+      | ins :: rest when global ins ->
+          incr cuts;
+          I.Bra "cut" :: I.Label "cut" :: ins :: rest
+      | ins :: rest -> ins :: go rest
+    in
+    { k with Safara_vir.Kernel.code = Array.of_list (go code) }
   in
-  List.iter
-    (fun (name, src) ->
-      let r_sum, r_cnt = snapshot src Decode.Reference in
-      let t_sum, t_cnt = snapshot src Decode.Threaded in
-      Alcotest.(check int64) (name ^ ": threaded checksum") r_sum t_sum;
-      Alcotest.(check bool) (name ^ ": threaded counters") true (r_cnt = t_cnt))
-    [ ("gather", gather); ("gather small", gather_small) ]
+  check_gather_engines_agree ~edit:cut "gather small, cut" gather_small_src;
+  Alcotest.(check bool) "a memory op was cut off" true (!cuts > 0)
 
 let test_memory_view_cursors () =
   let m = Memory.create () in
@@ -1489,6 +1520,8 @@ let suite =
       test_fusion_unop_chain;
     Alcotest.test_case "fusion: addressing chain via source" `Quick
       test_fusion_addressing_chain_source;
+    Alcotest.test_case "fusion: addressing chain cut at a block leader"
+      `Quick test_fusion_addressing_chain_cut;
   ]
   @ List.map
       (fun (w : Safara_suites.Workload.t) ->
