@@ -498,6 +498,7 @@ let run_cmd =
             }
         in
         dispatch ~connect req ~local:(fun () ->
+            set_engine engine;
             let jobs = match jobs with Some n when n > 1 -> n | _ -> 1 in
             with_eval ~jobs ?store_dir (fun eng ->
                 Safara_serve.Commands.exec eng req)))
@@ -535,6 +536,7 @@ let bench_cmd =
            them out over its domain pool, then prints serially from the
            cache so the report is identical at any -j *)
         dispatch ~connect req ~local:(fun () ->
+            set_engine engine;
             with_eval ?jobs ?store_dir (fun eng ->
                 Safara_serve.Commands.exec eng req)))
   in

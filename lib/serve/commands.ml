@@ -14,11 +14,21 @@ let profile_of = function
       failwith
         ("unknown profile " ^ other ^ " (base|safara|small|clauses|full|pgi)")
 
-let with_engine_opt name f =
-  match name with
-  | None -> f ()
+(* The engine is process state that concurrent requests share, so a
+   request may name one but never switch it: a name other than the
+   process's engine is refused, and an unknown name gets
+   [engine_of_string]'s error listing the engines. *)
+let check_engine = function
+  | None -> ()
   | Some n ->
-      Safara_sim.Decode.with_engine (Safara_sim.Decode.engine_of_string n) f
+      let module D = Safara_sim.Decode in
+      let e = D.engine_of_string n in
+      if e <> !D.engine then
+        failwith
+          (Printf.sprintf
+             "engine %s requested, but the serving process simulates on %s \
+              (a daemon keeps its engine)"
+             (D.engine_name e) (D.engine_name !D.engine))
 
 (* Rendering discipline, shared by every command: Printf-style output
    goes straight into the buffer, Format-style output through a
@@ -166,90 +176,90 @@ let parse_scalars (prog : Safara_ir.Program.t) defs =
     defs
 
 let run eng (r : Protocol.run_req) : Protocol.outcome =
-  with_engine_opt r.rn_engine (fun () ->
-      let profile = profile_of r.rn_profile in
-      let arch = arch_of r.rn_arch in
-      let c = Eval.compile_src eng ~arch profile r.rn_src in
-      let scalars = parse_scalars c.C.c_prog r.rn_defines in
-      let env = C.make_env c ~scalars in
-      let pool =
-        if Eval.jobs eng > 1 then Some (Eval.pool eng) else None
-      in
-      let modes = C.run_functional_m ?pool c env in
-      let out = Buffer.create 256 in
-      let err = Buffer.create 64 in
-      (* execution-mode report on stderr: stdout (the checksums) is
-         byte-identical at any pool size *)
-      if pool <> None then
-        List.iter
-          (fun (kname, mode) ->
-            match mode with
-            | Safara_sim.Interp.Parallel { chunks } ->
-                Printf.bprintf err "%s: block-parallel (%d chunks)\n" kname
-                  chunks
-            | Safara_sim.Interp.Sequential (Some reason) ->
-                Printf.bprintf err "%s: sequential — %s\n" kname
-                  (Safara_sim.Blockpar.reason_message reason)
-            | Safara_sim.Interp.Sequential None ->
-                Printf.bprintf err "%s: sequential\n" kname)
-          modes;
-      List.iter
-        (fun (a : Safara_ir.Array_info.t) ->
-          Printf.bprintf out "%-16s checksum % .10e\n"
-            a.Safara_ir.Array_info.name
-            (Safara_sim.Memory.checksum env.Safara_sim.Interp.mem
-               a.Safara_ir.Array_info.name))
-        c.C.c_prog.Safara_ir.Program.arrays;
-      {
-        Protocol.out = Buffer.contents out;
-        err = Buffer.contents err;
-        code = 0;
-      })
+  check_engine r.rn_engine;
+  let profile = profile_of r.rn_profile in
+  let arch = arch_of r.rn_arch in
+  let c = Eval.compile_src eng ~arch profile r.rn_src in
+  let scalars = parse_scalars c.C.c_prog r.rn_defines in
+  let env = C.make_env c ~scalars in
+  let pool =
+    if Eval.jobs eng > 1 then Some (Eval.pool eng) else None
+  in
+  let modes = C.run_functional_m ?pool c env in
+  let out = Buffer.create 256 in
+  let err = Buffer.create 64 in
+  (* execution-mode report on stderr: stdout (the checksums) is
+     byte-identical at any pool size *)
+  if pool <> None then
+    List.iter
+      (fun (kname, mode) ->
+        match mode with
+        | Safara_sim.Interp.Parallel { chunks } ->
+            Printf.bprintf err "%s: block-parallel (%d chunks)\n" kname
+              chunks
+        | Safara_sim.Interp.Sequential (Some reason) ->
+            Printf.bprintf err "%s: sequential — %s\n" kname
+              (Safara_sim.Blockpar.reason_message reason)
+        | Safara_sim.Interp.Sequential None ->
+            Printf.bprintf err "%s: sequential\n" kname)
+      modes;
+  List.iter
+    (fun (a : Safara_ir.Array_info.t) ->
+      Printf.bprintf out "%-16s checksum % .10e\n"
+        a.Safara_ir.Array_info.name
+        (Safara_sim.Memory.checksum env.Safara_sim.Interp.mem
+           a.Safara_ir.Array_info.name))
+    c.C.c_prog.Safara_ir.Program.arrays;
+  {
+    Protocol.out = Buffer.contents out;
+    err = Buffer.contents err;
+    code = 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* bench                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let bench eng (r : Protocol.bench_req) : Protocol.outcome =
-  with_engine_opt r.bn_engine (fun () ->
-      let w =
-        try Safara_suites.Registry.find r.bn_id
-        with Not_found ->
-          failwith
-            ("unknown benchmark " ^ r.bn_id ^ "; known: "
-            ^ String.concat ", "
-                (List.map
-                   (fun (w : Safara_suites.Workload.t) ->
-                     w.Safara_suites.Workload.id)
-                   Safara_suites.Registry.all))
-      in
-      let arch = arch_of r.bn_arch in
-      let b = Buffer.create 1024 in
-      let fmt = Format.formatter_of_buffer b in
-      Printf.bprintf b "%s — %s\n%s\n\n" w.Safara_suites.Workload.id
-        w.Safara_suites.Workload.title w.Safara_suites.Workload.description;
-      if Eval.jobs eng > 1 then Eval.self_check eng w;
-      Eval.warm eng (List.map (fun p -> Eval.job ~arch p w) C.all_profiles);
-      let base = ref 0.0 in
+  check_engine r.bn_engine;
+  let w =
+    try Safara_suites.Registry.find r.bn_id
+    with Not_found ->
+      failwith
+        ("unknown benchmark " ^ r.bn_id ^ "; known: "
+        ^ String.concat ", "
+            (List.map
+               (fun (w : Safara_suites.Workload.t) ->
+                 w.Safara_suites.Workload.id)
+               Safara_suites.Registry.all))
+  in
+  let arch = arch_of r.bn_arch in
+  let b = Buffer.create 1024 in
+  let fmt = Format.formatter_of_buffer b in
+  Printf.bprintf b "%s — %s\n%s\n\n" w.Safara_suites.Workload.id
+    w.Safara_suites.Workload.title w.Safara_suites.Workload.description;
+  if Eval.jobs eng > 1 then Eval.self_check eng w;
+  Eval.warm eng (List.map (fun p -> Eval.job ~arch p w) C.all_profiles);
+  let base = ref 0.0 in
+  List.iter
+    (fun p ->
+      let t = Eval.time_job eng (Eval.job ~arch p w) in
+      let total = t.Safara_sim.Launch.total_ms in
+      if p = C.Base then base := total;
+      Printf.bprintf b "%-24s %9.4f ms  %5.2fx\n" (C.profile_name p)
+        total (!base /. total);
       List.iter
-        (fun p ->
-          let t = Eval.time_job eng (Eval.job ~arch p w) in
-          let total = t.Safara_sim.Launch.total_ms in
-          if p = C.Base then base := total;
-          Printf.bprintf b "%-24s %9.4f ms  %5.2fx\n" (C.profile_name p)
-            total (!base /. total);
-          List.iter
-            (fun kt ->
-              Format.fprintf fmt "    %a@." Safara_sim.Launch.pp_kernel_time
-                kt)
-            t.Safara_sim.Launch.ptk)
-        C.all_profiles;
-      Format.pp_print_flush fmt ();
-      {
-        Protocol.out = Buffer.contents b;
-        err = (if r.bn_stats then Eval.render_stats eng else "");
-        code = 0;
-      })
+        (fun kt ->
+          Format.fprintf fmt "    %a@." Safara_sim.Launch.pp_kernel_time
+            kt)
+        t.Safara_sim.Launch.ptk)
+    C.all_profiles;
+  Format.pp_print_flush fmt ();
+  {
+    Protocol.out = Buffer.contents b;
+    err = (if r.bn_stats then Eval.render_stats eng else "");
+    code = 0;
+  }
 
 let exec eng = function
   | Protocol.Compile r -> compile eng r

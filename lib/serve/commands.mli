@@ -40,5 +40,8 @@ val run : Safara_suites.Eval.t -> Protocol.run_req -> Protocol.outcome
 val bench : Safara_suites.Eval.t -> Protocol.bench_req -> Protocol.outcome
 
 val exec : Safara_suites.Eval.t -> Protocol.request -> Protocol.outcome
-(** Dispatch a command request ([Compile]/[Check]/[Run]/[Bench]).
+(** Dispatch a command request ([Compile]/[Check]/[Run]/[Bench]). A
+    [Run] or [Bench] request that names a simulator engine must name
+    the process's {!Safara_sim.Decode.engine}: requests share the
+    process, so none may switch it, and any other name fails.
     @raise Invalid_argument for control requests. *)

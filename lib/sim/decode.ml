@@ -166,7 +166,6 @@ type t = {
   d_mems : mem_op array;
   d_params : pkind array;  (** by slot *)
   d_nregs : int;
-  d_zero : int array;  (** rids that may be read before written *)
 }
 
 let is_freg (r : V.t) = T.is_float r.V.rty
@@ -285,53 +284,12 @@ let decode (k : K.t) =
     | I.Ret -> DRet
   in
   let ops = Array.mapi decode_one code in
-  let nregs = K.num_regs k in
-  (* Which registers can be read before this thread writes them? A def
-     in the entry prefix (the straightline run before the first label
-     or branch) executes unconditionally before any later op, so a rid
-     whose first def sits there — strictly before its first use — can
-     never expose a stale value, and [reset_state] need not zero it.
-     Compiled kernels define everything up front, so this is usually
-     the empty set and per-thread reset touches no registers. *)
-  let entry_end =
-    let stop = ref (Array.length code) in
-    (try
-       Array.iteri
-         (fun i instr ->
-           match instr with
-           | I.Label _ | I.Bra _ | I.Brc _ ->
-               stop := i;
-               raise Exit
-           | _ -> ())
-         code
-     with Exit -> ());
-    !stop
-  in
-  let first_def = Array.make nregs max_int in
-  let first_use = Array.make nregs max_int in
-  Array.iteri
-    (fun i instr ->
-      I.iter_uses
-        (fun (r : V.t) ->
-          if first_use.(r.V.rid) = max_int then first_use.(r.V.rid) <- i)
-        instr;
-      I.iter_defs
-        (fun (r : V.t) ->
-          if first_def.(r.V.rid) = max_int then first_def.(r.V.rid) <- i)
-        instr)
-    code;
-  let zero = ref [] in
-  for r = nregs - 1 downto 0 do
-    let safe = first_def.(r) < entry_end && first_def.(r) < first_use.(r) in
-    if not safe then zero := r :: !zero
-  done;
   {
     d_kernel = k;
     d_ops = ops;
     d_mems = Array.of_list (List.rev !mems);
     d_params = Array.of_list (List.rev !plist);
-    d_nregs = nregs;
-    d_zero = Array.of_list !zero;
+    d_nregs = K.num_regs k;
   }
 
 (* --- execution state -------------------------------------------------- *)
@@ -341,7 +299,6 @@ type state = {
   xi : int array;  (** int/predicate register half (bools as 0/1) *)
   x_local : (int, Value.t) Hashtbl.t;  (** per-thread local (spill) memory *)
   x_special : int array;  (** 12 slots, indexed by {!sp_index}'s layout *)
-  x_zero : int array;  (** rids [reset_state] must zero ([d_zero]) *)
   mutable x_addr : int;  (** effective address of the last memory op *)
 }
 
@@ -351,18 +308,8 @@ let make_state d =
     xi = Array.make d.d_nregs 0;
     x_local = Hashtbl.create 4;
     x_special = Array.make 12 0;
-    x_zero = d.d_zero;
     x_addr = 0;
   }
-
-let reset_state st =
-  let z = st.x_zero in
-  for i = 0 to Array.length z - 1 do
-    let r = Array.unsafe_get z i in
-    Array.unsafe_set st.xf r 0.;
-    Array.unsafe_set st.xi r 0
-  done;
-  if Hashtbl.length st.x_local > 0 then Hashtbl.reset st.x_local
 
 let set_launch st ~ntid:(bx, by, bz) ~nctaid:(gx, gy, gz) =
   let s = st.x_special in

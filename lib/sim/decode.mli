@@ -116,10 +116,6 @@ type t = {
   d_mems : mem_op array;  (** memory descriptors, indexed by [mi] *)
   d_params : pkind array;  (** pre-parsed [Ldp] names, by slot *)
   d_nregs : int;
-  d_zero : int array;
-      (** rids whose first def does not dominate every use from the
-          entry straightline prefix — the only registers a thread could
-          observe stale, so the only ones per-thread reset must zero *)
 }
 
 val decode : Safara_vir.Kernel.t -> t
@@ -132,18 +128,13 @@ type state = {
   xi : int array;  (** int/predicate register half (bools as 0/1) *)
   x_local : (int, Value.t) Hashtbl.t;  (** per-thread local (spill) slots *)
   x_special : int array;  (** tid/ctaid/ntid/nctaid, 12 slots *)
-  x_zero : int array;  (** shared with {!t.d_zero} *)
   mutable x_addr : int;
       (** effective address of the last memory op executed — recorded
           because the op may overwrite its own address register *)
 }
 
 val make_state : t -> state
-
-val reset_state : state -> unit
-(** Prepare the state for the next thread: zero the registers in
-    [x_zero] (every other register is provably written before read)
-    and clear local memory if the previous thread spilled. *)
+(** Zeroed registers and empty local memory. *)
 
 val set_launch :
   state -> ntid:int * int * int -> nctaid:int * int * int -> unit

@@ -135,54 +135,60 @@ let run_kernel_ref ~counters ~prog ~env ~grid (k : K.t) =
 
 (* --- threaded engine -------------------------------------------------- *)
 
-(* Per-domain pool of decode states keyed by the decoded kernel
-   (physical identity): repeated launches and per-chunk workers reuse
-   the register arrays instead of allocating fresh ones. Correct to
-   reuse without re-zeroing because [reset_state] already restores
-   the only observable state a previous thread could leak (the
-   [d_zero] registers and local memory) — the same invariant the
-   sequential walk relies on between threads. *)
-let state_pool_limit = 64
+(* One decode state per domain, reused by the next launch instead of
+   allocating fresh register arrays. A state serves any kernel with at
+   most as many registers: [Threaded.run_thread] zeroes every register a
+   thread may read before writing it and clears local memory, so no
+   value of an earlier thread or kernel is ever observed. A launch takes
+   the state out of its domain's slot and puts it back when it returns,
+   so two threads of one domain (the daemon's connection threads) never
+   share one: nothing between the read of the slot and its reset can
+   switch threads. *)
+let state_slot : Decode.state option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
-let state_pool : (Decode.t * Decode.state) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let pooled_state (d : Decode.t) =
-  let c = Domain.DLS.get state_pool in
-  match List.find_opt (fun (d', _) -> d' == d) !c with
-  | Some (_, st) -> st
-  | None ->
-      let st = Decode.make_state d in
-      let rest = if List.length !c >= state_pool_limit then [] else !c in
-      c := (d, st) :: rest;
+let take_state (d : Decode.t) =
+  let slot = Domain.DLS.get state_slot in
+  match !slot with
+  | Some st when Array.length st.Decode.xf >= d.Decode.d_nregs ->
+      slot := None;
       st
+  | _ -> Decode.make_state d
 
-let run_kernel_thr ~counters ~prog ~env ~grid (k : K.t) =
-  let th = Threaded.of_kernel k in
+(* Run the grid's thread-blocks [lo, hi) in ascending linear order
+   (cx fastest, then cy, then cz — the nesting of the reference walk),
+   each block's threads tx fastest, on a state taken from this domain's
+   slot. The sequential launch is [lo, hi) = [0, nblocks); a parallel
+   chunk is a contiguous slice of it. *)
+let run_blocks th ~counters ~ps ~grid ~lo ~hi =
   let d = Threaded.decoded th in
-  let st = pooled_state d in
-  let ps = Decode.make_params d ~env ~prog in
+  let st = take_state d in
   let gx, gy, gz = grid in
-  let bx, by, bz = k.K.block in
+  let bx, by, bz = d.Decode.d_kernel.K.block in
   Decode.set_launch st ~ntid:(bx, by, bz) ~nctaid:(gx, gy, gz);
   (* fuel is one subtraction per block here, so no fuel-free special
      case is needed: straightline kernels can't trip the budget *)
   let budget = !max_steps_per_thread in
-  for cz = 0 to gz - 1 do
-    for cy = 0 to gy - 1 do
-      for cx = 0 to gx - 1 do
-        for tz = 0 to bz - 1 do
-          for ty = 0 to by - 1 do
-            for tx = 0 to bx - 1 do
-              Decode.reset_state st;
-              Decode.set_thread st ~tx ~ty ~tz ~cx ~cy ~cz;
-              Threaded.run_thread th st ps counters ~fuel:budget
-            done
-          done
+  for b = lo to hi - 1 do
+    let cx = b mod gx in
+    let cy = b / gx mod gy in
+    let cz = b / (gx * gy) in
+    for tz = 0 to bz - 1 do
+      for ty = 0 to by - 1 do
+        for tx = 0 to bx - 1 do
+          Decode.set_thread st ~tx ~ty ~tz ~cx ~cy ~cz;
+          Threaded.run_thread th st ps counters ~fuel:budget
         done
       done
     done
-  done
+  done;
+  Domain.DLS.get state_slot := Some st
+
+let run_kernel_thr ~counters ~prog ~env ~grid (k : K.t) =
+  let th = Threaded.of_kernel k in
+  let ps = Decode.make_params (Threaded.decoded th) ~env ~prog in
+  let gx, gy, gz = grid in
+  run_blocks th ~counters ~ps ~grid ~lo:0 ~hi:(gx * gy * gz)
 
 (* --- block-parallel engine -------------------------------------------- *)
 
@@ -234,7 +240,6 @@ let run_kernel_par ~counters ~prog ~env ~grid ~pool (k : K.t) =
   let gx, gy, gz = grid in
   let bx, by, bz = k.K.block in
   let nblocks = gx * gy * gz in
-  let budget = !max_steps_per_thread in
   (* resolve every parameter slot up front (the parallel_for mutex
      publishes the arrays to the workers), so chunks share one params
      record read-only instead of re-resolving per chunk; if a slot is
@@ -249,27 +254,11 @@ let run_kernel_par ~counters ~prog ~env ~grid ~pool (k : K.t) =
     Pool.parallel_for pool ~min_chunk ~n:nblocks (fun ~lo ~hi ->
         let cnt = fresh_counters () in
         let env_c = { env with mem = Memory.view env.mem } in
-        let st = pooled_state d in
         let ps =
           if shared_params then { ps0 with Decode.p_env = env_c }
           else Decode.make_params d ~env:env_c ~prog
         in
-        Decode.set_launch st ~ntid:(bx, by, bz) ~nctaid:(gx, gy, gz);
-        for b = lo to hi - 1 do
-          (* invert the sequential walk's cz-outer / cx-inner nesting *)
-          let cx = b mod gx in
-          let cy = b / gx mod gy in
-          let cz = b / (gx * gy) in
-          for tz = 0 to bz - 1 do
-            for ty = 0 to by - 1 do
-              for tx = 0 to bx - 1 do
-                Decode.reset_state st;
-                Decode.set_thread st ~tx ~ty ~tz ~cx ~cy ~cz;
-                Threaded.run_thread th st ps cnt ~fuel:budget
-              done
-            done
-          done
-        done;
+        run_blocks th ~counters:cnt ~ps ~grid ~lo ~hi;
         cnt)
   in
   List.iter (fun c -> add_counters ~into:counters c) chunk_counters;

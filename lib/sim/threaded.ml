@@ -1,23 +1,20 @@
 (* Closure-threaded execution engine.
 
-   [compile] turns a decoded op array into OCaml closures once per
+   [of_kernel] turns a decoded op array into OCaml closures once per
    kernel: every op becomes a closure with its operands resolved at
    compile time (register indices and immediates are captured, so the
    hot path never re-inspects a [Decode.src]), and each basic block's
-   straight-line run is fused into one superop closure by chaining the
-   op closures in continuation-passing style — executing a block is a
-   single indirect call that tail-calls through its ops and returns
-   the index of the next block. There is no per-instruction dispatch
-   [match], per-op counter increment or per-op fuel decrement in the
-   inner loop: counters become one static delta per block, fuel one
-   subtraction per block.
+   straight-line run is chained into one block closure in
+   continuation-passing style — executing a block is a single indirect
+   call that tail-calls through its ops and returns the index of the
+   next block. There is no per-instruction dispatch [match], per-op
+   counter increment or per-op fuel decrement in the inner loop:
+   counters become one static delta per block, fuel one subtraction
+   per block.
 
-   One superop family goes further and shares one closure body across
-   several ops: [fuse_addr], the byte-addressing chain scale → convert
-   → base add → global load or store, with the loaded value's move.
-   Every other op is its own [build_op] closure — the same closure the
-   timing model's [steps] run — and the terminator is a plain branch
-   on its predicate register.
+   There is one closure family: every op is its own [build_op] closure
+   — the same closure the timing model's [steps] run — and the
+   terminator is a plain branch on its predicate register.
 
    Each closure body is the semantics of one decoded op ({!Decode.dop})
    with the operand [match] hoisted to compile time, converting across
@@ -25,14 +22,15 @@
    [Value.to_*]; the differential suite holds the two engines to
    bit-identical memory, counters and timing stats.
 
-   The timing model cannot use superops (it charges costs per
-   instruction), so [steps] exposes the same compiled closures in
-   per-pc form: a step closure performs one op and returns the next
-   pc, which is how {!Timing}'s machine model runs on threaded
-   execution. *)
+   The timing model charges costs per instruction, so [steps] exposes
+   the same closures in per-pc form: a step closure performs one op and
+   returns the next pc, which is how {!Timing}'s machine model runs on
+   threaded execution. *)
 
 module D = Decode
+module I = Safara_vir.Instr
 module K = Safara_vir.Kernel
+module V = Safara_vir.Vreg
 
 (* A compiled chunk of execution: runs some ops against the state and
    returns the next block index (block bodies) or the next pc (step
@@ -50,11 +48,17 @@ type block = {
   b_spills : int;
 }
 
+(* what a functional run needs beyond the decoded ops *)
+type func = {
+  f_blocks : block array;
+  f_zero : int array;  (** rids a thread may read before writing them *)
+}
+
 type t = {
   t_d : D.t;
-  mutable t_blocks : block array option;
-      (** superop form, built on demand; [of_kernel] builds it on the
-          calling domain before handing [t] out *)
+  mutable t_func : func option;
+      (** block form, built by [of_kernel] on the calling domain before
+          it hands [t] out *)
   mutable t_steps : cl array option;  (** per-pc form, built on demand *)
 }
 
@@ -658,231 +662,7 @@ let build_op (d : D.t) (op : D.dop) (k : cl) : cl =
          builders, never as a body op *)
       assert false
 
-(* --- addressing-chain fusion ------------------------------------------ *)
-
-(* The first op of an addressing chain computes the index t with an
-   int operator given by a small integer code, branched on inside the
-   closure: unlike a reader closure, a branch on a captured immediate
-   costs no call and no allocation ([iapp] is a direct application the
-   compiler inlines). Operand positions are always preserved — nothing
-   commutes. *)
-
-let[@inline always] iapp c p q =
-  if c = 0 then p + q
-  else if c = 1 then p * q
-  else if c = 2 then p - q
-  else if c = 3 then if p <= q then p else q
-  else if p <= q then q
-  else p
-
-(* the int binops with branch-free direct bodies; Div/Rem guard
-   against zero and Pow round-trips through float — those stay on the
-   unfused path *)
-let icode_of (op : Safara_vir.Instr.binop) =
-  match op with
-  | Safara_vir.Instr.Add -> Some 0
-  | Safara_vir.Instr.Mul -> Some 1
-  | Safara_vir.Instr.Sub -> Some 2
-  | Safara_vir.Instr.Min -> Some 3
-  | Safara_vir.Instr.Max -> Some 4
-  | _ -> None
-
-(* the chain's first op: t's shape. codes 0=add 1=mul 2=sub 3=min
-   4=max *)
-type ifirst =
-  | IF_rr of int * int * int  (* code, x, y: t = x ⊙ y *)
-  | IF_rc of int * int * int  (* code, x, c: t = x ⊙ c *)
-
-let ifirst_of (op : D.dop) : (int * ifirst) option =
-  let dec code dst a b =
-    match (isrc a, isrc b) with
-    | IR x, IR y -> Some (dst, IF_rr (code, x, y))
-    | IR x, IC c -> Some (dst, IF_rc (code, x, c))
-    | _ -> None
-  in
-  match op with
-  | D.DAddI { dst; a; b } -> dec 0 dst a b
-  | D.DMulI { dst; a; b } -> dec 1 dst a b
-  | D.DBinI { op; dst; a; b } -> (
-      match icode_of op with Some c -> dec c dst a b | None -> None)
-  | _ -> None
-
-(* The complete byte-addressing idiom
-   [t = x ⊙ y; off = cvt t; a = base + off; ld f <- [a]; mov g <- f]
-   — the dominant inner-loop tail in the stencil and seismic kernels
-   — collapses into one closure; the trailing register move of the
-   loaded value rides along when present, and the store-side variant
-   [...; st [a] <- v] fuses the same way. Every register write lands
-   in sequential order before any later read (operand reads go
-   through the register file after the preceding writes), so
-   aliasing is exact even when destinations coincide. *)
-let fuse_addr (d : D.t) (ops : D.dop array) (i : int) (body_hi : int) :
-    (int * (cl -> cl)) option =
-  let glob mi = not (Array.get d.D.d_mems mi).D.mo_local in
-  if i + 3 >= body_hi then None
-  else
-    match ifirst_of ops.(i) with
-    | None -> None
-    | Some (d1, t_shape) -> (
-        match ops.(i + 1) with
-        | ( D.DCvtI { dst = c2; src = D.SIReg r }
-          | D.DMov { fdst = false; dst = c2; src = D.SIReg r } )
-          when r = d1 -> (
-            match ops.(i + 2) with
-            | D.DAddI { dst = d3; a; b } -> (
-                let base =
-                  match (isrc a, isrc b) with
-                  | IR p, IR q when q = c2 && p <> c2 -> Some p
-                  | IR p, IR q when p = c2 && q <> c2 -> Some q
-                  | _ -> None
-                in
-                match (base, ops.(i + 3)) with
-                | Some p, D.DLd { fdst = true; dst = dl; addr = D.SIReg ra; mi }
-                  when ra = d3 && glob mi -> (
-                    let mov =
-                      if i + 4 < body_hi then
-                        match ops.(i + 4) with
-                        | D.DMov { fdst = true; dst = d5; src = D.SFReg r5 }
-                          when r5 = dl ->
-                            Some d5
-                        | _ -> None
-                      else None
-                    in
-                    match (t_shape, mov) with
-                    | IF_rr (c1, x, y), Some d5 ->
-                        Some
-                          ( 5,
-                            fun k ->
-                              let cur = ref (-1) in
-                              fun st ps ->
-                                let t =
-                                  iapp c1
-                                    (Array.unsafe_get st.D.xi x)
-                                    (Array.unsafe_get st.D.xi y)
-                                in
-                                Array.unsafe_set st.D.xi d1 t;
-                                Array.unsafe_set st.D.xi c2 t;
-                                let a = Array.unsafe_get st.D.xi p + t in
-                                Array.unsafe_set st.D.xi d3 a;
-                                st.D.x_addr <- a;
-                                let mem = ps.D.p_env.D.mem in
-                                let s = locate cur mem a in
-                                let v =
-                                  Memory.load_float_slot mem ~slot:s ~addr:a
-                                in
-                                Array.unsafe_set st.D.xf dl v;
-                                Array.unsafe_set st.D.xf d5 v;
-                                k st ps )
-                    | IF_rr (c1, x, y), None ->
-                        Some
-                          ( 4,
-                            fun k ->
-                              let cur = ref (-1) in
-                              fun st ps ->
-                                let t =
-                                  iapp c1
-                                    (Array.unsafe_get st.D.xi x)
-                                    (Array.unsafe_get st.D.xi y)
-                                in
-                                Array.unsafe_set st.D.xi d1 t;
-                                Array.unsafe_set st.D.xi c2 t;
-                                let a = Array.unsafe_get st.D.xi p + t in
-                                Array.unsafe_set st.D.xi d3 a;
-                                st.D.x_addr <- a;
-                                let mem = ps.D.p_env.D.mem in
-                                let s = locate cur mem a in
-                                Array.unsafe_set st.D.xf dl
-                                  (Memory.load_float_slot mem ~slot:s ~addr:a);
-                                k st ps )
-                    | IF_rc (c1, x, c0), Some d5 ->
-                        Some
-                          ( 5,
-                            fun k ->
-                              let cur = ref (-1) in
-                              fun st ps ->
-                                let t =
-                                  iapp c1 (Array.unsafe_get st.D.xi x) c0
-                                in
-                                Array.unsafe_set st.D.xi d1 t;
-                                Array.unsafe_set st.D.xi c2 t;
-                                let a = Array.unsafe_get st.D.xi p + t in
-                                Array.unsafe_set st.D.xi d3 a;
-                                st.D.x_addr <- a;
-                                let mem = ps.D.p_env.D.mem in
-                                let s = locate cur mem a in
-                                let v =
-                                  Memory.load_float_slot mem ~slot:s ~addr:a
-                                in
-                                Array.unsafe_set st.D.xf dl v;
-                                Array.unsafe_set st.D.xf d5 v;
-                                k st ps )
-                    | IF_rc (c1, x, c0), None ->
-                        Some
-                          ( 4,
-                            fun k ->
-                              let cur = ref (-1) in
-                              fun st ps ->
-                                let t =
-                                  iapp c1 (Array.unsafe_get st.D.xi x) c0
-                                in
-                                Array.unsafe_set st.D.xi d1 t;
-                                Array.unsafe_set st.D.xi c2 t;
-                                let a = Array.unsafe_get st.D.xi p + t in
-                                Array.unsafe_set st.D.xi d3 a;
-                                st.D.x_addr <- a;
-                                let mem = ps.D.p_env.D.mem in
-                                let s = locate cur mem a in
-                                Array.unsafe_set st.D.xf dl
-                                  (Memory.load_float_slot mem ~slot:s ~addr:a);
-                                k st ps ))
-                | Some p, D.DSt { src = D.SFReg v; addr = D.SIReg ra; mi }
-                  when ra = d3 && glob mi -> (
-                    match t_shape with
-                    | IF_rr (c1, x, y) ->
-                        Some
-                          ( 4,
-                            fun k ->
-                              let cur = ref (-1) in
-                              fun st ps ->
-                                let t =
-                                  iapp c1
-                                    (Array.unsafe_get st.D.xi x)
-                                    (Array.unsafe_get st.D.xi y)
-                                in
-                                Array.unsafe_set st.D.xi d1 t;
-                                Array.unsafe_set st.D.xi c2 t;
-                                let a = Array.unsafe_get st.D.xi p + t in
-                                Array.unsafe_set st.D.xi d3 a;
-                                st.D.x_addr <- a;
-                                let mem = ps.D.p_env.D.mem in
-                                let s = locate cur mem a in
-                                Memory.store_float_slot mem ~slot:s ~addr:a
-                                  (Array.unsafe_get st.D.xf v);
-                                k st ps )
-                    | IF_rc (c1, x, c0) ->
-                        Some
-                          ( 4,
-                            fun k ->
-                              let cur = ref (-1) in
-                              fun st ps ->
-                                let t =
-                                  iapp c1 (Array.unsafe_get st.D.xi x) c0
-                                in
-                                Array.unsafe_set st.D.xi d1 t;
-                                Array.unsafe_set st.D.xi c2 t;
-                                let a = Array.unsafe_get st.D.xi p + t in
-                                Array.unsafe_set st.D.xi d3 a;
-                                st.D.x_addr <- a;
-                                let mem = ps.D.p_env.D.mem in
-                                let s = locate cur mem a in
-                                Memory.store_float_slot mem ~slot:s ~addr:a
-                                  (Array.unsafe_get st.D.xf v);
-                                k st ps ))
-                | _ -> None)
-            | _ -> None)
-        | _ -> None)
-
-(* --- basic blocks and superop fusion --------------------------------- *)
+(* --- basic blocks ------------------------------------------------------ *)
 
 let build_blocks (d : D.t) : block array =
   let ops = d.D.d_ops in
@@ -891,7 +671,7 @@ let build_blocks (d : D.t) : block array =
   else begin
     (* leaders: entry, every branch target, every successor of a
        control-flow op — branch targets land on block boundaries, so
-       fusion never spans a join point *)
+       a block closure never spans a join point *)
     let leader = Array.make (n + 1) false in
     leader.(0) <- true;
     Array.iteri
@@ -957,15 +737,10 @@ let build_blocks (d : D.t) : block array =
             let fb = blk_of.(hi) in
             (hi, fun (_ : D.state) (_ : D.params) -> fb)
       in
-      (* fuse the straight-line body into the terminator so executing
-         the block is one call; an addressing chain shares a single
-         closure body *)
+      (* chain the straight-line body into the terminator so executing
+         the block is one call *)
       let rec chain i : cl =
-        if i >= body_hi then term
-        else
-          match fuse_addr d ops i body_hi with
-          | Some (consumed, mk) -> mk (chain (i + consumed))
-          | None -> build_op d ops.(i) (chain (i + 1))
+        if i >= body_hi then term else build_op d ops.(i) (chain (i + 1))
       in
       let run = chain lo in
       (* static per-block counter deltas: every class a memory op
@@ -996,23 +771,71 @@ let build_blocks (d : D.t) : block array =
     Array.init !nblocks build_block
   end
 
-let blocks t =
-  match t.t_blocks with
-  | Some b -> b
-  | None ->
-      let b = build_blocks t.t_d in
-      t.t_blocks <- Some b;
-      b
+(* --- registers a thread may read before writing ----------------------- *)
 
-let compile (d : D.t) : t =
-  let t = { t_d = d; t_blocks = None; t_steps = None } in
-  ignore (blocks t : block array);
-  t
+(* A def in the entry prefix (the straightline run before the first
+   label or branch) executes unconditionally before any later op, so a
+   rid whose first def sits there — strictly before its first use —
+   can never expose a stale value, and the per-thread reset need not
+   zero it. Compiled kernels define everything up front, so this is
+   usually the empty set and the reset touches no registers. Only
+   functional runs need it: the timing model zeroes each warp's whole
+   register prefix instead. *)
+let zero_regs (d : D.t) : int array =
+  let code = d.D.d_kernel.K.code in
+  let nregs = d.D.d_nregs in
+  let entry_end =
+    let stop = ref (Array.length code) in
+    (try
+       Array.iteri
+         (fun i instr ->
+           match instr with
+           | I.Label _ | I.Bra _ | I.Brc _ ->
+               stop := i;
+               raise Exit
+           | _ -> ())
+         code
+     with Exit -> ());
+    !stop
+  in
+  let first_def = Array.make nregs max_int in
+  let first_use = Array.make nregs max_int in
+  Array.iteri
+    (fun i instr ->
+      I.iter_uses
+        (fun (r : V.t) ->
+          if first_use.(r.V.rid) = max_int then first_use.(r.V.rid) <- i)
+        instr;
+      I.iter_defs
+        (fun (r : V.t) ->
+          if first_def.(r.V.rid) = max_int then first_def.(r.V.rid) <- i)
+        instr)
+    code;
+  let zero = ref [] in
+  for r = nregs - 1 downto 0 do
+    let safe = first_def.(r) < entry_end && first_def.(r) < first_use.(r) in
+    if not safe then zero := r :: !zero
+  done;
+  Array.of_list !zero
+
+let func t =
+  match t.t_func with
+  | Some f -> f
+  | None ->
+      let f = { f_blocks = build_blocks t.t_d; f_zero = zero_regs t.t_d } in
+      t.t_func <- Some f;
+      f
 
 (* --- drivers ---------------------------------------------------------- *)
 
-let run_thread t st ps (cnt : D.counters) ~fuel =
-  let blocks = blocks t in
+let run_thread t (st : D.state) ps (cnt : D.counters) ~fuel =
+  let { f_blocks = blocks; f_zero = zero } = func t in
+  for i = 0 to Array.length zero - 1 do
+    let r = Array.unsafe_get zero i in
+    Array.unsafe_set st.D.xf r 0.;
+    Array.unsafe_set st.D.xi r 0
+  done;
+  if Hashtbl.length st.D.x_local > 0 then Hashtbl.reset st.D.x_local;
   if Array.length blocks > 0 then begin
     let rec go b fuel =
       if b >= 0 then begin
@@ -1094,17 +917,17 @@ let cached (k : K.t) : t =
   match List.find_opt (fun (k', _) -> k' == k) !c with
   | Some (_, t) -> t
   | None ->
-      let t = { t_d = D.decode k; t_blocks = None; t_steps = None } in
+      let t = { t_d = D.decode k; t_func = None; t_steps = None } in
       let rest = if List.length !c >= cache_limit then [] else !c in
       c := (k, t) :: rest;
       t
 
-(* The blocks are built here, on the calling domain, so a block-parallel
-   launch that hands [t] to other domains never has them race to fill
-   it. *)
+(* The block form is built here, on the calling domain, so a
+   block-parallel launch that hands [t] to other domains never has them
+   race to fill it. *)
 let of_kernel (k : K.t) : t =
   let t = cached k in
-  ignore (blocks t : block array);
+  ignore (func t : func);
   t
 
 let steps_of_kernel (k : K.t) =

@@ -502,9 +502,8 @@ let o_skip = 5
    the next run: they are most of what a run would otherwise allocate.
    A run takes its domain's set out of the slot and puts it back when it
    returns, so two threads of one domain never share one (the second
-   makes its own). A state keeps the [x_zero] of the kernel it was made
-   for; timing zeroes the whole register prefix instead and never calls
-   [Decode.reset_state]. *)
+   makes its own). Timing zeroes each state's whole register prefix
+   here, so it needs no read-before-write analysis of the kernel. *)
 type warp_files = { mutable wf_states : D.state array; mutable wf_ready : float array }
 
 let warp_files : warp_files option ref Domain.DLS.key =

@@ -430,6 +430,101 @@ let test_daemon_rejects_retired_engine () =
               | Serve.Protocol.Data _ -> ()
               | _ -> Alcotest.fail "ping after the rejected request failed"))
 
+(* --- a request never switches the engine -------------------------------- *)
+
+(* requests share one process, so a run naming the other engine fails
+   (naming both) instead of flipping [Decode.engine] under concurrent
+   requests; naming the process's own engine is an ordinary run *)
+let test_request_keeps_engine () =
+  let eng = Eval.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Eval.shutdown eng)
+    (fun () ->
+      let w = Registry.find "EP" in
+      Alcotest.(check string) "process engine" "threaded"
+        (Safara_sim.Decode.engine_name !Safara_sim.Decode.engine);
+      (match Serve.Commands.exec eng (run_req ~engine:"reference" w) with
+      | _ -> Alcotest.fail "engine \"reference\" was switched to"
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            ("error names both engines: " ^ msg)
+            true
+            (Str_helpers.contains msg "reference"
+            && Str_helpers.contains msg "threaded"));
+      Alcotest.(check string) "engine unchanged" "threaded"
+        (Safara_sim.Decode.engine_name !Safara_sim.Decode.engine);
+      let named = Serve.Commands.exec eng (run_req ~engine:"threaded" w) in
+      let plain = Serve.Commands.exec eng (run_req w) in
+      Alcotest.(check int) "threaded run succeeds" 0 named.Serve.Protocol.code;
+      Alcotest.(check string) "same checksums as no engine named"
+        plain.Serve.Protocol.out named.Serve.Protocol.out)
+
+(* --- concurrent functional runs ------------------------------------------ *)
+
+(* at -j 1 every connection thread simulates on the daemon's one
+   domain; runs long enough to be preempted must not share register
+   files, or a guard predicate overwritten by another request's thread
+   sends a store past the array ("wild address") *)
+let test_daemon_concurrent_runs () =
+  let src =
+    {|
+param int n;
+in double a[n];
+double b[n];
+#pragma acc kernels name(loop)
+{
+  #pragma acc loop gang vector(128)
+  for (i = 0; i <= n - 1; i++) {
+    double s = 1.0;
+    #pragma acc loop seq
+    for (k = 0; k <= 199; k++) {
+      s = s + k;
+    }
+    b[i] = s;
+  }
+}
+|}
+  in
+  let req =
+    Serve.Protocol.Run
+      {
+        rn_src = src;
+        rn_profile = "full";
+        rn_arch = "kepler";
+        rn_defines = [ ("n", "20000") ];
+        rn_engine = None;
+      }
+  in
+  let eng = Eval.create ~jobs:1 () in
+  let expected =
+    Fun.protect
+      ~finally:(fun () -> Eval.shutdown eng)
+      (fun () -> (Serve.Commands.exec eng req).Serve.Protocol.out)
+  in
+  with_daemon ~jobs:1 (fun socket ->
+      for _round = 1 to 2 do
+        let got = Array.make 4 "" in
+        let clients =
+          List.init 4 (fun i ->
+              Thread.create
+                (fun () ->
+                  got.(i) <-
+                    (match
+                       Serve.Client.with_connection socket (fun conn ->
+                           Serve.Client.request conn req)
+                     with
+                    | Some (Serve.Protocol.Result (o, _)) -> o.Serve.Protocol.out
+                    | Some (Serve.Protocol.Error e) -> "error: " ^ e
+                    | Some (Serve.Protocol.Data _) | None -> "no answer"))
+                ())
+        in
+        List.iter Thread.join clients;
+        Array.iteri
+          (fun i out ->
+            Alcotest.(check string) (Printf.sprintf "client %d" i) expected out)
+          got
+      done)
+
 (* --- concurrent request dedup ------------------------------------------ *)
 
 let test_daemon_concurrent_dedup () =
@@ -1154,6 +1249,10 @@ let suite =
       test_stats_json_complete;
     Alcotest.test_case "cli: JSON outputs parse with their keys" `Quick
       test_cli_json;
+    Alcotest.test_case "run request never switches the engine" `Quick
+      test_request_keeps_engine;
+    Alcotest.test_case "daemon: concurrent runs at -j 1 agree" `Quick
+      test_daemon_concurrent_runs;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

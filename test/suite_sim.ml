@@ -819,9 +819,7 @@ let regonly_thread th =
   let d = Threaded.decoded th in
   let prog = Safara_ir.Program.make "t" [] in
   let env = { Decode.scalars = []; mem = Memory.create () } in
-  let st = Decode.make_state d in
-  Decode.reset_state st;
-  (st, Decode.make_params d ~env ~prog)
+  (Decode.make_state d, Decode.make_params d ~env ~prog)
 
 (* run one thread through the block closures and once more by walking
    the per-pc step closures (the timing model's view of the same
@@ -830,7 +828,7 @@ let regonly_thread th =
    (float regs, int regs, instructions). *)
 let check_regonly_agree k =
   let name = k.Safara_vir.Kernel.kname in
-  let th = Threaded.compile (Decode.decode k) in
+  let th = Threaded.of_kernel k in
   let f_st, f_ps = regonly_thread th in
   let cnt = Decode.fresh_counters () in
   Threaded.run_thread th f_st f_ps cnt ~fuel:max_int;
@@ -936,10 +934,10 @@ let test_fusion_unop_chain () =
 
 (* addressing arithmetic as generated from real array code: a small
    strided gather with 64-bit offsets, and the same gather under
-   [small], whose 32-bit offsets give the full idiom the
-   addressing-chain fuser collapses — scale, convert, base add, then a
-   store, or a load whose value is copied into the conditionally
-   assigned scalar (the copy is the chain's fifth op) *)
+   [small], whose 32-bit offsets give the full byte-addressing idiom —
+   scale, convert, base add, then a store, or a load whose value is
+   copied into the conditionally assigned scalar — run through the
+   threaded block closures and the reference walker *)
 let gather_src =
   {|
 param int n;
@@ -1008,8 +1006,8 @@ let test_fusion_addressing_chain_source () =
 
 let test_fusion_addressing_chain_cut () =
   (* [bra cut; cut:] just before the kernel's first non-local load or
-     store makes the base add and the memory op different blocks, so
-     the addressing chain cannot fuse across the leader *)
+     store makes the base add and the memory op different blocks: the
+     address register crosses a block closure boundary *)
   let module I = Safara_vir.Instr in
   let cuts = ref 0 in
   let cut (k : Safara_vir.Kernel.t) =
@@ -1030,6 +1028,74 @@ let test_fusion_addressing_chain_cut () =
   in
   check_gather_engines_agree ~edit:cut "gather small, cut" gather_small_src;
   Alcotest.(check bool) "a memory op was cut off" true (!cuts > 0)
+
+(* A register defined only on a branch thread 0 takes, then read and
+   stored by every thread: each thread starts from zero in the registers
+   it may read before writing, so threads 1.. store 0 — a state reused
+   across threads without that reset would leak thread 0's 42.5.
+   Compiled kernels define every register up front, so only a
+   hand-written kernel reaches this. *)
+let test_read_before_write_zero () =
+  let module I = Safara_vir.Instr in
+  let prog = Safara_lang.Frontend.compile "param int n;\ndouble a[n];\n" in
+  let tid = ireg 0 and cta = ireg 1 and ntid = ireg 2 and gi = ireg 3 in
+  let p = preg 4 and late = freg 5 in
+  let base = vreg 6 Safara_ir.Types.I64 and off = vreg 7 Safara_ir.Types.I64 in
+  let addr = vreg 8 Safara_ir.Types.I64 in
+  let gmem =
+    {
+      I.m_space = Safara_gpu.Memspace.Global;
+      m_access = Safara_gpu.Memspace.Coalesced;
+      m_bytes = 8;
+    }
+  in
+  let k =
+    {
+      (regonly_kernel "late_def"
+         [|
+           I.Spec { dst = tid; sp = I.Tid I.X };
+           I.Spec { dst = cta; sp = I.Ctaid I.X };
+           I.Spec { dst = ntid; sp = I.Ntid I.X };
+           I.Bin { op = I.Mul; dst = gi; a = I.Reg cta; b = I.Reg ntid };
+           I.Bin { op = I.Add; dst = gi; a = I.Reg gi; b = I.Reg tid };
+           I.Setp { cmp = I.Ne; dst = p; a = I.Reg tid; b = I.Imm 0 };
+           I.Brc { pred = p; if_true = true; target = "join" };
+           I.Mov { dst = late; src = I.FImm 42.5 };
+           I.Label "join";
+           I.Ldp { dst = base; param = "a" };
+           I.Bin { op = I.Mul; dst = off; a = I.Reg gi; b = I.Imm 8 };
+           I.Bin { op = I.Add; dst = addr; a = I.Reg base; b = I.Reg off };
+           I.St { src = I.Reg late; addr; mem = gmem; note = "a" };
+           I.Ret;
+         |])
+      with
+      Safara_vir.Kernel.block = (4, 1, 1);
+    }
+  in
+  let grid = (2, 1, 1) and n = 8 in
+  let run eng =
+    Decode.with_engine eng (fun () ->
+        let mem = Memory.create () in
+        Memory.alloc_program mem ~env:[ ("n", n) ] prog;
+        let env = { Interp.scalars = [ ("n", V.I n) ]; mem } in
+        let counters = Interp.fresh_counters () in
+        Interp.run_kernel ~counters ~prog ~env ~grid k;
+        ( Array.map Int64.bits_of_float (Memory.float_data mem "a"),
+          ( counters.Interp.c_instructions,
+            counters.Interp.c_loads,
+            counters.Interp.c_stores ) ))
+  in
+  let r_mem, r_cnt = run Decode.Reference in
+  let t_mem, t_cnt = run Decode.Threaded in
+  Alcotest.(check (array int64)) "threaded memory" r_mem t_mem;
+  Alcotest.(check bool) "threaded counters" true (r_cnt = t_cnt);
+  Array.iteri
+    (fun i bits ->
+      let want = if i mod 4 = 0 then 42.5 else 0. in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "a[%d]" i)
+        want (Int64.float_of_bits bits))
+    t_mem
 
 let test_memory_view_cursors () =
   let m = Memory.create () in
@@ -1520,6 +1586,8 @@ let suite =
       test_fusion_unop_chain;
     Alcotest.test_case "fusion: addressing chain via source" `Quick
       test_fusion_addressing_chain_source;
+    Alcotest.test_case "threaded: a register read before its write is zero"
+      `Quick test_read_before_write_zero;
     Alcotest.test_case "fusion: addressing chain cut at a block leader"
       `Quick test_fusion_addressing_chain_cut;
   ]
