@@ -1,7 +1,7 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation section (see DESIGN.md's per-experiment index)
    from one Experiments.t, built under the paper's pass configuration,
-   plus the simulator, tune and loop-pass benchmarks.
+   plus the simulator and tune benchmarks.
 
    All experiments run through the parallel, memoizing evaluation
    engine (lib/engine + Safara_suites.Eval): -j N sets the domain-pool
@@ -10,21 +10,21 @@
    most once per run, and the rendered output is byte-identical at any
    -j. Engine statistics go to stderr so stdout stays comparable.
 
-   Usage: main.exe [fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|
-                    ablations|crossarch|unroll|sim|tune|
-                    loopopt|json|all]
+   Usage: main.exe [EXPERIMENT|sim|tune|json|all]
                    [-j N] [--smoke] [--min-runs N] [--engine NAME]
                    [--arch NAME] [--store DIR]
-   (default: all). --engine selects the simulator execution engine
-   (reference|threaded, default threaded) for the experiment modes;
-   bench sim always measures both. --arch selects the GPU
-   model from the architecture registry (default kepler) for every
-   mode except crossarch (inherently multi-arch) and tune (sweeps the
-   registry unless --arch restricts it).                              *)
+   (default: all), where EXPERIMENT names one section of the evaluation
+   (Experiments.section_names: table1 ... loopopt). --engine selects
+   the simulator execution engine (reference|threaded, default
+   threaded) for the experiment modes; bench sim always measures both.
+   --arch selects the GPU model from the architecture registry
+   (default kepler) for every mode except crossarch and loopopt
+   (inherently multi-arch) and tune (sweeps the registry unless --arch
+   restricts it). *)
 
 open Safara_suites
 
-(* --- JSON output (the sim, tune, loopopt and json modes) -------------- *)
+(* --- JSON output (the sim, tune and json modes) ------------------------ *)
 
 module Sjson = Safara_json.Sjson
 
@@ -135,21 +135,39 @@ let sim_measure_group ~min_time ~min_runs
    instructions-per-second. The bit-identity gates below use fresh
    memory every time. *)
 
-let sim_functional_run c (w : Workload.t) =
-  let env = Workload.prepare c w in
+(* block-parallel legality, judged once per kernel so repeated
+   measurement runs skip the dependence analysis *)
+let sim_kernel_verdicts c =
+  List.map
+    (fun (k, _) ->
+      (k, Safara_sim.Blockpar.analyze ~prog:c.Safara_core.Compiler.c_prog k))
+    c.Safara_core.Compiler.c_kernels
+
+(* every kernel's launch on [env], returning how each one executed;
+   with [pool] a launch may run block-parallel under its precomputed
+   verdict, without one [Interp.run_kernel_m] ignores the verdict *)
+let sim_launches ?pool c ~verdicts env =
   let kgrids =
     List.map
-      (fun (k, _) ->
-        (k, Safara_sim.Launch.grid_of ~env:env.Safara_sim.Interp.scalars k))
-      c.Safara_core.Compiler.c_kernels
+      (fun (k, verdict) ->
+        ( k,
+          verdict,
+          Safara_sim.Launch.grid_of ~env:env.Safara_sim.Interp.scalars k ))
+      verdicts
   in
+  fun counters ->
+    List.map
+      (fun (k, verdict, grid) ->
+        ( k.Safara_vir.Kernel.kname,
+          Safara_sim.Interp.run_kernel_m ~counters ?pool ~verdict
+            ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k ))
+      kgrids
+
+let sim_functional_run ?pool c (w : Workload.t) ~verdicts =
+  let launch = sim_launches ?pool c ~verdicts (Workload.prepare c w) in
   fun () ->
     let counters = Safara_sim.Interp.fresh_counters () in
-    List.iter
-      (fun (k, grid) ->
-        Safara_sim.Interp.run_kernel ~counters
-          ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k)
-      kgrids;
+    ignore (launch counters);
     counters.Safara_sim.Interp.c_instructions
 
 let sim_timing_run c (w : Workload.t) =
@@ -160,33 +178,31 @@ let sim_timing_run c (w : Workload.t) =
       (fun acc kt -> acc + kt.Safara_sim.Launch.kt_instructions)
       0 pt.Safara_sim.Launch.ptk
 
-let sim_check_identical c (w : Workload.t) =
+(* one functional run on fresh memory: every program array's checksum
+   as raw float bits, and the dynamic counters *)
+let sim_snapshot ?pool c (w : Workload.t) ~verdicts =
+  let env = Workload.prepare c w in
+  let counters = Safara_sim.Interp.fresh_counters () in
+  ignore (sim_launches ?pool c ~verdicts env counters);
+  let sums =
+    List.map
+      (fun (a : Safara_ir.Array_info.t) ->
+        ( a.Safara_ir.Array_info.name,
+          Int64.bits_of_float
+            (Safara_sim.Memory.checksum env.Safara_sim.Interp.mem
+               a.Safara_ir.Array_info.name) ))
+      c.Safara_core.Compiler.c_prog.Safara_ir.Program.arrays
+  in
+  (sums, counters)
+
+let sim_check_identical c (w : Workload.t) ~verdicts =
   (* every engine must agree bit-for-bit — functional results (array
      checksums compared as raw float bits, dynamic counters) and
      timing-model output — before throughput means anything *)
   let snapshot e =
     sim_with_engine e (fun () ->
-        let env = Workload.prepare c w in
-        let counters = Safara_sim.Interp.fresh_counters () in
-        List.iter
-          (fun (k, _) ->
-            let grid =
-              Safara_sim.Launch.grid_of ~env:env.Safara_sim.Interp.scalars k
-            in
-            Safara_sim.Interp.run_kernel ~counters
-              ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k)
-          c.Safara_core.Compiler.c_kernels;
-        let sums =
-          List.map
-            (fun (a : Safara_ir.Array_info.t) ->
-              ( a.Safara_ir.Array_info.name,
-                Int64.bits_of_float
-                  (Safara_sim.Memory.checksum env.Safara_sim.Interp.mem
-                     a.Safara_ir.Array_info.name) ))
-            c.Safara_core.Compiler.c_prog.Safara_ir.Program.arrays
-        in
-        let timing = Safara_core.Compiler.time c (Workload.prepare c w) in
-        (sums, counters, timing))
+        ( sim_snapshot c w ~verdicts,
+          Safara_core.Compiler.time c (Workload.prepare c w) ))
   in
   let base = snapshot Safara_sim.Decode.Reference in
   List.iter
@@ -198,84 +214,21 @@ let sim_check_identical c (w : Workload.t) =
         exit 1))
     Safara_sim.Decode.all_engines
 
-(* block-parallel legality, judged once per kernel so repeated
-   measurement runs skip the dependence analysis *)
-let sim_kernel_verdicts c =
-  List.map
-    (fun (k, _) ->
-      (k, Safara_sim.Blockpar.analyze ~prog:c.Safara_core.Compiler.c_prog k))
-    c.Safara_core.Compiler.c_kernels
-
-let sim_functional_run_par c (w : Workload.t) ~pool ~verdicts =
-  let env = Workload.prepare c w in
-  let kgrids =
-    List.map
-      (fun (k, verdict) ->
-        ( k,
-          verdict,
-          Safara_sim.Launch.grid_of ~env:env.Safara_sim.Interp.scalars k ))
-      verdicts
-  in
-  fun () ->
-    let counters = Safara_sim.Interp.fresh_counters () in
-    List.iter
-      (fun (k, verdict, grid) ->
-        Safara_sim.Interp.run_kernel ~counters ~pool ~verdict
-          ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k)
-      kgrids;
-    counters.Safara_sim.Interp.c_instructions
-
 let sim_check_parallel c (w : Workload.t) ~pool ~verdicts =
   (* the bit-identity gate of the block-parallel path: final memory
      (every program array) and summed counters must equal the
      sequential threaded walk exactly, at any -j. The cost model is
      forced open (threshold 0) so the gate actually exercises the
      parallel path even on tiny launches. *)
-  let snapshot run =
-    let env = Workload.prepare c w in
-    let counters = Safara_sim.Interp.fresh_counters () in
-    run env counters;
-    let sums =
-      List.map
-        (fun (a : Safara_ir.Array_info.t) ->
-          ( a.Safara_ir.Array_info.name,
-            Int64.bits_of_float
-              (Safara_sim.Memory.checksum env.Safara_sim.Interp.mem
-                 a.Safara_ir.Array_info.name) ))
-        c.Safara_core.Compiler.c_prog.Safara_ir.Program.arrays
-    in
-    (sums, counters)
-  in
   sim_with_engine Safara_sim.Decode.Threaded (fun () ->
-    let seq =
-      snapshot (fun env counters ->
-          List.iter
-            (fun (k, _) ->
-              let grid =
-                Safara_sim.Launch.grid_of
-                  ~env:env.Safara_sim.Interp.scalars k
-              in
-              Safara_sim.Interp.run_kernel ~counters
-                ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k)
-            c.Safara_core.Compiler.c_kernels)
-    in
+    let seq = sim_snapshot c w ~verdicts in
     let par =
       let saved = !Safara_sim.Interp.parallel_threshold in
       Safara_sim.Interp.parallel_threshold := 0;
       Fun.protect
         ~finally:(fun () ->
           Safara_sim.Interp.parallel_threshold := saved)
-        (fun () ->
-          snapshot (fun env counters ->
-              List.iter
-                (fun (k, verdict) ->
-                  let grid =
-                    Safara_sim.Launch.grid_of
-                      ~env:env.Safara_sim.Interp.scalars k
-                  in
-                  Safara_sim.Interp.run_kernel ~counters ~pool ~verdict
-                    ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k)
-                verdicts))
+        (fun () -> sim_snapshot ~pool c w ~verdicts)
     in
     if seq <> par then (
       Printf.eprintf
@@ -289,18 +242,8 @@ let sim_check_parallel c (w : Workload.t) ~pool ~verdicts =
    reason (cost model, -j 1, single block) *)
 let sim_kernel_modes c (w : Workload.t) ~pool ~verdicts =
   sim_with_engine Safara_sim.Decode.Threaded (fun () ->
-      let env = Workload.prepare c w in
-      List.map
-        (fun (k, verdict) ->
-          let grid =
-            Safara_sim.Launch.grid_of ~env:env.Safara_sim.Interp.scalars k
-          in
-          let m =
-            Safara_sim.Interp.run_kernel_m ~pool ~verdict
-              ~prog:c.Safara_core.Compiler.c_prog ~env ~grid k
-          in
-          (k.Safara_vir.Kernel.kname, m))
-        verdicts)
+      sim_launches ~pool c ~verdicts (Workload.prepare c w)
+        (Safara_sim.Interp.fresh_counters ()))
 
 type sim_row = {
   r_id : string;
@@ -337,17 +280,17 @@ let run_sim ~smoke ~min_runs ~pool ~arch () =
           Safara_core.Compiler.compile_src ~arch Safara_core.Compiler.Full
             w.Workload.source
         in
-        sim_check_identical c w;
         let verdicts = sim_kernel_verdicts c in
+        sim_check_identical c w ~verdicts;
         sim_check_parallel c w ~pool ~verdicts;
         let modes = sim_kernel_modes c w ~pool ~verdicts in
         let fg =
           sim_measure_group ~min_time ~min_runs
             [|
-              (Safara_sim.Decode.Reference, sim_functional_run c w);
-              (Safara_sim.Decode.Threaded, sim_functional_run c w);
+              (Safara_sim.Decode.Reference, sim_functional_run c w ~verdicts);
+              (Safara_sim.Decode.Threaded, sim_functional_run c w ~verdicts);
               ( Safara_sim.Decode.Threaded,
-                sim_functional_run_par c w ~pool ~verdicts );
+                sim_functional_run ~pool c w ~verdicts );
             |]
         in
         let fr = fg.(0) and ft = fg.(1) and fp = fg.(2) in
@@ -556,7 +499,7 @@ let run_tune ~smoke ~eng ~archs () =
              ("hit_rate", Num hit_rate) ]);
         ("engine", Eval.stats_json (Eval.stats eng)) ]
   in
-  write_json "BENCH_tune.json" json;
+  write_json "bench-tune.json" json;
   if smoke then begin
     if hit_rate <= 0.5 then begin
       Printf.eprintf
@@ -577,169 +520,16 @@ let run_tune ~smoke ~eng ~archs () =
       results
   end
 
-(* --- loopopt: before/after evidence for the loop-aware passes --------- *)
-
-(* The CI artifact for the indvar/memmerge pipeline extension and the
-   per-architecture address-cost tables: for each workload ×
-   architecture it compiles Base twice — once as-is, once with the
-   loop passes disabled — and records per-kernel hot-loop static op
-   counts plus the simulated end-to-end time of both variants.
-   suite_loopopt pins two of the op counts as goldens; this mode
-   publishes the whole matrix (BENCH_loopopt.json) and, under --smoke,
-   gates on the stencil/umesh hot loops shrinking and on the timing
-   improving on at least four workload × arch pairs. *)
-
-let loopopt_ids = [ "303.ostencil"; "360.ilbdc"; "350.md"; "364.umesh" ]
-let loopopt_passes = [ "indvar"; "memmerge" ]
-
-(* the hottest natural-loop body, the same measurement suite_loopopt
-   pins: indvar's preheader clones make whole-kernel static counts
-   grow, so the win only shows inside the loop *)
-let hot_loop_ops (k : Safara_vir.Kernel.t) =
-  let cfg = Safara_vir.Cfg.build k.Safara_vir.Kernel.code in
-  List.fold_left
-    (fun acc (l : Safara_vir.Cfg.loop) ->
-      let ops = ref 0 in
-      Array.iteri
-        (fun b in_body ->
-          if in_body then begin
-            let blk = cfg.Safara_vir.Cfg.blocks.(b) in
-            ops := !ops + blk.Safara_vir.Cfg.last - blk.Safara_vir.Cfg.first + 1
-          end)
-        l.Safara_vir.Cfg.body;
-      max acc !ops)
-    0
-    (Safara_vir.Cfg.loops cfg)
-
-let run_loopopt ~smoke ~eng ~archs () =
-  let profile = Safara_core.Compiler.Base in
-  let ws = List.map Registry.find loopopt_ids in
-  let job_on arch w = Eval.job ~arch profile w in
-  let job_off arch w = Eval.job ~arch ~disable:loopopt_passes profile w in
-  Eval.warm eng
-    (List.concat_map
-       (fun w -> List.concat_map (fun a -> [ job_on a w; job_off a w ]) archs)
-       ws);
-  let rows =
-    List.concat_map
-      (fun (w : Workload.t) ->
-        List.map
-          (fun (arch : Safara_gpu.Arch.t) ->
-            let con = Eval.compiled eng (job_on arch w)
-            and coff = Eval.compiled eng (job_off arch w) in
-            let kernels =
-              List.map2
-                (fun ((kon : Safara_vir.Kernel.t), _)
-                     ((koff : Safara_vir.Kernel.t), _) ->
-                  ( kon.Safara_vir.Kernel.kname,
-                    hot_loop_ops kon,
-                    hot_loop_ops koff ))
-                con.Safara_core.Compiler.c_kernels
-                coff.Safara_core.Compiler.c_kernels
-            in
-            let ms_on = Eval.total_ms eng (job_on arch w)
-            and ms_off = Eval.total_ms eng (job_off arch w) in
-            (w.Workload.id, arch, kernels, ms_on, ms_off))
-          archs)
-      ws
-  in
-  Printf.printf
-    "Loop-aware passes (indvar+memmerge): Base profile before/after\n";
-  Printf.printf
-    "--------------------------------------------------------------\n";
-  List.iter
-    (fun (id, (arch : Safara_gpu.Arch.t), kernels, ms_on, ms_off) ->
-      Printf.printf "%-14s %-8s %9.3f ms -> %9.3f ms (%5.2fx)\n" id
-        arch.Safara_gpu.Arch.key ms_off ms_on (ms_off /. ms_on);
-      List.iter
-        (fun (kn, on_ops, off_ops) ->
-          if off_ops <> on_ops then
-            Printf.printf "    %-20s hot-loop ops %3d -> %3d\n" kn off_ops
-              on_ops)
-        kernels)
-    rows;
-  let json =
-    let open Sjson in
-    Obj
-      [ ("schema", Str "loopopt-v1");
-        ("passes", Arr (List.map str loopopt_passes));
-        ("arch_addr_cost",
-         Obj
-           (List.map
-              (fun (arch : Safara_gpu.Arch.t) ->
-                let t = Safara_gpu.Addrcost.for_arch arch in
-                ( arch.Safara_gpu.Arch.key,
-                  Obj
-                    [ ("mul_add", int t.Safara_gpu.Addrcost.mul_add);
-                      ("scale_and_base",
-                       int t.Safara_gpu.Addrcost.scale_and_base);
-                      ("dope_load", int t.Safara_gpu.Addrcost.dope_load);
-                      ("ro_issue", int t.Safara_gpu.Addrcost.ro_issue) ] ))
-              archs));
-        ("rows",
-         Arr
-           (List.map
-              (fun (id, (arch : Safara_gpu.Arch.t), kernels, ms_on, ms_off) ->
-                Obj
-                  [ ("id", Str id);
-                    ("arch", Str arch.Safara_gpu.Arch.key);
-                    ("ms_with_passes", Num ms_on);
-                    ("ms_without", Num ms_off);
-                    ("speedup", Num (ms_off /. ms_on));
-                    ("kernels",
-                     Arr
-                       (List.map
-                          (fun (kn, on_ops, off_ops) ->
-                            Obj
-                              [ ("kernel", Str kn);
-                                ("hot_loop_ops_with", int on_ops);
-                                ("hot_loop_ops_without", int off_ops) ])
-                          kernels)) ])
-              rows)) ]
-  in
-  write_json "BENCH_loopopt.json" json;
-  if smoke then begin
-    List.iter
-      (fun (want_id, want_kernel) ->
-        List.iter
-          (fun (id, (arch : Safara_gpu.Arch.t), kernels, _, _) ->
-            if String.equal id want_id then
-              List.iter
-                (fun (kn, on_ops, off_ops) ->
-                  if String.equal kn want_kernel && on_ops >= off_ops then begin
-                    Printf.eprintf
-                      "bench loopopt: %s/%s on %s: hot-loop ops did not \
-                       shrink (%d with passes vs %d without)\n"
-                      id kn arch.Safara_gpu.Arch.key on_ops off_ops;
-                    exit 1
-                  end)
-                kernels)
-          rows)
-      [ ("303.ostencil", "stencil"); ("364.umesh", "edge_flux") ];
-    let improved =
-      List.length
-        (List.filter (fun (_, _, _, ms_on, ms_off) -> ms_on < ms_off) rows)
-    in
-    if improved < 4 then begin
-      Printf.eprintf
-        "bench loopopt: timing improved on only %d workload×arch pairs \
-         (need >= 4)\n"
-        improved;
-      exit 1
-    end;
-    Printf.printf "smoke gates: hot loops shrink, timing improves on %d/%d \
-                   pairs\n"
-      improved (List.length rows)
-  end
-
 (* --- entry point ----------------------------------------------------- *)
+
+let modes =
+  String.concat "|" (Experiments.section_names @ [ "sim"; "tune"; "json"; "all" ])
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe \
-     [fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|sim|tune|loopopt|json|all] \
-     [-j N] [--smoke] [--min-runs N] [--engine reference|threaded] \
-     [--arch NAME] [--store DIR]\n";
+    "usage: main.exe [%s] [-j N] [--smoke] [--min-runs N] \
+     [--engine reference|threaded] [--arch NAME] [--store DIR]\n"
+    modes;
   exit 2
 
 let () =
@@ -751,50 +541,46 @@ let () =
   let cmds = ref [] in
   let rec parse i =
     if i < Array.length Sys.argv then begin
-      (match Sys.argv.(i) with
+      let value () =
+        if i + 1 < Array.length Sys.argv then Sys.argv.(i + 1) else usage ()
+      in
+      let positive () =
+        match int_of_string_opt (value ()) with
+        | Some n when n >= 1 -> Some n
+        | _ -> usage ()
+      in
+      (* registry-checked names: an unknown one is rejected with the
+         list of valid ones, like --disable-pass in saraccc *)
+      let known of_name =
+        match of_name (value ()) with
+        | v -> v
+        | exception Failure msg ->
+            Printf.eprintf "main.exe: %s\n" msg;
+            exit 2
+      in
+      match Sys.argv.(i) with
       | "-j" | "--jobs" ->
-          if i + 1 >= Array.length Sys.argv then usage ();
-          (match int_of_string_opt Sys.argv.(i + 1) with
-          | Some n when n >= 1 -> jobs := Some n
-          | _ -> usage ());
+          jobs := positive ();
           parse (i + 2)
       | "--smoke" ->
           smoke := true;
           parse (i + 1)
       | "--min-runs" ->
-          if i + 1 >= Array.length Sys.argv then usage ();
-          (match int_of_string_opt Sys.argv.(i + 1) with
-          | Some n when n >= 1 -> min_runs := Some n
-          | _ -> usage ());
+          min_runs := positive ();
           parse (i + 2)
       | "--arch" ->
-          if i + 1 >= Array.length Sys.argv then usage ();
-          (* registry-checked like --engine: unknown names are
-             rejected with the list of valid ones *)
-          (match Safara_gpu.Arch.of_name Sys.argv.(i + 1) with
-          | a -> arch_override := Some a
-          | exception Failure msg ->
-              Printf.eprintf "main.exe: %s\n" msg;
-              exit 2);
+          arch_override := Some (known Safara_gpu.Arch.of_name);
           parse (i + 2)
       | "--store" ->
-          if i + 1 >= Array.length Sys.argv then usage ();
-          store_dir := Some Sys.argv.(i + 1);
+          store_dir := Some (value ());
           parse (i + 2)
       | "--engine" ->
-          if i + 1 >= Array.length Sys.argv then usage ();
-          (* registry-checked: an unknown engine name is rejected with
-             the list of valid ones, like --disable-pass in saraccc *)
-          (match Safara_sim.Decode.engine_of_string Sys.argv.(i + 1) with
-          | e -> Safara_sim.Decode.engine := e
-          | exception Failure msg ->
-              Printf.eprintf "main.exe: %s\n" msg;
-              exit 2);
+          Safara_sim.Decode.engine := known Safara_sim.Decode.engine_of_string;
           parse (i + 2)
       | arg when String.length arg > 0 && arg.[0] = '-' -> usage ()
       | arg ->
           cmds := arg :: !cmds;
-          parse (i + 1))
+          parse (i + 1)
     end
   in
   parse 1;
@@ -804,15 +590,12 @@ let () =
      one costs nothing *)
   let section =
     match cmd with
-    | "sim" | "tune" | "loopopt" | "json" | "all" -> None
+    | "sim" | "tune" | "json" | "all" -> None
     | other -> (
         match Experiments.section other with
         | Some _ as render -> render
         | None ->
-            Printf.eprintf
-              "unknown experiment %S; expected \
-               fig7|fig9|fig10|fig11|fig12|table1|table2|offsets|ablations|crossarch|unroll|sim|tune|loopopt|json|all\n"
-              other;
+            Printf.eprintf "unknown experiment %S; expected %s\n" other modes;
             exit 2)
   in
   (* --store memoizes compile+simulate results across bench runs via
@@ -835,13 +618,6 @@ let () =
             else Safara_gpu.Arch.registry
       in
       run_tune ~smoke:!smoke ~eng ~archs ()
-  | "loopopt" ->
-      let archs =
-        match !arch_override with
-        | Some a -> [ a ]
-        | None -> Safara_gpu.Arch.registry
-      in
-      run_loopopt ~smoke:!smoke ~eng ~archs ()
   | "json" -> (
       match Experiments.to_json (Experiments.evaluate ~eng ~arch) with
       | Sjson.Obj members ->

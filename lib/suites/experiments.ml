@@ -23,9 +23,9 @@ type reg_row = {
    runs are byte-identical to serial ones.
 
    Every job compiles under the paper's pass configuration ([paper]).
-   Only the "default pipeline" extension columns pass
-   [default_pipeline]: the disable set is part of each compile key, so
-   the two configurations never share an artifact. *)
+   Only the "default pipeline" extension columns and the loop-pass
+   section pass [default_pipeline]: the disable set is part of each
+   compile key, so the two configurations never share an artifact. *)
 
 let paper = Safara_core.Pipeline.paper_options.Safara_core.Pipeline.o_disable
 let default_pipeline = []
@@ -365,6 +365,62 @@ let ablations ~eng ~arch =
     specs
 
 (* ------------------------------------------------------------------ *)
+(* Loop-aware passes: Base under the default pipeline vs the paper's   *)
+(* ------------------------------------------------------------------ *)
+
+type loopopt_kernel = {
+  lk_kernel : string;
+  lk_ops_with : int;
+  lk_ops_without : int;
+}
+
+type loopopt_row = {
+  lo_id : string;
+  lo_arch : string;
+  lo_ms_with : float;
+  lo_ms_without : float;
+  lo_kernels : loopopt_kernel list;
+}
+
+let loopopt_benchmarks = [ "303.ostencil"; "360.ilbdc"; "350.md"; "364.umesh" ]
+
+let loopopt ~eng ~archs =
+  let ws = List.map Registry.find loopopt_benchmarks in
+  let job_with arch w = Eval.job ~arch ~disable:default_pipeline C.Base w in
+  let job_without arch w = Eval.job ~arch ~disable:paper C.Base w in
+  Eval.warm eng
+    (List.concat_map
+       (fun w -> List.concat_map (fun a -> [ job_with a w; job_without a w ]) archs)
+       ws);
+  let hot_loop_ops ((k : Safara_vir.Kernel.t), _) =
+    Safara_vir.Facts.hot_loop_ops
+      (Safara_vir.Facts.make k.Safara_vir.Kernel.code)
+  in
+  List.concat_map
+    (fun (w : Workload.t) ->
+      List.map
+        (fun (arch : Arch.t) ->
+          let on = Eval.compiled eng (job_with arch w)
+          and off = Eval.compiled eng (job_without arch w) in
+          {
+            lo_id = w.Workload.id;
+            lo_arch = arch.Arch.key;
+            lo_ms_with = Eval.total_ms eng (job_with arch w);
+            lo_ms_without = Eval.total_ms eng (job_without arch w);
+            lo_kernels =
+              List.map2
+                (fun kon koff ->
+                  {
+                    lk_kernel = (fst kon).Safara_vir.Kernel.kname;
+                    lk_ops_with = hot_loop_ops kon;
+                    lk_ops_without = hot_loop_ops koff;
+                  })
+                on.C.c_kernels off.C.c_kernels;
+          })
+        archs)
+    ws
+
+(* ------------------------------------------------------------------ *)
 (* The evaluation                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -381,6 +437,7 @@ type t = {
   ablations : ablation_row list;
   crossarch : crossarch_row list;
   unroll : unroll_row list;
+  loopopt : loopopt_row list;
 }
 
 (* sequenced, so the engine sees the jobs in [bench all] order *)
@@ -396,8 +453,9 @@ let evaluate ~eng ~arch =
   let ablations = ablations ~eng ~arch in
   let crossarch = crossarch ~eng ~archs:Arch.registry in
   let unroll = unroll_study ~eng ~arch in
+  let loopopt = loopopt ~eng ~archs:Arch.registry in
   { arch; table1; table2; offsets; fig7; fig9; fig10; fig11; fig12;
-    ablations; crossarch; unroll }
+    ablations; crossarch; unroll; loopopt }
 
 (* ------------------------------------------------------------------ *)
 (* Text                                                                *)
@@ -426,13 +484,10 @@ let average rows =
             first.sr_values;
       }
 
-let buf_table title header rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (title ^ "\n");
-  Buffer.add_string b (String.make (String.length title) '-' ^ "\n");
-  Buffer.add_string b (header ^ "\n");
-  List.iter (fun r -> Buffer.add_string b (r ^ "\n")) rows;
-  Buffer.contents b
+(* the title underlined, then the lines *)
+let buf_table title lines =
+  String.concat "\n" (title :: String.make (String.length title) '-' :: lines)
+  ^ "\n"
 
 (* labeled columns at least [min] wide, wider for a longer label *)
 let columns ~min ~cell labels =
@@ -452,8 +507,8 @@ let render_speedups ~title rows =
           (List.map fst first.sr_values)
       in
       buf_table title
-        (Printf.sprintf "%-16s %s" "benchmark" header)
-        (List.map (fun r -> Printf.sprintf "%-16s %s" r.sr_id (cells r.sr_values)) rows)
+        (Printf.sprintf "%-16s %s" "benchmark" header
+        :: List.map (fun r -> Printf.sprintf "%-16s %s" r.sr_id (cells r.sr_values)) rows)
 
 let render_norms ~title rows =
   match rows with
@@ -465,28 +520,28 @@ let render_norms ~title rows =
           (List.map fst first.nr_values)
       in
       buf_table title
-        (Printf.sprintf "%-16s %s" "benchmark" header)
-        (List.map (fun r -> Printf.sprintf "%-16s %s" r.nr_id (cells r.nr_values)) rows)
+        (Printf.sprintf "%-16s %s" "benchmark" header
+        :: List.map (fun r -> Printf.sprintf "%-16s %s" r.nr_id (cells r.nr_values)) rows)
 
 let render_regs ~title rows =
   let cell = function Some d -> string_of_int d | None -> "NA" in
   buf_table title
     (Printf.sprintf "%-8s %8s %8s %8s %8s %24s" "Kernel" "Base" "+small" "w dim"
-       "Saved" "w dim (default pipeline)")
-    (List.map
-       (fun r ->
-         Printf.sprintf "%-8s %8d %8d %8s %8d %24s" r.rr_kernel r.rr_base
-           r.rr_small (cell r.rr_dim) r.rr_saved (cell r.rr_dim_default))
-       rows)
+       "Saved" "w dim (default pipeline)"
+    :: List.map
+         (fun r ->
+           Printf.sprintf "%-8s %8d %8d %8s %8d %24s" r.rr_kernel r.rr_base
+             r.rr_small (cell r.rr_dim) r.rr_saved (cell r.rr_dim_default))
+         rows)
 
 let render_offsets rows =
   buf_table "IV.A offset computation on the Fig-8 kernel"
-    (Printf.sprintf "%-40s %12s %12s %8s" "configuration" "dope loads" "instructions" "regs")
-    (List.map
-       (fun r ->
-         Printf.sprintf "%-40s %12d %12d %8d" r.od_config r.od_dope_loads
-           r.od_offset_instrs r.od_regs)
-       rows)
+    (Printf.sprintf "%-40s %12s %12s %8s" "configuration" "dope loads" "instructions" "regs"
+    :: List.map
+         (fun r ->
+           Printf.sprintf "%-40s %12d %12d %8d" r.od_config r.od_dope_loads
+             r.od_offset_instrs r.od_regs)
+         rows)
 
 let render_ablations rows =
   let b = Buffer.create 1024 in
@@ -550,6 +605,25 @@ let render_unroll rows =
     rows;
   Buffer.contents b
 
+let render_loopopt rows =
+  buf_table
+    (Printf.sprintf "Loop-aware passes (%s): Base profile before/after"
+       (String.concat "+" paper))
+    (List.concat_map
+       (fun r ->
+         Printf.sprintf "%-14s %-8s %9.3f ms -> %9.3f ms (%5.2fx)" r.lo_id
+           r.lo_arch r.lo_ms_without r.lo_ms_with
+           (r.lo_ms_without /. r.lo_ms_with)
+         :: List.filter_map
+              (fun k ->
+                if k.lk_ops_with = k.lk_ops_without then None
+                else
+                  Some
+                    (Printf.sprintf "    %-20s hot-loop ops %3d -> %3d"
+                       k.lk_kernel k.lk_ops_without k.lk_ops_with))
+              r.lo_kernels)
+       rows)
+
 (* every experiment title carries the architecture it was measured on
    when it is not the paper's default, so mixed-arch logs stay
    readable *)
@@ -605,7 +679,10 @@ let sections =
     ("ablations", fun t -> render_ablations t.ablations);
     ("crossarch", fun t -> render_crossarch t.crossarch);
     ("unroll", fun t -> render_unroll t.unroll);
+    ("loopopt", fun t -> render_loopopt t.loopopt);
   ]
+
+let section_names = List.map fst sections
 
 let section name = List.assoc_opt name sections
 
@@ -671,4 +748,19 @@ let to_json t =
           (fun r ->
             [ ("id", Str r.ur_id); ("speedups", pairs num r.ur_speedups);
               ("regs", pairs int r.ur_regs) ])
-          t.unroll ) ]
+          t.unroll );
+      ( "loopopt",
+        rows
+          (fun r ->
+            [ ("id", Str r.lo_id); ("arch", Str r.lo_arch);
+              ("ms_with_passes", Num r.lo_ms_with);
+              ("ms_without", Num r.lo_ms_without);
+              ("speedup", Num (r.lo_ms_without /. r.lo_ms_with));
+              ( "kernels",
+                rows
+                  (fun k ->
+                    [ ("kernel", Str k.lk_kernel);
+                      ("hot_loop_ops_with", int k.lk_ops_with);
+                      ("hot_loop_ops_without", int k.lk_ops_without) ])
+                  r.lo_kernels ) ])
+          t.loopopt ) ]

@@ -9,9 +9,10 @@
 
     Every job compiles under the paper's pass configuration
     ({!Safara_core.Pipeline.paper_options}: indvar and memmerge off),
-    except two extension columns computed the same way under the
-    default pipeline: Tables I/II's [w dim (default pipeline)] and
-    Fig 7's [SAFARA (default pipeline)].
+    except the parts that compare it with the default pipeline: Tables
+    I/II's [w dim (default pipeline)] column, Fig 7's
+    [SAFARA (default pipeline)] column and the loop-pass section
+    ({!loopopt}).
 
     Every generator fans its (workload × profile) jobs out over the
     engine's domain pool, while row assembly and rendering stay serial,
@@ -58,6 +59,21 @@ type unroll_row = {
   ur_speedups : (int * float) list;
       (** unroll factor → speedup of Full+unroll vs plain Full *)
   ur_regs : (int * int) list;  (** unroll factor → hottest kernel registers *)
+}
+
+type loopopt_kernel = {
+  lk_kernel : string;
+  lk_ops_with : int;  (** hot-loop ops under the default pipeline *)
+  lk_ops_without : int;  (** hot-loop ops under the paper configuration *)
+}
+
+type loopopt_row = {
+  lo_id : string;
+  lo_arch : string;  (** arch registry key *)
+  lo_ms_with : float;  (** simulated ms of [Base], default pipeline *)
+  lo_ms_without : float;  (** simulated ms of [Base], paper configuration *)
+  lo_kernels : loopopt_kernel list;
+      (** per kernel, {!Safara_vir.Facts.hot_loop_ops} of both compiles *)
 }
 
 type ablation_row = {
@@ -113,6 +129,13 @@ val unroll_study : eng:Eval.t -> arch:Safara_gpu.Arch.t -> unroll_row list
     the reuse SAFARA can harvest and the register pressure — the same
     tension the clauses arbitrate. *)
 
+val loopopt : eng:Eval.t -> archs:Safara_gpu.Arch.t list -> loopopt_row list
+(** Extension experiment: what the loop-aware passes the paper
+    configuration leaves off (indvar, memmerge) buy. For 303.ostencil,
+    360.ilbdc, 350.md and 364.umesh on every given architecture,
+    [Base] under the default pipeline against [Base] under the paper
+    configuration. *)
+
 val average : speedup_row list -> speedup_row
 (** Geometric-mean row labelled "Average". *)
 
@@ -131,22 +154,28 @@ type t = {
   ablations : ablation_row list;
   crossarch : crossarch_row list;  (** over {!Safara_gpu.Arch.registry} *)
   unroll : unroll_row list;
+  loopopt : loopopt_row list;  (** over {!Safara_gpu.Arch.registry} *)
 }
 
 val evaluate : eng:Eval.t -> arch:Safara_gpu.Arch.t -> t
-(** Every generator above on [arch] (crossarch on the whole registry).
+(** Every generator above on [arch] (crossarch and loopopt on the whole
+    registry).
     Deterministic: equal at any [-j]. *)
+
+val section_names : string list
+(** The names of the fields of {!t} that {!section} renders, in
+    {!to_text} order (from [table1] to [loopopt]); the one list of
+    experiment names. *)
 
 val to_text : t -> string
 (** A header naming the architecture and the pass configuration, then
-    every {!section} in the order listed there, each followed by a
+    every {!section} in {!section_names} order, each followed by a
     blank line. *)
 
 val section : string -> (t -> string) option
-(** The rendered table of one field of {!t} ([table1], [table2],
-    [offsets], [fig7], [fig9], [fig10], [fig11], [fig12], [ablations],
-    [crossarch], [unroll]) exactly as {!to_text} prints it; [None] for
-    any other name. A title names the architecture when it is not the
+(** The rendered table of one field of {!t}, named in
+    {!section_names}, exactly as {!to_text} prints it; [None] for any
+    other name. A title names the architecture when it is not the
     default. *)
 
 val to_json : t -> Safara_json.Sjson.t

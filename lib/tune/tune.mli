@@ -93,7 +93,7 @@ val render : result -> string
 val to_json : result -> Safara_json.Sjson.t
 (** The one JSON form of a result: the [saraccc tune --json] object
     (which appends the search's sim-cache counters) and each row of
-    [BENCH_tune.json]. Members: [id], [arch], [strategy], [best]
+    the [results] array [bench tune] writes. Members: [id], [arch], [strategy], [best]
     ([config], [unroll]), [best_ms], [default_ms], [improvement],
     [evaluated], [space], [kernels] (kernel name → ms at the best
     point). *)

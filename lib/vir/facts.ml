@@ -65,6 +65,16 @@ let max_units t =
   let _, _, peak = Dataflow.Live.profile (cfg t) (live t) in
   peak
 
+let hot_loop_ops t =
+  let cfg = cfg t in
+  let size b = cfg.Cfg.blocks.(b).Cfg.last - cfg.Cfg.blocks.(b).Cfg.first + 1 in
+  List.fold_left
+    (fun acc (l : Cfg.loop) ->
+      let ops = ref 0 in
+      Array.iteri (fun b in_body -> if in_body then ops := !ops + size b) l.Cfg.body;
+      max acc !ops)
+    0 (Cfg.loops cfg)
+
 (* the listing with the precise live-set size (count of live vregs,
    and their width in 32-bit units) after each instruction *)
 let pp_annotated (k : Kernel.t) ppf t =

@@ -44,6 +44,13 @@ val max_units : t -> int
     column of [--time-passes]) and the lower bound the linear-scan
     allocator's [regs_used] must meet or exceed. *)
 
+val hot_loop_ops : t -> int
+(** Decoded ops in the largest natural-loop body of {!cfg} (0 for
+    straight-line code): the hot-loop measure of the loop-pass
+    evaluation. Preheader code is outside every loop, so the measure
+    shows what a loop pass saves per iteration where a whole-kernel
+    count would not. *)
+
 val pp_annotated : Kernel.t -> Format.formatter -> t -> unit
 (** [pp_annotated k] renders the facts of [k]'s code: the listing with
     live vregs / live units after each instruction, ending with its

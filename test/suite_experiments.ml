@@ -140,7 +140,70 @@ let test_json_agrees () =
             (r.sr_id ^ " fig7 values") r.sr_values
             (List.map (fun (k, n) -> (k, Sjson.to_float n)) values)
       | _ -> Alcotest.fail "fig7 values is not an object")
-    (rows "fig7" v.Experiments.fig7)
+    (rows "fig7" v.Experiments.fig7);
+  List.iter
+    (fun ((r : Experiments.loopopt_row), o) ->
+      let str what = Sjson.to_str (Sjson.member what o) in
+      let num what = Sjson.to_float (Sjson.member what o) in
+      Alcotest.(check (pair string string)) "loopopt pair" (r.lo_id, r.lo_arch)
+        (str "id", str "arch");
+      Alcotest.(check (pair (float 0.) (float 0.)))
+        (r.lo_id ^ " loopopt ms") (r.lo_ms_with, r.lo_ms_without)
+        (num "ms_with_passes", num "ms_without");
+      Alcotest.(check (list (triple string int int)))
+        (r.lo_id ^ " loopopt kernels")
+        (List.map
+           (fun (k : Experiments.loopopt_kernel) ->
+             (k.lk_kernel, k.lk_ops_with, k.lk_ops_without))
+           r.lo_kernels)
+        (List.map
+           (fun k ->
+             let int what = Sjson.to_int (Sjson.member what k) in
+             ( Sjson.to_str (Sjson.member "kernel" k),
+               int "hot_loop_ops_with",
+               int "hot_loop_ops_without" ))
+           (Sjson.to_list (Sjson.member "kernels" o))))
+    (rows "loopopt" v.Experiments.loopopt)
+
+(* the loop passes' evidence: the stencil and edge-flux hot loops
+   shrink on every architecture, and Base under the default pipeline
+   beats Base under the paper configuration on every workload × arch
+   pair *)
+let test_loopopt_improves () =
+  let rows = (Lazy.force evaluation).Experiments.loopopt in
+  let archs = List.length Safara_gpu.Arch.registry in
+  Alcotest.(check int) "workload × arch pairs" (4 * archs) (List.length rows);
+  List.iter
+    (fun (id, kernel) ->
+      let counts =
+        List.concat_map
+          (fun (r : Experiments.loopopt_row) ->
+            if String.equal r.lo_id id then
+              List.filter_map
+                (fun (k : Experiments.loopopt_kernel) ->
+                  if String.equal k.lk_kernel kernel then Some (r.lo_arch, k)
+                  else None)
+                r.lo_kernels
+            else [])
+          rows
+      in
+      Alcotest.(check int) (id ^ "/" ^ kernel ^ " archs") archs
+        (List.length counts);
+      List.iter
+        (fun (arch, (k : Experiments.loopopt_kernel)) ->
+          if k.lk_ops_with >= k.lk_ops_without then
+            Alcotest.failf
+              "%s/%s on %s: hot-loop ops did not shrink (%d with the loop \
+               passes, %d without)"
+              id kernel arch k.lk_ops_with k.lk_ops_without)
+        counts)
+    [ ("303.ostencil", "stencil"); ("364.umesh", "edge_flux") ];
+  List.iter
+    (fun (r : Experiments.loopopt_row) ->
+      if r.lo_ms_with >= r.lo_ms_without then
+        Alcotest.failf "%s on %s: %.4f ms with the loop passes, %.4f without"
+          r.lo_id r.lo_arch r.lo_ms_with r.lo_ms_without)
+    rows
 
 (* EXPERIMENTS.md quotes measured numbers only inside ```text blocks,
    each a contiguous run of whole lines of experiments.golden *)
@@ -194,6 +257,8 @@ let suite =
     Alcotest.test_case "average is geometric" `Quick test_average_is_geomean;
     Alcotest.test_case "golden evaluation tables" `Slow test_experiments_golden;
     Alcotest.test_case "JSON agrees with the evaluation" `Quick test_json_agrees;
+    Alcotest.test_case "loopopt: hot loops shrink, every pair faster" `Quick
+      test_loopopt_improves;
     Alcotest.test_case "EXPERIMENTS.md quotes the golden" `Quick
       test_experiments_md_quotes_golden;
   ]

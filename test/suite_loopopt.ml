@@ -308,9 +308,8 @@ let loopopt_off =
     Pl.o_disable = [ "indvar"; "memmerge" ];
   }
 
-(* decoded ops inside the kernel's hottest loop (largest natural-loop
-   body) — the preheader clones indvar plants are outside the loop by
-   design, so whole-kernel counts would hide the win *)
+(* {!Safara_vir.Facts.hot_loop_ops} of one kernel, the measure the
+   evaluation's loopopt section reports *)
 let hot_loop_ops ~options id kname =
   let w = Registry.find id in
   let c = C.compile_src ~options C.Base w.Workload.source in
@@ -319,18 +318,7 @@ let hot_loop_ops ~options id kname =
       (fun ((k : K.t), _) -> String.equal k.K.kname kname)
       c.C.c_kernels
   in
-  let cfg = Safara_vir.Cfg.build k.K.code in
-  List.fold_left
-    (fun acc (l : Safara_vir.Cfg.loop) ->
-      let ops = ref 0 in
-      Array.iteri
-        (fun b in_body ->
-          if in_body then
-            let blk = cfg.Safara_vir.Cfg.blocks.(b) in
-            ops := !ops + blk.Safara_vir.Cfg.last - blk.Safara_vir.Cfg.first + 1)
-        l.Safara_vir.Cfg.body;
-      max acc !ops)
-    0 (Safara_vir.Cfg.loops cfg)
+  Safara_vir.Facts.hot_loop_ops (Safara_vir.Facts.make k.K.code)
 
 let test_golden_op_counts () =
   (* exact counts under the default pipeline: these fail the moment

@@ -690,6 +690,19 @@ let test_bench_files_roundtrip () =
             (Sjson.parse (Sjson.to_string v) = v))
     files
 
+(* the tune JSON form, which no committed file holds: one search
+   (303.ostencil on kepler, 15 compiles) *)
+let test_tune_json_roundtrip () =
+  let eng = Eval.create ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Eval.shutdown eng) @@ fun () ->
+  let r =
+    Safara_tune.Tune.search eng ~arch:Safara_gpu.Arch.kepler_k20xm
+      (Registry.find "303.ostencil")
+  in
+  let v = Safara_tune.Tune.to_json r in
+  Alcotest.(check bool) "tune JSON round-trips" true
+    (Sjson.parse (Sjson.to_string v) = v)
+
 module Q = QCheck
 
 (* strings up to 4 KiB dense in the bytes a printer escapes, and
@@ -1239,6 +1252,8 @@ let suite =
       test_sjson_strict;
     Alcotest.test_case "sjson: committed BENCH files round-trip" `Quick
       test_bench_files_roundtrip;
+    Alcotest.test_case "sjson: a tune search's JSON round-trips" `Quick
+      test_tune_json_roundtrip;
     Alcotest.test_case "frame: header is 8 lowercase hex digits" `Quick
       test_frame_header_strict;
     Alcotest.test_case "sjson: corpus read as the reference reads it" `Quick
