@@ -1252,8 +1252,6 @@ let suite =
       test_sjson_strict;
     Alcotest.test_case "sjson: committed BENCH files round-trip" `Quick
       test_bench_files_roundtrip;
-    Alcotest.test_case "sjson: a tune search's JSON round-trips" `Quick
-      test_tune_json_roundtrip;
     Alcotest.test_case "frame: header is 8 lowercase hex digits" `Quick
       test_frame_header_strict;
     Alcotest.test_case "sjson: corpus read as the reference reads it" `Quick
@@ -1279,4 +1277,7 @@ let suite =
   @ [
       Alcotest.test_case "store: ill-formed kernel fails revalidation" `Quick
         test_store_revalidation;
+      (* last, so the cases above keep their serve indices *)
+      Alcotest.test_case "sjson: a tune search's JSON round-trips" `Quick
+        test_tune_json_roundtrip;
     ]
