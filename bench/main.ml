@@ -14,9 +14,11 @@
                    [-j N] [--smoke] [--min-runs N] [--engine NAME]
                    [--arch NAME] [--store DIR]
    (default: all), where EXPERIMENT names one section of the evaluation
-   (Experiments.section_names: table1 ... loopopt). --engine selects
-   the simulator execution engine (reference|threaded, default
-   threaded) for the experiment modes; bench sim always measures both.
+   (Experiments.section_names: table1 ... loopopt). --smoke is read by
+   sim and tune, --min-runs by sim; any other mode refuses them and
+   exits 2. --engine selects the simulator execution engine
+   (reference|threaded, default threaded) for the experiment modes;
+   bench sim always measures both.
    --arch selects the GPU model from the architecture registry
    (default kepler) for every mode except crossarch and loopopt
    (inherently multi-arch) and tune (sweeps the registry unless --arch
@@ -598,6 +600,16 @@ let () =
             Printf.eprintf "unknown experiment %S; expected %s\n" other modes;
             exit 2)
   in
+  (* a flag only some modes read is refused by the others, not ignored *)
+  let read_only_by flag given readers =
+    if given && not (List.mem cmd readers) then begin
+      Printf.eprintf "main.exe: %s is read only by %s, not by %s\n" flag
+        (String.concat " and " readers) cmd;
+      exit 2
+    end
+  in
+  read_only_by "--smoke" !smoke [ "sim"; "tune" ];
+  read_only_by "--min-runs" (!min_runs <> None) [ "sim" ];
   (* --store memoizes compile+simulate results across bench runs via
      the persistent on-disk artifact store (same format as serve) *)
   let store = Option.map Safara_engine.Store.open_store !store_dir in

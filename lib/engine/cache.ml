@@ -9,7 +9,12 @@ type 'v t = {
   mutable misses : int;
 }
 
+(* digests made, per domain like [Facts.counts] *)
+let made = Domain.DLS.new_key (fun () -> ref 0)
+let digests () = !(Domain.DLS.get made)
+
 let key v =
+  incr (Domain.DLS.get made);
   Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
 let create ?(name = "cache") () =

@@ -26,6 +26,10 @@ val key : 'a -> string
     a function of the structure alone and structurally equal values
     built apart get the same key. *)
 
+val digests : unit -> int
+(** {!key} calls made in the calling domain since it started: a
+    deterministic count of content hashing, where wall time is not. *)
+
 val create : ?name:string -> unit -> 'v t
 
 val name : 'v t -> string

@@ -37,27 +37,21 @@ let rec plain_end s i =
     plain_end s (i + 1)
   else i
 
-let escaped_size = function
-  | '"' | '\\' | '\n' | '\r' | '\t' -> 2
-  | _ -> 6
+(* The printer sizes its buffer from the value's string lengths, an
+   eighth over for escapes (source text escapes about one byte in
+   thirty, its newlines), and lets it grow when a string escapes more:
+   each string is scanned once, by [escape], which copies runs of
+   plain bytes whole. A number prints in at most 24 bytes ("%.17g" of
+   a finite double). *)
+let str_room s = String.length s + (String.length s lsr 3) + 2
 
-(* The printer bounds its output first and writes into one buffer of
-   that size; runs of plain bytes are copied whole. *)
-let str_size s =
-  let rec go n i =
-    let i = plain_end s i in
-    if i = String.length s then n else go (n + escaped_size s.[i] - 1) (i + 1)
-  in
-  go (String.length s + 2) 0
-
-(* a number prints in at most 24 bytes: "%.17g" of a finite double *)
 let rec size = function
   | Null | Bool _ -> 5
   | Num _ -> 24
-  | Str s -> str_size s
+  | Str s -> str_room s
   | Arr xs -> List.fold_left (fun n x -> n + 1 + size x) 2 xs
   | Obj kvs ->
-      List.fold_left (fun n (k, x) -> n + 2 + str_size k + size x) 2 kvs
+      List.fold_left (fun n (k, x) -> n + 2 + str_room k + size x) 2 kvs
 
 let rec escape b s run =
   let i = plain_end s run in
@@ -185,57 +179,50 @@ let parse s =
     done;
     !code
   in
-  (* [run, i) is a run of plain bytes, copied whole to [o] in [b] *)
-  let copy b run i o =
-    (match b with Some b -> Bytes.blit_string s run b o (i - run) | None -> ());
-    o + i - run
-  in
-  (* One scan from [run] to the closing quote checks every escape and
-     returns the decoded length; given [b], it also decodes into [b].
-     The cursor is left on the quote. *)
-  let rec scan b run o =
-    let i = plain_end s run in
+  (* Every escaped string of the document decodes into one buffer,
+     made at the first one with room for the document up to 4 KiB (a
+     request's source fits): it grows to the longest of them and no
+     further. *)
+  let scratch = lazy (Buffer.create (min n 4096)) in
+  (* [run, i) is a run of plain bytes and [i] the special byte or the
+     end after it: one scan on to the closing quote copies every run,
+     checks and decodes every escape, and leaves the cursor past the
+     quote *)
+  let rec decode b run i =
     if i >= n then fail_at n "unterminated string";
-    let o = copy b run i o in
-    match s.[i] with
+    Buffer.add_substring b s run (i - run);
+    match String.unsafe_get s i with
     | '"' ->
-        pos := i;
-        o
+        pos := i + 1;
+        Buffer.contents b
     | '\\' -> (
         let j = i + 1 in
         if j >= n then fail_at n "unterminated escape";
         match s.[j] with
         | ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') as c ->
-            (match b with Some b -> Bytes.set b o (unescaped c) | None -> ());
-            scan b (j + 1) (o + 1)
+            Buffer.add_char b (unescaped c);
+            decode b (j + 1) (plain_end s (j + 1))
         | 'u' ->
             if j + 4 >= n then fail_at j "truncated \\u escape";
-            let u = uchar (hex4 j) in
-            let o =
-              match b with
-              | Some b -> o + Bytes.set_utf_8_uchar b o u
-              | None -> o + Uchar.utf_8_byte_length u
-            in
-            scan b (j + 5) o
+            Buffer.add_utf_8_uchar b (uchar (hex4 j));
+            decode b (j + 5) (plain_end s (j + 5))
         | c -> fail_at j (Printf.sprintf "bad escape \\%c" c))
     | _ -> fail_at i "raw control character in string"
   in
+  (* a string without escapes is one run, copied out whole *)
   let parse_string () =
     expect '"';
     let start = !pos in
-    let len = scan None start 0 in
-    let stop = !pos in
-    (* every escape is longer than what it decodes to *)
-    let str =
-      if len = stop - start then String.sub s start len
-      else begin
-        let b = Bytes.create len in
-        ignore (scan (Some b) start 0);
-        Bytes.unsafe_to_string b
-      end
-    in
-    pos := stop + 1;
-    str
+    let i = plain_end s start in
+    if i < n && String.unsafe_get s i = '"' then begin
+      pos := i + 1;
+      String.sub s start (i - start)
+    end
+    else begin
+      let b = Lazy.force scratch in
+      Buffer.clear b;
+      decode b start i
+    end
   in
   (* RFC 8259 numbers only: an optional minus, then 0 or a digit run
      without a leading zero, an optional fraction with at least one

@@ -40,6 +40,16 @@ type t = {
       (** per-region tail output (SAFARA feedback included) and SAFARA
           candidates *)
   fe : Safara_ir.Program.t Cache.t;  (** source → front-end IR *)
+  keys :
+    ( string
+      * C.profile
+      * Safara_gpu.Arch.t
+      * Safara_transform.Safara.config option
+      * int option
+      * string list,
+      string )
+    Hashtbl.t;
+      (** {!compile_key}'s inputs → its digest, under [lock] *)
   lock : Mutex.t;
   images : (int, image) Hashtbl.t;
       (** each domain's most recent input image, by domain id, under
@@ -65,6 +75,7 @@ let create ?jobs ?store () =
     ak = Cache.create ~name:"artifact" ();
     memo = C.memo ();
     fe = Cache.create ~name:"front end" ();
+    keys = Hashtbl.create 64;
     lock = Mutex.create ();
     images = Hashtbl.create 4;
     images_prepared = 0;
@@ -105,8 +116,8 @@ let through t cache ~kind ~key ?(check = fun v -> v) f =
   match t.estore with
   | None -> Cache.find_or_compute cache ~key f
   | Some s ->
-      let skey = Printf.sprintf "%s/%s/%s" store_schema kind key in
       Cache.find_or_compute cache ~key (fun () ->
+          let skey = Printf.sprintf "%s/%s/%s" store_schema kind key in
           let computed () =
             let v = f () in
             (* marshalling failures (a closure smuggled into a cached
@@ -190,8 +201,28 @@ let compile_key ~src ~profile ~arch ~config ~unroll ~disable =
   let psig = C.pipeline_signature ?safara_config:config ~disable profile in
   Cache.key (src, profile, arch, config, unroll, disable, psig)
 
-let ckey j =
-  compile_key ~src:j.jw.Workload.source ~profile:j.jp ~arch:j.jarch
+(* [compile_key] memoized on the very inputs it digests: the table
+   hashes the source in full ([Hashtbl.hash]) and compares it byte for
+   byte, so a repeated compile costs one pass over its source and no
+   digest. Equal inputs marshal alike, bar floats that compare equal
+   with other bits (0. and -0.); the one float among them, an arch's
+   cycles per memory transaction, is a positive constant. *)
+let memo_key t ~src ~profile ~arch ~config ~unroll ~disable =
+  let k = (src, profile, arch, config, unroll, disable) in
+  Mutex.lock t.lock;
+  let hit = Hashtbl.find_opt t.keys k in
+  Mutex.unlock t.lock;
+  match hit with
+  | Some key -> key
+  | None ->
+      let key = compile_key ~src ~profile ~arch ~config ~unroll ~disable in
+      Mutex.lock t.lock;
+      Hashtbl.replace t.keys k key;
+      Mutex.unlock t.lock;
+      key
+
+let job_key t j =
+  memo_key t ~src:j.jw.Workload.source ~profile:j.jp ~arch:j.jarch
     ~config:j.jconfig ~unroll:j.junroll ~disable:j.jdisable
 
 (* Artifact keys: a digest of exactly what a simulator reads of a
@@ -248,13 +279,12 @@ let compiled_at t j ck =
             ~disable:j.jdisable j.jp
             (front_end t j.jw.Workload.source j.junroll)))
 
-let compiled t j = compiled_at t j (ckey j)
+let compiled t j = compiled_at t j (job_key t j)
 
 let compile_src t ?(arch = Safara_gpu.Arch.default) ?safara_config
     ?(disable = []) profile src =
   let key =
-    compile_key ~src ~profile ~arch ~config:safara_config ~unroll:None
-      ~disable
+    memo_key t ~src ~profile ~arch ~config:safara_config ~unroll:None ~disable
   in
   through t t.cc ~kind:"compile" ~key ~check:verified (fun () ->
       timed t `Compile (fun () ->
@@ -324,7 +354,7 @@ let image t c w = with_image t c w Fun.id
    is fetched at most once per call: the key computation and the
    simulation miss share it. *)
 let simulated t cache ~kind ~view ~extra j f =
-  let ck = ckey j in
+  let ck = job_key t j in
   let fetched = ref None in
   let fetch () =
     match !fetched with

@@ -70,7 +70,8 @@ val compile_key :
   string
 (** The compile cache's key: a digest of the source, the profile, the
     arch, the SAFARA config, the unroll factor, the disabled passes
-    and the resolved pipeline's signature. *)
+    and the resolved pipeline's signature. An engine memoizes it on
+    those inputs (see {!job_key}). *)
 
 val shutdown : t -> unit
 
@@ -93,6 +94,14 @@ val job :
     Compile-cache keys cover the resolved pipeline description — pass
     list, per-pass config and the disabled set — so toggling or
     reordering passes can never return a stale artifact. *)
+
+val job_key : t -> job -> string
+(** The job's {!compile_key}, memoized per engine on exactly the inputs
+    it digests (source, profile, arch, SAFARA config, unroll factor,
+    disabled passes): a repeated key costs a structural hash of those
+    inputs and no digest. {!compiled}, the simulations and
+    {!compile_src} read their keys through the same memo, which holds
+    one entry per distinct compile. *)
 
 val compiled : t -> job -> Safara_core.Compiler.compiled
 (** Memoized compile; repeated calls with an equal key return the

@@ -725,6 +725,74 @@ let test_one_analysis_per_array () =
     (Printf.sprintf "%d bound walks for %d code arrays" bounds arrays)
     true (bounds <= arrays)
 
+(* The engine memoizes [Eval.compile_key] on exactly the inputs it
+   digests. A memoized key is the fresh digest, whether the memo was
+   filled or read; the same text in another string hits; a change to
+   any one input misses. *)
+let test_compile_key_memo () =
+  let module Arch = Safara_gpu.Arch in
+  let e = Eval.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Eval.shutdown e)
+    (fun () ->
+      let keys =
+        List.concat_map
+          (fun (w : Workload.t) ->
+            List.concat_map
+              (fun arch ->
+                List.map
+                  (fun profile ->
+                    let j = Eval.job ~arch profile w in
+                    let filled = Eval.job_key e j in
+                    let d0 = Cache.digests () in
+                    let read = Eval.job_key e j in
+                    Alcotest.(check int) "a memo hit digests nothing" 0
+                      (Cache.digests () - d0);
+                    let fresh =
+                      Eval.compile_key ~src:w.Workload.source ~profile ~arch
+                        ~config:None ~unroll:None ~disable:[]
+                    in
+                    Alcotest.(check string) "filled = fresh" fresh filled;
+                    Alcotest.(check string) "read = fresh" fresh read;
+                    fresh)
+                  C.all_profiles)
+              [ Arch.default; Arch.fermi_like ])
+          Registry.all
+      in
+      Alcotest.(check int) "one key per input" (List.length keys)
+        (List.length (List.sort_uniq compare keys));
+      let w = Registry.find "303.ostencil" in
+      let src = w.Workload.source in
+      let compile ?(arch = Arch.default) ?config ?(disable = [])
+          ?(profile = C.Full) src =
+        ignore (Eval.compile_src e ~arch ?safara_config:config ~disable profile src)
+      in
+      let misses () = (Eval.stats e).Eval.st_compile_misses in
+      compile src;
+      let m = misses () and d0 = Cache.digests () in
+      compile (Bytes.to_string (Bytes.of_string src));
+      ignore (Eval.compiled e (Eval.job C.Full w));
+      Alcotest.(check int) "a copy of the source and its job hit" m (misses ());
+      Alcotest.(check int) "... and digest nothing" 0 (Cache.digests () - d0);
+      let edited =
+        let b = Bytes.of_string src in
+        Bytes.set b (String.index src ' ') '\t';
+        Bytes.to_string b
+      in
+      let misses_once what f =
+        let m = misses () in
+        f ();
+        Alcotest.(check int) (what ^ " misses") (m + 1) (misses ())
+      in
+      misses_once "a one-byte edit" (fun () -> compile edited);
+      misses_once "another profile" (fun () -> compile ~profile:C.Base src);
+      misses_once "another arch" (fun () -> compile ~arch:Arch.fermi_like src);
+      misses_once "a disable set" (fun () -> compile ~disable:[ "peephole" ] src);
+      misses_once "a SAFARA config" (fun () ->
+          compile ?config:(Tune.config_of Arch.default "cap48") src);
+      misses_once "an unroll factor" (fun () ->
+          ignore (Eval.compiled e (Eval.job ~unroll:2 C.Full w))))
+
 let suite =
   [
     Alcotest.test_case "pool: map preserves order" `Quick test_pool_map_order;
@@ -776,4 +844,6 @@ let suite =
       test_feedback_is_tail_entry;
     Alcotest.test_case "fig8 -p full analyses each code array once" `Quick
       test_one_analysis_per_array;
+    Alcotest.test_case "compile keys: the memo never aliases" `Quick
+      test_compile_key_memo;
   ]

@@ -1220,6 +1220,52 @@ let test_store_revalidation () =
         true
         (served.Safara_core.Compiler.c_kernels = good.Safara_core.Compiler.c_kernels))
 
+(* --- escaped strings parse in linear space ------------------------------ *)
+
+(* Every escaped string decodes once, into a buffer sized by the
+   strings, not by the rest of the document: a long array of escaped
+   strings allocates in proportion to its length. A buffer per string
+   sized by the rest of the document would allocate about n²/2 bytes
+   here, thousands of words per element. *)
+let test_escaped_strings_linear () =
+  let n = 20_000 in
+  let doc =
+    "[" ^ String.concat "," (List.init n (fun _ -> "\"a\\n\"")) ^ "]"
+  in
+  let parsed = ref Sjson.Null in
+  let words = words_allocated (fun () -> parsed := Sjson.parse doc) in
+  Alcotest.(check bool) "decoded" true
+    (!parsed = Sjson.Arr (List.init n (fun _ -> Sjson.Str "a\n")));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d elements" words n)
+    true
+    (words < 16. *. float_of_int n)
+
+(* --- content digests per request ----------------------------------------- *)
+
+(* [Cache.key] is the one content digest of the tree. A warm compile
+   request reads its compile key from the engine's memo, so it makes
+   none; the cold one makes the compile key's two (the pipeline
+   signature, then the inputs), the front end's source key, and the
+   region memo's tags and region digests. *)
+let test_warm_request_digests () =
+  let eng = Eval.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Eval.shutdown eng)
+    (fun () ->
+      let req = compile_req ~profile:"full" (Registry.find "355.seismic") in
+      let digests () =
+        let d0 = Cache.digests () in
+        let out = Serve.Commands.exec eng req in
+        (Cache.digests () - d0, out)
+      in
+      let cold, first = digests () in
+      let warm, again = digests () in
+      Alcotest.(check int) "digests of a cold request" 19 cold;
+      Alcotest.(check int) "digests of a warm request" 0 warm;
+      Alcotest.(check bool) "the warm answer is the cold one" true
+        (first = again))
+
 let suite =
   [
     Alcotest.test_case "cache: mutex released when compute raises" `Quick
@@ -1280,4 +1326,8 @@ let suite =
       (* last, so the cases above keep their serve indices *)
       Alcotest.test_case "sjson: a tune search's JSON round-trips" `Quick
         test_tune_json_roundtrip;
+      Alcotest.test_case "daemon: a warm compile request makes no digest"
+        `Quick test_warm_request_digests;
+      Alcotest.test_case "sjson: escaped strings parse in linear space" `Quick
+        test_escaped_strings_linear;
     ]
