@@ -498,20 +498,49 @@ let test_ptxas_golden () =
 
 (* per arch: the MD5 of every assembled kernel's listing followed by
    its ptxas report, so any change to the shipped code shows *)
-let kernels_golden_content () =
-  registry_golden (fun ks ->
-      Digest.to_hex
-        (Digest.string
-           (String.concat ""
-              (List.map
-                 (fun (k, r) ->
-                   Format.asprintf "%a@.%a@." Safara_vir.Kernel.pp k
-                     Safara_ptxas.Assemble.pp_report r)
-                 ks))))
+let kernels_digest ks =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map
+             (fun (k, r) ->
+               Format.asprintf "%a@.%a@." Safara_vir.Kernel.pp k
+                 Safara_ptxas.Assemble.pp_report r)
+             ks)))
+
+let kernels_golden_content () = registry_golden kernels_digest
 
 let test_kernels_golden () =
   check_golden "kernels.golden" "registry assembled-kernel snapshot"
     (kernels_golden_content ())
+
+(* every registry workload under full, unrolled by 2 and by 4, on
+   every arch: the digest of its shipped kernels as kernels.golden
+   takes it. Unrolled loops are where indvar rewrites one kernel over
+   several rounds, which the unroll-1 goldens never exercise. *)
+let unrolled_golden_content () =
+  let b = Buffer.create 8192 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let prog = Safara_lang.Frontend.compile w.Workload.source in
+      List.iter
+        (fun factor ->
+          let prog = Safara_transform.Unroll.unroll_program ~factor prog in
+          Buffer.add_string b (Printf.sprintf "%-12s u%d" w.Workload.id factor);
+          List.iter
+            (fun (arch : Safara_gpu.Arch.t) ->
+              Buffer.add_string b
+                (Printf.sprintf " %s=%s" arch.Safara_gpu.Arch.key
+                   (kernels_digest (C.compile ~arch C.Full prog).C.c_kernels)))
+            Safara_gpu.Arch.registry;
+          Buffer.add_char b '\n')
+        [ 2; 4 ])
+    Registry.all;
+  Buffer.contents b
+
+let test_unrolled_golden () =
+  check_golden "unrolled.golden" "unrolled full-profile kernel snapshot"
+    (unrolled_golden_content ())
 
 (* every SAFARA round of every registry workload under the profiles
    that run SAFARA, on every arch: a header line per region, then its
@@ -678,4 +707,6 @@ let suite =
     Alcotest.test_case "golden capped allocation and spills" `Quick
       test_spill_golden;
     Alcotest.test_case "golden tune winners" `Slow test_tune_golden;
+    Alcotest.test_case "golden unrolled full-profile kernels" `Quick
+      test_unrolled_golden;
   ]
