@@ -91,10 +91,11 @@ let vir_pass name f =
             s.Pass.v_kernels;
       })
 
-(* the block-local peephole reads no analysis *)
+(* the block-local peephole reads no analysis but the register bound *)
 let peephole =
   vir_pass "peephole" (fun f ->
-      Facts.update f (Safara_vir.Peephole.optimize (Facts.code f)))
+      Facts.update f
+        (Safara_vir.Peephole.optimize ~nregs:(Facts.bound f) (Facts.code f)))
 
 (* the dataflow catalog: global (CFG-wide) optimizations over the
    solver framework, scheduled after the block-local peephole.

@@ -12,10 +12,12 @@
     The pass is semantics-preserving; the pipeline property tests
     compare results with it enabled. *)
 
-val optimize : Instr.t array -> Instr.t array
-(** Returns its argument itself when it rewrites nothing (the
-    pipeline then skips verifying the unchanged kernel); never updates
-    it in place. *)
+val optimize : nregs:int -> Instr.t array -> Instr.t array
+(** [optimize ~nregs code]: [nregs] is at least {!Instr.rid_bound} of
+    [code] (the pipeline passes {!Facts.bound}); the per-register state
+    lives in arrays of that size. Returns its argument itself when it
+    rewrites nothing (the pipeline then skips verifying the unchanged
+    kernel); never updates it in place. *)
 
 val stats : Instr.t array -> Instr.t array -> string
 (** Human-readable before/after summary. *)

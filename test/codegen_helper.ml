@@ -2,9 +2,13 @@
    leave it, for suites that test one kernel without the rest of the
    tail. *)
 
+(* the peephole over a code array, its register bound walked here *)
+let peephole code =
+  Safara_vir.Peephole.optimize ~nregs:(Safara_vir.Instr.rid_bound code) code
+
 let compile_region ~arch prog r =
   let k = Safara_vir.Codegen.compile_region ~arch prog r in
-  { k with Safara_vir.Kernel.code = Safara_vir.Peephole.optimize k.Safara_vir.Kernel.code }
+  { k with Safara_vir.Kernel.code = peephole k.Safara_vir.Kernel.code }
 
 (* SAFARA's register feedback spelled out as codegen → peephole →
    assemble: the oracle the pipeline's feedback compile (the tail with

@@ -793,7 +793,7 @@ let test_wide_kernel_linear () =
         else I.Ret)
   in
   let t0 = Sys.time () in
-  let a = Safara_vir.Peephole.optimize chain in
+  let a = Codegen_helper.peephole chain in
   let b = opt Safara_vir.Copyprop.optimize a in
   let c = opt Safara_vir.Strength.optimize b in
   let d = opt Safara_vir.Dce.optimize c in

@@ -30,7 +30,7 @@ let test_peephole_constant_folding () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Peephole.optimize code in
+  let out = Codegen_helper.peephole code in
   (* folding + copy propagation + DCE: the constant reaches the store *)
   Alcotest.(check bool) "constant reaches the store" true
     (Array.exists (function I.St { src = I.Imm 5; _ } -> true | _ -> false) out);
@@ -48,7 +48,7 @@ let test_peephole_identities () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Peephole.optimize code in
+  let out = Codegen_helper.peephole code in
   (* x+0 and x*1 collapse; copy propagation then forwards the constant *)
   Alcotest.(check bool) "store sees the constant" true
     (Array.exists (function I.St { src = I.Imm 7; _ } -> true | _ -> false) out)
@@ -69,7 +69,7 @@ let test_peephole_dce () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Peephole.optimize code in
+  let out = Codegen_helper.peephole code in
   Alcotest.(check bool) "dead def removed" true
     (not (Array.exists (function I.Mov { dst; _ } -> dst.V.rid = 0 | _ -> false) out))
 
@@ -97,7 +97,7 @@ let test_peephole_keeps_control_flow () =
       I.Ret;
     |]
   in
-  let out = Safara_vir.Peephole.optimize code in
+  let out = Codegen_helper.peephole code in
   (* the store must NOT have been constant-folded to 10 or 20 *)
   Alcotest.(check bool) "no cross-block propagation" true
     (not
@@ -503,6 +503,73 @@ double a[n];
   Alcotest.(check (float 1e-9)) "8-block grid insensitive to registers"
     (time 32) (time 200)
 
+(* --- peephole against its reference --------------------------------- *)
+
+(* the code every registry region leaves codegen with, under every
+   profile on every arch: the head of that profile's pipeline, then
+   codegen, as the compiler runs them *)
+let registry_codegen_outputs =
+  lazy
+    (let module C = Safara_core.Compiler in
+     let module Pl = Safara_core.Pipeline in
+     List.concat_map
+       (fun (w : Safara_suites.Workload.t) ->
+         let prog = Safara_lang.Frontend.compile w.Safara_suites.Workload.source in
+         List.concat_map
+           (fun p ->
+             let desc = C.desc_of_profile p in
+             List.concat_map
+               (fun (arch : Safara_gpu.Arch.t) ->
+                 let latency = Safara_gpu.Latency.for_arch arch in
+                 let arch = Pl.effective_arch arch desc in
+                 let ctx = Safara_core.Pass.make_ctx ~arch ~latency in
+                 let headed, _ = Pl.run ~name:"head" ctx (Pl.head desc) prog in
+                 List.map
+                   (fun r ->
+                     let k = Safara_vir.Codegen.compile_region ~arch headed r in
+                     ( Printf.sprintf "%s %s %s %s" w.Safara_suites.Workload.id
+                         (C.profile_name p) arch.Safara_gpu.Arch.key
+                         k.Safara_vir.Kernel.kname,
+                       k.Safara_vir.Kernel.code ))
+                   headed.Safara_ir.Program.regions)
+               Safara_gpu.Arch.registry)
+           C.all_profiles)
+       Safara_suites.Registry.all)
+
+let listing code =
+  String.concat "\n" (Array.to_list (Array.map I.to_string code))
+
+let test_peephole_matches_reference () =
+  List.iter
+    (fun (what, code) ->
+      Alcotest.(check string) what
+        (listing (Peephole_reference.optimize code))
+        (listing (Codegen_helper.peephole code)))
+    (Lazy.force registry_codegen_outputs)
+
+(* the array-based peephole allocates at most half what the reference
+   does over the same registry sweep (register bounds walked outside
+   the count, as the pipeline reads them from the code's facts) *)
+let test_peephole_allocates_half () =
+  let codes =
+    List.map
+      (fun (_, code) -> (I.rid_bound code, code))
+      (Lazy.force registry_codegen_outputs)
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    List.iter f codes;
+    Gc.minor_words () -. w0
+  in
+  let reference = words (fun (_, code) -> ignore (Peephole_reference.optimize code)) in
+  let arrays =
+    words (fun (nregs, code) -> ignore (Safara_vir.Peephole.optimize ~nregs code))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words against the reference's %.0f" arrays reference)
+    true
+    (arrays <= reference /. 2.)
+
 let suite =
   [
     Alcotest.test_case "peephole constant folding" `Quick test_peephole_constant_folding;
@@ -520,4 +587,8 @@ let suite =
     Alcotest.test_case "emit float literals" `Quick test_emit_float_literals;
     Alcotest.test_case "cache tiers reward reuse" `Quick test_cache_tiers;
     Alcotest.test_case "partial waves ignore registers" `Quick test_partial_wave_occupancy_irrelevant;
+    Alcotest.test_case "peephole = reference on registry codegen output" `Quick
+      test_peephole_matches_reference;
+    Alcotest.test_case "peephole allocates half the reference's words" `Quick
+      test_peephole_allocates_half;
   ]

@@ -399,7 +399,7 @@ let prop_peephole_semantics =
             let k = Safara_vir.Codegen.compile_region ~arch prog r in
             let k =
               if extra_opt then
-                { k with Safara_vir.Kernel.code = Safara_vir.Peephole.optimize k.Safara_vir.Kernel.code }
+                { k with Safara_vir.Kernel.code = Codegen_helper.peephole k.Safara_vir.Kernel.code }
               else k
             in
             let grid = Safara_sim.Launch.grid_of ~env:env.Safara_sim.Interp.scalars k in
@@ -410,6 +410,26 @@ let prop_peephole_semantics =
       in
       let x0, x1 = run false and y0, y1 = run true in
       bitwise_equal x0 y0 && bitwise_equal x1 y1)
+
+(* the array-based peephole rewrites generated code, as codegen leaves
+   it and after unrolling by two, exactly as its reference does *)
+let prop_peephole_matches_reference =
+  Q.Test.make ~name:"peephole matches its reference" ~count:50 ~long_factor:10
+    arb_program (fun src ->
+      let prog = Safara_lang.Frontend.compile src in
+      List.for_all
+        (fun factor ->
+          let prog = Safara_transform.Unroll.unroll_program ~factor prog in
+          let prog = Safara_analysis.Schedule.resolve_program prog in
+          List.for_all
+            (fun r ->
+              let code =
+                (Safara_vir.Codegen.compile_region ~arch prog r).Safara_vir.Kernel.code
+              in
+              compare (Codegen_helper.peephole code) (Peephole_reference.optimize code)
+              = 0)
+            prog.Safara_ir.Program.regions)
+        [ 1; 2 ])
 
 let prop_unroll_equivalence =
   Q.Test.make ~name:"unrolling preserves semantics" ~count:25
@@ -543,4 +563,5 @@ let suite =
   @ [
       Alcotest.test_case "clauses corpus 13: small+dim vs base" `Quick
         test_clauses_strength_corpus;
+      QCheck_alcotest.to_alcotest prop_peephole_matches_reference;
     ]
