@@ -31,8 +31,6 @@
 module I = Instr
 module V = Vreg
 module T = Safara_ir.Types
-module IM = Map.Make (Int)
-module IS = Set.Make (Int)
 
 (* ---- stride algebra ------------------------------------------------
 
@@ -43,17 +41,35 @@ module IS = Set.Make (Int)
 
 type term = { coeff : int; regs : int list (* sorted rids *) }
 
+(* sorted rid lists, lexicographically, a prefix first *)
+let rec compare_regs a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a, y :: b ->
+      let c = Int.compare x y in
+      if c <> 0 then c else compare_regs a b
+
+let compare_terms t u =
+  let c = Int.compare t.coeff u.coeff in
+  if c <> 0 then c else compare_regs t.regs u.regs
+
+(* sort by registers, merge the terms of equal registers, drop the
+   zero ones, and order the rest by coefficient, then registers *)
 let norm_terms terms =
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun t ->
-      let k = t.regs in
-      Hashtbl.replace tbl k (t.coeff + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    terms;
-  Hashtbl.fold
-    (fun regs coeff acc -> if coeff = 0 then acc else { coeff; regs } :: acc)
-    tbl []
-  |> List.sort compare
+  let rec merge = function
+    | t :: u :: rest when compare_regs t.regs u.regs = 0 ->
+        merge ({ t with coeff = t.coeff + u.coeff } :: rest)
+    | t :: rest -> if t.coeff = 0 then merge rest else t :: merge rest
+    | [] -> []
+  in
+  match terms with
+  | [] -> []
+  | [ t ] -> if t.coeff = 0 then [] else terms
+  | _ ->
+      List.sort compare_terms
+        (merge (List.sort (fun t u -> compare_regs t.regs u.regs) terms))
 
 let scale_terms k terms =
   if k = 0 then [] else List.map (fun t -> { t with coeff = t.coeff * k }) terms
@@ -67,6 +83,8 @@ type sym =
   | Iv of term list  (* advances by this stride per iteration; nonempty *)
   | Unknown
 
+let iv_of terms = match norm_terms terms with [] -> Inv | ts -> Iv ts
+
 let stride_key terms = List.map (fun t -> (t.coeff, t.regs)) terms
 
 (* ---- per-loop rewrite ---------------------------------------------- *)
@@ -79,12 +97,25 @@ let clonable = function
 
 let integer (r : V.t) = T.is_integer r.V.rty
 
-(* per-CFG register facts, shared by every loop tried on one CFG:
-   each rid's use count over the whole code, and its last definition
-   (the register at its true type) *)
-type facts = { uses_total : int array; last_def : V.t option array }
+(* The register tables of one round, indexed by rid: each rid's use
+   count over the whole code and its last definition (the register at
+   its true type), shared by every loop the round tries; and the
+   tables of the loop being tried, which a try resets over only the
+   registers the previous try's loop body named ([touched]). *)
+type round = {
+  uses_total : int array;
+  last_def : V.t option array;
+  def_count : int array;  (* defs inside the loop *)
+  def_pos : int array;  (* position of the last of them *)
+  loop_uses : int array;  (* uses inside the loop *)
+  chain_uses : int array;  (* uses by header defs the scan found affine *)
+  basic : int array;  (* a basic IV's step; 0: not one *)
+  sym : sym option array;  (* the header scan's value; None: not scanned *)
+  touched : int array;
+  mutable ntouched : int;
+}
 
-let facts_of code ~nregs =
+let round_of code ~nregs =
   let uses_total = Array.make nregs 0 and last_def = Array.make nregs None in
   Array.iter
     (fun ins ->
@@ -93,27 +124,50 @@ let facts_of code ~nregs =
         (fun (r : V.t) -> uses_total.(r.V.rid) <- uses_total.(r.V.rid) + 1)
         ins)
     code;
-  { uses_total; last_def }
+  {
+    uses_total;
+    last_def;
+    def_count = Array.make nregs 0;
+    def_pos = Array.make nregs (-1);
+    loop_uses = Array.make nregs 0;
+    chain_uses = Array.make nregs 0;
+    basic = Array.make nregs 0;
+    sym = Array.make nregs None;
+    touched = Array.make nregs 0;
+    ntouched = 0;
+  }
 
-type edits = {
-  mutable deleted : IS.t;
-  mutable inserts : I.t list IM.t;  (* insert (reversed) before index *)
-}
+(* a register the loop body names, recorded the first time *)
+let touch rd rid =
+  if rd.def_count.(rid) = 0 && rd.loop_uses.(rid) = 0 then begin
+    rd.touched.(rd.ntouched) <- rid;
+    rd.ntouched <- rd.ntouched + 1
+  end
 
-let add_insert e idx ins =
-  e.inserts <-
-    IM.update idx
-      (fun prev -> Some (ins :: Option.value ~default:[] prev))
-      e.inserts
+let reset rd =
+  for t = 0 to rd.ntouched - 1 do
+    let rid = rd.touched.(t) in
+    rd.def_count.(rid) <- 0;
+    rd.def_pos.(rid) <- -1;
+    rd.loop_uses.(rid) <- 0;
+    rd.chain_uses.(rid) <- 0;
+    rd.basic.(rid) <- 0;
+    rd.sym.(rid) <- None
+  done;
+  rd.ntouched <- 0
+
+(* the rewrite of one loop: instructions to delete, and instructions to
+   insert (reversed) before each index *)
+type edits = { deleted : bool array; inserts : I.t list array }
+
+let add_insert e idx ins = e.inserts.(idx) <- ins :: e.inserts.(idx)
 
 let apply_edits code e =
   let out = ref [] in
   let n = Array.length code in
   for i = n downto 0 do
-    if i < n && not (IS.mem i e.deleted) then out := code.(i) :: !out;
-    match IM.find_opt i e.inserts with
-    | Some rev -> out := List.rev_append rev !out
-    | None -> ()
+    if i < n && not e.deleted.(i) then out := code.(i) :: !out;
+    out := List.rev_append e.inserts.(i) !out
   done;
   Array.of_list !out
 
@@ -122,7 +176,7 @@ let tail_insert_index cfg b =
   let blk = cfg.Cfg.blocks.(b) in
   if I.is_branch cfg.Cfg.code.(blk.Cfg.last) then blk.Cfg.last else blk.Cfg.last + 1
 
-let try_loop cfg (loop : Cfg.loop) ~facts ~fresh =
+let try_loop cfg (loop : Cfg.loop) ~rd ~fresh =
   let code = cfg.Cfg.code in
   match loop.Cfg.latches with
   | [] | _ :: _ :: _ -> None
@@ -144,33 +198,30 @@ let try_loop cfg (loop : Cfg.loop) ~facts ~fresh =
           if loop.Cfg.body.(pre) || not latch_ok then None
           else begin
             (* per register inside the loop: def count, last def
-               position and use positions *)
-            let nregs = Array.length facts.uses_total in
-            let def_count = Array.make nregs 0 in
-            let def_pos = Array.make nregs (-1) in
-            let use_pos = Array.make nregs [] in
+               position and use count *)
+            reset rd;
+            let count_use (r : V.t) =
+              touch rd r.V.rid;
+              rd.loop_uses.(r.V.rid) <- rd.loop_uses.(r.V.rid) + 1
+            in
             Array.iter
               (fun (blk : Cfg.block) ->
                 if loop.Cfg.body.(blk.Cfg.bid) then
                   for i = blk.Cfg.first to blk.Cfg.last do
-                    I.iter_defs
-                      (fun (r : V.t) ->
-                        def_count.(r.V.rid) <- def_count.(r.V.rid) + 1;
-                        def_pos.(r.V.rid) <- i)
-                      code.(i);
-                    I.iter_uses
-                      (fun (r : V.t) -> use_pos.(r.V.rid) <- i :: use_pos.(r.V.rid))
-                      code.(i)
+                    let d = I.def code.(i) in
+                    if d != I.no_def then begin
+                      touch rd d.V.rid;
+                      rd.def_count.(d.V.rid) <- rd.def_count.(d.V.rid) + 1;
+                      rd.def_pos.(d.V.rid) <- i
+                    end;
+                    I.iter_uses count_use code.(i)
                   done)
               cfg.Cfg.blocks;
-            let defs_in_loop rid = def_count.(rid) in
-            let used_outside rid =
-              facts.uses_total.(rid) > List.length use_pos.(rid)
-            in
+            let defs_in_loop rid = rd.def_count.(rid) in
+            let used_outside rid = rd.uses_total.(rid) > rd.loop_uses.(rid) in
+            let basic = rd.basic and sym = rd.sym in
             (* basic IVs: single in-loop def, in the latch block, of the
-               form add/sub self, imm; [basic] holds the step (0: not a
-               basic IV) *)
-            let basic = Array.make nregs 0 in
+               form add/sub self, imm *)
             let first_basic_def = ref max_int in
             let lblk = cfg.Cfg.blocks.(latch) in
             for i = lblk.Cfg.first to lblk.Cfg.last do
@@ -179,23 +230,21 @@ let try_loop cfg (loop : Cfg.loop) ~facts ~fresh =
                 when integer dst && defs_in_loop dst.V.rid = 1 -> (
                   let step =
                     match (op, a, b) with
-                    | I.Add, I.Reg r, I.Imm c when V.equal r dst -> Some c
-                    | I.Add, I.Imm c, I.Reg r when V.equal r dst -> Some c
-                    | I.Sub, I.Reg r, I.Imm c when V.equal r dst -> Some (-c)
-                    | _ -> None
+                    | I.Add, I.Reg r, I.Imm c when V.equal r dst -> c
+                    | I.Add, I.Imm c, I.Reg r when V.equal r dst -> c
+                    | I.Sub, I.Reg r, I.Imm c when V.equal r dst -> -c
+                    | _ -> 0
                   in
-                  match step with
-                  | Some c when c <> 0 ->
-                      basic.(dst.V.rid) <- c;
-                      if i < !first_basic_def then first_basic_def := i
-                  | _ -> ())
+                  if step <> 0 then begin
+                    basic.(dst.V.rid) <- step;
+                    if i < !first_basic_def then first_basic_def := i
+                  end)
               | _ -> ()
             done;
             if !first_basic_def = max_int then None
             else begin
               (* scan the header block top-down, stopping at the first
                  basic-IV increment (only relevant when header = latch) *)
-              let sym = Array.make nregs None in
               let sym_of_reg (r : V.t) =
                 if not (integer r) then Unknown
                 else
@@ -212,129 +261,120 @@ let try_loop cfg (loop : Cfg.loop) ~facts ~fresh =
                 | I.FImm _ -> Unknown
                 | I.Reg r -> sym_of_reg r
               in
-              (* a register usable as a stride factor: invariant, and
-                 materializable in the preheader (outside the loop, or a
-                 clonable scanned def — resolved via the closure walk) *)
-              let iv_or_inv = function Unknown -> false | _ -> true in
-              let chain_defs = ref IS.empty in  (* scanned indices that yielded Iv *)
-              let scanned = ref IS.empty in  (* all scanned def indices *)
+              let terms_of = function Iv ts -> ts | Inv | Unknown -> [] in
+              let first = hblk.Cfg.first in
               let stop =
                 if latch = header then min (hblk.Cfg.last + 1) !first_basic_def
                 else hblk.Cfg.last + 1
               in
-              for i = hblk.Cfg.first to stop - 1 do
-                let ins = code.(i) in
-                match I.defs ins with
-                | [] -> ()
-                | _ :: _ :: _ -> ()
-                | [ dst ] ->
-                    let s =
-                      if not (integer dst) then Unknown
-                      else
-                        match ins with
-                        | I.Mov { src; _ } -> sym_of_op src
-                        | I.Cvt { src; _ } ->
-                            if integer src then sym_of_reg src else Unknown
-                        | I.Una { op = I.Neg; a; _ } -> (
-                            match sym_of_op a with
-                            | Iv ts -> (
-                                match norm_terms (scale_terms (-1) ts) with
-                                | [] -> Inv
-                                | ts -> Iv ts)
-                            | s -> s)
-                        | I.Bin { op = I.Add | I.Sub as op; a; b; _ } -> (
-                            let sa = sym_of_op a and sb = sym_of_op b in
-                            if not (iv_or_inv sa && iv_or_inv sb) then Unknown
-                            else
-                              let ta = match sa with Iv ts -> ts | _ -> [] in
-                              let tb = match sb with Iv ts -> ts | _ -> [] in
-                              let tb = if op = I.Sub then scale_terms (-1) tb else tb in
-                              match norm_terms (ta @ tb) with
-                              | [] -> Inv
-                              | ts -> Iv ts)
-                        | I.Bin { op = I.Mul; a; b; _ } -> (
-                            let sa = sym_of_op a and sb = sym_of_op b in
-                            match (sa, sb) with
-                            | Inv, Inv -> Inv
-                            | Iv ts, Inv | Inv, Iv ts -> (
-                                let inv_op = if sa = Inv then a else b in
-                                match inv_op with
-                                | I.Imm k -> (
-                                    match norm_terms (scale_terms k ts) with
-                                    | [] -> Inv
-                                    | ts -> Iv ts)
-                                | I.Reg r -> Iv (mul_terms_reg r.V.rid ts)
-                                | I.FImm _ -> Unknown)
-                            | _ -> Unknown)
-                        | _ -> Unknown
-                    in
-                    scanned := IS.add i !scanned;
-                    (match s with
-                     | Iv _ -> chain_defs := IS.add i !chain_defs
-                     | _ -> ());
-                    sym.(dst.V.rid) <- Some s
-              done;
-              (* candidate selection *)
-              let candidates =
-                IS.fold
-                  (fun i acc ->
-                    match I.defs code.(i) with
-                    | [ dst ] -> (
-                        match sym.(dst.V.rid) with
-                        | Some (Iv terms)
-                          when defs_in_loop dst.V.rid = 1
-                               && not (used_outside dst.V.rid)
-                               && (* a "sink": some use escapes the scanned
-                                     affine chain, so keeping it incrementally
-                                     actually removes work *)
-                               List.exists
-                                 (fun u -> u <> i && not (IS.mem u !chain_defs))
-                                 use_pos.(dst.V.rid) ->
-                            (i, dst, terms) :: acc
-                        | _ -> acc)
-                    | _ -> acc)
-                  !chain_defs []
-                |> List.sort (fun (i, _, _) (j, _, _) -> Int.compare i j)
+              (* per scanned index (from [first]): did its def come out
+                 affine *)
+              let chain = Array.make (stop - first) false in
+              let count_chain_use (r : V.t) =
+                rd.chain_uses.(r.V.rid) <- rd.chain_uses.(r.V.rid) + 1
               in
+              for i = first to stop - 1 do
+                let ins = code.(i) in
+                let dst = I.def ins in
+                if dst != I.no_def then begin
+                  let s =
+                    if not (integer dst) then Unknown
+                    else
+                      match ins with
+                      | I.Mov { src; _ } -> sym_of_op src
+                      | I.Cvt { src; _ } ->
+                          if integer src then sym_of_reg src else Unknown
+                      | I.Una { op = I.Neg; a; _ } -> (
+                          match sym_of_op a with
+                          | Iv ts -> iv_of (scale_terms (-1) ts)
+                          | s -> s)
+                      | I.Bin { op = (I.Add | I.Sub) as op; a; b; _ } -> (
+                          match (sym_of_op a, sym_of_op b) with
+                          | Unknown, _ | _, Unknown -> Unknown
+                          | sa, sb ->
+                              let tb = terms_of sb in
+                              let tb = if op = I.Sub then scale_terms (-1) tb else tb in
+                              iv_of (terms_of sa @ tb))
+                      | I.Bin { op = I.Mul; a; b; _ } -> (
+                          match (sym_of_op a, sym_of_op b, a, b) with
+                          | Inv, Inv, _, _ -> Inv
+                          | Iv ts, Inv, _, inv_op | Inv, Iv ts, inv_op, _ -> (
+                              match inv_op with
+                              | I.Imm k -> iv_of (scale_terms k ts)
+                              | I.Reg r -> Iv (mul_terms_reg r.V.rid ts)
+                              | I.FImm _ -> Unknown)
+                          | _ -> Unknown)
+                      | _ -> Unknown
+                  in
+                  (match s with
+                  | Iv _ ->
+                      chain.(i - first) <- true;
+                      I.iter_uses count_chain_use ins
+                  | Inv | Unknown -> ());
+                  sym.(dst.V.rid) <- Some s
+                end
+              done;
+              (* candidate selection, in index order *)
+              let candidates = ref [] in
+              for i = stop - 1 downto first do
+                if chain.(i - first) then
+                  let dst = I.def code.(i) in
+                  match sym.(dst.V.rid) with
+                  | Some (Iv terms)
+                    when defs_in_loop dst.V.rid = 1
+                         && (not (used_outside dst.V.rid))
+                         && (* a "sink": some use escapes the scanned
+                               affine chain, so keeping it incrementally
+                               actually removes work *)
+                         rd.loop_uses.(dst.V.rid) > rd.chain_uses.(dst.V.rid) ->
+                      candidates := (i, dst, terms) :: !candidates
+                  | _ -> ()
+              done;
+              let candidates = !candidates in
               if candidates = [] then None
               else begin
                 (* dependency closure over the scanned prefix: every
                    in-loop register the clones and stride products read
                    must itself have a clonable scanned def *)
-                let cand_idx =
-                  List.fold_left (fun s (i, _, _) -> IS.add i s) IS.empty candidates
+                let is_cand = Array.make (stop - first) false in
+                List.iter (fun (i, _, _) -> is_cand.(i - first) <- true) candidates;
+                let closure = Array.make (stop - first) false in
+                (* what the candidate being tried added, undone if it
+                   turns out unclonable *)
+                let added = ref [] in
+                let include_ i =
+                  closure.(i - first) <- true;
+                  added := i :: !added
                 in
-                let closure = ref IS.empty in
                 let exception Unclonable in
-                let rec need_reg (r : V.t) =
-                  if defs_in_loop r.V.rid = 0 || basic.(r.V.rid) <> 0 then ()
+                let rec need rid =
+                  if defs_in_loop rid = 0 || basic.(rid) <> 0 then ()
                   else
-                    let i = def_pos.(r.V.rid) in
+                    let i = rd.def_pos.(rid) in
                     if
-                      IS.mem i !scanned
-                      && defs_in_loop r.V.rid = 1
+                      i >= first && i < stop
+                      && defs_in_loop rid = 1
                       && clonable code.(i)
                     then begin
-                      if not (IS.mem i !closure) then begin
-                        closure := IS.add i !closure;
+                      if not closure.(i - first) then begin
+                        include_ i;
                         I.iter_uses need_reg code.(i)
                       end
                     end
                     else raise Unclonable
-                in
-                let need_rid rid = need_reg { V.rid; rty = T.I32 } in
+                and need_reg (r : V.t) = need r.V.rid in
                 let ok =
                   List.filter
                     (fun (i, _, terms) ->
-                      let saved = !closure in
+                      added := [];
                       try
                         if not (clonable code.(i)) then raise Unclonable;
-                        closure := IS.add i !closure;
+                        if not closure.(i - first) then include_ i;
                         I.iter_uses need_reg code.(i);
-                        List.iter (fun t -> List.iter need_rid t.regs) terms;
+                        List.iter (fun t -> List.iter need t.regs) terms;
                         true
                       with Unclonable ->
-                        closure := saved;
+                        List.iter (fun j -> closure.(j - first) <- false) !added;
                         false)
                     candidates
                 in
@@ -343,44 +383,49 @@ let try_loop cfg (loop : Cfg.loop) ~facts ~fresh =
                   (* rename map for the cloned prefix: candidates keep
                      their register (that is the initialization); other
                      closure defs get fresh registers *)
-                  let rename = Hashtbl.create 16 in
-                  IS.iter
-                    (fun i ->
-                      match I.defs code.(i) with
-                      | [ d ] ->
-                          if not (IS.mem i cand_idx) then
-                            Hashtbl.replace rename d.V.rid
-                              { V.rid = fresh (); rty = d.V.rty }
-                      | _ -> ())
-                    !closure;
+                  let rename = Array.make (Array.length sym) None in
+                  for i = first to stop - 1 do
+                    if closure.(i - first) && not is_cand.(i - first) then
+                      let d = I.def code.(i) in
+                      rename.(d.V.rid) <- Some { V.rid = fresh (); rty = d.V.rty }
+                  done;
                   let rn (r : V.t) =
-                    Option.value ~default:r (Hashtbl.find_opt rename r.V.rid)
+                    match rename.(r.V.rid) with Some r' -> r' | None -> r
                   in
-                  let edits = { deleted = IS.empty; inserts = IM.empty } in
+                  let n = Array.length code in
+                  let edits =
+                    { deleted = Array.make n false; inserts = Array.make (n + 1) [] }
+                  in
                   let pre_at = tail_insert_index cfg pre in
                   let latch_at = tail_insert_index cfg latch in
                   (* 1. clone the chain prefix into the preheader; within
                      the clone a candidate's own def keeps its register
                      (uses of it by later clones read the initialization,
                      which is the same value) *)
-                  IS.iter
-                    (fun i ->
+                  for i = first to stop - 1 do
+                    if closure.(i - first) then begin
                       let ins = code.(i) in
                       let ins' =
-                        if IS.mem i cand_idx then
-                          I.map_regs (fun r -> if List.mem r (I.defs ins) then r else rn r) ins
+                        if is_cand.(i - first) then
+                          let d = I.def ins in
+                          I.map_regs
+                            (fun r ->
+                              if r.V.rid = d.V.rid && r.V.rty = d.V.rty then r
+                              else rn r)
+                            ins
                         else I.map_regs rn ins
                       in
-                      add_insert edits pre_at ins')
-                    !closure;
+                      add_insert edits pre_at ins'
+                    end
+                  done;
                   (* 2. materialize each distinct stride once *)
-                  let stride_cache = Hashtbl.create 4 in
+                  let stride_cache = ref [] in
                   let materialize rty terms =
                     match terms with
                     | [ { coeff; regs = [] } ] -> I.Imm coeff
                     | _ -> (
                         let key = (stride_key terms, rty) in
-                        match Hashtbl.find_opt stride_cache key with
+                        match List.assoc_opt key !stride_cache with
                         | Some op -> op
                         | None ->
                             let emit ins = add_insert edits pre_at ins in
@@ -399,15 +444,12 @@ let try_loop cfg (loop : Cfg.loop) ~facts ~fresh =
                                   emit (I.Mov { dst = d; src = I.Imm t.coeff });
                                   d
                               | r0 :: rest ->
-                                  let base rid =
-                                    rn { V.rid = rid; rty = T.I32 }
-                                  in
                                   (* recover the true rty of factors from
                                      the code they were defined in *)
                                   let vreg_of rid =
-                                    match facts.last_def.(rid) with
+                                    match rd.last_def.(rid) with
                                     | Some r -> rn r
-                                    | None -> base rid
+                                    | None -> rn { V.rid = rid; rty = T.I32 }
                                   in
                                   let acc = ref (to_rty (vreg_of r0)) in
                                   List.iter
@@ -442,7 +484,7 @@ let try_loop cfg (loop : Cfg.loop) ~facts ~fresh =
                                     rest;
                                   I.Reg !acc
                             in
-                            Hashtbl.replace stride_cache key op;
+                            stride_cache := (key, op) :: !stride_cache;
                             op)
                   in
                   (* 3. delete the per-iteration def, append the back-edge
@@ -450,7 +492,7 @@ let try_loop cfg (loop : Cfg.loop) ~facts ~fresh =
                   List.iter
                     (fun (i, (dst : V.t), terms) ->
                       let stride = materialize dst.V.rty terms in
-                      edits.deleted <- IS.add i edits.deleted;
+                      edits.deleted.(i) <- true;
                       add_insert edits latch_at
                         (I.Bin { op = I.Add; dst; a = I.Reg dst; b = stride }))
                     ok;
@@ -472,11 +514,11 @@ let optimize f =
     if budget = 0 then f
     else
       let code = Facts.code f and cfg = Facts.cfg f in
-      let facts = facts_of code ~nregs:!next in
+      let rd = round_of code ~nregs:!next in
       let rec first_hit = function
         | [] -> None
         | l :: rest -> (
-            match try_loop cfg l ~facts ~fresh with
+            match try_loop cfg l ~rd ~fresh with
             | Some code' -> Some code'
             | None -> first_hit rest)
       in
