@@ -94,5 +94,12 @@ let to_string = function
   | Pragma s -> "#pragma acc " ^ s
   | Eof -> "<eof>"
 
-let equal (a : t) (b : t) = a = b
+(* constant tokens are immediates, so [==] decides them; only the
+   tokens that carry a payload are compared structurally *)
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | Int_lit x, Int_lit y -> Int.equal x y
+  | Float_lit x, Float_lit y | Float32_lit x, Float32_lit y -> x = y
+  | Ident x, Ident y | Pragma x, Pragma y -> String.equal x y
+  | _ -> a == b
 let pp_pos ppf p = Format.fprintf ppf "line %d, col %d" p.line p.col

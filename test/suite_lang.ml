@@ -330,6 +330,23 @@ let test_lex_golden () =
   Suite_pipeline.check_golden "lexer.golden" "token stream digests"
     (String.concat "" (workloads @ examples))
 
+(* constant tokens compare physically, payload tokens by their
+   payload: equal payloads in distinct strings are equal tokens *)
+let test_token_equal () =
+  let same what a b = Alcotest.(check bool) what true (Token.equal a b) in
+  let differ what a b = Alcotest.(check bool) what false (Token.equal a b) in
+  same "keyword" Token.Kw_for Token.Kw_for;
+  differ "keywords" Token.Kw_for Token.Kw_if;
+  same "identifier" (Token.Ident "x") (Token.Ident (String.make 1 'x'));
+  differ "identifiers" (Token.Ident "x") (Token.Ident "y");
+  same "int literal" (Token.Int_lit 3) (Token.Int_lit 3);
+  differ "int literals" (Token.Int_lit 3) (Token.Int_lit 4);
+  same "float literal" (Token.Float_lit 0.5) (Token.Float_lit 0.5);
+  differ "float widths" (Token.Float_lit 0.5) (Token.Float32_lit 0.5);
+  same "pragma" (Token.Pragma "parallel loop") (Token.Pragma ("parallel " ^ "loop"));
+  differ "payload against constant" (Token.Ident "for") Token.Kw_for;
+  differ "constant against payload" Token.Eof (Token.Pragma "")
+
 let suite =
   [
     Alcotest.test_case "lex basics" `Quick test_lex_basic;
@@ -363,4 +380,5 @@ let suite =
     Alcotest.test_case "lower min/max" `Quick test_lower_min_max;
     Alcotest.test_case "lower anonymous names" `Quick test_lower_anonymous_region_names;
     Alcotest.test_case "validate dim mismatch" `Quick test_validate_catches_dim_mismatch;
+    Alcotest.test_case "token equality" `Quick test_token_equal;
   ]
