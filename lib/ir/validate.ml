@@ -9,7 +9,7 @@ let errf where fmt =
     (fun what -> Diag.make ~code:"SAF004" ~where Diag.Error what)
     fmt
 
-let check_region (prog : Program.t) (r : Region.t) =
+let check_region (prog : Program.t) ~params (r : Region.t) =
   let errors = ref [] in
   let where = "region " ^ r.rname in
   let err fmt =
@@ -23,55 +23,64 @@ let check_region (prog : Program.t) (r : Region.t) =
           err "array %s has rank %d but is used with %d subscripts" a
             (Array_info.rank info) (List.length subs)
   in
-  let param_set = Program.param_names prog in
-  (* walk with scope: loop indices + locals *)
-  let rec walk ~scope ~inside_seq stmts =
-    List.fold_left
-      (fun scope s ->
-        let check_expr e =
-          List.iter (fun (a, subs) -> check_array_ref a subs) (Stmt.loads [ Stmt.Assign (Lvar { Expr.vname = "__tmp"; vtype = Types.F64 }, e) ]);
-          Expr.fold_vars
-            (fun v () ->
-              if not (List.mem v scope || List.mem v param_set) then
-                err "scalar %s read before definition" v)
-            e ()
-        in
+  (* the loop indices and locals in scope, a name once per binding:
+     a statement list removes what it bound when it ends *)
+  let scope = Hashtbl.create 16 in
+  let rec check_expr (e : Expr.t) =
+    match e with
+    | Expr.Int_lit _ | Float_lit _ -> ()
+    | Var v ->
+        if not (Hashtbl.mem scope v.vname || Hashtbl.mem params v.vname) then
+          err "scalar %s read before definition" v.vname
+    | Load (a, subs) ->
+        check_array_ref a subs;
+        List.iter check_expr subs
+    | Binop (_, x, y) ->
+        check_expr x;
+        check_expr y
+    | Unop (_, x) | Cast (_, x) -> check_expr x
+    | Call (_, args) -> List.iter check_expr args
+  in
+  let rec walk ~inside_seq stmts =
+    let bound = ref [] in
+    let bind name =
+      Hashtbl.add scope name ();
+      bound := name :: !bound
+    in
+    List.iter
+      (fun s ->
         match s with
         | Stmt.Assign (Larray (a, subs), e) ->
             check_array_ref a subs;
             List.iter check_expr subs;
-            check_expr e;
-            scope
+            check_expr e
         | Stmt.Assign (Lvar v, e) ->
             check_expr e;
-            if List.mem v.Expr.vname scope then scope else v.Expr.vname :: scope
+            if not (Hashtbl.mem scope v.Expr.vname) then bind v.Expr.vname
         | Stmt.Local (v, init) ->
             Option.iter check_expr init;
-            v.Expr.vname :: scope
+            bind v.Expr.vname
         | Stmt.For l ->
             check_expr l.lo;
             check_expr l.hi;
-            if List.mem l.index.Expr.vname scope then
-              err "loop index %s shadows an enclosing binding" l.index.Expr.vname;
+            let index = l.index.Expr.vname in
+            if Hashtbl.mem scope index then
+              err "loop index %s shadows an enclosing binding" index;
             if inside_seq && Stmt.is_parallel_sched l.sched then
-              err "parallel loop on %s nested inside a sequential loop"
-                l.index.Expr.vname;
-            let inside_seq' =
-              inside_seq || not (Stmt.is_parallel_sched l.sched)
-            in
-            ignore
-              (walk
-                 ~scope:(l.index.Expr.vname :: scope)
-                 ~inside_seq:inside_seq' l.body);
-            scope
+              err "parallel loop on %s nested inside a sequential loop" index;
+            Hashtbl.add scope index ();
+            walk
+              ~inside_seq:(inside_seq || not (Stmt.is_parallel_sched l.sched))
+              l.body;
+            Hashtbl.remove scope index
         | Stmt.If (c, t, e) ->
             check_expr c;
-            ignore (walk ~scope ~inside_seq t);
-            ignore (walk ~scope ~inside_seq e);
-            scope)
-      scope stmts
+            walk ~inside_seq t;
+            walk ~inside_seq e)
+      stmts;
+    List.iter (Hashtbl.remove scope) !bound
   in
-  ignore (walk ~scope:[] ~inside_seq:false r.body);
+  walk ~inside_seq:false r.body;
   (* dim groups *)
   List.iteri
     (fun gi (g : Region.dim_group) ->
@@ -121,7 +130,10 @@ let check (prog : Program.t) =
   in
   (* deterministic report order: sorted by where/code/message, not
      traversal order *)
-  Diag.sort (dup_regions @ List.concat_map (check_region prog) prog.regions)
+  let params = Hashtbl.create 16 in
+  List.iter (fun name -> Hashtbl.replace params name ()) (Program.param_names prog);
+  Diag.sort
+    (dup_regions @ List.concat_map (check_region prog ~params) prog.regions)
 
 let check_exn prog =
   match check prog with

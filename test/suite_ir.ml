@@ -192,6 +192,60 @@ let test_validate_accepts () =
   in
   Alcotest.(check int) "valid" 0 (List.length (Validate.check p))
 
+(* every check at once, with the scope rules that matter: a param
+   reused as a loop index shadows nothing, an index shadowing an outer
+   one does; a local or assigned scalar lives to the end of its
+   statement list, not past an if branch or the end of the loop body.
+   Pinned verbatim after [Diag.sort]. *)
+let test_validate_messages () =
+  let t = { E.vname = "t"; vtype = Types.F64 } in
+  let f64 = E.var ~ty:Types.F64 in
+  let p =
+    Program.make
+      ~params:[ { E.vname = "n"; vtype = Types.I32 } ]
+      ~arrays:
+        [ Array_info.make "a" Types.F64 [ Dim.dyn "n" ];
+          Array_info.make "b" Types.F64 [ Dim.dyn "n"; Dim.dyn "n" ] ]
+      "p"
+      [
+        Region.make "k"
+          [
+            S.for_ ~sched:S.Seq "n" (E.int 0) (E.var "n")
+              [
+                S.If
+                  ( E.(var "n" < int 3),
+                    [ S.Local (t, Some (E.float 0.)); S.assign_var ~ty:Types.F64 "u" (f64 "t") ],
+                    [ S.assign "a" [ E.var "n" ] (f64 "t") ] );
+                S.assign "a" [ E.load "zz" [ E.load "b" [ E.var "q" ] ] ] (f64 "u");
+                S.for_ ~sched:(S.Gang None) "n" (E.int 0) (E.var "m")
+                  [ S.assign "a" [ E.var "n" ] (E.load "a" [ E.var "q"; E.var "q" ]) ];
+              ];
+            S.assign "a" [ E.var "n" ] (f64 "t");
+          ];
+        Region.make "k" [ S.assign "a" [ E.int 0 ] (E.float 1.) ];
+      ]
+  in
+  Alcotest.(check (list string))
+    "sorted diagnostics"
+    [
+      "program: duplicate region name k";
+      "region k: array a has rank 1 but is used with 2 subscripts";
+      "region k: array b has rank 2 but is used with 1 subscripts";
+      "region k: array zz is not declared";
+      "region k: loop index n shadows an enclosing binding";
+      "region k: parallel loop on n nested inside a sequential loop";
+      "region k: scalar m read before definition";
+      "region k: scalar q read before definition";
+      "region k: scalar q read before definition";
+      "region k: scalar q read before definition";
+      "region k: scalar t read before definition";
+      "region k: scalar t read before definition";
+      "region k: scalar u read before definition";
+    ]
+    (List.map
+       (fun (d : Safara_diag.Diagnostic.t) -> d.where ^ ": " ^ d.message)
+       (Validate.check p))
+
 let suite =
   [
     Alcotest.test_case "types sizes" `Quick test_types_sizes;
@@ -208,4 +262,5 @@ let suite =
     Alcotest.test_case "program lookup" `Quick test_program_lookup;
     Alcotest.test_case "validation rejections" `Quick test_validate_rejections;
     Alcotest.test_case "validation accepts" `Quick test_validate_accepts;
+    Alcotest.test_case "validation messages" `Quick test_validate_messages;
   ]
