@@ -29,6 +29,34 @@ type image = {
   im_env : Interp.env;
 }
 
+(* what a simulation key digests: the kind, the artifact key, the
+   extra inputs, the workload's seed and scalars, and the simulator
+   mode. Scalars compare floats by their bits, so 0. and -0. never
+   share a key. *)
+module Sim_inputs = Hashtbl.Make (struct
+  type t =
+    string * string * string list * int * (string * Safara_sim.Value.t) list * string
+
+  let same_value (a : Safara_sim.Value.t) (b : Safara_sim.Value.t) =
+    match (a, b) with
+    | I x, I y -> Int.equal x y
+    | F x, F y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | B x, B y -> Bool.equal x y
+    | _ -> false
+
+  let equal (kind, ak, extra, seed, scalars, mode)
+      (kind', ak', extra', seed', scalars', mode') =
+    String.equal ak ak' && String.equal kind kind'
+    && List.equal String.equal extra extra'
+    && Int.equal seed seed'
+    && List.equal
+         (fun (n, v) (n', v') -> String.equal n n' && same_value v v')
+         scalars scalars'
+    && String.equal mode mode'
+
+  let hash (_, ak, _, seed, _, _) = Hashtbl.hash (ak, seed)
+end)
+
 type t = {
   epool : Pool.t;
   estore : Store.t option;  (** persistent layer under the caches *)
@@ -50,6 +78,8 @@ type t = {
       string )
     Hashtbl.t;
       (** {!compile_key}'s inputs → its digest, under [lock] *)
+  sim_keys : string Sim_inputs.t;
+      (** a simulation key's inputs → its digest, under [lock] *)
   lock : Mutex.t;
   images : (int, image) Hashtbl.t;
       (** each domain's most recent input image, by domain id, under
@@ -76,6 +106,7 @@ let create ?jobs ?store () =
     memo = C.memo ();
     fe = Cache.create ~name:"front end" ();
     keys = Hashtbl.create 64;
+    sim_keys = Sim_inputs.create 64;
     lock = Mutex.create ();
     images = Hashtbl.create 4;
     images_prepared = 0;
@@ -350,6 +381,24 @@ let with_image t (c : C.compiled) (w : Workload.t) f =
 
 let image t c w = with_image t c w Fun.id
 
+(* the simulation key, memoized like [memo_key]: a repeated
+   simulation makes no digest *)
+let sim_key t ~kind ~ak ~extra (w : Workload.t) =
+  let inputs =
+    (kind, ak, extra, w.Workload.seed, w.Workload.scalars, sim_mode t)
+  in
+  Mutex.lock t.lock;
+  let hit = Sim_inputs.find_opt t.sim_keys inputs in
+  Mutex.unlock t.lock;
+  match hit with
+  | Some key -> key
+  | None ->
+      let key = Cache.key inputs in
+      Mutex.lock t.lock;
+      Sim_inputs.replace t.sim_keys inputs key;
+      Mutex.unlock t.lock;
+      key
+
 (* One simulation-cache lookup under an artifact key. The artifact
    is fetched at most once per call: the key computation and the
    simulation miss share it. *)
@@ -365,10 +414,7 @@ let simulated t cache ~kind ~view ~extra j f =
         c
   in
   let ak = artifact_key t ~kind ck fetch view in
-  let w = j.jw in
-  let key =
-    Cache.key (kind, ak, extra, w.Workload.seed, w.Workload.scalars, sim_mode t)
-  in
+  let key = sim_key t ~kind ~ak ~extra j.jw in
   through t cache ~kind ~key (fun () ->
       let c = fetch () in
       timed t `Sim (fun () -> f c))

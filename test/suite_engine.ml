@@ -793,6 +793,41 @@ let test_compile_key_memo () =
       misses_once "an unroll factor" (fun () ->
           ignore (Eval.compiled e (Eval.job ~unroll:2 C.Full w))))
 
+(* The engine memoizes the simulation key as it does the compile key:
+   a warm timing simulation makes no digest, and another seed or
+   scalar value (0. and -0. apart) misses once. *)
+let test_sim_key_memo () =
+  let e = Eval.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Eval.shutdown e)
+    (fun () ->
+      let w = Registry.find "303.ostencil" in
+      let time (w : Workload.t) = ignore (Eval.time_job e (Eval.job C.Base w)) in
+      let misses () = (Eval.stats e).Eval.st_sim_misses in
+      time w;
+      let m = misses () and d0 = Cache.digests () in
+      time w;
+      Alcotest.(check int) "a warm time_job hits" m (misses ());
+      Alcotest.(check int) "... and digests nothing" 0 (Cache.digests () - d0);
+      let with_c1 x =
+        { w with
+          Workload.scalars =
+            List.map
+              (fun (n, v) -> if n = "c1" then (n, Safara_sim.Value.F x) else (n, v))
+              w.Workload.scalars }
+      in
+      let misses_once what w' =
+        let m = misses () in
+        time w';
+        Alcotest.(check int) (what ^ " misses once") (m + 1) (misses ());
+        time w';
+        Alcotest.(check int) (what ^ " then hits") (m + 1) (misses ())
+      in
+      misses_once "another seed" { w with Workload.seed = w.Workload.seed + 1 };
+      misses_once "another scalar value" (with_c1 0.03);
+      misses_once "a zero scalar" (with_c1 0.);
+      misses_once "a negative-zero scalar" (with_c1 (-0.)))
+
 let suite =
   [
     Alcotest.test_case "pool: map preserves order" `Quick test_pool_map_order;
@@ -846,4 +881,6 @@ let suite =
       test_one_analysis_per_array;
     Alcotest.test_case "compile keys: the memo never aliases" `Quick
       test_compile_key_memo;
+    Alcotest.test_case "simulation keys: a warm time_job digests nothing" `Quick
+      test_sim_key_memo;
   ]
