@@ -97,14 +97,14 @@ let clonable = function
 
 let integer (r : V.t) = T.is_integer r.V.rty
 
-(* The register tables of one round, indexed by rid: each rid's use
-   count over the whole code and its last definition (the register at
-   its true type), shared by every loop the round tries; and the
-   tables of the loop being tried, which a try resets over only the
-   registers the previous try's loop body named ([touched]). *)
-type round = {
+(* Register tables, indexed by rid: each rid's use count over the code
+   of the current round, counted when a loop of the round first asks
+   whether a register is used outside it; the tables of the loop
+   being tried, which a try resets over only the registers the
+   previous try's loop body named ([touched]); and a rewrite's
+   renames and each rid's last definition, which the rewrite fills. *)
+type tables = {
   uses_total : int array;
-  last_def : V.t option array;
   def_count : int array;  (* defs inside the loop *)
   def_pos : int array;  (* position of the last of them *)
   loop_uses : int array;  (* uses inside the loop *)
@@ -113,20 +113,13 @@ type round = {
   sym : sym option array;  (* the header scan's value; None: not scanned *)
   touched : int array;
   mutable ntouched : int;
+  rename : V.t array;  (* a rewrite's fresh clone registers; [I.no_def]: kept *)
+  last_def : V.t array;
 }
 
-let round_of code ~nregs =
-  let uses_total = Array.make nregs 0 and last_def = Array.make nregs None in
-  Array.iter
-    (fun ins ->
-      I.iter_defs (fun (r : V.t) -> last_def.(r.V.rid) <- Some r) ins;
-      I.iter_uses
-        (fun (r : V.t) -> uses_total.(r.V.rid) <- uses_total.(r.V.rid) + 1)
-        ins)
-    code;
+let tables_of nregs =
   {
-    uses_total;
-    last_def;
+    uses_total = Array.make nregs 0;
     def_count = Array.make nregs 0;
     def_pos = Array.make nregs (-1);
     loop_uses = Array.make nregs 0;
@@ -135,48 +128,91 @@ let round_of code ~nregs =
     sym = Array.make nregs None;
     touched = Array.make nregs 0;
     ntouched = 0;
+    rename = Array.make nregs I.no_def;
+    last_def = Array.make nregs I.no_def;
   }
 
+let count_uses tb code =
+  let uses_total = tb.uses_total in
+  Array.fill uses_total 0 (Array.length uses_total) 0;
+  let count_use (r : V.t) = uses_total.(r.V.rid) <- uses_total.(r.V.rid) + 1 in
+  Array.iter (I.iter_uses count_use) code
+
 (* a register the loop body names, recorded the first time *)
-let touch rd rid =
-  if rd.def_count.(rid) = 0 && rd.loop_uses.(rid) = 0 then begin
-    rd.touched.(rd.ntouched) <- rid;
-    rd.ntouched <- rd.ntouched + 1
+let touch tb rid =
+  if tb.def_count.(rid) = 0 && tb.loop_uses.(rid) = 0 then begin
+    tb.touched.(tb.ntouched) <- rid;
+    tb.ntouched <- tb.ntouched + 1
   end
 
-let reset rd =
-  for t = 0 to rd.ntouched - 1 do
-    let rid = rd.touched.(t) in
-    rd.def_count.(rid) <- 0;
-    rd.def_pos.(rid) <- -1;
-    rd.loop_uses.(rid) <- 0;
-    rd.chain_uses.(rid) <- 0;
-    rd.basic.(rid) <- 0;
-    rd.sym.(rid) <- None
+let reset tb =
+  for t = 0 to tb.ntouched - 1 do
+    let rid = tb.touched.(t) in
+    tb.def_count.(rid) <- 0;
+    tb.def_pos.(rid) <- -1;
+    tb.loop_uses.(rid) <- 0;
+    tb.chain_uses.(rid) <- 0;
+    tb.basic.(rid) <- 0;
+    tb.sym.(rid) <- None
   done;
-  rd.ntouched <- 0
+  tb.ntouched <- 0
 
-(* the rewrite of one loop: instructions to delete, and instructions to
-   insert (reversed) before each index *)
-type edits = { deleted : bool array; inserts : I.t list array }
+(* each register at its true type: its last definition in [code]
+   ([I.no_def]: none) *)
+let fill_last_defs tb code =
+  Array.fill tb.last_def 0 (Array.length tb.last_def) I.no_def;
+  Array.iter
+    (fun ins ->
+      let d = I.def ins in
+      if d != I.no_def then tb.last_def.(d.V.rid) <- d)
+    code
 
-let add_insert e idx ins = e.inserts.(idx) <- ins :: e.inserts.(idx)
+(* the rewrite of one loop: which header instructions (from [first])
+   it deletes, and what it inserts before each insertion index,
+   reversed *)
+type edits = {
+  first : int;
+  deleted : bool array;
+  mutable inserts : (int * I.t list ref) list;
+  mutable ninserted : int;
+}
+
+let rec inserts_at idx = function
+  | [] -> None
+  | (i, l) :: rest -> if i = idx then Some l else inserts_at idx rest
+
+let add_insert e idx ins =
+  e.ninserted <- e.ninserted + 1;
+  match inserts_at idx e.inserts with
+  | Some l -> l := ins :: !l
+  | None -> e.inserts <- (idx, ref [ ins ]) :: e.inserts
 
 let apply_edits code e =
-  let out = ref [] in
   let n = Array.length code in
-  for i = n downto 0 do
-    if i < n && not e.deleted.(i) then out := code.(i) :: !out;
-    out := List.rev_append e.inserts.(i) !out
+  let ndeleted = Array.fold_left (fun k d -> if d then k + 1 else k) 0 e.deleted in
+  let out = Array.make (n - ndeleted + e.ninserted) I.Ret in
+  let j = ref 0 in
+  let emit ins =
+    out.(!j) <- ins;
+    incr j
+  in
+  let deleted i =
+    i >= e.first && i < e.first + Array.length e.deleted && e.deleted.(i - e.first)
+  in
+  for i = 0 to n do
+    (match inserts_at i e.inserts with
+    | Some l -> List.iter emit (List.rev !l)
+    | None -> ());
+    if i < n && not (deleted i) then emit code.(i)
   done;
-  Array.of_list !out
+  out
 
 (* insertion point "at the end of block b, before its terminal branch" *)
 let tail_insert_index cfg b =
   let blk = cfg.Cfg.blocks.(b) in
   if I.is_branch cfg.Cfg.code.(blk.Cfg.last) then blk.Cfg.last else blk.Cfg.last + 1
 
-let try_loop cfg (loop : Cfg.loop) ~rd ~fresh =
+let try_loop cfg (loop : Cfg.loop) ~rd ~counted ~fresh =
   let code = cfg.Cfg.code in
   match loop.Cfg.latches with
   | [] | _ :: _ :: _ -> None
@@ -218,7 +254,10 @@ let try_loop cfg (loop : Cfg.loop) ~rd ~fresh =
                   done)
               cfg.Cfg.blocks;
             let defs_in_loop rid = rd.def_count.(rid) in
-            let used_outside rid = rd.uses_total.(rid) > rd.loop_uses.(rid) in
+            let used_outside rid =
+              Lazy.force counted;
+              rd.uses_total.(rid) > rd.loop_uses.(rid)
+            in
             let basic = rd.basic and sym = rd.sym in
             (* basic IVs: single in-loop def, in the latch block, of the
                form add/sub self, imm *)
@@ -383,18 +422,24 @@ let try_loop cfg (loop : Cfg.loop) ~rd ~fresh =
                   (* rename map for the cloned prefix: candidates keep
                      their register (that is the initialization); other
                      closure defs get fresh registers *)
-                  let rename = Array.make (Array.length sym) None in
+                  let rename = rd.rename in
                   for i = first to stop - 1 do
                     if closure.(i - first) && not is_cand.(i - first) then
                       let d = I.def code.(i) in
-                      rename.(d.V.rid) <- Some { V.rid = fresh (); rty = d.V.rty }
+                      rename.(d.V.rid) <- { V.rid = fresh (); rty = d.V.rty }
                   done;
                   let rn (r : V.t) =
-                    match rename.(r.V.rid) with Some r' -> r' | None -> r
+                    let r' = rename.(r.V.rid) in
+                    if r' == I.no_def then r else r'
                   in
-                  let n = Array.length code in
+                  let last_defs = lazy (fill_last_defs rd code) in
                   let edits =
-                    { deleted = Array.make n false; inserts = Array.make (n + 1) [] }
+                    {
+                      first;
+                      deleted = Array.make (stop - first) false;
+                      inserts = [];
+                      ninserted = 0;
+                    }
                   in
                   let pre_at = tail_insert_index cfg pre in
                   let latch_at = tail_insert_index cfg latch in
@@ -447,9 +492,10 @@ let try_loop cfg (loop : Cfg.loop) ~rd ~fresh =
                                   (* recover the true rty of factors from
                                      the code they were defined in *)
                                   let vreg_of rid =
-                                    match rd.last_def.(rid) with
-                                    | Some r -> rn r
-                                    | None -> rn { V.rid = rid; rty = T.I32 }
+                                    Lazy.force last_defs;
+                                    let r = rd.last_def.(rid) in
+                                    if r == I.no_def then rn { V.rid = rid; rty = T.I32 }
+                                    else rn r
                                   in
                                   let acc = ref (to_rty (vreg_of r0)) in
                                   List.iter
@@ -492,16 +538,40 @@ let try_loop cfg (loop : Cfg.loop) ~rd ~fresh =
                   List.iter
                     (fun (i, (dst : V.t), terms) ->
                       let stride = materialize dst.V.rty terms in
-                      edits.deleted.(i) <- true;
+                      edits.deleted.(i - first) <- true;
                       add_insert edits latch_at
                         (I.Bin { op = I.Add; dst; a = I.Reg dst; b = stride }))
                     ok;
+                  for i = first to stop - 1 do
+                    if closure.(i - first) then
+                      rename.((I.def code.(i)).V.rid) <- I.no_def
+                  done;
                   Some (apply_edits code edits)
                 end
               end
             end
           end)
       | _ -> None)
+
+(* Tables no call is using. A call takes a set (or makes one) and gives
+   back the last set it used when it returns, so calls on any domain
+   or thread never share one; every entry a try sets is reset by the
+   next try ([touched]), a rewrite clears the renames it sets, and the
+   use counts and last definitions are refilled before they are read.
+   A call that raises keeps its set. *)
+let spare : tables list Atomic.t = Atomic.make []
+
+let rec take nregs =
+  match Atomic.get spare with
+  | [] -> tables_of nregs
+  | rd :: rest as l ->
+      if not (Atomic.compare_and_set spare l rest) then take nregs
+      else if Array.length rd.uses_total >= nregs then rd
+      else tables_of nregs
+
+let rec give rd =
+  let l = Atomic.get spare in
+  if not (Atomic.compare_and_set spare l (rd :: l)) then give rd
 
 let optimize f =
   let next = ref (max 1 (Facts.bound f)) in
@@ -510,20 +580,41 @@ let optimize f =
     incr next;
     r
   in
+  (* taken for the first round with a loop, and replaced by larger ones
+     when a rewrite's fresh registers outrun them *)
+  let current = ref None in
+  let tables () =
+    match !current with
+    | Some rd when Array.length rd.uses_total >= !next -> rd
+    | Some _ ->
+        let rd = tables_of (2 * !next) in
+        current := Some rd;
+        rd
+    | None ->
+        let rd = take !next in
+        current := Some rd;
+        rd
+  in
   let rec go f budget =
     if budget = 0 then f
     else
       let code = Facts.code f and cfg = Facts.cfg f in
-      let rd = round_of code ~nregs:!next in
-      let rec first_hit = function
-        | [] -> None
-        | l :: rest -> (
-            match try_loop cfg l ~rd ~fresh with
-            | Some code' -> Some code'
-            | None -> first_hit rest)
-      in
-      match first_hit (Cfg.loops cfg) with
-      | None -> f
-      | Some code' -> go (Facts.make code') (budget - 1)
+      match Cfg.loops cfg with
+      | [] -> f
+      | loops -> (
+          let rd = tables () in
+          let counted = lazy (count_uses rd code) in
+          let rec first_hit = function
+            | [] -> None
+            | l :: rest -> (
+                match try_loop cfg l ~rd ~counted ~fresh with
+                | Some code' -> Some code'
+                | None -> first_hit rest)
+          in
+          match first_hit loops with
+          | None -> f
+          | Some code' -> go (Facts.make code') (budget - 1))
   in
-  go f 16
+  let f' = go f 16 in
+  Option.iter give !current;
+  f'
