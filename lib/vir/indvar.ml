@@ -167,30 +167,25 @@ let fill_last_defs tb code =
       if d != I.no_def then tb.last_def.(d.V.rid) <- d)
     code
 
-(* the rewrite of one loop: which header instructions (from [first])
-   it deletes, and what it inserts before each insertion index,
-   reversed *)
+(* the rewrite of one loop: the header instructions it deletes (from
+   [first]), and what it inserts, reversed, at the end of the preheader
+   and of the latch (two distinct indices: each block ends where the
+   other cannot) *)
 type edits = {
   first : int;
   deleted : bool array;
-  mutable inserts : (int * I.t list ref) list;
-  mutable ninserted : int;
+  pre_at : int;
+  mutable pre : I.t list;
+  latch_at : int;
+  mutable latch : I.t list;
 }
-
-let rec inserts_at idx = function
-  | [] -> None
-  | (i, l) :: rest -> if i = idx then Some l else inserts_at idx rest
-
-let add_insert e idx ins =
-  e.ninserted <- e.ninserted + 1;
-  match inserts_at idx e.inserts with
-  | Some l -> l := ins :: !l
-  | None -> e.inserts <- (idx, ref [ ins ]) :: e.inserts
 
 let apply_edits code e =
   let n = Array.length code in
   let ndeleted = Array.fold_left (fun k d -> if d then k + 1 else k) 0 e.deleted in
-  let out = Array.make (n - ndeleted + e.ninserted) I.Ret in
+  let out =
+    Array.make (n - ndeleted + List.length e.pre + List.length e.latch) I.Ret
+  in
   let j = ref 0 in
   let emit ins =
     out.(!j) <- ins;
@@ -200,9 +195,8 @@ let apply_edits code e =
     i >= e.first && i < e.first + Array.length e.deleted && e.deleted.(i - e.first)
   in
   for i = 0 to n do
-    (match inserts_at i e.inserts with
-    | Some l -> List.iter emit (List.rev !l)
-    | None -> ());
+    if i = e.pre_at then List.iter emit (List.rev e.pre);
+    if i = e.latch_at then List.iter emit (List.rev e.latch);
     if i < n && not (deleted i) then emit code.(i)
   done;
   out
@@ -437,12 +431,13 @@ let try_loop cfg (loop : Cfg.loop) ~rd ~counted ~fresh =
                     {
                       first;
                       deleted = Array.make (stop - first) false;
-                      inserts = [];
-                      ninserted = 0;
+                      pre_at = tail_insert_index cfg pre;
+                      pre = [];
+                      latch_at = tail_insert_index cfg latch;
+                      latch = [];
                     }
                   in
-                  let pre_at = tail_insert_index cfg pre in
-                  let latch_at = tail_insert_index cfg latch in
+                  let emit ins = edits.pre <- ins :: edits.pre in
                   (* 1. clone the chain prefix into the preheader; within
                      the clone a candidate's own def keeps its register
                      (uses of it by later clones read the initialization,
@@ -460,7 +455,7 @@ let try_loop cfg (loop : Cfg.loop) ~rd ~counted ~fresh =
                             ins
                         else I.map_regs rn ins
                       in
-                      add_insert edits pre_at ins'
+                      emit ins'
                     end
                   done;
                   (* 2. materialize each distinct stride once *)
@@ -473,7 +468,6 @@ let try_loop cfg (loop : Cfg.loop) ~rd ~counted ~fresh =
                         match List.assoc_opt key !stride_cache with
                         | Some op -> op
                         | None ->
-                            let emit ins = add_insert edits pre_at ins in
                             let to_rty (r : V.t) =
                               if r.V.rty = rty then r
                               else begin
@@ -539,8 +533,9 @@ let try_loop cfg (loop : Cfg.loop) ~rd ~counted ~fresh =
                     (fun (i, (dst : V.t), terms) ->
                       let stride = materialize dst.V.rty terms in
                       edits.deleted.(i - first) <- true;
-                      add_insert edits latch_at
-                        (I.Bin { op = I.Add; dst; a = I.Reg dst; b = stride }))
+                      edits.latch <-
+                        I.Bin { op = I.Add; dst; a = I.Reg dst; b = stride }
+                        :: edits.latch)
                     ok;
                   for i = first to stop - 1 do
                     if closure.(i - first) then
