@@ -42,14 +42,7 @@ module T = Safara_ir.Types
 type term = { coeff : int; regs : int list (* sorted rids *) }
 
 (* sorted rid lists, lexicographically, a prefix first *)
-let rec compare_regs a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | x :: a, y :: b ->
-      let c = Int.compare x y in
-      if c <> 0 then c else compare_regs a b
+let compare_regs = List.compare Int.compare
 
 let compare_terms t u =
   let c = Int.compare t.coeff u.coeff in
@@ -84,8 +77,6 @@ type sym =
   | Unknown
 
 let iv_of terms = match norm_terms terms with [] -> Inv | ts -> Iv ts
-
-let stride_key terms = List.map (fun t -> (t.coeff, t.regs)) terms
 
 (* ---- per-loop rewrite ---------------------------------------------- *)
 
@@ -464,7 +455,7 @@ let try_loop cfg (loop : Cfg.loop) ~rd ~counted ~fresh =
                     match terms with
                     | [ { coeff; regs = [] } ] -> I.Imm coeff
                     | _ -> (
-                        let key = (stride_key terms, rty) in
+                        let key = (terms, rty) in
                         match List.assoc_opt key !stride_cache with
                         | Some op -> op
                         | None ->

@@ -202,7 +202,3 @@ let optimize ~nregs code =
   if Array.length out = Array.length code && Array.for_all2 ( == ) out code
   then code
   else out
-
-let stats before after =
-  Printf.sprintf "peephole: %d -> %d instructions" (Array.length before)
-    (Array.length after)

@@ -18,6 +18,3 @@ val optimize : nregs:int -> Instr.t array -> Instr.t array
     lives in arrays of that size. Returns its argument itself when it
     rewrites nothing (the pipeline then skips verifying the unchanged
     kernel); never updates it in place. *)
-
-val stats : Instr.t array -> Instr.t array -> string
-(** Human-readable before/after summary. *)
